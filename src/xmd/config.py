@@ -7,6 +7,7 @@ and flat lists like [0, 0.1, 0.2]. Lines starting with # are comments.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,8 +63,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose one of {', '.join(EXPERIMENTS)}")
-        if self.n_steps < 0 or self.n_traj < 1 or self.n_inits < 1:
+        if self.n_steps < 1 or self.n_traj < 1 or self.n_inits < 1:
             raise ConfigError("counts must be positive")
+        delta_schedule(self.delta_schedule)
         if self.experiment == "student-t-online" and self.nu <= 0:
             raise ConfigError("nu must be positive")
         if self.experiment == "dirichlet-online":
@@ -153,28 +155,36 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(text)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _build(data: dict) -> ExperimentConfig:
     if "experiment" not in data:
         raise ConfigError("config must set 'experiment'")
     coerced = {}
     for key, value in data.items():
         f = _FIELDS[key]
-        if f.type in ("int",) and isinstance(value, bool):
-            raise ConfigError(f"{key}: expected a number")
-        if f.type == "float" and isinstance(value, int):
-            value = float(value)
+        if f.type in ("int", "float") and not _is_number(value):
+            raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if f.type == "float":
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         if f.type == "int" and isinstance(value, float):
             if value != int(value):
                 raise ConfigError(f"{key}: expected an integer")
             value = int(value)
-        if f.type == "list" and not isinstance(value, list):
-            raise ConfigError(f"{key}: expected a list")
+        if f.type == "str" and not isinstance(value, str):
+            raise ConfigError(f"{key}: expected a string, got {value!r}")
+        if f.type == "list" and not (isinstance(value, list)
+                                     and all(_is_number(x) for x in value)):
+            raise ConfigError(f"{key}: expected a list of numbers")
         coerced[key] = value
-    try:
-        cfg = ExperimentConfig(**coerced)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    return ExperimentConfig(**coerced).validate()
 
 
 def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
@@ -193,18 +203,28 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
 
 def delta_schedule(spec: str, dim: int = 1):
     """Parse a learning-rate schedule. Forms: '1/k', 'c/k', '1/sqrt(k)',
-    'c/sqrt(k)', '1/(d*sqrt(k))' (d bound to ``dim``), 'const:c'."""
+    'c/sqrt(k)', '1/(d*sqrt(k))' (d bound to ``dim``), 'const:c', with c a
+    finite positive number."""
     spec = spec.strip().replace(" ", "")
-    if spec.startswith("const:"):
-        c = float(spec[len("const:"):])
-        return lambda k: c
     if spec == "1/(d*sqrt(k))":
         return lambda k: 1.0 / (dim * k ** 0.5)
+    if spec.startswith("const:"):
+        c = _schedule_constant(spec, spec[len("const:"):])
+        return lambda k: c
     if spec.endswith("/k"):
-        c = float(spec[:-2]) if spec[:-2] != "1" else 1.0
+        c = _schedule_constant(spec, spec[:-2])
         return lambda k: c / k
     if spec.endswith("/sqrt(k)"):
-        head = spec[: -len("/sqrt(k)")]
-        c = float(head) if head != "1" else 1.0
+        c = _schedule_constant(spec, spec[: -len("/sqrt(k)")])
         return lambda k: c / k ** 0.5
     raise ConfigError(f"unrecognized delta schedule {spec!r}")
+
+
+def _schedule_constant(spec: str, text: str) -> float:
+    try:
+        c = float(text)
+    except ValueError:
+        raise ConfigError(f"delta schedule {spec!r}: {text!r} is not a number") from None
+    if not (math.isfinite(c) and c > 0.0):
+        raise ConfigError(f"delta schedule {spec!r}: the constant must be finite and positive")
+    return c

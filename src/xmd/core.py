@@ -78,13 +78,22 @@ class Domain:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
+        """Whether x lies in the open domain: a bool for one point ``(dim,)``,
+        a row mask for a batch ``(batch, dim)``.
+
+        The strict box test also rejects NaN and inf. Constraints are
+        evaluated only when some row is inside the box, with the rows outside
+        it moved to the anchor, so that no constraint sees a non-finite point.
+        """
         x = _vec(x)
-        if not np.all(np.isfinite(x)):
-            return False
-        if np.any(x <= self.lower) or np.any(x >= self.upper):
-            return False
-        return all(g(x) > 0.0 for g in self.constraints)
+        inside = np.all((x > self.lower) & (x < self.upper), axis=-1)
+        if self.constraints and inside.any():
+            if not inside.all():
+                x = np.where(inside[..., None], x, self.anchor)
+            for g in self.constraints:
+                inside = inside & (g(x) > 0.0)
+        return inside if inside.ndim else bool(inside)
 
     def boundary_gap(self, x) -> float:
         """Smallest slack over all faces and constraints; negative outside."""
@@ -94,17 +103,14 @@ class Domain:
         return float(min(g for g in gaps if np.isfinite(g)))
 
     def reflect(self, x, floor: float = 1e-12) -> np.ndarray:
-        """Reflect box violations back across the violated face.
+        """Reflect box violations back across the violated face, row-wise.
 
         Constraint violations are not repaired here; callers fall back to
         step halving when a reflected point is still infeasible.
         """
-        x = _vec(x).copy()
-        lo_bad = x <= self.lower
-        x[lo_bad] = self.lower[lo_bad] + np.maximum(self.lower[lo_bad] - x[lo_bad], floor)
-        hi_bad = x >= self.upper
-        x[hi_bad] = self.upper[hi_bad] - np.maximum(x[hi_bad] - self.upper[hi_bad], floor)
-        return x
+        x = _vec(x)
+        x = np.where(x <= self.lower, self.lower + np.maximum(self.lower - x, floor), x)
+        return np.where(x >= self.upper, self.upper - np.maximum(x - self.upper, floor), x)
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +449,6 @@ def fd_hess(f: Callable[[np.ndarray], float], x) -> np.ndarray:
         xm[j] -= h
         out[:, j] = (fd_grad(f, xp) - fd_grad(f, xm)) / (2.0 * h)
     return 0.5 * (out + out.T)
-
-
-def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
-    """Central-difference Jacobian of a vector map (verification only)."""
-    x = _vec(x)
-    h0 = np.finfo(float).eps ** (1.0 / 3.0)
-    cols = []
-    for i in range(x.size):
-        h = h0 * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((_vec(f(xp)) - _vec(f(xm))) / (2.0 * h))
-    return np.stack(cols, axis=1)
 
 
 def cs_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-20) -> np.ndarray:

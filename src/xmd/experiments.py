@@ -73,42 +73,48 @@ def run_student_t(config: ExperimentConfig, out_dir: str) -> RunSummary:
     schedule = delta_schedule(config.delta_schedule)
     truth = expfam.StudentTParams(config.mu_star, config.sigma_star, config.nu)
 
+    # one (n_steps, n_traj) sample block; each trajectory draws all of its
+    # normals before its chi-squares, so it must be drawn whole
+    xs = np.stack([expfam.student_t_sample(truth, substream(config.seed, traj), config.n_steps)
+                   for traj in range(config.n_traj)], axis=1)
+    eta0 = np.array([config.mu0, config.mu0 ** 2 + config.sigma0 ** 2])
+    state = expfam.start_state(fam, np.tile(eta0, (config.n_traj, 1)))
+    mu = np.empty((config.n_steps + 1, config.n_traj))
+    sigma = np.empty_like(mu)
+    mu[0], sigma[0] = config.mu0, config.sigma0
+    for k in range(1, config.n_steps + 1):
+        state = expfam.online_update(fam, state, fam.statistics(xs[k - 1]), schedule(k))
+        params = expfam.student_t_params(state.theta, config.nu)
+        mu[k], sigma[k] = params.mu, params.sigma
+
     summary = RunSummary(experiment=config.experiment)
-    finals = []
-    skipped = 0
     for traj in range(config.n_traj):
-        rng = substream(config.seed, traj)
-        xs = expfam.student_t_sample(truth, rng, config.n_steps)
-        eta0 = np.array([config.mu0, config.mu0 ** 2 + config.sigma0 ** 2])
-        state = expfam.start_state(fam, eta0)
-        rows = [(0, _fmt(config.mu0), _fmt(config.sigma0))]
-        for k in range(1, config.n_steps + 1):
-            y = fam.statistics(xs[k - 1])
-            state = expfam.online_update(fam, state, y, schedule(k))
-            params = expfam.student_t_params(state.theta, config.nu)
-            rows.append((k, _fmt(params.mu), _fmt(params.sigma)))
+        rows = zip(range(config.n_steps + 1), mu[:, traj], sigma[:, traj])
         summary.files.append(_write_csv(out_dir, f"trajectory_{traj:02d}.csv",
                                         ["k", "mu", "sigma"], rows))
-        finals.append((rows[-1][1], rows[-1][2]))
-        skipped += state.skipped
-
-    mu_err = [abs(m - config.mu_star) for m, _ in finals]
-    sig_err = [abs(s - config.sigma_star) for _, s in finals]
+    mu_err = [abs(float(m) - config.mu_star) for m in mu[-1]]
+    sig_err = [abs(float(s) - config.sigma_star) for s in sigma[-1]]
     summary.metrics = {
         "final_mu_errors": mu_err,
         "final_sigma_errors": sig_err,
-        "median_mu_error": float(np.median(mu_err)) if mu_err else 0.0,
-        "median_sigma_error": float(np.median(sig_err)) if sig_err else 0.0,
-        "max_mu_error": max(mu_err) if mu_err else 0.0,
-        "max_sigma_error": max(sig_err) if sig_err else 0.0,
-        "skipped_updates": skipped,
+        "median_mu_error": float(np.median(mu_err)),
+        "median_sigma_error": float(np.median(sig_err)),
+        "max_mu_error": max(mu_err),
+        "max_sigma_error": max(sig_err),
+        "skipped_updates": state.skipped,
     }
+    summary.passed = bool(np.all(np.isfinite(mu[-1])) and np.all(np.isfinite(sigma[-1]))
+                          and state.skipped == 0)
     summary.wall_time = time.perf_counter() - t0
     return summary
 
 
 # ---------------------------------------------------------------------------
 # online estimation of the Dirichlet perturbation model
+
+# Steps per block of Dirichlet draws: drawing each trajectory's stream in
+# blocks gives the same numbers as one full draw, without holding all of it.
+SAMPLE_BLOCK = 128
 
 
 def run_dirichlet_online(config: ExperimentConfig, out_dir: str) -> RunSummary:
@@ -123,34 +129,35 @@ def run_dirichlet_online(config: ExperimentConfig, out_dir: str) -> RunSummary:
     fam = expfam.dirichlet_family(config.lam, d)
     schedule = delta_schedule(config.delta_schedule)
 
-    summary = RunSummary(experiment=config.experiment)
-    log_k, log_dist = [], []
-    final_dists = []
-    for traj in range(config.n_traj):
-        rng = substream(config.seed, traj)
-        qs = expfam.dirichlet_perturb_sample(model, rng, config.n_steps)
-        state = expfam.start_state(fam, np.ones(d))
-        rows = []
-        for k in range(1, config.n_steps + 1):
-            y = fam.statistics(qs[k - 1])
-            state = expfam.online_update(fam, state, y, schedule(k))
-            dist = expfam.log_distance(state.eta, eta_star)
-            rows.append((k, _fmt(dist)))
-            if 100 <= k <= 10000 and dist > 0.0:
-                log_k.append(np.log10(k))
-                log_dist.append(np.log10(dist))
-        summary.files.append(_write_csv(out_dir, f"trajectory_{traj:02d}.csv",
-                                        ["k", "dist"], rows))
-        final_dists.append(rows[-1][1])
+    rngs = [substream(config.seed, traj) for traj in range(config.n_traj)]
+    state = expfam.start_state(fam, np.ones((config.n_traj, d)))
+    dist = np.empty((config.n_steps, config.n_traj))
+    for start in range(0, config.n_steps, SAMPLE_BLOCK):
+        size = min(SAMPLE_BLOCK, config.n_steps - start)
+        qs = np.stack([expfam.dirichlet_perturb_sample(model, rng, size) for rng in rngs],
+                      axis=1)
+        for i in range(size):
+            k = start + i + 1
+            state = expfam.online_update(fam, state, fam.statistics(qs[i]), schedule(k))
+            dist[k - 1] = expfam.log_distance(state.eta, eta_star)
 
+    summary = RunSummary(experiment=config.experiment)
+    for traj in range(config.n_traj):
+        summary.files.append(_write_csv(out_dir, f"trajectory_{traj:02d}.csv", ["k", "dist"],
+                                        zip(range(1, config.n_steps + 1), dist[:, traj])))
+    # the fit pools (k, dist) over trajectories in trajectory order
+    ks = np.broadcast_to(np.arange(1, config.n_steps + 1), (config.n_traj, config.n_steps))
+    in_fit = (ks >= 100) & (ks <= 10000) & (dist.T > 0.0)
     slope = float("nan")
-    if len(log_k) > 2:
-        slope = float(np.polyfit(np.asarray(log_k), np.asarray(log_dist), 1)[0])
+    if np.count_nonzero(in_fit) > 2:
+        slope = float(np.polyfit(np.log10(ks[in_fit]), np.log10(dist.T[in_fit]), 1)[0])
+    final_dists = [float(x) for x in dist[-1]]
     summary.metrics = {
         "slope": slope,
         "final_dists": final_dists,
-        "median_final_dist": float(np.median(final_dists)) if final_dists else 0.0,
+        "median_final_dist": float(np.median(final_dists)),
     }
+    summary.passed = bool(np.all(np.isfinite(dist[-1])) and state.skipped == 0)
     summary.wall_time = time.perf_counter() - t0
     return summary
 
@@ -237,15 +244,23 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
             curve_rows.append((label, k, _fmt(v)))
     summary.files.append(_write_csv(out_dir, "mean_curves.csv",
                                     ["method", "k", "mean_f"], curve_rows))
-    ranking = sorted(finals.items(), key=lambda kv: kv[1])
     summary.metrics = {
         "target": config.target,
         "target_a": config.target_a,
         "final_mean_costs": finals,
-        "ranking": [label for label, _ in ranking],
+        "ranking": rank_methods(finals),
     }
+    summary.passed = (all(np.isfinite(v) for v in finals.values())
+                      and all(row[-1] > 0.0 for row in rows))
     summary.wall_time = time.perf_counter() - t0
     return summary
+
+
+def rank_methods(finals: dict) -> list:
+    """Labels by final cost, lowest first; non-finite costs go last, in the
+    order the methods ran."""
+    return sorted(finals, key=lambda label: ((0, finals[label]) if np.isfinite(finals[label])
+                                             else (1, 0.0)))
 
 
 # ---------------------------------------------------------------------------

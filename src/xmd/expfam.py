@@ -11,7 +11,7 @@ simplex perturbation model driven by Dirichlet noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,7 +20,9 @@ from scipy.special import gammaln
 
 from .core import (DomainError, Generator, GeometryError, _vec, inverse_mirror,
                    lambda_mirror, metric)
-from .generators import dirichlet_generator, student_t_generator, student_t_lambda
+from .generators import (dirichlet_generator, pow2, student_t_generator,
+                         student_t_inverse_mirror, student_t_lambda,
+                         student_t_mirror)
 
 MAX_HALVINGS = 20
 DUAL_FLOOR = 1e-12
@@ -54,8 +56,10 @@ class OnlineState:
 
 
 def start_state(model: LambdaExpFamily, eta0) -> OnlineState:
+    """Initial state at eta0, one point ``(dim,)`` or a batch ``(batch, dim)``."""
     eta0 = _vec(eta0)
-    return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0), k=0)
+    theta0 = np.apply_along_axis(lambda e: inverse_mirror(model.gen, e), -1, eta0)
+    return OnlineState(eta=eta0, theta=theta0, k=0)
 
 
 def log_loss(model: LambdaExpFamily, theta, y) -> tuple[float, np.ndarray]:
@@ -91,52 +95,93 @@ def natural_gradient_update(model: LambdaExpFamily, state: OnlineState, y,
 
 def online_update(model: LambdaExpFamily, state: OnlineState, y,
                   delta: float) -> OnlineState:
-    """One estimator step. Infeasible dual points are reflected into the dual
-    domain; failing that the step is halved, and after MAX_HALVINGS the
-    observation is skipped (counted in ``skipped``)."""
-    y = _vec(y)
-    lam = model.lam
-    if model.gen.is_bregman:
-        factor = 1.0
-    else:
-        pi = 1.0 + lam * float(state.theta @ state.eta)
-        pi_y = 1.0 + lam * float(state.theta @ y)
-        if pi_y <= 0.0:
-            raise DomainError("observation outside the support of the current parameter")
-        factor = pi / pi_y
+    """One estimator step for one state ``(dim,)`` or a batch ``(batch, dim)``
+    of states updated in lockstep; ``y`` is one observation per row or one
+    shared by all rows.
 
-    d = delta
-    for _ in range(MAX_HALVINGS + 1):
-        eta_next = state.eta + d * factor * (y - state.eta)
-        for cand in _dual_candidates(model, eta_next):
-            try:
-                theta_next = inverse_mirror(model.gen, cand, theta0=state.theta)
-            except GeometryError:
-                continue
-            return OnlineState(eta=cand, theta=theta_next, k=state.k + 1,
-                               skipped=state.skipped)
-        d *= 0.5
-    return replace(state, k=state.k + 1, skipped=state.skipped + 1)
-
-
-def _dual_candidates(model: LambdaExpFamily, eta):
+    Each row tries its candidate, then the candidate reflected into the dual
+    domain. A row for which neither is feasible halves its step, and after
+    MAX_HALVINGS halvings it skips the observation; ``skipped`` counts the
+    skipped rows over all steps. Rows never interact: a batch gives, row by
+    row, the same bits as separate calls.
+    """
     gen = model.gen
-    if gen.dual_domain is None or gen.dual_domain.contains(eta):
-        yield eta
+    eta, theta = state.eta, state.theta
+    y = _vec(y)
+    with np.errstate(all="ignore"):
+        if gen.is_bregman:
+            factor = np.ones(eta.shape[:-1])
+        else:
+            pi = 1.0 + model.lam * np.vecdot(theta, eta)
+            pi_y = 1.0 + model.lam * np.vecdot(theta, y)
+            if np.any(pi_y <= 0.0):
+                raise DomainError("observation outside the support of the current parameter")
+            factor = pi / pi_y
+        d = np.full(factor.shape, float(delta))
+        pending = np.ones(factor.shape, dtype=bool)
+        for _ in range(MAX_HALVINGS + 1):
+            cand = eta + (d * factor)[..., None] * (y - eta)
+            cand, cand_theta, ok = _feasible(model, cand, theta)
+            take = (pending & ok)[..., None]
+            eta = np.where(take, cand, eta)
+            theta = np.where(take, cand_theta, theta)
+            pending = pending & ~ok
+            if not pending.any():
+                break
+            d = np.where(pending, 0.5 * d, d)
+    return OnlineState(eta=eta, theta=theta, k=state.k + 1,
+                       skipped=state.skipped + int(np.count_nonzero(pending)))
+
+
+def _feasible(model: LambdaExpFamily, eta, theta0):
+    """Per row, the first feasible point of (eta, its reflection into the dual
+    domain), its primal point, and whether either was feasible."""
+    theta, ok = _invert_rows(model.gen, eta, theta0)
+    if ok.all():
+        return eta, theta, ok
     if model.reflect_dual is not None:
         refl = model.reflect_dual(eta)
-        if not np.array_equal(refl, eta):
-            yield refl
-    elif gen.dual_domain is not None:
-        refl = gen.dual_domain.reflect(eta, floor=DUAL_FLOOR)
-        if not np.array_equal(refl, eta):
-            yield refl
+    elif model.gen.dual_domain is not None:
+        refl = model.gen.dual_domain.reflect(eta, floor=DUAL_FLOOR)
+    else:
+        return eta, theta, ok
+    refl_theta, refl_ok = _invert_rows(model.gen, refl, theta0)
+    use = (~ok & refl_ok)[..., None]
+    return (np.where(use, refl, eta), np.where(use, refl_theta, theta),
+            ok | refl_ok)
 
 
-def log_distance(eta, eta_p) -> float:
+def _invert_rows(gen: Generator, eta, theta0):
+    """``inverse_mirror`` row by row: theta, and the mask of rows where it
+    succeeds. A registered closed form runs on all rows at once, with the
+    rows outside the dual domain moved to its anchor."""
+    if gen.inverse_mirror_closed is None:
+        theta = np.array(theta0, dtype=float)
+        ok = np.zeros(eta.shape[:-1], dtype=bool)
+        for i in np.ndindex(ok.shape):
+            try:
+                theta[i] = inverse_mirror(gen, eta[i], theta0=theta0[i])
+                ok[i] = True
+            except GeometryError:
+                pass
+        return theta, ok
+    dual = gen.dual_domain
+    if dual is None:
+        ok = np.ones(eta.shape[:-1], dtype=bool)
+    else:
+        ok = np.asarray(dual.contains(eta))
+        if not ok.all():
+            eta = np.where(ok[..., None], eta, dual.anchor)
+    theta = np.asarray(gen.inverse_mirror_closed(eta), dtype=float)
+    return theta, ok & gen.domain.contains(theta)
+
+
+def log_distance(eta, eta_p):
     """Metric on a positive dual domain: Euclidean norm of the coordinatewise
-    log difference."""
-    return float(np.linalg.norm(np.log(_vec(eta)) - np.log(_vec(eta_p))))
+    log difference; a float for one point, an array for a batch of rows."""
+    diff = np.log(_vec(eta)) - np.log(_vec(eta_p))
+    dist = np.sqrt(np.vecdot(diff, diff))
+    return dist if dist.ndim else float(dist)
 
 
 def family_density(model: LambdaExpFamily, theta, x) -> np.ndarray:
@@ -173,31 +218,18 @@ def student_t_coords(params: StudentTParams) -> np.ndarray:
 
 
 def student_t_params(theta, nu: float) -> StudentTParams:
-    """Natural coordinates -> (mu, sigma); requires theta in the parameter set."""
+    """Natural coordinates -> (mu, sigma); requires theta in the parameter set.
+    For a batch ``(batch, 2)`` of coordinates, mu and sigma are arrays."""
     theta = _vec(theta)
     lam = student_t_lambda(nu)
-    if not (theta[1] < 0.0 and lam * theta[0] ** 2 - 4.0 * theta[1] > 0.0):
+    t1, t2 = theta[..., 0], theta[..., 1]
+    if not np.all((t2 < 0.0) & (lam * pow2(t1) - 4.0 * t2 > 0.0)):
         raise DomainError(f"theta={theta} outside the natural parameter set")
-    mu = -theta[0] / (2.0 * theta[1])
-    sigma_sq = (-1.0 / theta[1] + lam * mu ** 2) / (lam + 2.0)
-    return StudentTParams(mu=float(mu), sigma=float(np.sqrt(sigma_sq)), nu=nu)
-
-
-def student_t_mirror(theta, lam: float) -> np.ndarray:
-    theta = _vec(theta)
-    return np.array([
-        -theta[0] / (2.0 * theta[1]),
-        ((lam + 1.0) * theta[0] ** 2 - 2.0 * theta[1])
-        / (2.0 * (lam + 2.0) * theta[1] ** 2),
-    ])
-
-
-def student_t_inverse_mirror(eta, lam: float) -> np.ndarray:
-    eta = _vec(eta)
-    den = 2.0 * (lam + 1.0) * eta[0] ** 2 - (lam + 2.0) * eta[1]
-    if den >= 0.0:
-        raise DomainError(f"eta={eta} outside the dual domain (denominator {den:.3e})")
-    return np.array([-2.0 * eta[0] / den, 1.0 / den])
+    mu = -t1 / (2.0 * t2)
+    sigma = np.sqrt((-1.0 / t2 + lam * pow2(mu)) / (lam + 2.0))
+    if theta.ndim == 1:
+        mu, sigma = float(mu), float(sigma)
+    return StudentTParams(mu=mu, sigma=sigma, nu=nu)
 
 
 def student_t_sample(params: StudentTParams, rng: np.random.Generator,
@@ -216,11 +248,10 @@ def student_t_density(x, params: StudentTParams) -> np.ndarray:
 
 
 def _student_t_reflect(eta: np.ndarray) -> np.ndarray:
-    # reflect the violated scalar constraint value eta2 - eta1^2 > 0
-    slack = eta[1] - eta[0] ** 2
-    if slack > 0.0:
-        return eta
-    return np.array([eta[0], eta[0] ** 2 - slack])
+    # reflect the violated scalar constraint value eta2 - eta1^2 > 0, row-wise
+    square = pow2(eta[..., 0])
+    slack = eta[..., 1] - square
+    return np.stack([eta[..., 0], np.where(slack > 0.0, eta[..., 1], square - slack)], axis=-1)
 
 
 def student_t_family(nu: float) -> LambdaExpFamily:

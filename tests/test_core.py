@@ -313,3 +313,45 @@ def test_registered_generators_are_regular(gen):
         assert gen.domain.contains(theta)
         if gen.dual_domain is not None:
             assert gen.dual_domain.contains(lambda_mirror(gen, theta).eta)
+
+
+# ---------------------------------------------------------------------------
+# domains on batches of points
+
+DOMAINS = [(f"{gen.name}/{kind}", dom) for gen in ALL_GENERATORS
+           for kind, dom in (("primal", gen.domain), ("dual", gen.dual_domain))
+           if dom is not None]
+
+
+def _batch_points(dom):
+    """Interior, exterior and non-finite rows around the domain's anchor."""
+    rng = np.random.default_rng(3)
+    rows = [dom.anchor] + [dom.anchor + scale * rng.standard_normal(dom.dim)
+                           for scale in (0.01, 0.3, 1.0, 3.0, 30.0) for _ in range(4)]
+    for bad in (np.nan, np.inf, -np.inf):
+        row = dom.anchor.copy()
+        row[-1] = bad
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dom", [d for _, d in DOMAINS], ids=[n for n, _ in DOMAINS])
+def test_domain_contains_and_reflect_on_batches_match_rows(dom):
+    x = _batch_points(dom)
+    mask = dom.contains(x)
+    assert mask.dtype == bool and mask.shape == (len(x),)
+    singles = [dom.contains(row) for row in x]
+    assert all(isinstance(one, bool) for one in singles)
+    assert mask.tolist() == singles
+    assert mask[0] and not mask[-3:].any()
+    with np.errstate(invalid="ignore"):
+        reflected = dom.reflect(x, floor=1e-9)
+        rows = np.array([dom.reflect(row, floor=1e-9) for row in x])
+    assert np.array_equal(reflected, rows, equal_nan=True)
+    # the constraints take complex input and read its real part, row-wise
+    finite = x[np.all(np.isfinite(x), axis=1)]
+    for g in dom.constraints:
+        values = g(finite)
+        assert values.shape == (len(finite),)
+        assert np.array_equal(g(finite + 1e-20j), values)
+        assert np.array_equal(values, [g(row) for row in finite])

@@ -1,12 +1,14 @@
 """Deformed exponential families, samplers, and the online estimator."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from xmd.core import fd_grad, inverse_mirror, lambda_mirror
-from xmd.expfam import (DirichletPerturbModel, LambdaExpFamily, StudentTParams,
+from xmd.core import DomainError, fd_grad, inverse_mirror, lambda_mirror
+from xmd.expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState, StudentTParams,
                         dirichlet_family, dirichlet_perturb_sample,
                         escort_expectation_numeric, eta_to_simplex,
                         family_density, fisher_metric_check, log_distance,
@@ -139,6 +141,140 @@ def test_online_update_reflects_at_dirichlet_orthant():
     raw = state.eta + 0.5 * factor * (y - state.eta)
     assert np.all(raw < 0.0)
     assert np.allclose(out.eta, np.abs(raw))
+
+
+# ---------------------------------------------------------------------------
+# batched online update: (batch, dim) states in lockstep
+
+# Rows that every example carries, at delta = 1. Each forces one branch of
+# the update: (name, eta, y).
+STUDENT_T_EVENTS = [
+    # factor 4/3 overshoots the boundary eta2 = eta1^2; the reflection is taken
+    ("reflect", [0.0, 1.0], [0.0, 0.0]),
+    # factor exactly 1 lands on y, which lies on the boundary and is its own
+    # reflection; the half step (1, 4) is taken
+    ("halve", [0.0, 4.0], [2.0, 4.0]),
+    # y = (x, x^2) overflows: every candidate is NaN and the row is skipped
+    ("skip", [0.0, 1.0], [1e200, np.inf]),
+]
+DIRICHLET_EVENTS = [
+    ("reflect", [1.0, 1.0, 1.0], [0.1, 0.1, 0.1]),
+    # the full step overflows to -inf and its reflection to +inf
+    ("halve", [1e308, 1e308, 1e308], [0.1, 0.1, 0.1]),
+    ("skip", [1.0, 1.0, 1.0], [np.inf, np.inf, np.inf]),
+]
+
+
+@st.composite
+def student_t_rows(draw):
+    mu = draw(st.floats(-5.0, 5.0))
+    sigma = draw(st.floats(0.1, 5.0))
+    x = draw(st.floats(-50.0, 50.0))
+    return list(student_t_mirror(student_t_coords(StudentTParams(mu, sigma, NU)), LAM)), [x, x * x]
+
+
+@st.composite
+def dirichlet_rows(draw):
+    logs = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+    return list(np.exp(draw(logs))), list(np.exp(draw(logs)))
+
+
+def _bits_equal(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["student-t", "dirichlet"])
+def test_batched_update_equals_one_point_updates(name, data):
+    if name == "student-t":
+        fam, rows, events = student_t_family(NU), student_t_rows(), STUDENT_T_EVENTS
+    else:
+        fam, rows, events = dirichlet_family(-0.5, 3), dirichlet_rows(), DIRICHLET_EVENTS
+    drawn = data.draw(st.lists(rows, max_size=6))
+    batch = data.draw(st.permutations(drawn + [(eta, y) for _, eta, y in events]))
+    eta = np.array([e for e, _ in batch])
+    y = np.array([obs for _, obs in batch])
+    start = start_state(fam, eta)
+    state = OnlineState(eta=start.eta, theta=start.theta, k=3, skipped=2)
+
+    out = online_update(fam, state, y, 1.0)
+    singles = [online_update(fam, start_state(fam, eta[i]), y[i], 1.0) for i in range(len(batch))]
+    for i, one in enumerate(singles):
+        assert _bits_equal(out.eta[i], one.eta)
+        assert _bits_equal(out.theta[i], one.theta)
+    assert out.k == 4
+    assert out.skipped == 2 + sum(one.skipped for one in singles)
+
+    for event, e, obs in events:
+        one = singles[batch.index((e, obs))]
+        with np.errstate(all="ignore"):
+            raw = np.asarray(e) + _unit_step(fam, e, obs)
+        if event == "skip":
+            assert one.skipped == 1 and _bits_equal(one.eta, np.asarray(e))
+        elif event == "reflect":
+            assert one.skipped == 0 and not np.allclose(one.eta, raw)
+            assert np.allclose(one.eta, _reflection(name, raw))
+        else:  # neither the full step nor its reflection was taken
+            assert one.skipped == 0 and np.all(np.isfinite(one.eta))
+            assert not np.allclose(one.eta, raw)
+            assert not np.allclose(one.eta, _reflection(name, raw))
+
+
+def _unit_step(fam, eta, y):
+    """The full-step displacement delta * pi / pi_y * (y - eta) at delta = 1."""
+    theta = inverse_mirror(fam.gen, eta)
+    y = np.asarray(y)
+    return ((1.0 + fam.lam * theta @ eta) / (1.0 + fam.lam * theta @ y)) * (y - eta)
+
+
+def _reflection(name, eta):
+    if name == "student-t":
+        return np.array([eta[0], 2.0 * eta[0] ** 2 - eta[1]])
+    return np.abs(eta)
+
+
+def test_batched_update_without_closed_inverse_uses_newton_rows():
+    closed = student_t_family(NU)
+    fam = dataclasses.replace(closed, gen=dataclasses.replace(closed.gen,
+                                                              inverse_mirror_closed=None))
+    eta = np.array([e for _, e, _ in STUDENT_T_EVENTS] + [[0.4, 1.2]])
+    y = np.array([obs for _, _, obs in STUDENT_T_EVENTS] + [[1.0, 1.0]])
+    with np.errstate(all="ignore"):
+        out = online_update(fam, start_state(fam, eta), y, 1.0)
+        ref = online_update(closed, start_state(closed, eta), y, 1.0)
+    assert np.allclose(out.eta, ref.eta, rtol=1e-12, atol=1e-12)
+    assert np.allclose(out.theta, ref.theta, rtol=1e-9, atol=1e-12)
+    assert out.skipped == ref.skipped == 1
+
+
+def test_batched_start_state_and_maps_match_rows():
+    fam = student_t_family(NU)
+    etas = np.array([[0.0, 1.0], [0.4, 1.2], [-1.5, 6.0]])
+    state = start_state(fam, etas)
+    for i, eta in enumerate(etas):
+        assert _bits_equal(state.theta[i], start_state(fam, eta).theta)
+    params = student_t_params(state.theta, NU)
+    for i, theta in enumerate(state.theta):
+        one = student_t_params(theta, NU)
+        assert (params.mu[i], params.sigma[i]) == (one.mu, one.sigma)
+        assert isinstance(one.mu, float) and isinstance(one.sigma, float)
+    assert _bits_equal(student_t_mirror(state.theta, LAM),
+                       [student_t_mirror(theta, LAM) for theta in state.theta])
+    ref = np.array([0.5, 2.0])
+    dists = log_distance(np.abs(etas) + 0.5, ref)
+    assert dists.shape == (3,)
+    for i, eta in enumerate(etas):
+        assert dists[i] == log_distance(np.abs(eta) + 0.5, ref)
+
+
+def test_student_t_params_and_inverse_reject_outside_points():
+    with pytest.raises(DomainError):
+        student_t_params(np.array([[0.0, -1.0], [0.0, 1.0]]), NU)
+    with pytest.raises(DomainError):
+        student_t_inverse_mirror([0.0, -1.0], LAM)  # denominator 1.5 > 0
+    with pytest.raises(DomainError):
+        student_t_inverse_mirror([[0.0, 1.0], [0.0, -1.0]], LAM)
 
 
 # ---------------------------------------------------------------------------
