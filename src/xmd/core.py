@@ -158,7 +158,6 @@ class DualPair:
 @dataclass(frozen=True)
 class MetricAtPoint:
     g: np.ndarray
-    g_inv: np.ndarray
     conformal_factor: float
 
 
@@ -225,34 +224,45 @@ def inverse_mirror(gen: Generator, eta, theta0=None, tol: float = 1e-12,
             raise DomainError(f"closed-form inverse left the domain at eta={eta}")
         return theta
 
-    theta = _vec(theta0) if theta0 is not None else gen.domain.anchor.copy()
-    res = lambda_mirror(gen, theta).eta - eta
-    rnorm = np.linalg.norm(res)
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return theta
-        jac = mirror_jacobian(gen, theta)
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular mirror Jacobian at theta={theta}") from exc
-        t = 1.0
-        for _ in range(60):
-            cand = theta + t * step
-            if gen.domain.contains(cand):
-                try:
-                    cres = lambda_mirror(gen, cand).eta - eta
-                except GeometryError:
-                    cres = None
-                if cres is not None and np.linalg.norm(cres) <= (1.0 - 1e-4 * t) * rnorm:
-                    theta, res, rnorm = cand, cres, np.linalg.norm(cres)
-                    break
-            t *= 0.5
-        else:
-            raise SolverError(f"inverse mirror line search stalled at eta={eta}")
+    theta, rnorm = _damped_newton(lambda theta: lambda_mirror(gen, theta).eta - eta,
+                                  lambda theta: mirror_jacobian(gen, theta),
+                                  gen.domain, theta0, tol, max_iter)
     if rnorm <= tol * max(1.0, np.linalg.norm(eta)):
         return theta
     raise SolverError(f"inverse mirror did not converge for eta={eta} (residual {rnorm:.3e})")
+
+
+def _damped_newton(residual, jacobian, domain: Domain, x0, tol: float,
+                   max_iter: int) -> tuple[np.ndarray, float]:
+    """Damped Newton on residual(x) = 0 from x0 (the domain anchor if None),
+    with Armijo backtracking on the residual norm inside the open domain.
+    Returns the last iterate and its residual norm, early once that is <= tol;
+    raises SolverError on a singular Jacobian or a stalled line search."""
+    x = _vec(x0) if x0 is not None else domain.anchor.copy()
+    res = residual(x)
+    rnorm = np.linalg.norm(res)
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            break
+        try:
+            step = np.linalg.solve(jacobian(x), -res)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular Jacobian at x={x}") from exc
+        t = 1.0
+        for _ in range(60):
+            cand = x + t * step
+            if domain.contains(cand):
+                try:
+                    cres = residual(cand)
+                except GeometryError:
+                    cres = None
+                if cres is not None and np.linalg.norm(cres) <= (1.0 - 1e-4 * t) * rnorm:
+                    x, res, rnorm = cand, cres, np.linalg.norm(cres)
+                    break
+            t *= 0.5
+        else:
+            raise SolverError(f"Newton line search stalled at x={x}")
+    return x, rnorm
 
 
 def conjugate_value(gen: Generator, pair: DualPair) -> float:
@@ -269,17 +279,12 @@ def bregman_div(gen: Generator, theta, theta_p) -> float:
 
 
 def log_div(gen: Generator, theta, theta_p) -> float:
-    """Logarithmic divergence L[theta : theta_p]; Bregman divergence when lam ~ 0."""
-    if gen.is_bregman:
-        return bregman_div(gen, theta, theta_p)
+    """Logarithmic divergence L[theta : theta_p] = phi(theta) - phi(theta_p)
+    + c(grad phi(theta_p), theta - theta_p); Bregman divergence when lam ~ 0."""
     theta = _vec(theta)
     theta_p = _vec(theta_p)
-    gp = _vec(gen.grad(theta_p))
-    arg = gen.lam * float(gp @ (theta - theta_p))
-    if 1.0 + arg <= LOG_GUARD:
-        raise DomainError(f"log argument {1.0 + arg:.3e} <= 0 in log_div")
     return (float(gen.value(theta)) - float(gen.value(theta_p))
-            - np.log1p(arg) / gen.lam)
+            + log_cost(gen.grad(theta_p), theta - theta_p, gen.lam))
 
 
 def log_div_self_dual(gen: Generator, theta, eta_p) -> float:
@@ -310,9 +315,7 @@ def metric(gen: Generator, theta) -> MetricAtPoint:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"metric not positive definite at theta={theta}") from exc
-    g_inv = np.linalg.solve(g, np.eye(g.shape[0]))
-    factor = 1.0 if gen.is_bregman else float(np.exp(-gen.lam * float(gen.value(theta))))
-    return MetricAtPoint(g, g_inv, factor)
+    return MetricAtPoint(g, 1.0 / conformal_weight(gen, theta))
 
 
 def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray) -> np.ndarray:
@@ -328,6 +331,16 @@ def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray)
 # the convex generator Phi = (exp(lam*phi) - 1)/lam and its Bregman geometry
 
 
+def conformal_weight(gen: Generator, theta):
+    """exp(lam*phi(theta)), the rate of the clock tau that turns the Hessian
+    flow of Phi into the conformal flow, so that hess Phi = weight * G; 1 on
+    the Bregman branch. Complex theta gives a complex weight (complex-step
+    checks)."""
+    if gen.is_bregman:
+        return 1.0
+    return np.exp(gen.lam * gen.value(theta))
+
+
 def big_phi_value(gen: Generator, theta) -> float:
     if gen.is_bregman:
         return float(gen.value(_vec(theta)))
@@ -336,18 +349,12 @@ def big_phi_value(gen: Generator, theta) -> float:
 
 def big_phi_grad(gen: Generator, theta):
     theta = np.asarray(theta)
-    u = np.atleast_1d(np.asarray(gen.grad(theta)))
-    if gen.is_bregman:
-        return u
-    return np.exp(gen.lam * gen.value(theta)) * u
+    return conformal_weight(gen, theta) * np.atleast_1d(np.asarray(gen.grad(theta)))
 
 
 def big_phi_hess(gen: Generator, theta) -> np.ndarray:
     theta = _vec(theta)
-    g = metric(gen, theta).g
-    if gen.is_bregman:
-        return g
-    return float(np.exp(gen.lam * float(gen.value(theta)))) * g
+    return conformal_weight(gen, theta) * metric(gen, theta).g
 
 
 def big_phi_bregman(gen: Generator, theta, theta_p) -> float:
@@ -368,28 +375,9 @@ def theta_of_zeta(gen: Generator, zeta, theta0=None, tol: float = 1e-12,
                   max_iter: int = 100) -> np.ndarray:
     """Invert grad Phi by damped Newton (Jacobian is hess Phi, available in closed form)."""
     zeta = _vec(zeta)
-    theta = _vec(theta0) if theta0 is not None else gen.domain.anchor.copy()
-    res = zeta_of(gen, theta) - zeta
-    rnorm = np.linalg.norm(res)
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return theta
-        jac = big_phi_hess(gen, theta)
-        step = np.linalg.solve(jac, -res)
-        t = 1.0
-        for _ in range(60):
-            cand = theta + t * step
-            if gen.domain.contains(cand):
-                try:
-                    cres = zeta_of(gen, cand) - zeta
-                except GeometryError:
-                    cres = None
-                if cres is not None and np.linalg.norm(cres) <= (1.0 - 1e-4 * t) * rnorm:
-                    theta, res, rnorm = cand, cres, np.linalg.norm(cres)
-                    break
-            t *= 0.5
-        else:
-            raise SolverError("dual-potential inversion line search stalled")
+    theta, rnorm = _damped_newton(lambda theta: zeta_of(gen, theta) - zeta,
+                                  lambda theta: big_phi_hess(gen, theta),
+                                  gen.domain, theta0, tol, max_iter)
     if rnorm <= tol * max(1.0, np.linalg.norm(zeta)):
         return theta
     raise SolverError(f"dual-potential inversion did not converge (residual {rnorm:.3e})")

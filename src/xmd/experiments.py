@@ -66,6 +66,11 @@ def _fmt(x: float) -> float:
 # ---------------------------------------------------------------------------
 # online estimation of the Student-t location-scale family
 
+# Largest passing ratio of a median final error to its k = 0 value: over seeds
+# 0-19 it reaches 0.018 at the CLI defaults, 0.045 at n_steps=1000 and 0.15 at
+# n_steps=200; a start far from the truth (mu_star=1e6) ends near 0.9.
+ERROR_SHRINK = 0.25
+
 
 def run_student_t(config: ExperimentConfig, out_dir: str) -> RunSummary:
     t0 = time.perf_counter()
@@ -103,8 +108,11 @@ def run_student_t(config: ExperimentConfig, out_dir: str) -> RunSummary:
         "max_sigma_error": max(sig_err),
         "skipped_updates": state.skipped,
     }
+    # the error shrinks with k (a start at the truth cannot show it, and fails)
+    shrunk = (np.median(mu_err) <= ERROR_SHRINK * abs(config.mu0 - config.mu_star)
+              and np.median(sig_err) <= ERROR_SHRINK * abs(config.sigma0 - config.sigma_star))
     summary.passed = bool(np.all(np.isfinite(mu[-1])) and np.all(np.isfinite(sigma[-1]))
-                          and state.skipped == 0)
+                          and state.skipped == 0 and shrunk)
     summary.wall_time = time.perf_counter() - t0
     return summary
 
@@ -224,7 +232,7 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
             for k in range(1, config.n_steps + 1):
                 dk = schedule(k)
                 if gen is None:
-                    p = simplex.step_entropic(p, grad(p), dk)
+                    p = simplex.step_entropic(p, grad, dk)
                 else:
                     p = simplex.step_conformal(gen, grad, p, dk)
                 curves[j, k] = objective(p)

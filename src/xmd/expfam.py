@@ -18,14 +18,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .core import (DomainError, Generator, GeometryError, _vec, inverse_mirror,
-                   lambda_mirror, metric)
+from .core import DomainError, Generator, _vec, inverse_mirror, lambda_mirror, metric
+from .flows import _dual_accept, _guarded_step
 from .generators import (dirichlet_generator, pow2, student_t_generator,
                          student_t_inverse_mirror, student_t_lambda,
                          student_t_mirror)
-
-MAX_HALVINGS = 20
-DUAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,11 +96,12 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
     of states updated in lockstep; ``y`` is one observation per row or one
     shared by all rows.
 
-    Each row tries its candidate, then the candidate reflected into the dual
-    domain. A row for which neither is feasible halves its step, and after
-    MAX_HALVINGS halvings it skips the observation; ``skipped`` counts the
-    skipped rows over all steps. Rows never interact: a batch gives, row by
-    row, the same bits as separate calls.
+    Through the shared guarded step ``flows._guarded_step``, each row tries its
+    candidate, then the candidate reflected into the dual domain; a row for
+    which neither is feasible halves its step, and after MAX_HALVINGS halvings
+    it skips the observation; ``skipped`` counts the skipped rows over all
+    steps. Rows never interact: a batch gives, row by row, the same bits as
+    separate calls.
     """
     gen = model.gen
     eta, theta = state.eta, state.theta
@@ -117,63 +115,12 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
             if np.any(pi_y <= 0.0):
                 raise DomainError("observation outside the support of the current parameter")
             factor = pi / pi_y
-        d = np.full(factor.shape, float(delta))
-        pending = np.ones(factor.shape, dtype=bool)
-        for _ in range(MAX_HALVINGS + 1):
-            cand = eta + (d * factor)[..., None] * (y - eta)
-            cand, cand_theta, ok = _feasible(model, cand, theta)
-            take = (pending & ok)[..., None]
-            eta = np.where(take, cand, eta)
-            theta = np.where(take, cand_theta, theta)
-            pending = pending & ~ok
-            if not pending.any():
-                break
-            d = np.where(pending, 0.5 * d, d)
-    return OnlineState(eta=eta, theta=theta, k=state.k + 1,
-                       skipped=state.skipped + int(np.count_nonzero(pending)))
-
-
-def _feasible(model: LambdaExpFamily, eta, theta0):
-    """Per row, the first feasible point of (eta, its reflection into the dual
-    domain), its primal point, and whether either was feasible."""
-    theta, ok = _invert_rows(model.gen, eta, theta0)
-    if ok.all():
-        return eta, theta, ok
-    if model.reflect_dual is not None:
-        refl = model.reflect_dual(eta)
-    elif model.gen.dual_domain is not None:
-        refl = model.gen.dual_domain.reflect(eta, floor=DUAL_FLOOR)
-    else:
-        return eta, theta, ok
-    refl_theta, refl_ok = _invert_rows(model.gen, refl, theta0)
-    use = (~ok & refl_ok)[..., None]
-    return (np.where(use, refl, eta), np.where(use, refl_theta, theta),
-            ok | refl_ok)
-
-
-def _invert_rows(gen: Generator, eta, theta0):
-    """``inverse_mirror`` row by row: theta, and the mask of rows where it
-    succeeds. A registered closed form runs on all rows at once, with the
-    rows outside the dual domain moved to its anchor."""
-    if gen.inverse_mirror_closed is None:
-        theta = np.array(theta0, dtype=float)
-        ok = np.zeros(eta.shape[:-1], dtype=bool)
-        for i in np.ndindex(ok.shape):
-            try:
-                theta[i] = inverse_mirror(gen, eta[i], theta0=theta0[i])
-                ok[i] = True
-            except GeometryError:
-                pass
-        return theta, ok
-    dual = gen.dual_domain
-    if dual is None:
-        ok = np.ones(eta.shape[:-1], dtype=bool)
-    else:
-        ok = np.asarray(dual.contains(eta))
-        if not ok.all():
-            eta = np.where(ok[..., None], eta, dual.anchor)
-    theta = np.asarray(gen.inverse_mirror_closed(eta), dtype=float)
-    return theta, ok & gen.domain.contains(theta)
+    x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), delta,
+                               lambda d: eta + (d * factor)[..., None] * (y - eta),
+                               _dual_accept(gen, theta, model.reflect_dual))
+    dim = eta.shape[-1]
+    return OnlineState(eta=x[..., :dim], theta=x[..., dim:], k=state.k + 1,
+                       skipped=state.skipped + int(np.count_nonzero(skipped)))
 
 
 def log_distance(eta, eta_p):

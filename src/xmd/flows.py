@@ -18,10 +18,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .core import (DomainError, DualPair, Generator, GeometryError,
+from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
                    RegularityError, SolverError, _vec, big_phi_bregman,
-                   big_phi_hess, inverse_mirror, lambda_mirror, log_div,
-                   metric, theta_of_zeta, zeta_of)
+                   big_phi_hess, conformal_weight, inverse_mirror,
+                   lambda_mirror, log_div, metric, theta_of_zeta, zeta_of)
 
 MAX_HALVINGS = 20
 MONOTONE_TOL = 1e-9
@@ -185,7 +185,7 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
     avg_acc = np.zeros(path.shape[1])
     w_prev = None
     for i, (t, theta) in enumerate(zip(times, path)):
-        w = 1.0 if gen.is_bregman else float(np.exp(gen.lam * float(gen.value(theta))))
+        w = conformal_weight(gen, theta)
         if i > 0:
             h = times[i] - times[i - 1]
             tau += 0.5 * h * (w_prev + w)
@@ -211,22 +211,95 @@ def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s_end: float,
 # forward-Euler steps in the three coordinate systems
 
 
-def _feasible_or_fallback(gen: Generator, theta_k, propose, delta: float):
-    """Try a step of size delta; reflect box violations, then halve."""
-    d = delta
-    for _ in range(MAX_HALVINGS + 1):
-        try:
-            cand = propose(d)
-        except GeometryError:
-            cand = None
-        if cand is not None:
-            if gen.domain.contains(cand):
-                return cand
-            refl = gen.domain.reflect(cand)
-            if gen.domain.contains(refl):
-                return refl
-        d *= 0.5
-    raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
+def _guarded_step(x, delta: float, propose, accept):
+    """Step each row of x by delta, kept inside its open domain: the step-size
+    control of every discrete scheme in the package.
+
+    ``x`` is one point ``(dim,)`` or a batch ``(batch, dim)``. ``propose(d)``
+    gives the candidate rows for the per-row step sizes d; ``accept(cand)``
+    gives the rows to take (the candidates, or repairs such as reflections)
+    and a row mask. Each row takes its first accepted candidate at
+    d = delta * 2**-j, j = 0..MAX_HALVINGS; a GeometryError rejects every
+    pending row at that j. Candidates run under np.errstate(all="ignore"):
+    every accept test rejects non-finite rows. Returns the rows and the mask
+    of rows never accepted, which keep their value from x.
+    """
+    d = np.full(x.shape[:-1], float(delta))
+    pending = np.ones(d.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_HALVINGS + 1):
+            try:
+                cand, ok = accept(propose(d))
+            except GeometryError:
+                cand, ok = x, False
+            take = pending & ok
+            if take.all():  # every row accepted at once: nothing to merge
+                return cand, ~take
+            x = np.where(take[..., None], cand, x)
+            pending = pending & ~take
+            if not pending.any():
+                break
+            d = np.where(pending, 0.5 * d, d)
+    return x, pending
+
+
+def _reflecting(test, reflect):
+    """Accept test that repairs by reflection: per row, the rows of
+    ``test(cand)`` where its mask holds, else those of ``test(reflect(cand))``.
+    ``test`` returns (rows, mask); with ``reflect`` None nothing is repaired."""
+    def accept(cand):
+        rows, ok = test(cand)
+        ok = np.asarray(ok)
+        if ok.all() or reflect is None:
+            return rows, ok
+        refl_rows, refl_ok = test(reflect(cand))
+        return np.where((~ok & refl_ok)[..., None], refl_rows, rows), ok | refl_ok
+    return accept
+
+
+def _reflect_into(domain: Domain):
+    """Accept test of the primal steps: the candidate, else its reflection
+    across the violated box faces, if it lies in the domain."""
+    return _reflecting(lambda theta: (theta, domain.contains(theta)), domain.reflect)
+
+
+def _invert_rows(gen: Generator, eta, theta0):
+    """``inverse_mirror`` row by row: theta, and the mask of rows where it
+    succeeds. A registered closed form runs on all rows at once, with the
+    rows outside the dual domain moved to its anchor."""
+    if gen.inverse_mirror_closed is None:
+        theta = np.array(theta0, dtype=float)
+        ok = np.zeros(eta.shape[:-1], dtype=bool)
+        for i in np.ndindex(ok.shape):
+            try:
+                theta[i] = inverse_mirror(gen, eta[i], theta0=theta0[i])
+                ok[i] = True
+            except GeometryError:
+                pass
+        return theta, ok
+    dual = gen.dual_domain
+    if dual is None:
+        ok = np.ones(eta.shape[:-1], dtype=bool)
+    else:
+        ok = np.asarray(dual.contains(eta))
+        if not ok.all():
+            eta = np.where(ok[..., None], eta, dual.anchor)
+    theta = np.asarray(gen.inverse_mirror_closed(eta), dtype=float)
+    return theta, ok & gen.domain.contains(theta)
+
+
+def _dual_accept(gen: Generator, theta0, reflect=None):
+    """Accept test of the steps in the dual coordinate: per row, the first of
+    (eta, its reflection into the dual domain) whose mirror inverse exists,
+    taken as the row [eta, theta]. ``reflect`` defaults to the box reflection
+    of the dual domain; inversions are seeded at theta0."""
+    if reflect is None and gen.dual_domain is not None:
+        reflect = gen.dual_domain.reflect
+
+    def test(eta):
+        theta, ok = _invert_rows(gen, eta, theta0)
+        return np.concatenate([eta, theta], axis=-1), ok
+    return _reflecting(test, reflect)
 
 
 def step_primal_euler(gen: Generator, obj: Objective, theta_k, delta: float) -> np.ndarray:
@@ -234,7 +307,11 @@ def step_primal_euler(gen: Generator, obj: Objective, theta_k, delta: float) -> 
     if delta == 0.0:
         return theta_k.copy()
     direction = rhs_primal(gen, obj, theta_k)
-    return _feasible_or_fallback(gen, theta_k, lambda d: theta_k + d * direction, delta)
+    theta, failed = _guarded_step(theta_k, delta, lambda d: theta_k + d * direction,
+                                  _reflect_into(gen.domain))
+    if failed:
+        raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
+    return theta
 
 
 def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float) -> DualPair:
@@ -243,33 +320,13 @@ def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float
     if delta == 0.0:
         return pair
     direction = rhs_dual(gen, obj, pair)
-    d = delta
-    for _ in range(MAX_HALVINGS + 1):
-        eta_next = pair.eta + d * direction
-        for candidate in _dual_candidates(gen, eta_next):
-            try:
-                theta_next = pair.theta if np.array_equal(candidate, pair.eta) \
-                    else _invert(gen, candidate, pair.theta)
-            except GeometryError:
-                continue
-            pi = 1.0 + gen.lam * float(theta_next @ candidate)
-            return DualPair(theta_next, candidate, pi)
-        d *= 0.5
-    raise SolverError("dual step infeasible after halving")
-
-
-def _dual_candidates(gen: Generator, eta):
-    yield eta
-    if gen.dual_domain is not None:
-        refl = gen.dual_domain.reflect(eta)
-        if not np.array_equal(refl, eta):
-            yield refl
-
-
-def _invert(gen: Generator, eta, theta0):
-    if gen.dual_domain is not None and not gen.dual_domain.contains(eta):
-        raise DomainError("eta outside dual domain")
-    return inverse_mirror(gen, eta, theta0=theta0)
+    x, failed = _guarded_step(np.concatenate([pair.eta, pair.theta]), delta,
+                              lambda d: pair.eta + d * direction,
+                              _dual_accept(gen, pair.theta))
+    if failed:
+        raise SolverError("dual step infeasible after halving")
+    eta, theta = np.split(x, 2)
+    return DualPair(theta, eta, 1.0 + gen.lam * float(theta @ eta))
 
 
 def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) -> np.ndarray:
@@ -279,12 +336,14 @@ def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) 
     if delta == 0.0:
         return theta_k.copy()
     zeta_k = zeta_of(gen, theta_k)
-    w = 1.0 if gen.is_bregman else float(np.exp(gen.lam * float(gen.value(theta_k))))
+    w = conformal_weight(gen, theta_k)
     df = _vec(obj.grad(theta_k))
-    return _feasible_or_fallback(
-        gen, theta_k,
-        lambda d: theta_of_zeta(gen, zeta_k - d * w * df, theta0=theta_k),
-        delta)
+    theta, failed = _guarded_step(
+        theta_k, delta, lambda d: theta_of_zeta(gen, zeta_k - d * w * df, theta0=theta_k),
+        _reflect_into(gen.domain))
+    if failed:
+        raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +438,10 @@ def conformal_smoothness_estimate(gen: Generator, obj: Objective,
         y = _vec(y)
         bf = (float(obj.value(x)) - float(obj.value(y))
               - float(_vec(obj.grad(y)) @ (x - y)))
-        bphi = big_phi_bregman(gen, x, y)
-        if gen.is_bregman:
-            denom = bphi
-        else:
-            fy = float(gen.value(y))
-            denom = float(np.exp(-gen.lam * fy)) * bphi
-            alt = (np.exp(gen.lam * (float(gen.value(x)) - fy))
+        w_y = conformal_weight(gen, y)
+        denom = big_phi_bregman(gen, x, y) / w_y
+        if not gen.is_bregman:
+            alt = (conformal_weight(gen, x) / w_y
                    * (-np.expm1(-gen.lam * log_div(gen, x, y))) / gen.lam)
             if abs(denom - alt) > 1e-10 * max(1.0, abs(denom)):
                 raise RegularityError(
@@ -410,9 +466,6 @@ def discrete_lyapunov_run(gen: Generator, obj: Objective, theta0, delta: float,
     for _ in range(k_max):
         thetas.append(step_adaptive_mirror(gen, obj, thetas[-1], delta))
 
-    def weight(theta):
-        return 1.0 if gen.is_bregman else float(np.exp(gen.lam * float(gen.value(theta))))
-
     report = ConvergenceReport()
     running = 0.0
     wsum = 0.0
@@ -420,7 +473,7 @@ def discrete_lyapunov_run(gen: Generator, obj: Objective, theta0, delta: float,
     prev_e = None
     e1 = None
     for k in range(1, k_max + 1):
-        w = weight(thetas[k - 1])
+        w = conformal_weight(gen, thetas[k - 1])
         running += w * (float(obj.value(thetas[k])) - f_star)
         wsum += w
         avg_acc = avg_acc + w * thetas[k]
@@ -448,23 +501,13 @@ def time_change_compare(gen: Generator, obj: Objective, theta0, t_end: float,
     spline = CubicSpline(s_grid, hess_path, axis=0)
 
     def clock_rate(s):
-        s = float(np.clip(s, s_grid[0], s_grid[-1]))
-        theta = np.atleast_1d(spline(s))
-        return float(np.exp(gen.lam * float(gen.value(theta))))
+        theta = np.atleast_1d(spline(np.clip(s[0], s_grid[0], s_grid[-1])))
+        return np.array([conformal_weight(gen, theta)])
 
-    # scalar 4th-order integration of ds/dt = exp(lam*phi(theta_tilde(s)))
-    s = 0.0
-    sup = float(np.linalg.norm(conformal[0].theta - hess_path[0]))
-    for i in range(1, len(conformal)):
-        h = conformal[i].t - conformal[i - 1].t
-        k1 = clock_rate(s)
-        k2 = clock_rate(s + 0.5 * h * k1)
-        k3 = clock_rate(s + 0.5 * h * k2)
-        k4 = clock_rate(s + h * k3)
-        s += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        dev = float(np.linalg.norm(conformal[i].theta - np.atleast_1d(spline(s))))
-        sup = max(sup, dev)
-    return sup
+    # the clock s(t) on the conformal run's grid; it has no domain to leave
+    _, clock = _integrate_path(clock_rate, lambda s: True, [0.0], t_end, dt)
+    return max(float(np.linalg.norm(st.theta - np.atleast_1d(spline(s))))
+               for st, (s,) in zip(conformal, clock))
 
 
 # ---------------------------------------------------------------------------

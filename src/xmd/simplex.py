@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DomainError, LOG_GUARD
-from .flows import MAX_HALVINGS
+from .flows import _guarded_step
 
 WEIGHT_FLOOR = 1e-300
 
@@ -45,8 +45,11 @@ def perturb(p, q) -> np.ndarray:
 
 def power(alpha: float, p) -> np.ndarray:
     """Componentwise power, renormalized (Aitchison scaling); stable in logs."""
-    logs = alpha * np.log(np.maximum(np.asarray(p, dtype=float), WEIGHT_FLOOR))
-    w = np.exp(logs - logs.max())
+    return _normalize_logs(alpha * np.log(np.maximum(np.asarray(p, dtype=float), WEIGHT_FLOOR)))
+
+
+def _normalize_logs(logw: np.ndarray) -> np.ndarray:
+    w = np.exp(logw - logw.max())
     return w / w.sum()
 
 
@@ -158,20 +161,18 @@ def _flow_rhs(obj_grad, p: np.ndarray, q: np.ndarray, pi_neg: np.ndarray) -> np.
     return (-p / pi_neg) * (dd - q * weighted / p ** 2)
 
 
-def _normalize_logs(logw: np.ndarray) -> np.ndarray:
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
-
-
-def _descends(obj_grad, log_p: np.ndarray, p_next: np.ndarray) -> bool:
-    """Whether p_next is finite and strictly positive and the slope of f at
-    p_next along the log-p segment from p, sum_i p'_i dd_i f(p') log(p'_i/p_i),
-    is nonpositive. p_next sums to one, so an infinite weight would have
-    made some weight NaN, which fails the min test."""
-    if not p_next.min() > 0.0:
-        return False
-    dd = directional_derivs(obj_grad, p_next)
-    return float(np.sum(p_next * dd * (np.log(p_next) - log_p))) <= 0.0
+def _descends(obj_grad, log_p: np.ndarray):
+    """Accept test of the simplex steps from p (``log_p`` = log p): takes
+    p_next if it is finite and strictly positive and the slope of f at p_next
+    along the log-p segment from p, sum_i p'_i dd_i f(p') log(p'_i/p_i), is
+    nonpositive. p_next sums to one, so an infinite weight would have made
+    some weight NaN, which fails the min test."""
+    def accept(p_next):
+        if not p_next.min() > 0.0:
+            return p_next, False
+        dd = directional_derivs(obj_grad, p_next)
+        return p_next, float(np.sum(p_next * dd * (np.log(p_next) - log_p))) <= 0.0
+    return accept
 
 
 def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.ndarray:
@@ -180,12 +181,13 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
 
     A candidate is accepted only if it is finite and strictly positive and the
     slope of f at it along the log-p segment from p is nonpositive; otherwise
-    delta is halved, up to MAX_HALVINGS times. Every returned point is
-    therefore finite and strictly positive, and f does not increase whenever
-    it is convex along that segment (the Dirichlet cost is: it is log-sum-exp
-    in log p plus a linear term, and for both named generators the candidates
-    trace a straight line in log p). If no candidate is accepted, p is
-    stationary to round-off and is returned unchanged.
+    delta is halved, up to MAX_HALVINGS times (``flows._guarded_step``). Every
+    returned point is therefore finite and strictly positive, and f does not
+    increase whenever it is convex along that segment (the Dirichlet cost is:
+    it is log-sum-exp in log p plus a linear term, and for both named
+    generators the candidates trace a straight line in log p). If no
+    candidate is accepted, p is stationary to round-off and is returned
+    unchanged.
     """
     if gen.inverse_transport is None:
         raise DomainError(f"generator {gen.name!r} has no registered inverse transport")
@@ -195,15 +197,12 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
     rhs = _flow_rhs(obj_grad, p, q, pi_neg)
     log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
     log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
-    d = delta
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(MAX_HALVINGS + 1):
-            p_next = gen.inverse_transport(_normalize_logs(log_q + d * rhs))
-            p_next = p_next / p_next.sum()
-            if _descends(obj_grad, log_p, p_next):
-                return p_next
-            d *= 0.5
-    return p.copy()
+
+    def propose(d):
+        p_next = gen.inverse_transport(_normalize_logs(log_q + d * rhs))
+        return p_next / p_next.sum()
+
+    return _guarded_step(p, delta, propose, _descends(obj_grad, log_p))[0]
 
 
 def step_multiplicative(p_k, grads, delta: float) -> np.ndarray:
@@ -214,11 +213,21 @@ def step_multiplicative(p_k, grads, delta: float) -> np.ndarray:
     return _normalize_logs(logw)
 
 
-def step_entropic(p_k, euclidean_grads, delta: float) -> np.ndarray:
-    """Classical mirror step on the simplex: p_i <- p_i * exp(-delta * grad_i f)."""
+def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
+    """Classical mirror step on the simplex, the exponentiated gradient of
+    Helmbold et al. (1998): p_i <- p_i * exp(-delta * grad_i f(p)), renormalized.
+
+    ``obj_grad`` is the Euclidean gradient callable. The step-size control is
+    that of ``step_conformal``, through the shared ``flows._guarded_step``.
+    The candidates lie on a line in log p up to normalization, so f does not
+    increase when it is scale-invariant and convex along such lines, as the
+    Dirichlet cost is.
+    """
     p = np.asarray(p_k, dtype=float)
-    logw = np.log(np.maximum(p, WEIGHT_FLOOR)) - delta * np.asarray(euclidean_grads, dtype=float)
-    return _normalize_logs(logw)
+    log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
+    grads = np.asarray(obj_grad(p), dtype=float)
+    return _guarded_step(p, delta, lambda d: _normalize_logs(log_p - d * grads),
+                         _descends(obj_grad, log_p))[0]
 
 
 def sample_simplex(rng: np.random.Generator, n: int, concentration: float = 1.0) -> np.ndarray:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from xmd import cli, expfam
+from xmd import cli, expfam, simplex
 from xmd.config import ExperimentConfig
 from xmd.experiments import rank_methods, run_experiment
 
@@ -69,6 +69,18 @@ def test_student_t_fails_on_skipped_updates(tmp_path):
         assert json.load(fh)["passed"] is False
 
 
+def test_student_t_fails_when_the_error_does_not_shrink(tmp_path):
+    # far from the truth the factor pi/pi_y is small, and after 1000 steps the
+    # median mu error is still ~0.9 of its k = 0 value
+    status = cli.main(["student-t-online", "--out", str(tmp_path), "--override", "mu_star=1e6",
+                       "--override", "n_steps=1000"])
+    assert status == 1
+    with open(tmp_path / "student-t-online" / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["metrics"]["median_mu_error"] > 0.25e6
+    assert summary["metrics"]["skipped_updates"] == 0
+
+
 def test_student_t_fails_on_non_finite_estimate(tmp_path, monkeypatch):
     def nan_params(theta, nu):
         return expfam.StudentTParams(np.full(len(theta), np.nan), np.ones(len(theta)), nu)
@@ -101,11 +113,10 @@ def test_dirichlet_fails_on_non_finite_distance(tmp_path, monkeypatch):
 # simplex comparison
 
 
-def test_simplex_compare_fails_on_nan_and_ranks_it_last(tmp_path):
-    # the unguarded entropic step ends in NaN on this configuration
-    with np.errstate(all="ignore"):
-        summary, _ = run(tmp_path, "simplex-compare", n_steps=50, n_inits=2,
-                         alpha_list=[0.5])
+def test_simplex_compare_fails_on_nan_and_ranks_it_last(tmp_path, monkeypatch):
+    monkeypatch.setattr(simplex, "step_entropic",
+                        lambda p, obj_grad, delta: np.full_like(p, np.nan))
+    summary, _ = run(tmp_path, "simplex-compare", n_steps=50, n_inits=2, alpha_list=[0.5])
     assert np.isnan(summary.metrics["final_mean_costs"]["entropic"])
     assert summary.metrics["ranking"] == ["conformal_a0.5", "entropic"]
     assert not summary.passed

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from xmd.core import (DualPair, big_phi_hess, lambda_mirror, log_div,
-                      mirror_jacobian, zeta_of)
-from xmd.flows import (Objective, conformal_smoothness_estimate,
+from xmd.core import (DomainError, DualPair, big_phi_hess, lambda_mirror,
+                      log_div, mirror_jacobian, zeta_of)
+from xmd.flows import (MAX_HALVINGS, Objective, _guarded_step,
+                       conformal_smoothness_estimate,
                        discrete_lyapunov_run, dual_logdiv_objective,
                        geodesic_flow_check, integrate, integrate_hessian_flow,
                        lyapunov_continuous, primal_logdiv_objective,
@@ -229,6 +230,39 @@ def test_step_adaptive_mirror_classical_on_zero_potential():
     theta = np.array([0.5, 0.5])
     stepped = step_adaptive_mirror(gen, obj, theta, 0.25)
     assert np.allclose(stepped, theta - 0.25 * obj.grad(theta), atol=1e-12)
+
+
+def test_guarded_step_takes_each_rows_first_accepted_halving():
+    # row i accepts a step d only while d <= limit[i]; the last row never does
+    x = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+    limit = np.array([1.0, 0.3, 1e-3, -1.0])
+    tried = []
+
+    def propose(d):
+        tried.append(d.copy())
+        return x + d[:, None] * np.array([1.0, -2.0])
+
+    out, failed = _guarded_step(x, 1.0, propose,
+                                lambda cand: (cand, cand[:, 0] - x[:, 0] <= limit))
+    for i, j in enumerate([0, 2, 10]):
+        assert np.array_equal(out[i], propose(np.full(4, 2.0 ** -j))[i])
+    assert np.array_equal(out[3], x[3])
+    assert failed.tolist() == [False, False, False, True]
+    # only the rows not yet accepted halve
+    assert tried[MAX_HALVINGS].tolist() == [1.0, 0.25, 2.0 ** -10, 2.0 ** -MAX_HALVINGS]
+
+
+def test_guarded_step_counts_a_geometry_error_as_a_rejection():
+    x = np.array([1.0, 2.0])
+
+    def propose(d):
+        if d > 0.1:
+            raise DomainError("step too long")
+        return x + d
+
+    out, failed = _guarded_step(x, 1.0, propose, lambda cand: (cand, True))
+    assert np.array_equal(out, x + 2.0 ** -4)
+    assert not failed
 
 
 def test_step_infeasible_reflects_or_halves():

@@ -11,7 +11,7 @@ from xmd.simplex import (as_simplex, barycenter, dirichlet_cost,
                          l_divergence, neg, perturb, portfolio_map, power,
                          sample_simplex, simplex_flow_rhs, step_conformal,
                          step_entropic, step_multiplicative, transport_map)
-from xmd.rng import substream
+from xmd.rng import INIT_STREAM, substream
 
 
 def random_points(n, count, seed=0):
@@ -227,36 +227,51 @@ def test_step_multiplicative_matches_flow_to_second_order():
 
 
 def test_step_entropic_values():
+    # with a constant gradient g the slope at every candidate is
+    # -delta * Var_p'(g) <= 0, so the first candidate is accepted
     p = np.array([0.3, 0.7])
-    assert np.allclose(step_entropic(p, np.array([1.0, -2.0]), 0.0), p)
+    assert np.allclose(step_entropic(p, lambda q: np.array([1.0, -2.0]), 0.0), p)
     g = np.array([0.2, -0.4])
-    one = step_entropic(p, g, 0.5)
+    one = step_entropic(p, lambda q: g, 0.5)
     w = np.array([0.3 * math.exp(-0.1), 0.7 * math.exp(0.2)])
     assert np.allclose(one, w / w.sum(), atol=1e-14)
-    two = step_entropic(one, g, 0.5)
+    two = step_entropic(one, lambda q: g, 0.5)
     w2 = w / w.sum() * np.array([math.exp(-0.1), math.exp(0.2)])
     assert np.allclose(two, w2 / w2.sum(), atol=1e-12)
     # adding a constant to the gradient leaves the step unchanged
-    assert np.allclose(step_entropic(p, g + 3.7, 0.5), one, atol=1e-14)
+    assert np.allclose(step_entropic(p, lambda q: g + 3.7, 0.5), one, atol=1e-14)
+
+
+def _check_descent(step, p, p_star, deltas):
+    """Run ``step(grad, p, delta)`` over the deltas: every iterate stays
+    interior, the cost never rises and it ends below 5% of its start."""
+    grad = lambda q: dirichlet_cost_grad(q, p_star)
+    f0 = dirichlet_cost(p, p_star)
+    values = [f0]
+    for delta in deltas:
+        p = step(grad, p, delta)
+        values.append(dirichlet_cost(p, p_star))
+        assert p.min() > 0.0
+    assert values[-1] < 0.05 * f0
+    increases = [b - a for a, b in zip(values, values[1:]) if b > a + 1e-8]
+    assert not increases
 
 
 def test_conformal_descent_decreases_cost_and_stays_interior():
     rng = substream(18, 0)
     n = 5
     p_star = sample_simplex(rng, n)
-    grad = lambda p: dirichlet_cost_grad(p, p_star)
+    deltas = [1.0 / ((n - 1) * math.sqrt(k)) for k in range(1, 201)]
     for alpha in (0.0, 0.5, 0.9):
         gen = diversity_generator(alpha)
-        p = sample_simplex(rng, n)
-        f0 = dirichlet_cost(p, p_star)
-        values = [f0]
-        for k in range(1, 201):
-            p = step_conformal(gen, grad, p, 1.0 / ((n - 1) * math.sqrt(k)))
-            values.append(dirichlet_cost(p, p_star))
-            assert p.min() > 0.0
-        assert values[-1] < 0.05 * f0
-        increases = [b - a for a, b in zip(values, values[1:]) if b > a + 1e-8]
-        assert not increases
+        _check_descent(lambda grad, p, delta: step_conformal(gen, grad, p, delta),
+                       sample_simplex(rng, n), p_star, deltas)
+    # the entropic step at the simplex-compare defaults (n = 20, delta = 1/k,
+    # the seed-0 initial points) for 50 steps; unguarded, it ended in NaN here
+    for j in range(12):
+        _check_descent(lambda grad, p, delta: step_entropic(p, grad, delta),
+                       sample_simplex(substream(0, INIT_STREAM + j), 20), barycenter(20),
+                       [1.0 / k for k in range(1, 51)])
 
 
 def test_conformal_step_at_minimizer_returns_it():
