@@ -7,7 +7,7 @@ Dirichlet-transport gradient flows on the unit simplex.
 """
 
 from .core import (BREGMAN_LIMIT, Domain, DomainError, DualPair, Generator,
-                   GeometryError, MetricAtPoint, RegularityError, SolverError,
+                   GeometryError, RegularityError, SolverError,
                    bregman_div, conjugate_value, inverse_mirror, lambda_mirror,
                    log_cost, log_div, log_div_self_dual, metric,
                    metric_inverse_sm, mirror_jacobian)

@@ -180,6 +180,9 @@ def _build(data: dict) -> ExperimentConfig:
             value = int(value)
         if f.type == "str" and not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
+        # canonical_dumps writes one key per line, so a line break cannot round-trip
+        if f.type == "str" and "".join(value.splitlines()) != value:
+            raise ConfigError(f"{key}: a string may not contain a line break, got {value!r}")
         if f.type == "list" and not (isinstance(value, list)
                                      and all(_is_number(x) for x in value)):
             raise ConfigError(f"{key}: expected a list of numbers")

@@ -155,12 +155,6 @@ class DualPair:
     pi: float
 
 
-@dataclass(frozen=True)
-class MetricAtPoint:
-    g: np.ndarray
-    conformal_factor: float
-
-
 # ---------------------------------------------------------------------------
 # costs and divergences
 
@@ -201,7 +195,7 @@ def mirror_jacobian(gen: Generator, theta) -> np.ndarray:
     """d eta / d theta, assembled from the metric as pi * (I + lam eta theta^T) G."""
     theta = _vec(theta)
     pair = lambda_mirror(gen, theta)
-    g = metric(gen, theta).g
+    g = metric(gen, theta)
     if gen.is_bregman:
         return g
     corr = np.eye(gen.dim) + gen.lam * np.outer(pair.eta, theta)
@@ -298,8 +292,9 @@ def log_div_self_dual(gen: Generator, theta, eta_p) -> float:
     return float(gen.value(theta)) + psi + log_cost(theta, eta_p, gen.lam)
 
 
-def metric(gen: Generator, theta) -> MetricAtPoint:
-    """Conformal Hessian metric G = hess phi + lam * (grad phi)(grad phi)^T."""
+def metric(gen: Generator, theta) -> np.ndarray:
+    """Conformal Hessian metric G = hess phi + lam * (grad phi)(grad phi)^T;
+    raises RegularityError unless G is positive definite."""
     theta = _vec(theta)
     if gen.hess is None:
         raise RegularityError(f"generator {gen.name!r} has no Hessian oracle; "
@@ -315,7 +310,7 @@ def metric(gen: Generator, theta) -> MetricAtPoint:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"metric not positive definite at theta={theta}") from exc
-    return MetricAtPoint(g, 1.0 / conformal_weight(gen, theta))
+    return g
 
 
 def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray) -> np.ndarray:
@@ -354,7 +349,7 @@ def big_phi_grad(gen: Generator, theta):
 
 def big_phi_hess(gen: Generator, theta) -> np.ndarray:
     theta = _vec(theta)
-    return conformal_weight(gen, theta) * metric(gen, theta).g
+    return conformal_weight(gen, theta) * metric(gen, theta)
 
 
 def big_phi_bregman(gen: Generator, theta, theta_p) -> float:

@@ -302,7 +302,7 @@ def fisher_metric_check(model: LambdaExpFamily, theta, n_samples: int,
     pi_y = 1.0 + lam * y @ theta
     scores = y / pi_y[:, None] - (pair.eta / pair.pi)[None, :]
     fisher = scores.T @ scores / n_samples
-    g = metric(model.gen, theta).g
+    g = metric(model.gen, theta)
     rel = float(np.linalg.norm(g - (1.0 - lam) * fisher) / np.linalg.norm(g))
     diag_ratio = float(np.mean(np.diag(g) / np.diag(fisher)))
     return FisherReport(metric_matrix=g, fisher_mc=fisher, rel_error=rel,

@@ -7,10 +7,10 @@ import pytest
 
 from xmd.core import (DomainError, DualPair, Generator, RegularityError,
                       bregman_div, big_phi_bregman, big_phi_grad, big_phi_hess,
-                      check_regularity, conjugate_generator, conjugate_value,
-                      cs_jacobian, fd_hess, inverse_mirror, lambda_mirror,
-                      log_cost, log_div, log_div_self_dual, metric,
-                      metric_inverse_sm, mirror_jacobian)
+                      check_regularity, conformal_weight, conjugate_generator,
+                      conjugate_value, cs_jacobian, fd_hess, inverse_mirror,
+                      lambda_mirror, log_cost, log_div, log_div_self_dual,
+                      metric, metric_inverse_sm, mirror_jacobian)
 from xmd.generators import (dirichlet_generator, linear_generator,
                             log_reciprocal_generator, quadratic_generator,
                             student_t_generator, table_generators)
@@ -219,12 +219,13 @@ def test_conformal_bregman_identity(gen):
 
 
 def test_metric_scalar_values():
-    m = metric(quadratic_generator(-0.5), [1.0])
-    assert m.g[0, 0] == pytest.approx(0.5, abs=1e-14)
-    assert m.conformal_factor == pytest.approx(np.exp(0.25), abs=1e-12)
+    gen = quadratic_generator(-0.5)
+    g = metric(gen, [1.0])
+    assert g[0, 0] == pytest.approx(0.5, abs=1e-14)
+    assert 1.0 / conformal_weight(gen, np.array([1.0])) == pytest.approx(np.exp(0.25), abs=1e-12)
     # lam -> 0 branch returns the plain Hessian
-    m0 = metric(quadratic_generator(0.0, 2), [0.3, -0.1])
-    assert np.allclose(m0.g, np.eye(2))
+    g0 = metric(quadratic_generator(0.0, 2), [0.3, -0.1])
+    assert np.allclose(g0, np.eye(2))
 
 
 def _second_derivative_of_dual_potential(gen, theta):
@@ -247,14 +248,14 @@ def _second_derivative_of_dual_potential(gen, theta):
 def test_metric_two_representations_agree(gen):
     for theta in gen.grid:
         theta = np.asarray(theta, dtype=float)
-        m = metric(gen, theta)
+        g = metric(gen, theta)
         hess_dual = _second_derivative_of_dual_potential(gen, theta)
-        rep2 = m.conformal_factor * hess_dual
-        scale = max(1.0, float(np.max(np.abs(m.g))))
-        assert np.max(np.abs(m.g - rep2)) < 1e-8 * scale
+        rep2 = hess_dual / conformal_weight(gen, theta)
+        scale = max(1.0, float(np.max(np.abs(g))))
+        assert np.max(np.abs(g - rep2)) < 1e-8 * scale
         g_inv = metric_inverse_sm(gen, lambda_mirror(gen, theta),
                                   np.linalg.inv(mirror_jacobian(gen, theta)))
-        assert np.max(np.abs(m.g @ g_inv - np.eye(gen.dim))) < 1e-10 * scale
+        assert np.max(np.abs(g @ g_inv - np.eye(gen.dim))) < 1e-10 * scale
 
 
 @pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.name)
@@ -292,7 +293,7 @@ def test_metric_inverse_sm_scalar_cross_check():
     pair = lambda_mirror(gen, theta)
     jac_inv = np.linalg.inv(mirror_jacobian(gen, theta))
     sm = metric_inverse_sm(gen, pair, jac_inv)
-    assert np.allclose(sm, np.linalg.inv(metric(gen, theta).g), atol=1e-12)
+    assert np.allclose(sm, np.linalg.inv(metric(gen, theta)), atol=1e-12)
 
 
 def test_metric_inverse_sm_product_is_identity():
@@ -301,7 +302,7 @@ def test_metric_inverse_sm_product_is_identity():
         pair = lambda_mirror(gen, theta)
         jac_inv = np.linalg.inv(mirror_jacobian(gen, theta))
         sm = metric_inverse_sm(gen, pair, jac_inv)
-        assert np.max(np.abs(sm @ metric(gen, theta).g - np.eye(3))) < 1e-8
+        assert np.max(np.abs(sm @ metric(gen, theta) - np.eye(3))) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,19 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from hypothesis import given, reject, strategies as st
+
+import xmd
 from xmd import cli, expfam, simplex
-from xmd.config import ExperimentConfig
-from xmd.experiments import rank_methods, run_experiment
+from xmd.config import (EXPERIMENTS, ConfigError, ExperimentConfig, _build,
+                        canonical_dumps, parse_config)
+from xmd.experiments import SLOPE_BAND, rank_methods, run_experiment
 
 # sha256 of the CSVs and of summary.json without wall_time (see
 # ``output_digest``) at n_steps=200, seed 0, recorded from the one-trajectory-
@@ -17,6 +23,13 @@ from xmd.experiments import rank_methods, run_experiment
 ONLINE_DIGESTS = {
     "student-t-online": "acf8425a4d58aa617eea1f93a62d5abf757f386cca4489acab19ec27f139a440",
     "dirichlet-online": "f8439e692191faf0b2d95ae82dfdb5e24549ab2e93d47c06769a4dfa42059044",
+}
+
+# the same digest of the two fixed-instance diagnostics suites at their
+# defaults, recorded before the conformal clock joined the RK4 state
+DIAGNOSTICS_DIGESTS = {
+    "geodesic-check": "af23c991c8cce5a8c951516f50208398143ddc6077d1b8d304c33063612d1791",
+    "lyapunov-suite": "c772af6fe74a862e0db99da510c687d3b41eee032c012efdbbdae2b8171126d5",
 }
 
 
@@ -56,6 +69,16 @@ def test_online_outputs_are_unchanged(tmp_path, experiment):
                        "--override", "n_steps=200"])
     assert status == 0
     assert output_digest(str(tmp_path / experiment)) == ONLINE_DIGESTS[experiment]
+
+
+def test_dirichlet_fails_off_the_square_root_rate(tmp_path):
+    # a constant step stops the error shrinking: the log-log slope is positive
+    status = cli.main(["dirichlet-online", "--out", str(tmp_path), "--override",
+                       "delta_schedule=const:0.5", "--override", "n_steps=1000"])
+    assert status == 1
+    with open(tmp_path / "dirichlet-online" / "summary.json") as fh:
+        slope = json.load(fh)["metrics"]["slope"]
+    assert slope > SLOPE_BAND[1]
 
 
 def test_student_t_fails_on_skipped_updates(tmp_path):
@@ -110,6 +133,16 @@ def test_dirichlet_fails_on_non_finite_distance(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# diagnostics
+
+
+@pytest.mark.parametrize("experiment", sorted(DIAGNOSTICS_DIGESTS))
+def test_diagnostics_outputs_are_unchanged(tmp_path, experiment):
+    assert cli.main([experiment, "--out", str(tmp_path)]) == 0
+    assert output_digest(str(tmp_path / experiment)) == DIAGNOSTICS_DIGESTS[experiment]
+
+
+# ---------------------------------------------------------------------------
 # simplex comparison
 
 
@@ -152,6 +185,8 @@ def test_rank_methods_puts_non_finite_last_in_method_order():
     "mu0=abc",
     "alpha_list=[0.1, x]",
     "out=3",
+    # every character that str.splitlines breaks on
+    *(f'out="a{c}b"' for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
 ])
 def test_bad_override_exits_with_status_2(tmp_path, override, capsys):
     status = cli.main(["student-t-online", "--out", str(tmp_path), "--override", override])
@@ -160,8 +195,65 @@ def test_bad_override_exits_with_status_2(tmp_path, override, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # every run pays for its imports in start-up time; nothing needs interpolation
+    src = os.path.dirname(os.path.dirname(xmd.__file__))
+    code = "import sys, xmd.cli; sys.exit('scipy.interpolate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0
+
+
 def test_bad_config_file_exits_with_status_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text('experiment = "dirichlet-online"\nn_steps = "many"\n')
     assert cli.main(["dirichlet-online", "--config", str(path)]) == 2
     assert "n_steps" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the canonical serialization round-trips
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def valid_configs(draw):
+    positive = _finite(min_value=0.0, exclude_min=True)
+    data = {
+        "experiment": draw(st.sampled_from(EXPERIMENTS)),
+        "seed": draw(st.integers(min_value=0)),
+        "out": draw(st.text()),
+        "delta_schedule": draw(st.sampled_from(["1/k", "1/sqrt(k)", "1/(d*sqrt(k))"])
+                               | positive.map(lambda c: f"const:{c!r}")),
+        "n_steps": draw(st.integers(min_value=1)),
+        "n_traj": draw(st.integers(min_value=1)),
+        "nu": draw(positive),
+        "mu_star": draw(_finite()),
+        "sigma_star": draw(_finite()),
+        "mu0": draw(_finite()),
+        "sigma0": draw(_finite()),
+        "dim": draw(st.integers(min_value=1)),
+        "lam": draw(_finite(max_value=0.0, exclude_max=True)),
+        "truth_concentration": draw(_finite()),
+        "n": draw(st.integers(min_value=2)),
+        "alpha_list": draw(st.lists(_finite(max_value=1.0, exclude_max=True)
+                                    | st.integers(max_value=0), max_size=5)),
+        "target": draw(st.sampled_from(["barycenter", "dirichlet"])),
+        "target_a": draw(_finite()),
+        "n_inits": draw(st.integers(min_value=1)),
+        "dt": draw(positive),
+        "t_end": draw(positive),
+    }
+    # every config file and override goes through _build; keep what it accepts
+    try:
+        return _build(data)
+    except ConfigError:
+        reject()
+
+
+@given(valid_configs())
+def test_canonical_dumps_round_trips(config):
+    assert parse_config(canonical_dumps(config)) == config
+

@@ -125,6 +125,18 @@ def test_integrate_fourth_order_endpoint():
     assert abs(end[1e-3] - end[5e-4]) < 1e-11
 
 
+def test_integrate_clock_and_average_fourth_order_endpoint():
+    # tau and the tau-weighted average ride in the RK4 state with theta
+    gen = LOG_1D
+    obj = quadratic_objective([2.0])
+    end = {dt: integrate(gen, obj, [0.5], 1.0, dt)[-1] for dt in (4e-2, 2e-2, 2.5e-4)}
+    ref = end[2.5e-4]
+    for read in (lambda st: st.tau, lambda st: st.theta_hat[0]):
+        e_coarse = abs(read(end[4e-2]) - read(ref))
+        e_mid = abs(read(end[2e-2]) - read(ref))
+        assert 10.0 < e_coarse / e_mid < 24.0
+
+
 def test_integrate_mirror_and_zeta_consistency():
     gen = QUAD_2D
     obj = quadratic_objective([0.3, 0.1])
@@ -408,7 +420,8 @@ def test_hessian_flow_is_autonomous_reference():
     # the dual-potential flow solves d zeta/ds = -grad f, checked by differencing
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    s, path = integrate_hessian_flow(gen, obj, [0.5], 0.5, 1e-3)
+    s = np.linspace(0.0, 0.5, 501)
+    path = integrate_hessian_flow(gen, obj, [0.5], s)
     zetas = np.array([zeta_of(gen, p) for p in path])
     mid = len(s) // 2
     fd = (zetas[mid + 1] - zetas[mid - 1]) / (s[mid + 1] - s[mid - 1])
