@@ -66,23 +66,32 @@ class ExperimentConfig:
         if self.n_steps < 1 or self.n_traj < 1 or self.n_inits < 1:
             raise ConfigError("counts must be positive")
         delta_schedule(self.delta_schedule)
-        if self.experiment == "student-t-online" and self.nu <= 0:
-            raise ConfigError("nu must be positive")
+        if self.experiment == "student-t-online":
+            if self.nu <= 0:
+                raise ConfigError("nu must be positive")
+            if self.sigma_star <= 0 or self.sigma0 <= 0:
+                raise ConfigError("sigma_star and sigma0 must be positive")
         if self.experiment == "dirichlet-online":
             if not self.lam < 0:
                 raise ConfigError("dirichlet-online requires lam < 0")
             if self.dim < 1:
                 raise ConfigError("dim must be >= 1")
+            if self.truth_concentration <= 0:
+                raise ConfigError("truth_concentration must be positive")
         if self.experiment == "simplex-compare":
             if self.n < 2:
                 raise ConfigError("simplex size n must be >= 2")
             if self.target not in ("barycenter", "dirichlet"):
                 raise ConfigError("target must be 'barycenter' or 'dirichlet'")
+            if self.target == "dirichlet" and self.target_a <= 0:
+                raise ConfigError("target_a must be positive for a Dirichlet target")
             if any(a >= 1.0 for a in self.alpha_list):
                 raise ConfigError("alpha values must be < 1")
         if self.experiment in ("flow-equivalence", "geodesic-check", "lyapunov-suite"):
             if self.dt <= 0 or self.t_end <= 0:
                 raise ConfigError("dt and t_end must be positive")
+            if self.dt > self.t_end:
+                raise ConfigError("dt must not exceed t_end")
         return self
 
 

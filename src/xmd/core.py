@@ -18,7 +18,7 @@ small-``lam`` formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,13 +95,6 @@ class Domain:
                 inside = inside & (g(x) > 0.0)
         return inside if inside.ndim else bool(inside)
 
-    def boundary_gap(self, x) -> float:
-        """Smallest slack over all faces and constraints; negative outside."""
-        x = _vec(x)
-        gaps = [np.min(x - self.lower), np.min(self.upper - x)]
-        gaps += [g(x) for g in self.constraints]
-        return float(min(g for g in gaps if np.isfinite(g)))
-
     def reflect(self, x, floor: float = 1e-12) -> np.ndarray:
         """Reflect box violations back across the violated face, row-wise.
 
@@ -121,9 +114,9 @@ class Domain:
 class Generator:
     """A smooth generator phi with value/gradient oracles on an open domain.
 
-    ``hess`` is optional; when absent, finite differences are available for
-    verification only (flows never require it). Closed-form mirror maps and
-    their inverses can be registered to bypass the generic formulas.
+    ``hess`` is optional, but ``metric`` needs it, and with it the primal
+    flows, ``mirror_jacobian`` and both Newton inversions. Closed-form mirror
+    maps and their inverses can be registered to bypass the generic formulas.
     """
 
     lam: float
@@ -297,8 +290,7 @@ def metric(gen: Generator, theta) -> np.ndarray:
     raises RegularityError unless G is positive definite."""
     theta = _vec(theta)
     if gen.hess is None:
-        raise RegularityError(f"generator {gen.name!r} has no Hessian oracle; "
-                              "register one or use fd_hess for verification")
+        raise RegularityError(f"generator {gen.name!r} has no Hessian oracle")
     h = np.atleast_2d(np.asarray(gen.hess(theta), dtype=float))
     if gen.is_bregman:
         g = h
@@ -376,88 +368,3 @@ def theta_of_zeta(gen: Generator, zeta, theta0=None, tol: float = 1e-12,
     if rnorm <= tol * max(1.0, np.linalg.norm(zeta)):
         return theta
     raise SolverError(f"dual-potential inversion did not converge (residual {rnorm:.3e})")
-
-
-def conjugate_generator(gen: Generator) -> Generator:
-    """The conjugate as a generator on the dual domain (verification helper).
-
-    Its ordinary gradient is theta / (1 + lam*<theta, eta>), which makes the
-    roles of the two coordinate systems symmetric.
-    """
-    if gen.dual_domain is None:
-        raise DomainError("conjugate_generator requires a registered dual domain")
-
-    def value(eta):
-        theta = inverse_mirror(gen, eta)
-        pi = 1.0 + gen.lam * float(theta @ _vec(eta))
-        return conjugate_value(gen, DualPair(theta, _vec(eta), pi))
-
-    def grad(eta):
-        theta = inverse_mirror(gen, eta)
-        pi = 1.0 + gen.lam * float(theta @ _vec(eta))
-        return theta / pi
-
-    return Generator(lam=gen.lam, domain=gen.dual_domain, value=value, grad=grad,
-                     name=f"conjugate({gen.name})")
-
-
-# ---------------------------------------------------------------------------
-# verification-only numerical differentiation
-
-
-def fd_grad(f: Callable[[np.ndarray], float], x, rel_step: Optional[float] = None) -> np.ndarray:
-    """Central-difference gradient with step h_i = eps^(1/3) * (1 + |x_i|)."""
-    x = _vec(x)
-    h0 = rel_step if rel_step is not None else np.finfo(float).eps ** (1.0 / 3.0)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        h = h0 * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (float(f(xp)) - float(f(xm))) / (2.0 * h)
-    return out
-
-
-def fd_hess(f: Callable[[np.ndarray], float], x) -> np.ndarray:
-    """Central-difference Hessian of a scalar function (verification only)."""
-    x = _vec(x)
-    h0 = np.finfo(float).eps ** (1.0 / 3.0)
-    n = x.size
-    out = np.empty((n, n))
-    for j in range(n):
-        h = h0 * (1.0 + abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        out[:, j] = (fd_grad(f, xp) - fd_grad(f, xm)) / (2.0 * h)
-    return 0.5 * (out + out.T)
-
-
-def cs_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-20) -> np.ndarray:
-    """Complex-step Jacobian; exact to roundoff for analytic maps (verification only)."""
-    x = np.asarray(x, dtype=complex)
-    cols = []
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += 1j * h
-        cols.append(np.imag(np.atleast_1d(f(xp))) / h)
-    return np.stack(cols, axis=1)
-
-
-def check_regularity(gen: Generator, points: Sequence) -> list[str]:
-    """Evaluate both regularity conditions on a set of points; return violations."""
-    bad = []
-    for theta in points:
-        theta = _vec(theta)
-        try:
-            if gen.hess is not None:
-                np.linalg.cholesky(big_phi_hess(gen, theta))
-            u = _vec(gen.grad(theta))
-            if not gen.is_bregman:
-                s = 1.0 - gen.lam * float(u @ theta)
-                if s <= 0.0:
-                    bad.append(f"1 - lam*<grad,theta> = {s:.3e} at theta={theta}")
-        except (np.linalg.LinAlgError, GeometryError) as exc:
-            bad.append(f"{exc} at theta={theta}")
-    return bad

@@ -173,28 +173,6 @@ def run_dirichlet_online(config: ExperimentConfig, out_dir: str) -> RunSummary:
     return summary
 
 
-def dirichlet_lambda_independence(seed: int, d: int, sigma: float, n_steps: int,
-                                  lam_a: float, lam_b: float) -> float:
-    """Run the estimator twice on one data stream with different curvature
-    parameters; return the sup distance between the two simplex trajectories."""
-    rng_truth = substream(seed, TRUTH_STREAM)
-    p_star = simplex.as_simplex(rng_truth.dirichlet(np.full(1 + d, 5.0)))
-    model = expfam.DirichletPerturbModel(p=p_star, sigma=sigma)
-    qs = expfam.dirichlet_perturb_sample(model, substream(seed, 0), n_steps)
-
-    worst = 0.0
-    fams = [expfam.dirichlet_family(lam, d) for lam in (lam_a, lam_b)]
-    states = [expfam.start_state(f, np.ones(d)) for f in fams]
-    for k in range(1, n_steps + 1):
-        ps = []
-        for i, fam in enumerate(fams):
-            y = fam.statistics(qs[k - 1])
-            states[i] = expfam.online_update(fam, states[i], y, 1.0 / k)
-            ps.append(expfam.eta_to_simplex(states[i].eta))
-        worst = max(worst, float(np.max(np.abs(ps[0] - ps[1]))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # simplex descent comparison
 

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
-from .core import DomainError, Generator, _vec, inverse_mirror, lambda_mirror, metric
+from .core import DomainError, Generator, _vec, inverse_mirror, lambda_mirror
 from .flows import _dual_accept, _guarded_step
 from .generators import (dirichlet_generator, pow2, student_t_generator,
                          student_t_inverse_mirror, student_t_lambda,
@@ -27,11 +25,12 @@ from .generators import (dirichlet_generator, pow2, student_t_generator,
 
 @dataclass(frozen=True)
 class LambdaExpFamily:
-    """A model family: its potential generator, statistics map, and sampler."""
+    """A model family: its potential generator, its statistics map and,
+    optionally, the reflection into its dual domain that the online estimator
+    tries before halving a step."""
 
     gen: Generator
     statistics: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[np.ndarray, np.random.Generator, int], np.ndarray]
     reflect_dual: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
@@ -76,20 +75,6 @@ def log_loss(model: LambdaExpFamily, theta, y) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def natural_gradient_update(model: LambdaExpFamily, state: OnlineState, y,
-                            delta: float) -> np.ndarray:
-    """Unsimplified natural-gradient step in the dual variable (no projection):
-    eta - delta * pi * (I + lam eta theta^T) grad_loss. Mostly a cross-check
-    for the simplified online update."""
-    _, df = log_loss(model, state.theta, y)
-    lam = model.lam
-    if model.gen.is_bregman:
-        return state.eta - delta * df
-    pi = 1.0 + lam * float(state.theta @ state.eta)
-    corr = df + lam * state.eta * float(state.theta @ df)
-    return state.eta - delta * pi * corr
-
-
 def online_update(model: LambdaExpFamily, state: OnlineState, y,
                   delta: float) -> OnlineState:
     """One estimator step for one state ``(dim,)`` or a batch ``(batch, dim)``
@@ -129,15 +114,6 @@ def log_distance(eta, eta_p):
     diff = np.log(_vec(eta)) - np.log(_vec(eta_p))
     dist = np.sqrt(np.vecdot(diff, diff))
     return dist if dist.ndim else float(dist)
-
-
-def family_density(model: LambdaExpFamily, theta, x) -> np.ndarray:
-    """Density through the deformed-exponential form (vectorized over x)."""
-    theta = _vec(theta)
-    y = model.statistics(np.asarray(x, dtype=float))
-    base = 1.0 + model.lam * np.asarray(y) @ theta
-    base = np.maximum(base, 0.0)
-    return base ** (1.0 / model.lam) * np.exp(-float(model.gen.value(theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +163,6 @@ def student_t_sample(params: StudentTParams, rng: np.random.Generator,
     return params.mu + params.sigma * z / np.sqrt(v / params.nu)
 
 
-def student_t_density(x, params: StudentTParams) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    nu, mu, sigma = params.nu, params.mu, params.sigma
-    logc = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * np.log(nu * np.pi)
-    return np.exp(logc) / sigma * (1.0 + (x - mu) ** 2 / (nu * sigma ** 2)) ** (-(nu + 1.0) / 2.0)
-
-
 def _student_t_reflect(eta: np.ndarray) -> np.ndarray:
     # reflect the violated scalar constraint value eta2 - eta1^2 > 0, row-wise
     square = pow2(eta[..., 0])
@@ -208,11 +177,8 @@ def student_t_family(nu: float) -> LambdaExpFamily:
         x = np.asarray(x, dtype=float)
         return np.stack([x, x ** 2], axis=-1)
 
-    def sampler(theta, rng, size=None):
-        return student_t_sample(student_t_params(theta, nu), rng, size)
-
-    return LambdaExpFamily(gen=gen, statistics=statistics, sampler=sampler,
-                           reflect_dual=_student_t_reflect, name=f"student_t(nu={nu})")
+    return LambdaExpFamily(gen=gen, statistics=statistics, reflect_dual=_student_t_reflect,
+                           name=f"student_t(nu={nu})")
 
 
 # ---------------------------------------------------------------------------
@@ -266,63 +232,5 @@ def dirichlet_family(lam: float, d: int) -> LambdaExpFamily:
         q = np.asarray(q, dtype=float)
         return q[..., 1:] / q[..., :1]
 
-    def sampler(theta, rng, size=None):
-        eta = 1.0 / (lam * _vec(theta))
-        model = DirichletPerturbModel(p=eta_to_simplex(eta), sigma=-lam)
-        return dirichlet_perturb_sample(model, rng, size)
-
-    return LambdaExpFamily(gen=gen, statistics=statistics, sampler=sampler,
+    return LambdaExpFamily(gen=gen, statistics=statistics,
                            name=f"dirichlet_perturb(lam={lam}, d={d})")
-
-
-# ---------------------------------------------------------------------------
-# statistical diagnostics
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    metric_matrix: np.ndarray
-    fisher_mc: np.ndarray
-    rel_error: float
-    factor: float
-
-    def passed(self, tol: float = 0.05) -> bool:
-        return self.rel_error < tol
-
-
-def fisher_metric_check(model: LambdaExpFamily, theta, n_samples: int,
-                        rng: np.random.Generator) -> FisherReport:
-    """Monte Carlo estimate of the score outer product, compared against the
-    conformal metric through G = (1 - lam) * Fisher."""
-    theta = _vec(theta)
-    lam = model.lam
-    pair = lambda_mirror(model.gen, theta)
-    x = model.sampler(theta, rng, n_samples)
-    y = np.atleast_2d(model.statistics(x))
-    pi_y = 1.0 + lam * y @ theta
-    scores = y / pi_y[:, None] - (pair.eta / pair.pi)[None, :]
-    fisher = scores.T @ scores / n_samples
-    g = metric(model.gen, theta)
-    rel = float(np.linalg.norm(g - (1.0 - lam) * fisher) / np.linalg.norm(g))
-    diag_ratio = float(np.mean(np.diag(g) / np.diag(fisher)))
-    return FisherReport(metric_matrix=g, fisher_mc=fisher, rel_error=rel,
-                        factor=diag_ratio)
-
-
-def escort_expectation_numeric(model: LambdaExpFamily, theta) -> np.ndarray:
-    """Quadrature escort moments for scalar-observation models:
-    integral of F(x) p^q over integral of p^q, with q = 1 - lam."""
-    theta = _vec(theta)
-    q = 1.0 - model.lam
-
-    def weight(x):
-        return float(family_density(model, theta, x)) ** q
-
-    norm, _ = quad(weight, -np.inf, np.inf, limit=200)
-    out = np.empty(model.dim)
-    for i in range(model.dim):
-        def integrand(x, i=i):
-            return float(np.atleast_1d(model.statistics(x))[i]) * weight(x)
-        val, _ = quad(integrand, -np.inf, np.inf, limit=200)
-        out[i] = val / norm
-    return out

@@ -11,7 +11,6 @@ coordinate systems.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -498,28 +497,3 @@ def time_change_compare(gen: Generator, obj: Objective, theta0, t_end: float,
     hess_path = integrate_hessian_flow(gen, obj, theta0, [st.tau for st in conformal])
     return max(float(np.linalg.norm(st.theta - theta))
                for st, theta in zip(conformal, hess_path))
-
-
-# ---------------------------------------------------------------------------
-# trajectory dump
-
-
-def write_trajectory_csv(path, gen: Generator, obj: Objective,
-                         states: Sequence[FlowState]) -> None:
-    """One row per sample: t, tau, theta components, eta components, f, E."""
-    dim = states[0].theta.size
-    header = (["t", "tau"] + [f"theta_{i}" for i in range(dim)]
-              + [f"eta_{i}" for i in range(dim)] + ["f", "E"])
-    star = None if obj.theta_star is None else _vec(obj.theta_star)
-
-    def fmt(x):
-        return repr(float(x))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for st in states:
-            e = float("nan") if star is None else log_div(gen, star, st.theta)
-            row = ([fmt(st.t), fmt(st.tau)] + [fmt(v) for v in st.theta]
-                   + [fmt(v) for v in st.eta] + [fmt(obj.value(st.theta)), fmt(e)])
-            writer.writerow(row)

@@ -1,6 +1,7 @@
 """Aitchison algebra on the open unit simplex, the Dirichlet transport cost,
-portfolio/transport maps of exponentially concave generators, and the induced
-gradient flows with a multiplicative-update and entropic-descent baseline.
+portfolio/transport maps of exponentially concave generators, the induced
+conformal gradient flow and its guarded step, and the entropic mirror step as
+a baseline.
 
 The simplex is a vector space under componentwise perturbation (+) and
 powering (x); the transport map q = p (+) pi(neg p) plays the role of the
@@ -203,14 +204,6 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
         return p_next / p_next.sum()
 
     return _guarded_step(p, delta, propose, _descends(obj_grad, log_p))[0]
-
-
-def step_multiplicative(p_k, grads, delta: float) -> np.ndarray:
-    """p_i <- p_i * exp(-delta * p_i * dd_i f), renormalized; ``grads`` are the
-    vertex directional derivatives."""
-    p = np.asarray(p_k, dtype=float)
-    logw = np.log(np.maximum(p, WEIGHT_FLOOR)) - delta * p * np.asarray(grads, dtype=float)
-    return _normalize_logs(logw)
 
 
 def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:

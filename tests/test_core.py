@@ -7,13 +7,13 @@ import pytest
 
 from xmd.core import (DomainError, DualPair, Generator, RegularityError,
                       bregman_div, big_phi_bregman, big_phi_grad, big_phi_hess,
-                      check_regularity, conformal_weight, conjugate_generator,
-                      conjugate_value, cs_jacobian, fd_hess, inverse_mirror,
+                      conformal_weight, conjugate_value, inverse_mirror,
                       lambda_mirror, log_cost, log_div, log_div_self_dual,
                       metric, metric_inverse_sm, mirror_jacobian)
 from xmd.generators import (dirichlet_generator, linear_generator,
                             log_reciprocal_generator, quadratic_generator,
                             student_t_generator, table_generators)
+from oracles import check_regularity, conjugate_generator, cs_jacobian, fd_hess
 
 ALL_GENERATORS = (table_generators()
                   + [quadratic_generator(-0.4, 3), student_t_generator(3.0),

@@ -1,6 +1,8 @@
 """Experiment runners and the command line: outputs, pass/fail gates, exit codes."""
 import csv
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -172,35 +174,70 @@ def test_rank_methods_puts_non_finite_last_in_method_order():
 # configuration errors exit with status 2
 
 
-@pytest.mark.parametrize("override", [
-    'delta_schedule="abc/k"',
-    'delta_schedule="const:-1"',
-    "delta_schedule=5",
-    "n_steps=abc",
-    "n_steps=0",
-    "n_traj=2.5",
-    "seed=true",
-    "nu=nan",
-    "nu=1" + "0" * 400,
-    "mu0=abc",
-    "alpha_list=[0.1, x]",
-    "out=3",
-    # every character that str.splitlines breaks on
-    *(f'out="a{c}b"' for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+@pytest.mark.parametrize("experiment, overrides", [
+    *(pytest.param("student-t-online", [o], id=o) for o in [
+        'delta_schedule="abc/k"',
+        'delta_schedule="const:-1"',
+        "delta_schedule=5",
+        "n_steps=abc",
+        "n_steps=0",
+        "n_traj=2.5",
+        "seed=true",
+        "nu=nan",
+        "nu=1" + "0" * 400,
+        "mu0=abc",
+        "alpha_list=[0.1, x]",
+        "out=3",
+        # every character that str.splitlines breaks on
+        *(f'out="a{c}b"' for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    ]),
+    # configs that used to run on a degenerate model instead of failing
+    pytest.param("student-t-online", ["sigma_star=0", "n_steps=5"], id="sigma_star=0"),
+    pytest.param("student-t-online", ["sigma0=-1"], id="sigma0=-1"),
+    pytest.param("dirichlet-online", ["truth_concentration=0"], id="truth_concentration=0"),
+    pytest.param("simplex-compare", ['target="dirichlet"', "target_a=0", "n_steps=2"],
+                 id="target_a=0"),
+    pytest.param("flow-equivalence", ["dt=2"], id="dt=2"),
 ])
-def test_bad_override_exits_with_status_2(tmp_path, override, capsys):
-    status = cli.main(["student-t-online", "--out", str(tmp_path), "--override", override])
+def test_bad_override_exits_with_status_2(tmp_path, experiment, overrides, capsys):
+    argv = [experiment, "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    status = cli.main(argv)
     assert status == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not os.listdir(tmp_path)
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # every run pays for its imports in start-up time; nothing needs interpolation
+def test_cli_import_leaves_scipy_unloaded():
+    # every run pays for its imports in start-up time; numpy is the only dependency
     src = os.path.dirname(os.path.dirname(xmd.__file__))
-    code = "import sys, xmd.cli; sys.exit('scipy.interpolate' in sys.modules)"
+    code = ("import sys, xmd.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0
+
+
+def test_benchmark_per_layer_functions_exist():
+    # the benchmark's traced run fails with a KeyError on a per-layer metric
+    # whose function the tracer cannot find: a public function defined in its
+    # xmd module, or a method of a class defined there
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        specs = json.load(fh)["per_layer"]
+    functions = {spec["name"].rsplit(".", 1)[0] for spec in specs
+                 if spec["name"].rsplit(".", 1)[1] in ("calls", "self_s", "us_per_call")}
+    assert functions
+    for function in sorted(functions):
+        module_name, *path = function.split(".")
+        module = importlib.import_module(f"xmd.{module_name}")
+        owner = module
+        for attr in path[:-1]:
+            owner = vars(owner).get(attr)
+            assert inspect.isclass(owner) and owner.__module__ == module.__name__, function
+        value = vars(owner).get(path[-1])
+        assert inspect.isfunction(value) and not path[-1].startswith("_"), function
+        assert value.__module__ == module.__name__, function
 
 
 def test_bad_config_file_exits_with_status_2(tmp_path, capsys):

@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from xmd.core import DomainError, fd_grad, inverse_mirror, lambda_mirror
+from xmd.core import DomainError, inverse_mirror, lambda_mirror
 from xmd.expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState, StudentTParams,
-                        dirichlet_family, dirichlet_perturb_sample,
-                        escort_expectation_numeric, eta_to_simplex,
-                        family_density, fisher_metric_check, log_distance,
-                        log_loss, natural_gradient_update, online_update,
-                        simplex_to_eta, start_state, student_t_coords,
-                        student_t_density, student_t_family,
+                        dirichlet_family, dirichlet_perturb_sample, eta_to_simplex,
+                        log_distance, log_loss, online_update, simplex_to_eta,
+                        start_state, student_t_coords, student_t_family,
                         student_t_inverse_mirror, student_t_mirror,
                         student_t_params, student_t_sample)
 from xmd.generators import quadratic_generator, student_t_lambda
 from xmd.rng import substream
+from oracles import (dirichlet_lambda_independence, dirichlet_sampler,
+                     escort_expectation_numeric, family_density, fd_grad,
+                     fisher_metric_check, natural_gradient_update,
+                     student_t_density, student_t_sampler)
 
 NU = 3.0
 LAM = student_t_lambda(NU)  # -1/2
@@ -27,7 +28,7 @@ LAM = student_t_lambda(NU)  # -1/2
 def identity_family():
     gen = quadratic_generator(0.0, 2)
     return LambdaExpFamily(gen=gen, statistics=lambda x: np.asarray(x, dtype=float),
-                           sampler=lambda theta, rng, size=None: None, name="bregman")
+                           name="bregman")
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +97,11 @@ def test_online_update_dirichlet_factor_example():
     assert np.all(np.abs(y - out.eta) < np.abs(y - state.eta))
 
 
-@pytest.mark.parametrize("build", [lambda: student_t_family(NU),
-                                   lambda: dirichlet_family(-0.3, 4)],
+@pytest.mark.parametrize("build", [lambda: (student_t_family(NU), student_t_sampler(NU)),
+                                   lambda: (dirichlet_family(-0.3, 4), dirichlet_sampler(-0.3))],
                          ids=["student-t", "dirichlet"])
 def test_online_update_equals_natural_gradient_step(build):
-    fam = build()
+    fam, sampler = build()
     rng = substream(123, 0)
     if fam.gen.dim == 2:
         theta0 = student_t_coords(StudentTParams(0.5, 1.5, NU))
@@ -108,7 +109,7 @@ def test_online_update_equals_natural_gradient_step(build):
     else:
         state = start_state(fam, np.ones(4) * 0.8)
     for k in range(1, 30):
-        x = fam.sampler(state.theta, rng)
+        x = sampler(state.theta, rng)
         y = fam.statistics(x)
         raw = natural_gradient_update(fam, state, y, 0.5 / k)
         state = online_update(fam, state, y, 0.5 / k)
@@ -377,7 +378,7 @@ def test_dirichlet_escort_average_matches_dual_variable():
 def test_fisher_metric_check_student_t():
     fam = student_t_family(NU)
     theta = student_t_coords(StudentTParams(0.0, 1.0, NU))
-    report = fisher_metric_check(fam, theta, 300_000, substream(6, 0))
+    report = fisher_metric_check(fam, theta, 300_000, substream(6, 0), student_t_sampler(NU))
     assert report.rel_error < 0.08
     # entrywise factor 1 - lam = 1.5
     diag_ratio = np.diag(report.metric_matrix) / np.diag(report.fisher_mc)
@@ -411,7 +412,6 @@ def test_density_normalizes():
 
 
 def test_lambda_independence_small():
-    from xmd.experiments import dirichlet_lambda_independence
     worst = dirichlet_lambda_independence(seed=11, d=5, sigma=0.3, n_steps=2000,
                                           lam_a=-0.3, lam_b=-0.7)
     assert worst < 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xmd.core import (DomainError, DualPair, big_phi_hess, lambda_mirror,
-                      log_div, mirror_jacobian, zeta_of)
+                      mirror_jacobian, zeta_of)
 from xmd.flows import (MAX_HALVINGS, Objective, _guarded_step,
                        conformal_smoothness_estimate,
                        discrete_lyapunov_run, dual_logdiv_objective,
@@ -13,11 +13,10 @@ from xmd.flows import (MAX_HALVINGS, Objective, _guarded_step,
                        lyapunov_continuous, primal_logdiv_objective,
                        quadratic_objective, rhs_dual, rhs_primal,
                        step_adaptive_mirror, step_dual_euler,
-                       step_primal_euler, time_change_compare,
-                       write_trajectory_csv)
+                       step_primal_euler, time_change_compare)
 from xmd.generators import (log_reciprocal_generator, quadratic_generator,
                             student_t_generator)
-from xmd.core import fd_grad
+from oracles import fd_grad
 
 QUAD_2D = quadratic_generator(-0.5, 2)
 LOG_1D = log_reciprocal_generator(1.0)
@@ -426,21 +425,3 @@ def test_hessian_flow_is_autonomous_reference():
     mid = len(s) // 2
     fd = (zetas[mid + 1] - zetas[mid - 1]) / (s[mid + 1] - s[mid - 1])
     assert np.max(np.abs(fd + obj.grad(path[mid]))) < 1e-5
-
-
-# ---------------------------------------------------------------------------
-# trajectory dump
-
-
-def test_write_trajectory_csv_schema(tmp_path):
-    gen = QUAD_2D
-    obj = quadratic_objective([0.3, 0.1])
-    states = integrate(gen, obj, [-0.5, 0.8], 0.05, 1e-2)
-    path = tmp_path / "flow.csv"
-    write_trajectory_csv(path, gen, obj, states)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,tau,theta_0,theta_1,eta_0,eta_1,f,E"
-    assert len(lines) == len(states) + 1
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[-1]) == pytest.approx(log_div(gen, [0.3, 0.1], [-0.5, 0.8]))

@@ -10,8 +10,9 @@ from xmd.simplex import (as_simplex, barycenter, dirichlet_cost,
                          diversity_generator, equal_weighted_generator,
                          l_divergence, neg, perturb, portfolio_map, power,
                          sample_simplex, simplex_flow_rhs, step_conformal,
-                         step_entropic, step_multiplicative, transport_map)
+                         step_entropic, transport_map)
 from xmd.rng import INIT_STREAM, substream
+from oracles import step_multiplicative
 
 
 def random_points(n, count, seed=0):
