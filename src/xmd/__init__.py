@@ -29,7 +29,7 @@ from .expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState,
                      StudentTParams, dirichlet_family, dirichlet_perturb_sample,
                      log_loss, online_update, start_state, student_t_coords,
                      student_t_family, student_t_inverse_mirror,
-                     student_t_mirror, student_t_params, student_t_sample)
+                     student_t_params, student_t_sample)
 from .simplex import (PortfolioGenerator, as_simplex, barycenter,
                       dirichlet_cost, directional_derivs, diversity_generator,
                       equal_weighted_generator, l_divergence, neg, perturb,

@@ -5,6 +5,10 @@
 Exit codes: 0 all configured assertions passed, 1 an assertion failed,
 2 configuration error. The output directory may also be set through the
 XMD_OUT environment variable (the only environment variable consulted).
+
+Of the diagnostics experiments only flow-equivalence reads the dt and t_end
+keys; geodesic-check and lyapunov-suite run fixed instances, at t_end 1 and 4
+with dt 1e-3.
 """
 from __future__ import annotations
 

@@ -55,7 +55,8 @@ class ExperimentConfig:
     target_a: float = 1.0
     n_inits: int = 12
 
-    # diagnostics
+    # diagnostics: only flow-equivalence reads dt and t_end; geodesic-check
+    # and lyapunov-suite run fixed instances (t_end 1 and 4, dt 1e-3)
     dt: float = 1e-4
     t_end: float = 1.0
 
@@ -87,6 +88,9 @@ class ExperimentConfig:
                 raise ConfigError("target_a must be positive for a Dirichlet target")
             if any(a >= 1.0 for a in self.alpha_list):
                 raise ConfigError("alpha values must be < 1")
+            # set() merges equal numbers, such as 0 and 0.0
+            if len(set(self.alpha_list)) != len(self.alpha_list):
+                raise ConfigError("alpha values must be distinct")
         if self.experiment in ("flow-equivalence", "geodesic-check", "lyapunov-suite"):
             if self.dt <= 0 or self.t_end <= 0:
                 raise ConfigError("dt and t_end must be positive")
@@ -195,6 +199,9 @@ def _build(data: dict) -> ExperimentConfig:
         if f.type == "list" and not (isinstance(value, list)
                                      and all(_is_number(x) for x in value)):
             raise ConfigError(f"{key}: expected a list of numbers")
+        if f.type == "list" and any(isinstance(x, float) and not math.isfinite(x)
+                                    for x in value):
+            raise ConfigError(f"{key}: expected finite numbers, got {value!r}")
         coerced[key] = value
     return ExperimentConfig(**coerced).validate()
 

@@ -115,8 +115,9 @@ class Generator:
     """A smooth generator phi with value/gradient oracles on an open domain.
 
     ``hess`` is optional, but ``metric`` needs it, and with it the primal
-    flows, ``mirror_jacobian`` and both Newton inversions. Closed-form mirror
-    maps and their inverses can be registered to bypass the generic formulas.
+    flows, ``mirror_jacobian`` and both Newton inversions. The mirror map is
+    always derived from ``grad`` by ``lambda_mirror``; only its inverse can be
+    registered in closed form, to bypass the Newton inversion.
     """
 
     lam: float
@@ -124,7 +125,6 @@ class Generator:
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    mirror_closed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inverse_mirror_closed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dual_domain: Optional[Domain] = None
     name: str = ""
@@ -166,14 +166,9 @@ def log_cost(x, y, lam: float) -> float:
 
 
 def lambda_mirror(gen: Generator, theta) -> DualPair:
-    """Map a primal point to its dual coordinate eta = grad phi / (1 - lam*<grad phi, theta>)."""
+    """Map a primal point to eta = grad phi / (1 - lam*<grad phi, theta>), the one
+    copy of the mirror map for every generator (grad phi on the Bregman branch)."""
     theta = _vec(theta)
-    if gen.mirror_closed is not None:
-        eta = _vec(gen.mirror_closed(theta))
-        pi = 1.0 + gen.lam * float(theta @ eta)
-        if pi <= 0.0:
-            raise RegularityError(f"pairing 1 + lam*<theta,eta> = {pi:.3e} <= 0")
-        return DualPair(theta, eta, pi)
     u = _vec(gen.grad(theta))
     if gen.is_bregman:
         return DualPair(theta, u, 1.0)

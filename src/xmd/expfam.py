@@ -19,8 +19,8 @@ import numpy as np
 from .core import DomainError, Generator, _vec, inverse_mirror, lambda_mirror
 from .flows import _dual_accept, _guarded_step
 from .generators import (dirichlet_generator, pow2, student_t_generator,
-                         student_t_inverse_mirror, student_t_lambda,
-                         student_t_mirror)
+                         student_t_inverse_mirror, student_t_lambda)
+from .simplex import perturb
 
 
 @dataclass(frozen=True)
@@ -220,9 +220,7 @@ def dirichlet_perturb_sample(model: DirichletPerturbModel, rng: np.random.Genera
     n = model.p.size
     shape = (1.0 / model.sigma) / n
     g = rng.gamma(shape, size=(n,) if size is None else (size, n))
-    d = g / g.sum(axis=-1, keepdims=True)
-    q = model.p * d
-    return q / q.sum(axis=-1, keepdims=True)
+    return perturb(model.p, g / g.sum(axis=-1, keepdims=True))
 
 
 def dirichlet_family(lam: float, d: int) -> LambdaExpFamily:

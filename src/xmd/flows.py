@@ -36,12 +36,12 @@ class Objective:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One trajectory sample: primal/dual/Bregman-dual coordinates, the clock
-    tau, and the tau-weighted running average of the path."""
+    """One trajectory sample: the primal point, the time t, the clock tau, and
+    the tau-weighted running average of the path. The dual coordinates are
+    derived where they are read: eta by ``lambda_mirror(gen, theta)``, zeta by
+    ``zeta_of(gen, theta)``."""
 
     theta: np.ndarray
-    eta: np.ndarray
-    zeta: np.ndarray
     t: float
     tau: float
     theta_hat: np.ndarray
@@ -171,7 +171,8 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
     """Integrate the conformal flow together with its clock: the state
     (theta, tau, integral of w*theta dt) with w = exp(lam*phi(theta)) runs
     through one RK4 pass, so tau and the tau-weighted average theta_hat are
-    4th-order accurate like theta."""
+    4th-order accurate like theta. Returns one FlowState per grid point,
+    t = 0, dt, ..., n_steps*dt."""
     theta0 = _vec(theta0)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -190,9 +191,7 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
     for t, x in zip(times, path):
         theta, tau = x[:dim], float(x[dim])
         theta_hat = theta.copy() if tau == 0.0 else x[dim + 1:] / tau
-        pair = lambda_mirror(gen, theta)
-        states.append(FlowState(theta=theta, eta=pair.eta, zeta=zeta_of(gen, theta),
-                                t=float(t), tau=tau, theta_hat=theta_hat))
+        states.append(FlowState(theta=theta, t=float(t), tau=tau, theta_hat=theta_hat))
     return states
 
 
@@ -384,11 +383,11 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
     collin = 0.0
     coeff = 0.0
     for st in dual_states:
-        collin = max(collin, _segment_deviation(st.eta, eta0, eta_star))
-        pair = DualPair(st.theta, st.eta, 1.0 + gen.lam * float(st.theta @ st.eta))
+        pair = lambda_mirror(gen, st.theta)
+        collin = max(collin, _segment_deviation(pair.eta, eta0, eta_star))
         measured = rhs_dual(gen, dual_obj, pair)
         pi_star = 1.0 + gen.lam * float(st.theta @ eta_star)
-        expected = -(pair.pi / pi_star) * (st.eta - eta_star)
+        expected = -(pair.pi / pi_star) * (pair.eta - eta_star)
         coeff = max(coeff, float(np.max(np.abs(measured - expected))))
 
     primal_obj = primal_logdiv_objective(gen, theta_star)

@@ -2,8 +2,10 @@
 quadratic in any dimension, the heavy-tail location-scale potential, and the
 simplex-perturbation potential.
 
-All closed-form callables are polymorphic over real and complex inputs so that
-complex-step differentiation can be used as an independent oracle in tests.
+Only inverse mirror maps are registered in closed form; ``lambda_mirror``
+derives the mirror map from ``grad``. All closed-form callables are
+polymorphic over real and complex inputs so that complex-step differentiation
+can be used as an independent oracle in tests.
 """
 from __future__ import annotations
 
@@ -19,17 +21,14 @@ def log_reciprocal_generator(lam: float) -> Generator:
     if not lam > -2.0:
         raise ValueError("the -log/2 generator requires lam > -2")
 
-    def mirror(t):
-        return -1.0 / ((2.0 + lam) * t)
-
     return Generator(
         lam=lam,
         domain=Domain.box([0.0], [np.inf], anchor=[1.0]),
         value=lambda t: -0.5 * np.log(t[0]),
         grad=lambda t: np.array([-0.5 / t[0]]),
         hess=lambda t: np.array([[0.5 / t[0] ** 2]]),
-        mirror_closed=mirror,
-        inverse_mirror_closed=mirror,  # involution: eta = -1/((2+lam) t)
+        # involution: the mirror map eta = -1/((2+lam) t) is its own inverse
+        inverse_mirror_closed=lambda e: -1.0 / ((2.0 + lam) * e),
         dual_domain=Domain.box([-np.inf], [0.0], anchor=[-1.0 / (2.0 + lam)]),
         name=f"log_reciprocal(lam={lam})",
         grid=tuple(np.geomspace(0.2, 5.0, 9).reshape(-1, 1)),
@@ -47,7 +46,6 @@ def linear_generator(lam: float) -> Generator:
         value=lambda t: t[0],
         grad=lambda t: np.ones(1),
         hess=lambda t: np.zeros((1, 1)),
-        mirror_closed=lambda t: 1.0 / (1.0 - lam * t),
         inverse_mirror_closed=lambda e: (e - 1.0) / (lam * e),
         dual_domain=Domain.box([0.0], [np.inf], anchor=[1.0]),
         name=f"linear(lam={lam})",
@@ -78,9 +76,6 @@ def quadratic_generator(lam: float, dim: int = 1) -> Generator:
             dual = Domain.box([-np.inf] * dim, [np.inf] * dim, anchor=np.zeros(dim))
         grid_r = 0.85 * radius
 
-    def mirror(t):
-        return t / (1.0 - lam * (t @ t))
-
     def inverse(e):
         r = e @ e
         return e * (2.0 / (1.0 + np.sqrt(1.0 + 4.0 * lam * r)))
@@ -99,7 +94,6 @@ def quadratic_generator(lam: float, dim: int = 1) -> Generator:
         value=lambda t: 0.5 * (t @ t),
         grad=lambda t: np.asarray(t),
         hess=lambda t: np.eye(dim),
-        mirror_closed=mirror,
         inverse_mirror_closed=inverse,
         dual_domain=dual,
         name=f"quadratic(lam={lam}, dim={dim})",
@@ -122,19 +116,11 @@ def pow2(x):
     return np.float_power(x, 2)
 
 
-def student_t_mirror(t, lam: float) -> np.ndarray:
-    """Closed-form mirror map of the Student-t potential, over the last axis:
-    natural coordinates -> the escort moments (mu, mu^2 + sigma^2)."""
-    t = np.asarray(t)
-    t1, t2 = t[..., 0], t[..., 1]
-    return np.stack([-t1 / (2.0 * t2),
-                     ((lam + 1.0) * pow2(t1) - 2.0 * t2) / (2.0 * (lam + 2.0) * pow2(t2))],
-                    axis=-1)
-
-
 def student_t_inverse_mirror(e, lam: float) -> np.ndarray:
-    """Inverse of ``student_t_mirror`` over the last axis; raises DomainError
-    if a row's denominator is not negative (outside the dual domain)."""
+    """Inverse mirror map of the Student-t potential over the last axis: the
+    escort moments (mu, mu^2 + sigma^2) -> natural coordinates; raises
+    DomainError if a row's denominator is not negative (outside the dual
+    domain)."""
     e = np.asarray(e)
     den = 2.0 * (lam + 1.0) * pow2(e[..., 0]) - (lam + 2.0) * e[..., 1]
     if np.any(np.real(den) >= 0.0):
@@ -193,7 +179,6 @@ def student_t_generator(nu: float) -> Generator:
         value=value,
         grad=grad,
         hess=hess,
-        mirror_closed=lambda t: student_t_mirror(t, lam),
         inverse_mirror_closed=lambda e: student_t_inverse_mirror(e, lam),
         dual_domain=Domain(
             lower=np.array([-np.inf, -np.inf]), upper=np.array([np.inf, np.inf]),
@@ -221,7 +206,6 @@ def dirichlet_generator(lam: float, d: int) -> Generator:
         value=lambda t: np.sum(np.log(-t)) / (lam * n),
         grad=lambda t: 1.0 / (lam * n * t),
         hess=lambda t: np.diag(-1.0 / (lam * n * np.asarray(t) ** 2)),
-        mirror_closed=lambda t: 1.0 / (lam * t),
         inverse_mirror_closed=lambda e: 1.0 / (lam * e),
         dual_domain=Domain.box([0.0] * d, [np.inf] * d, anchor=np.ones(d)),
         name=f"dirichlet(lam={lam}, d={d})",

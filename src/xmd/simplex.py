@@ -39,9 +39,10 @@ def barycenter(n: int) -> np.ndarray:
 
 
 def perturb(p, q) -> np.ndarray:
-    """Componentwise product, renormalized (Aitchison addition)."""
+    """Componentwise product, renormalized over the last axis (Aitchison
+    addition), for one point or a batch of rows."""
     r = np.asarray(p, dtype=float) * np.asarray(q, dtype=float)
-    return r / r.sum()
+    return r / r.sum(axis=-1, keepdims=True)
 
 
 def power(alpha: float, p) -> np.ndarray:

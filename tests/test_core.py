@@ -61,19 +61,19 @@ def test_mirror_scalar_rows():
     assert lambda_mirror(log_reciprocal_generator(1.0), [2.0]).eta[0] == pytest.approx(-1.0 / 6.0, abs=1e-14)
     assert lambda_mirror(linear_generator(2.0), [0.0]).eta[0] == pytest.approx(1.0, abs=1e-14)
     assert lambda_mirror(quadratic_generator(-1.0), [0.5]).eta[0] == pytest.approx(0.4, abs=1e-14)
-
-
-@pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.name)
-def test_closed_form_mirror_matches_generic(gen):
-    generic = dataclasses.replace(gen, mirror_closed=None)
-    for theta in gen.grid:
-        closed = lambda_mirror(gen, theta).eta
-        plain = lambda_mirror(generic, theta).eta
-        assert np.max(np.abs(closed - plain)) < 1e-9
+    # eta = 1/(1 - lam*theta): theta = -1, lam = 2 gives 1/3
+    eta = lambda_mirror(linear_generator(2.0), [-1.0]).eta
+    assert eta[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
+    # eta = 1/(lam*theta), componentwise
+    eta = lambda_mirror(dirichlet_generator(-0.5, 2), [-1.0, -4.0]).eta
+    assert np.allclose(eta, [2.0, 0.5], rtol=0.0, atol=1e-14)
+    # eta = theta/(1 - lam*|theta|^2): |theta|^2 = 0.25, lam = -0.4 gives theta/1.1
+    eta = lambda_mirror(quadratic_generator(-0.4, 2), [0.3, -0.4]).eta
+    assert np.allclose(eta, [0.3 / 1.1, -0.4 / 1.1], rtol=0.0, atol=1e-14)
 
 
 def test_mirror_regularity_violation_reports_value():
-    gen = dataclasses.replace(quadratic_generator(2.0), mirror_closed=None)
+    gen = quadratic_generator(2.0)
     # 1 - lam*theta^2 <= 0 at theta = 0.9 for lam = 2
     with pytest.raises(RegularityError, match="1 - lam"):
         lambda_mirror(gen, [0.9])

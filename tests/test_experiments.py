@@ -198,6 +198,13 @@ def test_rank_methods_puts_non_finite_last_in_method_order():
     pytest.param("simplex-compare", ['target="dirichlet"', "target_a=0", "n_steps=2"],
                  id="target_a=0"),
     pytest.param("flow-equivalence", ["dt=2"], id="dt=2"),
+    # alpha values that never move the method, or run one method twice
+    *(pytest.param("simplex-compare", [o, "n_steps=2"], id=o) for o in [
+        "alpha_list=[nan]",
+        "alpha_list=[-inf]",
+        "alpha_list=[0.5, 0.5]",
+        "alpha_list=[0, 0.0]",
+    ]),
 ])
 def test_bad_override_exits_with_status_2(tmp_path, experiment, overrides, capsys):
     argv = [experiment, "--out", str(tmp_path)]

@@ -12,9 +12,9 @@ from xmd.expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState, Stu
                         dirichlet_family, dirichlet_perturb_sample, eta_to_simplex,
                         log_distance, log_loss, online_update, simplex_to_eta,
                         start_state, student_t_coords, student_t_family,
-                        student_t_inverse_mirror, student_t_mirror,
-                        student_t_params, student_t_sample)
-from xmd.generators import quadratic_generator, student_t_lambda
+                        student_t_inverse_mirror, student_t_params,
+                        student_t_sample)
+from xmd.generators import quadratic_generator, student_t_generator, student_t_lambda
 from xmd.rng import substream
 from oracles import (dirichlet_lambda_independence, dirichlet_sampler,
                      escort_expectation_numeric, family_density, fd_grad,
@@ -23,6 +23,7 @@ from oracles import (dirichlet_lambda_independence, dirichlet_sampler,
 
 NU = 3.0
 LAM = student_t_lambda(NU)  # -1/2
+STUDENT_T = student_t_generator(NU)
 
 
 def identity_family():
@@ -171,7 +172,8 @@ def student_t_rows(draw):
     mu = draw(st.floats(-5.0, 5.0))
     sigma = draw(st.floats(0.1, 5.0))
     x = draw(st.floats(-50.0, 50.0))
-    return list(student_t_mirror(student_t_coords(StudentTParams(mu, sigma, NU)), LAM)), [x, x * x]
+    theta = student_t_coords(StudentTParams(mu, sigma, NU))
+    return list(lambda_mirror(STUDENT_T, theta).eta), [x, x * x]
 
 
 @st.composite
@@ -260,8 +262,7 @@ def test_batched_start_state_and_maps_match_rows():
         one = student_t_params(theta, NU)
         assert (params.mu[i], params.sigma[i]) == (one.mu, one.sigma)
         assert isinstance(one.mu, float) and isinstance(one.sigma, float)
-    assert _bits_equal(student_t_mirror(state.theta, LAM),
-                       [student_t_mirror(theta, LAM) for theta in state.theta])
+        assert np.allclose(lambda_mirror(fam.gen, theta).eta, etas[i], rtol=1e-12, atol=1e-12)
     ref = np.array([0.5, 2.0])
     dists = log_distance(np.abs(etas) + 0.5, ref)
     assert dists.shape == (3,)
@@ -301,12 +302,12 @@ def test_student_t_coords_round_trip_grid():
 
 def test_student_t_mirror_values_and_round_trip():
     theta = np.array([0.0, -2.0 / 3.0])
-    eta = student_t_mirror(theta, LAM)
+    eta = lambda_mirror(STUDENT_T, theta).eta
     assert np.allclose(eta, [0.0, 1.0], atol=1e-15)
     for mu in (-1.0, 0.5):
         for sigma in (0.5, 2.0):
             th = student_t_coords(StudentTParams(mu, sigma, NU))
-            e = student_t_mirror(th, LAM)
+            e = lambda_mirror(STUDENT_T, th).eta
             assert np.max(np.abs(student_t_inverse_mirror(e, LAM) - th)) < 1e-12
             # escort closed form: eta = (mu, mu^2 + sigma^2)
             assert np.allclose(e, [mu, mu ** 2 + sigma ** 2], atol=1e-12)
