@@ -56,7 +56,8 @@ class ExperimentConfig:
     n_inits: int = 12
 
     # diagnostics: only flow-equivalence reads dt and t_end; geodesic-check
-    # and lyapunov-suite run fixed instances (t_end 1 and 4, dt 1e-3)
+    # and lyapunov-suite run fixed instances (t_end 1 and 4, dt 1e-3) and
+    # reject any other value of either
     dt: float = 1e-4
     t_end: float = 1.0
 
@@ -96,6 +97,11 @@ class ExperimentConfig:
                 raise ConfigError("dt and t_end must be positive")
             if self.dt > self.t_end:
                 raise ConfigError("dt must not exceed t_end")
+        if self.experiment in ("geodesic-check", "lyapunov-suite"):
+            # config.txt must not record a setting the run ignored
+            if (self.dt, self.t_end) != (ExperimentConfig.dt, ExperimentConfig.t_end):
+                raise ConfigError(f"{self.experiment} runs fixed instances; "
+                                  "dt and t_end cannot be set")
         return self
 
 

@@ -189,8 +189,8 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
         rng_truth = substream(config.seed, TRUTH_STREAM)
         p_star = simplex.sample_simplex(rng_truth, n, config.target_a)
 
-    inits = [simplex.sample_simplex(substream(config.seed, INIT_STREAM + j), n)
-             for j in range(config.n_inits)]
+    inits = np.stack([simplex.sample_simplex(substream(config.seed, INIT_STREAM + j), n)
+                      for j in range(config.n_inits)])
 
     def objective(p):
         return simplex.dirichlet_cost(p, p_star)
@@ -205,21 +205,23 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
     for method, alpha in methods:
         label = method if alpha is None else f"{method}_a{alpha}"
         gen = None if alpha is None else simplex.diversity_generator(alpha)
+        # every initial point is a row of one batch, stepped in lockstep
         curves = np.empty((config.n_inits, config.n_steps + 1))
-        for j, p0 in enumerate(inits):
-            p = p0.copy()
-            curves[j, 0] = objective(p)
-            min_w = float(p.min())
-            for k in range(1, config.n_steps + 1):
-                dk = schedule(k)
-                if gen is None:
-                    p = simplex.step_entropic(p, grad, dk)
-                else:
-                    p = simplex.step_conformal(gen, grad, p, dk)
-                curves[j, k] = objective(p)
-                min_w = min(min_w, float(p.min()))
-            rows.append((label, "" if alpha is None else float(alpha), j,
-                         config.n_steps, float(curves[j, -1]), float(min_w)))
+        p = inits
+        curves[:, 0] = objective(p)
+        min_w = p.min(axis=-1)
+        for k in range(1, config.n_steps + 1):
+            dk = schedule(k)
+            if gen is None:
+                p = simplex.step_entropic(p, grad, dk)
+            else:
+                p = simplex.step_conformal(gen, grad, p, dk)
+            curves[:, k] = objective(p)
+            # fmin skips NaN: a row keeps the least weight of its finite iterates
+            min_w = np.fmin(min_w, p.min(axis=-1))
+        rows.extend((label, "" if alpha is None else float(alpha), j,
+                     config.n_steps, float(curves[j, -1]), float(min_w[j]))
+                    for j in range(config.n_inits))
         mean_curves[label] = curves.mean(axis=0)
         finals[label] = float(curves[:, -1].mean())
 

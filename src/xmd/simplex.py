@@ -10,6 +10,11 @@ mirror map, and the cost
     c(p, q) = log(mean(q/p)) - mean(log(q/p))
 
 is the associated divergence (nonnegative by AM-GM, zero iff p = q).
+
+Every map below except ``as_simplex``, ``sample_simplex``, ``l_divergence``
+and the generators' ``value`` takes one point ``(n,)`` or a batch
+``(batch, n)``, over the last axis: a point is a batch of one, and each row of
+a batch gets the numbers that row alone would.
 """
 from __future__ import annotations
 
@@ -46,32 +51,36 @@ def perturb(p, q) -> np.ndarray:
 
 
 def power(alpha: float, p) -> np.ndarray:
-    """Componentwise power, renormalized (Aitchison scaling); stable in logs."""
+    """Componentwise power, renormalized over the last axis (Aitchison
+    scaling); stable in logs."""
     return _normalize_logs(alpha * np.log(np.maximum(np.asarray(p, dtype=float), WEIGHT_FLOOR)))
 
 
 def _normalize_logs(logw: np.ndarray) -> np.ndarray:
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def neg(p) -> np.ndarray:
     return power(-1.0, p)
 
 
-def dirichlet_cost(p, q) -> float:
+def dirichlet_cost(p, q):
+    """c(p, q) for one point ``(n,)`` or a batch ``(batch, n)`` of either
+    argument, over the last axis: a float for one pair, a ``(batch,)`` array
+    for a batch."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     r = q / p
-    return float(np.log(np.mean(r)) - np.mean(np.log(r)))
+    return np.log(np.mean(r, axis=-1)) - np.mean(np.log(r), axis=-1)
 
 
 def dirichlet_cost_grad(p, p_star) -> np.ndarray:
-    """Euclidean gradient of p -> dirichlet_cost(p, p_star)."""
+    """Euclidean gradient of p -> dirichlet_cost(p, p_star), row by row."""
     p = np.asarray(p, dtype=float)
     p_star = np.asarray(p_star, dtype=float)
     ratio = p_star / p
-    return -ratio / p / ratio.sum() + 1.0 / (p.size * p)
+    return -ratio / p / ratio.sum(axis=-1, keepdims=True) + 1.0 / (p.shape[-1] * p)
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,7 @@ def equal_weighted_generator() -> PortfolioGenerator:
     the identity."""
     return PortfolioGenerator(
         value=lambda p: float(np.mean(np.log(p))),
-        grad=lambda p: 1.0 / (p.size * np.asarray(p, dtype=float)),
+        grad=lambda p: 1.0 / (np.shape(p)[-1] * np.asarray(p, dtype=float)),
         name="equal_weighted",
         inverse_transport=lambda q: np.asarray(q, dtype=float),
     )
@@ -112,7 +121,7 @@ def diversity_generator(alpha: float) -> PortfolioGenerator:
 
     def grad(p):
         p = np.asarray(p, dtype=float)
-        return p ** (alpha - 1.0) / np.sum(p ** alpha)
+        return p ** (alpha - 1.0) / np.sum(p ** alpha, axis=-1, keepdims=True)
 
     return PortfolioGenerator(
         value=value, grad=grad, name=f"diversity({alpha})",
@@ -131,18 +140,25 @@ def l_divergence(gen: PortfolioGenerator, q, p) -> float:
 
 
 def directional_derivs(grad_fn: Callable[[np.ndarray], np.ndarray], p) -> np.ndarray:
-    """<grad f(p), e_i - p> for each vertex direction; p-weighted sum is zero."""
+    """<grad f(p), e_i - p> for each vertex direction; p-weighted sum is zero.
+
+    ``p`` is one point ``(n,)`` or a batch ``(batch, n)``, over the last axis;
+    the result has the shape of p, one row of derivatives per row of p."""
     p = np.asarray(p, dtype=float)
     g = np.asarray(grad_fn(p), dtype=float)
-    return g - float(p @ g)
+    return g - np.vecdot(p, g)[..., None]
 
 
 def portfolio_map(gen: PortfolioGenerator, p) -> np.ndarray:
+    """The portfolio pi(p) = p * (1 + dd phi(p)), renormalized, for one point
+    ``(n,)`` or a batch ``(batch, n)``, over the last axis; the result has the
+    shape of p. A nonpositive weight in any row raises DomainError for the
+    whole call (the named generators give none)."""
     p = np.asarray(p, dtype=float)
     w = p * (1.0 + directional_derivs(gen.grad, p))
     if np.any(w <= 0.0):
         raise DomainError("portfolio produced a nonpositive weight")
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def transport_map(gen: PortfolioGenerator, p) -> np.ndarray:
@@ -159,27 +175,30 @@ def simplex_flow_rhs(gen: PortfolioGenerator, obj_grad, p, q) -> np.ndarray:
 
 def _flow_rhs(obj_grad, p: np.ndarray, q: np.ndarray, pi_neg: np.ndarray) -> np.ndarray:
     dd = directional_derivs(obj_grad, p)
-    weighted = float(np.sum(p ** 2 * dd))
+    weighted = np.sum(p ** 2 * dd, axis=-1, keepdims=True)
     return (-p / pi_neg) * (dd - q * weighted / p ** 2)
 
 
 def _descends(obj_grad, log_p: np.ndarray):
-    """Accept test of the simplex steps from p (``log_p`` = log p): takes
-    p_next if it is finite and strictly positive and the slope of f at p_next
-    along the log-p segment from p, sum_i p'_i dd_i f(p') log(p'_i/p_i), is
-    nonpositive. p_next sums to one, so an infinite weight would have made
-    some weight NaN, which fails the min test."""
+    """Accept test of the simplex steps from p (``log_p`` = log p), row by
+    row: takes a row of p_next if it is finite and strictly positive and the
+    slope of f at it along the log-p segment from p,
+    sum_i p'_i dd_i f(p') log(p'_i/p_i), is nonpositive. p_next sums to one,
+    so an infinite weight would have made some weight NaN, which fails the
+    min test."""
     def accept(p_next):
-        if not p_next.min() > 0.0:
-            return p_next, False
+        positive = p_next.min(axis=-1) > 0.0
         dd = directional_derivs(obj_grad, p_next)
-        return p_next, float(np.sum(p_next * dd * (np.log(p_next) - log_p))) <= 0.0
+        slope = np.sum(p_next * dd * (np.log(p_next) - log_p), axis=-1)
+        return p_next, positive & (slope <= 0.0)
     return accept
 
 
 def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.ndarray:
     """Forward Euler in log q, mapped back through the inverse transport, with
-    step-size control.
+    step-size control, for one point ``(n,)`` or a batch ``(batch, n)`` over
+    the last axis. Returns the next point, or the batch of next rows; each
+    row is stepped, halved and accepted on its own.
 
     A candidate is accepted only if it is finite and strictly positive and the
     slope of f at it along the log-p segment from p is nonpositive; otherwise
@@ -201,8 +220,8 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
     log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
 
     def propose(d):
-        p_next = gen.inverse_transport(_normalize_logs(log_q + d * rhs))
-        return p_next / p_next.sum()
+        p_next = gen.inverse_transport(_normalize_logs(log_q + d[..., None] * rhs))
+        return p_next / p_next.sum(axis=-1, keepdims=True)
 
     return _guarded_step(p, delta, propose, _descends(obj_grad, log_p))[0]
 
@@ -210,6 +229,8 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
 def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
     """Classical mirror step on the simplex, the exponentiated gradient of
     Helmbold et al. (1998): p_i <- p_i * exp(-delta * grad_i f(p)), renormalized.
+    ``p_k`` is one point ``(n,)`` or a batch ``(batch, n)``, over the last
+    axis; returns the next point, or the batch of next rows.
 
     ``obj_grad`` is the Euclidean gradient callable. The step-size control is
     that of ``step_conformal``, through the shared ``flows._guarded_step``.
@@ -220,7 +241,7 @@ def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
     p = np.asarray(p_k, dtype=float)
     log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
     grads = np.asarray(obj_grad(p), dtype=float)
-    return _guarded_step(p, delta, lambda d: _normalize_logs(log_p - d * grads),
+    return _guarded_step(p, delta, lambda d: _normalize_logs(log_p - d[..., None] * grads),
                          _descends(obj_grad, log_p))[0]
 
 

@@ -35,6 +35,11 @@ DIAGNOSTICS_DIGESTS = {
 }
 
 
+# the same digest of simplex-compare at n_steps=50, seed 0, recorded from the
+# runner that stepped one initial point at a time
+SIMPLEX_DIGEST = "eefb4ba0a5daf291e68d8297a83ec5088b6bb9fb28bf10f75ec3e28c74496a45"
+
+
 def output_digest(out_dir):
     digest = hashlib.sha256()
     for name in sorted(os.listdir(out_dir)):
@@ -148,6 +153,13 @@ def test_diagnostics_outputs_are_unchanged(tmp_path, experiment):
 # simplex comparison
 
 
+def test_simplex_outputs_are_unchanged(tmp_path):
+    status = cli.main(["simplex-compare", "--seed", "0", "--out", str(tmp_path),
+                       "--override", "n_steps=50"])
+    assert status == 0
+    assert output_digest(str(tmp_path / "simplex-compare")) == SIMPLEX_DIGEST
+
+
 def test_simplex_compare_fails_on_nan_and_ranks_it_last(tmp_path, monkeypatch):
     monkeypatch.setattr(simplex, "step_entropic",
                         lambda p, obj_grad, delta: np.full_like(p, np.nan))
@@ -198,6 +210,10 @@ def test_rank_methods_puts_non_finite_last_in_method_order():
     pytest.param("simplex-compare", ['target="dirichlet"', "target_a=0", "n_steps=2"],
                  id="target_a=0"),
     pytest.param("flow-equivalence", ["dt=2"], id="dt=2"),
+    # settings that the fixed-instance suites would ignore
+    *(pytest.param(experiment, [o], id=f"{experiment}-{o}")
+      for experiment in ("geodesic-check", "lyapunov-suite")
+      for o in ["dt=1e-3", "t_end=0.5"]),
     # alpha values that never move the method, or run one method twice
     *(pytest.param("simplex-compare", [o, "n_steps=2"], id=o) for o in [
         "alpha_list=[nan]",

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xmd.core import Domain, DomainError, Generator, log_div
+from xmd.flows import MAX_HALVINGS
 from xmd.simplex import (as_simplex, barycenter, dirichlet_cost,
                          dirichlet_cost_grad, directional_derivs,
                          diversity_generator, equal_weighted_generator,
@@ -298,3 +300,58 @@ def test_dirichlet_cost_grad_matches_finite_differences():
         fd = (dirichlet_cost(p + h * (e - p), p_star)
               - dirichlet_cost(p - h * (e - p), p_star)) / (2 * h)
         assert fd == pytest.approx(dd[i], abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# a batch steps each row as that row alone
+
+
+def _counting_grad(p_star):
+    """dirichlet_cost_grad toward p_star, with a count of its calls: a one-row
+    step calls it once at p and once per candidate it tries."""
+    calls = [0]
+
+    def grad(p):
+        calls[0] += 1
+        return dirichlet_cost_grad(p, p_star)
+    return grad, calls
+
+
+def _step(method, grad, p, delta):
+    if method == "entropic":
+        return step_entropic(p, grad, delta)
+    return step_conformal(diversity_generator(method), grad, p, delta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("method", [0.0, 0.5, 0.9, "entropic"])
+def test_batched_step_equals_one_row_steps(method, data):
+    n = data.draw(st.sampled_from([5, 20]))
+    delta = data.draw(st.sampled_from([3.0, 10.0, 30.0]))
+    # at these n and delta every candidate from p_star itself has a positive
+    # round-off slope, so that row is never accepted; the row with its weight
+    # on p_star's lightest coordinate overshoots at the full step and halves
+    p_star = sample_simplex(substream(0, 0), n)
+    far = np.full(n, 1e-3)
+    far[np.argmin(p_star)] = 1.0
+    far = as_simplex(far)
+    logs = st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)
+    drawn = [as_simplex(np.exp(row)) for row in data.draw(st.lists(logs, max_size=6))]
+    order = data.draw(st.permutations(range(len(drawn) + 2)))
+    rows = drawn + [far, p_star]
+    batch = np.array([rows[i] for i in order])
+
+    out = _step(method, _counting_grad(p_star)[0], batch, delta)
+    assert out.shape == batch.shape
+    tries = []
+    for i, row in enumerate(batch):
+        grad, calls = _counting_grad(p_star)
+        one = _step(method, grad, row, delta)
+        assert np.array_equal(out[i], one)
+        tries.append(calls[0] - 1)
+
+    at_far, at_star = order.index(len(drawn)), order.index(len(drawn) + 1)
+    assert 1 < tries[at_far] <= MAX_HALVINGS + 1
+    assert tries[at_star] == MAX_HALVINGS + 1
+    assert np.array_equal(out[at_star], p_star)
