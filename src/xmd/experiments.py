@@ -198,32 +198,48 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
     def grad(p):
         return simplex.dirichlet_cost_grad(p, p_star)
 
-    methods = [("conformal", a) for a in config.alpha_list] + [("entropic", None)]
+    # every (method, initial point) is a row of one batch, method-major, and
+    # the rows step in three groups: the diversity rows with their alpha as a
+    # column, the equal-weighted rows (alpha = 0) and the entropic rows
+    alphas = config.alpha_list
+    methods = [(f"conformal_a{a}", a) for a in alphas] + [("entropic", None)]
+    n_inits = config.n_inits
+
+    def rows_of(indices):
+        return (np.asarray(indices, dtype=int)[:, None] * n_inits + np.arange(n_inits)).ravel()
+
+    diversity = [i for i, a in enumerate(alphas) if a != 0.0]
+    equal = [i for i, a in enumerate(alphas) if a == 0.0]
+    groups = [(rows_of([len(alphas)]), None)]  # None: the entropic step
+    if diversity:
+        column = np.repeat([alphas[i] for i in diversity], n_inits)[:, None]
+        groups.append((rows_of(diversity), simplex.diversity_generator(column)))
+    if equal:
+        groups.append((rows_of(equal), simplex.equal_weighted_generator()))
+
+    p = np.tile(inits, (len(methods), 1))
+    curves = np.empty((len(p), config.n_steps + 1))
+    curves[:, 0] = objective(p)
+    min_w = p.min(axis=-1)
+    for k in range(1, config.n_steps + 1):
+        dk = schedule(k)
+        for idx, gen in groups:
+            p[idx] = (simplex.step_entropic(p[idx], grad, dk) if gen is None
+                      else simplex.step_conformal(gen, grad, p[idx], dk))
+        curves[:, k] = objective(p)
+        # fmin skips NaN: a row keeps the least weight of its finite iterates
+        min_w = np.fmin(min_w, p.min(axis=-1))
+
     rows = []
     mean_curves = {}
     finals = {}
-    for method, alpha in methods:
-        label = method if alpha is None else f"{method}_a{alpha}"
-        gen = None if alpha is None else simplex.diversity_generator(alpha)
-        # every initial point is a row of one batch, stepped in lockstep
-        curves = np.empty((config.n_inits, config.n_steps + 1))
-        p = inits
-        curves[:, 0] = objective(p)
-        min_w = p.min(axis=-1)
-        for k in range(1, config.n_steps + 1):
-            dk = schedule(k)
-            if gen is None:
-                p = simplex.step_entropic(p, grad, dk)
-            else:
-                p = simplex.step_conformal(gen, grad, p, dk)
-            curves[:, k] = objective(p)
-            # fmin skips NaN: a row keeps the least weight of its finite iterates
-            min_w = np.fmin(min_w, p.min(axis=-1))
-        rows.extend((label, "" if alpha is None else float(alpha), j,
-                     config.n_steps, float(curves[j, -1]), float(min_w[j]))
-                    for j in range(config.n_inits))
-        mean_curves[label] = curves.mean(axis=0)
-        finals[label] = float(curves[:, -1].mean())
+    for i, (label, alpha) in enumerate(methods):
+        block = slice(i * n_inits, (i + 1) * n_inits)
+        rows.extend((label, "" if alpha is None else float(alpha), j, config.n_steps,
+                     float(cost), float(least))
+                    for j, (cost, least) in enumerate(zip(curves[block, -1], min_w[block])))
+        mean_curves[label] = curves[block].mean(axis=0)
+        finals[label] = float(curves[block, -1].mean())
 
     summary = RunSummary(experiment=config.experiment)
     summary.files.append(_write_csv(out_dir, "final_costs.csv",

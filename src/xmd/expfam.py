@@ -92,6 +92,7 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
     eta, theta = state.eta, state.theta
     y = _vec(y)
     with np.errstate(all="ignore"):
+        step = y - eta
         if gen.is_bregman:
             factor = np.ones(eta.shape[:-1])
         else:
@@ -100,8 +101,11 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
             if np.any(pi_y <= 0.0):
                 raise DomainError("observation outside the support of the current parameter")
             factor = pi / pi_y
-    x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), delta,
-                               lambda d: eta + (d * factor)[..., None] * (y - eta),
+
+    def propose(d, rows):
+        return eta[rows] + (d * factor[rows])[..., None] * step[rows]
+
+    x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), delta, propose,
                                _dual_accept(gen, theta, model.reflect_dual))
     dim = eta.shape[-1]
     return OnlineState(eta=x[..., :dim], theta=x[..., dim:], k=state.k + 1,

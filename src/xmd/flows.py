@@ -212,52 +212,63 @@ def _guarded_step(x, delta: float, propose, accept):
     """Step each row of x by delta, kept inside its open domain: the step-size
     control of every discrete scheme in the package.
 
-    ``x`` is one point ``(dim,)`` or a batch ``(batch, dim)``. ``propose(d)``
-    gives the candidate rows for the per-row step sizes d; ``accept(cand)``
-    gives the rows to take (the candidates, or repairs such as reflections)
-    and a row mask. Each row takes its first accepted candidate at
-    d = delta * 2**-j, j = 0..MAX_HALVINGS; a GeometryError rejects every
-    pending row at that j. Candidates run under np.errstate(all="ignore"):
-    every accept test rejects non-finite rows. Returns the rows and the mask
-    of rows never accepted, which keep their value from x.
+    ``x`` is one point ``(dim,)`` or a batch ``(batch, dim)``. Each row takes
+    its first accepted candidate at d = delta * 2**-j, j = 0..MAX_HALVINGS.
+    ``propose(d, rows)`` gives the candidate rows for the step sizes d of the
+    rows ``rows``; ``accept(cand, rows)`` gives the rows to take (the
+    candidates, or repairs such as reflections) and a row mask. ``rows``
+    indexes the batch axes of x: ``...`` on the first try, which covers every
+    row, then the index of the rows still pending (still ``...`` for one
+    point), so a retry costs in proportion to the pending rows. Both callables
+    index the per-row state they hold by it, ``state[rows]``, and return rows
+    in the order of ``d``. A GeometryError rejects every row of that try.
+    Candidates run under np.errstate(all="ignore"): every accept test rejects
+    non-finite rows. Returns the rows and the mask of rows never accepted,
+    which keep their value from x.
     """
     d = np.full(x.shape[:-1], float(delta))
     pending = np.ones(d.shape, dtype=bool)
+    rows = ...
     with np.errstate(all="ignore"):
         for _ in range(MAX_HALVINGS + 1):
             try:
-                cand, ok = accept(propose(d))
+                cand, ok = accept(propose(d[rows], rows), rows)
             except GeometryError:
-                cand, ok = x, False
-            take = pending & ok
-            if take.all():  # every row accepted at once: nothing to merge
-                return cand, ~take
-            x = np.where(take[..., None], cand, x)
-            pending = pending & ~take
+                cand, ok = x[rows], False
+            take = pending[rows] & ok
+            if rows is ...:
+                if take.all():  # every row accepted at once: nothing to merge
+                    return cand, ~take
+                x = np.where(take[..., None], cand, x)
+            else:
+                x[rows] = np.where(take[..., None], cand, x[rows])
+            pending[rows] = ~take
             if not pending.any():
                 break
-            d = np.where(pending, 0.5 * d, d)
+            d[pending] *= 0.5
+            rows = np.nonzero(pending) if pending.ndim else ...
     return x, pending
 
 
 def _reflecting(test, reflect):
     """Accept test that repairs by reflection: per row, the rows of
-    ``test(cand)`` where its mask holds, else those of ``test(reflect(cand))``.
-    ``test`` returns (rows, mask); with ``reflect`` None nothing is repaired."""
-    def accept(cand):
-        rows, ok = test(cand)
+    ``test(cand, rows)`` where its mask holds, else those of
+    ``test(reflect(cand), rows)``. ``test`` returns (rows, mask); with
+    ``reflect`` None nothing is repaired."""
+    def accept(cand, rows):
+        taken, ok = test(cand, rows)
         ok = np.asarray(ok)
         if ok.all() or reflect is None:
-            return rows, ok
-        refl_rows, refl_ok = test(reflect(cand))
-        return np.where((~ok & refl_ok)[..., None], refl_rows, rows), ok | refl_ok
+            return taken, ok
+        refl_taken, refl_ok = test(reflect(cand), rows)
+        return np.where((~ok & refl_ok)[..., None], refl_taken, taken), ok | refl_ok
     return accept
 
 
 def _reflect_into(domain: Domain):
     """Accept test of the primal steps: the candidate, else its reflection
     across the violated box faces, if it lies in the domain."""
-    return _reflecting(lambda theta: (theta, domain.contains(theta)), domain.reflect)
+    return _reflecting(lambda theta, rows: (theta, domain.contains(theta)), domain.reflect)
 
 
 def _invert_rows(gen: Generator, eta, theta0):
@@ -289,12 +300,13 @@ def _dual_accept(gen: Generator, theta0, reflect=None):
     """Accept test of the steps in the dual coordinate: per row, the first of
     (eta, its reflection into the dual domain) whose mirror inverse exists,
     taken as the row [eta, theta]. ``reflect`` defaults to the box reflection
-    of the dual domain; inversions are seeded at theta0."""
+    of the dual domain; the inversions of a row are seeded at its row of
+    theta0."""
     if reflect is None and gen.dual_domain is not None:
         reflect = gen.dual_domain.reflect
 
-    def test(eta):
-        theta, ok = _invert_rows(gen, eta, theta0)
+    def test(eta, rows):
+        theta, ok = _invert_rows(gen, eta, theta0[rows])
         return np.concatenate([eta, theta], axis=-1), ok
     return _reflecting(test, reflect)
 
@@ -304,7 +316,7 @@ def step_primal_euler(gen: Generator, obj: Objective, theta_k, delta: float) -> 
     if delta == 0.0:
         return theta_k.copy()
     direction = rhs_primal(gen, obj, theta_k)
-    theta, failed = _guarded_step(theta_k, delta, lambda d: theta_k + d * direction,
+    theta, failed = _guarded_step(theta_k, delta, lambda d, rows: theta_k + d * direction,
                                   _reflect_into(gen.domain))
     if failed:
         raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
@@ -318,7 +330,7 @@ def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float
         return pair
     direction = rhs_dual(gen, obj, pair)
     x, failed = _guarded_step(np.concatenate([pair.eta, pair.theta]), delta,
-                              lambda d: pair.eta + d * direction,
+                              lambda d, rows: pair.eta + d * direction,
                               _dual_accept(gen, pair.theta))
     if failed:
         raise SolverError("dual step infeasible after halving")
@@ -336,7 +348,7 @@ def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) 
     w = conformal_weight(gen, theta_k)
     df = _vec(obj.grad(theta_k))
     theta, failed = _guarded_step(
-        theta_k, delta, lambda d: theta_of_zeta(gen, zeta_k - d * w * df, theta0=theta_k),
+        theta_k, delta, lambda d, rows: theta_of_zeta(gen, zeta_k - d * w * df, theta0=theta_k),
         _reflect_into(gen.domain))
     if failed:
         raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")

@@ -14,7 +14,10 @@ is the associated divergence (nonnegative by AM-GM, zero iff p = q).
 Every map below except ``as_simplex``, ``sample_simplex``, ``l_divergence``
 and the generators' ``value`` takes one point ``(n,)`` or a batch
 ``(batch, n)``, over the last axis: a point is a batch of one, and each row of
-a batch gets the numbers that row alone would.
+a batch gets the numbers that row alone would. That holds across generators
+too: ``diversity_generator`` takes a column of exponents, one per row, so one
+``step_conformal`` call steps rows of several diversity exponents, each row
+with the bits of its own generator.
 """
 from __future__ import annotations
 
@@ -87,14 +90,16 @@ def dirichlet_cost_grad(p, p_star) -> np.ndarray:
 class PortfolioGenerator:
     """An exponentially concave function on the simplex with its gradient.
 
-    ``inverse_transport`` inverts q = transport_map(gen, p) when a closed form
-    exists (it does for both named families below).
+    ``inverse_transport(q, rows)`` inverts q = transport_map(gen, p) when a
+    closed form exists (it does for both named families below); ``rows``
+    indexes the rows of the generator's batch that q holds, as
+    ``flows._guarded_step`` passes them, and defaults to all of them.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
-    inverse_transport: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    inverse_transport: Optional[Callable[..., np.ndarray]] = None
 
 
 def equal_weighted_generator() -> PortfolioGenerator:
@@ -104,29 +109,64 @@ def equal_weighted_generator() -> PortfolioGenerator:
         value=lambda p: float(np.mean(np.log(p))),
         grad=lambda p: 1.0 / (np.shape(p)[-1] * np.asarray(p, dtype=float)),
         name="equal_weighted",
-        inverse_transport=lambda q: np.asarray(q, dtype=float),
+        inverse_transport=lambda q, rows=...: np.asarray(q, dtype=float),
     )
 
 
-def diversity_generator(alpha: float) -> PortfolioGenerator:
+def diversity_generator(alpha) -> PortfolioGenerator:
     """phi(p) = log(sum p^alpha)/alpha for alpha < 1; the portfolio map is the
-    alpha-powering and the transport a dilation by (1 - alpha)."""
-    if alpha >= 1.0:
+    alpha-powering and the transport a dilation by (1 - alpha).
+
+    ``alpha`` is one exponent or a column ``(batch, 1)`` of them, one per row
+    of the batches that ``grad`` and ``inverse_transport`` then take: row i
+    gets the bits of ``diversity_generator(alpha[i, 0])`` (see ``_pow``).
+    ``value`` takes one point and a scalar alpha. alpha = 0 is the
+    equal-weighted generator, which a column cannot hold: its transport is
+    the identity, not a powering by 1.
+    """
+    a = np.asarray(alpha, dtype=float)
+    if np.any(a >= 1.0):
         raise ValueError("diversity exponent must be < 1")
-    if alpha == 0.0:
+    if a.ndim == 0 and a == 0.0:
         return equal_weighted_generator()
+    if np.any(a == 0.0):
+        raise ValueError("a column of diversity exponents cannot hold 0; "
+                         "use equal_weighted_generator for those rows")
+    dilation = 1.0 / (1.0 - a)
 
     def value(p):
         return float(np.log(np.sum(np.asarray(p, dtype=float) ** alpha)) / alpha)
 
     def grad(p):
         p = np.asarray(p, dtype=float)
-        return p ** (alpha - 1.0) / np.sum(p ** alpha, axis=-1, keepdims=True)
+        return _pow(p, a - 1.0) / np.sum(_pow(p, a), axis=-1, keepdims=True)
 
-    return PortfolioGenerator(
-        value=value, grad=grad, name=f"diversity({alpha})",
-        inverse_transport=lambda q: power(1.0 / (1.0 - alpha), q),
-    )
+    def inverse_transport(q, rows=...):
+        return power(dilation if a.ndim == 0 else dilation[rows], q)
+
+    name = f"diversity({alpha})" if a.ndim == 0 else f"diversity({a.size} rows)"
+    return PortfolioGenerator(value=value, grad=grad, name=name,
+                              inverse_transport=inverse_transport)
+
+
+def _pow(p: np.ndarray, a) -> np.ndarray:
+    """p ** a for one exponent or a column ``(batch, 1)`` of them, with each
+    row rounded as the scalar ``p ** a`` rounds. numpy's ``**`` with a scalar
+    exponent computes -1 as a reciprocal, 0.5 as a square root and 2 as a
+    square; an exponent array goes through ``pow``, which differs from those
+    in the last bit (from sqrt for about 5% of elements). The rows of those
+    exponents take the same fast path here (``generators.pow2`` is the
+    converse: it keeps a square on ``pow``)."""
+    out = p ** a
+    if np.ndim(a) == 0:
+        return out
+    col = np.asarray(a)[..., 0]
+    p = np.broadcast_to(p, out.shape)
+    for exponent, fast in ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square)):
+        rows = col == exponent
+        if rows.any():
+            out[rows] = fast(p[rows])
+    return out
 
 
 def l_divergence(gen: PortfolioGenerator, q, p) -> float:
@@ -152,13 +192,13 @@ def directional_derivs(grad_fn: Callable[[np.ndarray], np.ndarray], p) -> np.nda
 def portfolio_map(gen: PortfolioGenerator, p) -> np.ndarray:
     """The portfolio pi(p) = p * (1 + dd phi(p)), renormalized, for one point
     ``(n,)`` or a batch ``(batch, n)``, over the last axis; the result has the
-    shape of p. A nonpositive weight in any row raises DomainError for the
-    whole call (the named generators give none)."""
+    shape of p. A row with a weight that is not positive and finite, which
+    round-off can give at a large negative alpha, is NaN: the rows that are
+    not all finite are the rows where the map fails."""
     p = np.asarray(p, dtype=float)
     w = p * (1.0 + directional_derivs(gen.grad, p))
-    if np.any(w <= 0.0):
-        raise DomainError("portfolio produced a nonpositive weight")
-    return w / w.sum(axis=-1, keepdims=True)
+    valid = np.all((w > 0.0) & np.isfinite(w), axis=-1, keepdims=True)
+    return np.where(valid, w / w.sum(axis=-1, keepdims=True), np.nan)
 
 
 def transport_map(gen: PortfolioGenerator, p) -> np.ndarray:
@@ -181,15 +221,15 @@ def _flow_rhs(obj_grad, p: np.ndarray, q: np.ndarray, pi_neg: np.ndarray) -> np.
 
 def _descends(obj_grad, log_p: np.ndarray):
     """Accept test of the simplex steps from p (``log_p`` = log p), row by
-    row: takes a row of p_next if it is finite and strictly positive and the
-    slope of f at it along the log-p segment from p,
-    sum_i p'_i dd_i f(p') log(p'_i/p_i), is nonpositive. p_next sums to one,
-    so an infinite weight would have made some weight NaN, which fails the
-    min test."""
-    def accept(p_next):
+    row, for the rows ``rows`` of p (see ``flows._guarded_step``): takes a
+    row of p_next if it is finite and strictly positive and the slope of f at
+    it along the log-p segment from p, sum_i p'_i dd_i f(p') log(p'_i/p_i), is
+    nonpositive. p_next sums to one, so an infinite weight would have made
+    some weight NaN, which fails the min test."""
+    def accept(p_next, rows):
         positive = p_next.min(axis=-1) > 0.0
         dd = directional_derivs(obj_grad, p_next)
-        slope = np.sum(p_next * dd * (np.log(p_next) - log_p), axis=-1)
+        slope = np.sum(p_next * dd * (np.log(p_next) - log_p[rows]), axis=-1)
         return p_next, positive & (slope <= 0.0)
     return accept
 
@@ -208,7 +248,12 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
     it is log-sum-exp in log p plus a linear term, and for both named
     generators the candidates trace a straight line in log p). If no
     candidate is accepted, p is stationary to round-off and is returned
-    unchanged.
+    unchanged. A row whose portfolio map fails (see ``portfolio_map``) is
+    returned as NaN; the other rows are stepped as without it.
+
+    ``gen`` may hold per-row parameters, as a ``diversity_generator`` column
+    does: the halvings propose only the rows still pending, and pass their
+    index to ``gen.inverse_transport``.
     """
     if gen.inverse_transport is None:
         raise DomainError(f"generator {gen.name!r} has no registered inverse transport")
@@ -219,11 +264,13 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
     log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
     log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
 
-    def propose(d):
-        p_next = gen.inverse_transport(_normalize_logs(log_q + d[..., None] * rhs))
+    def propose(d, rows):
+        p_next = gen.inverse_transport(_normalize_logs(log_q[rows] + d[..., None] * rhs[rows]),
+                                       rows)
         return p_next / p_next.sum(axis=-1, keepdims=True)
 
-    return _guarded_step(p, delta, propose, _descends(obj_grad, log_p))[0]
+    p_next = _guarded_step(p, delta, propose, _descends(obj_grad, log_p))[0]
+    return np.where(np.isnan(pi_neg).any(axis=-1, keepdims=True), np.nan, p_next)
 
 
 def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
@@ -241,7 +288,8 @@ def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
     p = np.asarray(p_k, dtype=float)
     log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
     grads = np.asarray(obj_grad(p), dtype=float)
-    return _guarded_step(p, delta, lambda d: _normalize_logs(log_p - d[..., None] * grads),
+    return _guarded_step(p, delta,
+                         lambda d, rows: _normalize_logs(log_p[rows] - d[..., None] * grads[rows]),
                          _descends(obj_grad, log_p))[0]
 
 

@@ -35,9 +35,18 @@ DIAGNOSTICS_DIGESTS = {
 }
 
 
-# the same digest of simplex-compare at n_steps=50, seed 0, recorded from the
-# runner that stepped one initial point at a time
-SIMPLEX_DIGEST = "eefb4ba0a5daf291e68d8297a83ec5088b6bb9fb28bf10f75ec3e28c74496a45"
+# the same digest of simplex-compare, keyed by its arguments: at n_steps=50,
+# seed 0, recorded from the runner that stepped one initial point at a time;
+# the second, which steps alpha = -1 (a reciprocal in numpy's ** fast path),
+# 0 (the equal-weighted generator) and 0.5 (a square root) toward a Dirichlet
+# target, from the runner that stepped one method at a time
+SIMPLEX_DIGESTS = {
+    ("--seed", "0", "--override", "n_steps=50"):
+        "eefb4ba0a5daf291e68d8297a83ec5088b6bb9fb28bf10f75ec3e28c74496a45",
+    ("--seed", "1", "--override", "alpha_list=[-1.0,0.0,0.5,0.9]",
+     "--override", "target=dirichlet", "--override", "n_steps=200"):
+        "6f6b6b967590806847b1513d5fd11eb246734d9616ec36bc6057c95f4aee38fe",
+}
 
 
 def output_digest(out_dir):
@@ -154,10 +163,35 @@ def test_diagnostics_outputs_are_unchanged(tmp_path, experiment):
 
 
 def test_simplex_outputs_are_unchanged(tmp_path):
-    status = cli.main(["simplex-compare", "--seed", "0", "--out", str(tmp_path),
-                       "--override", "n_steps=50"])
-    assert status == 0
-    assert output_digest(str(tmp_path / "simplex-compare")) == SIMPLEX_DIGEST
+    for i, (args, digest) in enumerate(SIMPLEX_DIGESTS.items()):
+        out = tmp_path / str(i)
+        assert cli.main(["simplex-compare", "--out", str(out), *args]) == 0
+        assert output_digest(str(out / "simplex-compare")) == digest, args
+
+
+def test_simplex_compare_fails_a_bad_alpha_alone(tmp_path, capsys):
+    # at alpha = -50 the portfolio map gives some initial points a nonpositive
+    # weight (round-off): those rows turn NaN and fail the run, and the rows
+    # of the other methods, stepped in the same batch, keep their bits
+    argv = ["simplex-compare", "--override", "n_steps=20", "--override"]
+    assert cli.main([*argv, "alpha_list=[-50.0, 0.5]", "--out", str(tmp_path / "bad")]) == 1
+    assert "simplex-compare: FAIL" in capsys.readouterr().out
+    assert cli.main([*argv, "alpha_list=[0.5]", "--out", str(tmp_path / "good")]) == 0
+    bad = read_rows(tmp_path / "bad" / "simplex-compare" / "final_costs.csv")
+    good = read_rows(tmp_path / "good" / "simplex-compare" / "final_costs.csv")
+    assert any(row[4] == "nan" for row in bad if row[0] == "conformal_a-50.0")
+    assert [row for row in bad if row[0] != "conformal_a-50.0"] == good
+    with open(tmp_path / "bad" / "simplex-compare" / "summary.json") as fh:
+        metrics = json.load(fh)["metrics"]
+    assert np.isnan(metrics["final_mean_costs"]["conformal_a-50.0"])
+    assert metrics["ranking"][-1] == "conformal_a-50.0"
+
+
+def test_simplex_compare_runs_entropic_alone(tmp_path):
+    summary, out_dir = run(tmp_path, "simplex-compare", n_steps=20, alpha_list=[])
+    assert list(summary.metrics["final_mean_costs"]) == ["entropic"]
+    assert {row[0] for row in read_rows(os.path.join(out_dir, "final_costs.csv"))} == {"entropic"}
+    assert summary.passed
 
 
 def test_simplex_compare_fails_on_nan_and_ranks_it_last(tmp_path, monkeypatch):

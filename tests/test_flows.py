@@ -237,31 +237,42 @@ def test_guarded_step_takes_each_rows_first_accepted_halving():
     # row i accepts a step d only while d <= limit[i]; the last row never does
     x = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
     limit = np.array([1.0, 0.3, 1e-3, -1.0])
+    direction = np.array([1.0, -2.0])
     tried = []
 
-    def propose(d):
-        tried.append(d.copy())
-        return x + d[:, None] * np.array([1.0, -2.0])
+    def propose(d, rows):
+        tried.append((rows, d.copy()))
+        return x[rows] + d[:, None] * direction
 
-    out, failed = _guarded_step(x, 1.0, propose,
-                                lambda cand: (cand, cand[:, 0] - x[:, 0] <= limit))
+    def accept(cand, rows):
+        return cand, cand[:, 0] - x[rows][:, 0] <= limit[rows]
+
+    out, failed = _guarded_step(x, 1.0, propose, accept)
     for i, j in enumerate([0, 2, 10]):
-        assert np.array_equal(out[i], propose(np.full(4, 2.0 ** -j))[i])
+        assert np.array_equal(out[i], x[i] + 2.0 ** -j * direction)
     assert np.array_equal(out[3], x[3])
     assert failed.tolist() == [False, False, False, True]
-    # only the rows not yet accepted halve
-    assert tried[MAX_HALVINGS].tolist() == [1.0, 0.25, 2.0 ** -10, 2.0 ** -MAX_HALVINGS]
+    # the first try covers the batch; each retry proposes only the rows not yet
+    # accepted, each at half its last step
+    assert len(tried) == MAX_HALVINGS + 1
+    assert tried[0][0] is ... and tried[0][1].tolist() == [1.0] * 4
+    first_accepted = [0, 2, 10, MAX_HALVINGS + 1]
+    for j, (rows, d) in enumerate(tried[1:], start=1):
+        pending = [i for i, a in enumerate(first_accepted) if a >= j]
+        assert np.concatenate(rows).tolist() == pending
+        assert d.tolist() == [2.0 ** -j] * len(pending)
 
 
 def test_guarded_step_counts_a_geometry_error_as_a_rejection():
     x = np.array([1.0, 2.0])
 
-    def propose(d):
+    def propose(d, rows):
+        assert rows is ...
         if d > 0.1:
             raise DomainError("step too long")
         return x + d
 
-    out, failed = _guarded_step(x, 1.0, propose, lambda cand: (cand, True))
+    out, failed = _guarded_step(x, 1.0, propose, lambda cand, rows: (cand, True))
     assert np.array_equal(out, x + 2.0 ** -4)
     assert not failed
 

@@ -12,7 +12,7 @@ from xmd.simplex import (as_simplex, barycenter, dirichlet_cost,
                          diversity_generator, equal_weighted_generator,
                          l_divergence, neg, perturb, portfolio_map, power,
                          sample_simplex, simplex_flow_rhs, step_conformal,
-                         step_entropic, transport_map)
+                         step_entropic, transport_map, _pow)
 from xmd.rng import INIT_STREAM, substream
 from oracles import step_multiplicative
 
@@ -318,14 +318,14 @@ def _counting_grad(p_star):
 
 
 def _step(method, grad, p, delta):
-    if method == "entropic":
+    if isinstance(method, str):
         return step_entropic(p, grad, delta)
     return step_conformal(diversity_generator(method), grad, p, delta)
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("method", [0.0, 0.5, 0.9, "entropic"])
+@pytest.mark.parametrize("method", [0.0, 0.5, 0.9, "entropic", "alpha column"])
 def test_batched_step_equals_one_row_steps(method, data):
     n = data.draw(st.sampled_from([5, 20]))
     delta = data.draw(st.sampled_from([3.0, 10.0, 30.0]))
@@ -341,13 +341,22 @@ def test_batched_step_equals_one_row_steps(method, data):
     order = data.draw(st.permutations(range(len(drawn) + 2)))
     rows = drawn + [far, p_star]
     batch = np.array([rows[i] for i in order])
+    # the alpha column steps each row with its own exponent, the one-row steps
+    # with that exponent's own generator
+    if method == "alpha column":
+        methods = data.draw(st.lists(st.sampled_from([-1.0, 0.1, 0.5, 0.9]),
+                                     min_size=len(batch), max_size=len(batch)))
+        batch_method = np.array(methods)[:, None]
+    else:
+        methods = [method] * len(batch)
+        batch_method = method
 
-    out = _step(method, _counting_grad(p_star)[0], batch, delta)
+    out = _step(batch_method, _counting_grad(p_star)[0], batch, delta)
     assert out.shape == batch.shape
     tries = []
     for i, row in enumerate(batch):
         grad, calls = _counting_grad(p_star)
-        one = _step(method, grad, row, delta)
+        one = _step(methods[i], grad, row, delta)
         assert np.array_equal(out[i], one)
         tries.append(calls[0] - 1)
 
@@ -355,3 +364,39 @@ def test_batched_step_equals_one_row_steps(method, data):
     assert 1 < tries[at_far] <= MAX_HALVINGS + 1
     assert tries[at_star] == MAX_HALVINGS + 1
     assert np.array_equal(out[at_star], p_star)
+
+
+def test_pow_rounds_each_row_as_its_scalar_power():
+    # numpy's scalar ** takes a reciprocal at -1, sqrt at 0.5 and a square at
+    # 2; an exponent column goes through pow unless _pow routes those rows
+    exponents = [-1.0, 0.5, 2.0, 0.1, -0.9]
+    rng = substream(21, 0)
+    p = np.array([sample_simplex(rng, 20) for _ in range(200)])
+    a = np.array(exponents * 40)[:, None]
+    out = _pow(p, a)
+    for i, row in enumerate(p):
+        assert np.array_equal(out[i], row ** a[i, 0])
+    assert np.array_equal(_pow(p, 0.5), p ** 0.5)
+
+
+def test_alpha_column_rejects_zero_and_one():
+    with pytest.raises(ValueError):
+        diversity_generator(np.array([[0.5], [0.0]]))
+    with pytest.raises(ValueError):
+        diversity_generator(np.array([[0.5], [1.0]]))
+
+
+def test_a_failing_portfolio_row_is_non_finite_and_leaves_the_others():
+    # at alpha = -50 the lightest weights dominate the gradient, and 1 + dd_i
+    # rounds to zero at the others, of this point and of its negation
+    p = sample_simplex(substream(0, INIT_STREAM), 20)
+    batch = np.array([p, p])
+    gen = diversity_generator(np.array([[-50.0], [0.5]]))
+    pi = portfolio_map(gen, batch)
+    assert np.isnan(pi[0]).all()
+    assert np.array_equal(pi[1], portfolio_map(diversity_generator(0.5), p))
+    grad = lambda q: dirichlet_cost_grad(q, barycenter(20))
+    out = step_conformal(gen, grad, batch, 0.1)
+    assert np.isnan(out[0]).all()
+    assert np.array_equal(out[1], step_conformal(diversity_generator(0.5), grad, p, 0.1))
+    assert np.isnan(step_conformal(diversity_generator(-50.0), grad, p, 0.1)).all()
