@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -169,7 +170,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -194,8 +195,8 @@ def _build(data: dict) -> ExperimentConfig:
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         if f.type == "int" and isinstance(value, float):
-            if value != int(value):
-                raise ConfigError(f"{key}: expected an integer")
+            if not (math.isfinite(value) and value == int(value)):
+                raise ConfigError(f"{key}: expected an integer, got {value!r}")
             value = int(value)
         if f.type == "str" and not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
@@ -205,8 +206,8 @@ def _build(data: dict) -> ExperimentConfig:
         if f.type == "list" and not (isinstance(value, list)
                                      and all(_is_number(x) for x in value)):
             raise ConfigError(f"{key}: expected a list of numbers")
-        if f.type == "list" and any(isinstance(x, float) and not math.isfinite(x)
-                                    for x in value):
+        # also rejects an int beyond the float range, which would overflow later
+        if f.type == "list" and not all(abs(x) <= sys.float_info.max for x in value):
             raise ConfigError(f"{key}: expected finite numbers, got {value!r}")
         coerced[key] = value
     return ExperimentConfig(**coerced).validate()

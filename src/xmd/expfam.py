@@ -81,7 +81,8 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
     of states updated in lockstep; ``y`` is one observation per row or one
     shared by all rows.
 
-    Through the shared guarded step ``flows._guarded_step``, each row tries its
+    Each row steps eta along y - eta with its own step size delta * pi / pi_y,
+    through the shared guarded step ``flows._guarded_step``: a row tries its
     candidate, then the candidate reflected into the dual domain; a row for
     which neither is feasible halves its step, and after MAX_HALVINGS halvings
     it skips the observation; ``skipped`` counts the skipped rows over all
@@ -94,18 +95,14 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
     with np.errstate(all="ignore"):
         step = y - eta
         if gen.is_bregman:
-            factor = np.ones(eta.shape[:-1])
+            rate = delta
         else:
             pi = 1.0 + model.lam * np.vecdot(theta, eta)
             pi_y = 1.0 + model.lam * np.vecdot(theta, y)
             if np.any(pi_y <= 0.0):
                 raise DomainError("observation outside the support of the current parameter")
-            factor = pi / pi_y
-
-    def propose(d, rows):
-        return eta[rows] + (d * factor[rows])[..., None] * step[rows]
-
-    x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), delta, propose,
+            rate = delta * (pi / pi_y)
+    x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), eta, step, rate,
                                _dual_accept(gen, theta, model.reflect_dual))
     dim = eta.shape[-1]
     return OnlineState(eta=x[..., :dim], theta=x[..., dim:], k=state.k + 1,

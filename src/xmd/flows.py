@@ -208,31 +208,33 @@ def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndar
 # forward-Euler steps in the three coordinate systems
 
 
-def _guarded_step(x, delta: float, propose, accept):
-    """Step each row of x by delta, kept inside its open domain: the step-size
-    control of every discrete scheme in the package.
+def _guarded_step(x, base, direction, delta, accept, finish=None):
+    """Step each row of x by base + d * direction, kept inside its open
+    domain: the step-size control of every discrete scheme in the package.
 
-    ``x`` is one point ``(dim,)`` or a batch ``(batch, dim)``. Each row takes
-    its first accepted candidate at d = delta * 2**-j, j = 0..MAX_HALVINGS.
-    ``propose(d, rows)`` gives the candidate rows for the step sizes d of the
-    rows ``rows``; ``accept(cand, rows)`` gives the rows to take (the
-    candidates, or repairs such as reflections) and a row mask. ``rows``
-    indexes the batch axes of x: ``...`` on the first try, which covers every
-    row, then the index of the rows still pending (still ``...`` for one
-    point), so a retry costs in proportion to the pending rows. Both callables
-    index the per-row state they hold by it, ``state[rows]``, and return rows
-    in the order of ``d``. A GeometryError rejects every row of that try.
-    Candidates run under np.errstate(all="ignore"): every accept test rejects
-    non-finite rows. Returns the rows and the mask of rows never accepted,
-    which keep their value from x.
+    ``x`` is one point ``(dim,)`` or a batch ``(batch, dim)``, and ``base``
+    and ``direction`` have one row per row of x. ``delta`` is one step size
+    or one per row; each row takes its first accepted candidate at
+    d = delta * 2**-j, j = 0..MAX_HALVINGS. A try maps z = base + d * direction
+    by ``finish(z, rows)``, if given, and ``accept(cand, rows)`` gives the rows
+    to take (the candidates, or repairs such as reflections) and a row mask.
+    ``rows`` indexes the batch axes of x: ``...`` on the first try, which
+    covers every row, then the index of the rows still pending (still ``...``
+    for one point), so a retry forms and tests only the pending rows. Both
+    callables index the per-row state they hold by it, ``state[rows]``. A
+    GeometryError rejects every row of that try. Candidates run under
+    np.errstate(all="ignore"): every accept test rejects non-finite rows.
+    Returns the rows and the mask of rows never accepted, which keep their
+    value from x.
     """
-    d = np.full(x.shape[:-1], float(delta))
+    d = np.full(x.shape[:-1], delta, dtype=float)
     pending = np.ones(d.shape, dtype=bool)
     rows = ...
     with np.errstate(all="ignore"):
         for _ in range(MAX_HALVINGS + 1):
             try:
-                cand, ok = accept(propose(d[rows], rows), rows)
+                z = base[rows] + d[rows][..., None] * direction[rows]
+                cand, ok = accept(finish(z, rows) if finish else z, rows)
             except GeometryError:
                 cand, ok = x[rows], False
             take = pending[rows] & ok
@@ -316,8 +318,7 @@ def step_primal_euler(gen: Generator, obj: Objective, theta_k, delta: float) -> 
     if delta == 0.0:
         return theta_k.copy()
     direction = rhs_primal(gen, obj, theta_k)
-    theta, failed = _guarded_step(theta_k, delta, lambda d, rows: theta_k + d * direction,
-                                  _reflect_into(gen.domain))
+    theta, failed = _guarded_step(theta_k, theta_k, direction, delta, _reflect_into(gen.domain))
     if failed:
         raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
     return theta
@@ -329,9 +330,8 @@ def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float
     if delta == 0.0:
         return pair
     direction = rhs_dual(gen, obj, pair)
-    x, failed = _guarded_step(np.concatenate([pair.eta, pair.theta]), delta,
-                              lambda d, rows: pair.eta + d * direction,
-                              _dual_accept(gen, pair.theta))
+    x, failed = _guarded_step(np.concatenate([pair.eta, pair.theta]), pair.eta, direction,
+                              delta, _dual_accept(gen, pair.theta))
     if failed:
         raise SolverError("dual step infeasible after halving")
     eta, theta = np.split(x, 2)
@@ -347,9 +347,8 @@ def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) 
     zeta_k = zeta_of(gen, theta_k)
     w = conformal_weight(gen, theta_k)
     df = _vec(obj.grad(theta_k))
-    theta, failed = _guarded_step(
-        theta_k, delta, lambda d, rows: theta_of_zeta(gen, zeta_k - d * w * df, theta0=theta_k),
-        _reflect_into(gen.domain))
+    theta, failed = _guarded_step(theta_k, zeta_k, -df, delta * w, _reflect_into(gen.domain),
+                                  lambda zeta, rows: theta_of_zeta(gen, zeta, theta0=theta_k))
     if failed:
         raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
     return theta

@@ -92,8 +92,8 @@ class PortfolioGenerator:
 
     ``inverse_transport(q, rows)`` inverts q = transport_map(gen, p) when a
     closed form exists (it does for both named families below); ``rows``
-    indexes the rows of the generator's batch that q holds, as
-    ``flows._guarded_step`` passes them, and defaults to all of them.
+    indexes the rows of the generator's batch that q holds, the rows pending
+    in a try of ``flows._guarded_step``, and defaults to all of them.
     """
 
     value: Callable[[np.ndarray], float]
@@ -251,9 +251,9 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
     unchanged. A row whose portfolio map fails (see ``portfolio_map``) is
     returned as NaN; the other rows are stepped as without it.
 
-    ``gen`` may hold per-row parameters, as a ``diversity_generator`` column
-    does: the halvings propose only the rows still pending, and pass their
-    index to ``gen.inverse_transport``.
+    Each try steps log q by d * rhs and maps the pending rows back through
+    ``gen.inverse_transport`` with their index, so ``gen`` may hold per-row
+    parameters, as a ``diversity_generator`` column does.
     """
     if gen.inverse_transport is None:
         raise DomainError(f"generator {gen.name!r} has no registered inverse transport")
@@ -264,12 +264,11 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
     log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
     log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
 
-    def propose(d, rows):
-        p_next = gen.inverse_transport(_normalize_logs(log_q[rows] + d[..., None] * rhs[rows]),
-                                       rows)
+    def finish(log_q_next, rows):
+        p_next = gen.inverse_transport(_normalize_logs(log_q_next), rows)
         return p_next / p_next.sum(axis=-1, keepdims=True)
 
-    p_next = _guarded_step(p, delta, propose, _descends(obj_grad, log_p))[0]
+    p_next = _guarded_step(p, log_q, rhs, delta, _descends(obj_grad, log_p), finish)[0]
     return np.where(np.isnan(pi_neg).any(axis=-1, keepdims=True), np.nan, p_next)
 
 
@@ -280,7 +279,8 @@ def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
     axis; returns the next point, or the batch of next rows.
 
     ``obj_grad`` is the Euclidean gradient callable. The step-size control is
-    that of ``step_conformal``, through the shared ``flows._guarded_step``.
+    that of ``step_conformal``, through the shared ``flows._guarded_step``:
+    each try steps log p by -d * grad f and renormalizes.
     The candidates lie on a line in log p up to normalization, so f does not
     increase when it is scale-invariant and convex along such lines, as the
     Dirichlet cost is.
@@ -288,9 +288,8 @@ def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
     p = np.asarray(p_k, dtype=float)
     log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
     grads = np.asarray(obj_grad(p), dtype=float)
-    return _guarded_step(p, delta,
-                         lambda d, rows: _normalize_logs(log_p[rows] - d[..., None] * grads[rows]),
-                         _descends(obj_grad, log_p))[0]
+    return _guarded_step(p, log_p, -grads, delta, _descends(obj_grad, log_p),
+                         lambda log_p_next, rows: _normalize_logs(log_p_next))[0]
 
 
 def sample_simplex(rng: np.random.Generator, n: int, concentration: float = 1.0) -> np.ndarray:

@@ -231,6 +231,11 @@ def test_rank_methods_puts_non_finite_last_in_method_order():
         "seed=true",
         "nu=nan",
         "nu=1" + "0" * 400,
+        # a non-finite number for an integer key
+        "n=1e400",
+        "n_inits=-inf",
+        "seed=1e400",
+        "n_steps=nan",
         "mu0=abc",
         "alpha_list=[0.1, x]",
         "out=3",
@@ -252,6 +257,7 @@ def test_rank_methods_puts_non_finite_last_in_method_order():
     *(pytest.param("simplex-compare", [o, "n_steps=2"], id=o) for o in [
         "alpha_list=[nan]",
         "alpha_list=[-inf]",
+        "alpha_list=[-1" + "0" * 400 + "]",
         "alpha_list=[0.5, 0.5]",
         "alpha_list=[0, 0.0]",
     ]),
@@ -302,6 +308,10 @@ def test_bad_config_file_exits_with_status_2(tmp_path, capsys):
     path.write_text('experiment = "dirichlet-online"\nn_steps = "many"\n')
     assert cli.main(["dirichlet-online", "--config", str(path)]) == 2
     assert "n_steps" in capsys.readouterr().err
+    # a file that is not valid UTF-8
+    path.write_bytes(b'experiment = "dirichlet-online"\nout = "\xff"\n')
+    assert cli.main(["dirichlet-online", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 # ---------------------------------------------------------------------------

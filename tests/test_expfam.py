@@ -222,6 +222,8 @@ def test_batched_update_equals_one_point_updates(name, data):
             assert one.skipped == 0 and np.all(np.isfinite(one.eta))
             assert not np.allclose(one.eta, raw)
             assert not np.allclose(one.eta, _reflection(name, raw))
+            if name == "student-t":  # the half step, at delta / 2 = 0.5, is taken
+                assert _bits_equal(one.eta, _half_step(fam, e, obs))
 
 
 def _unit_step(fam, eta, y):
@@ -229,6 +231,15 @@ def _unit_step(fam, eta, y):
     theta = inverse_mirror(fam.gen, eta)
     y = np.asarray(y)
     return ((1.0 + fam.lam * theta @ eta) / (1.0 + fam.lam * theta @ y)) * (y - eta)
+
+
+def _half_step(fam, eta, y):
+    """eta + ((delta / 2) * pi / pi_y) * (y - eta) at delta = 1, with pi and
+    pi_y formed as ``online_update`` forms them."""
+    eta, y = np.asarray(eta), np.asarray(y)
+    theta = start_state(fam, eta).theta
+    factor = (1.0 + fam.lam * np.vecdot(theta, eta)) / (1.0 + fam.lam * np.vecdot(theta, y))
+    return eta + ((1.0 / 2) * factor) * (y - eta)
 
 
 def _reflection(name, eta):

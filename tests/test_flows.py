@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from xmd.core import (DomainError, big_phi_hess, lambda_mirror, mirror_jacobian,
-                      zeta_of)
+from xmd.core import (DomainError, GeometryError, big_phi_hess, conformal_weight,
+                      lambda_mirror, mirror_jacobian, theta_of_zeta, zeta_of)
 from xmd.flows import (MAX_HALVINGS, Objective, _guarded_step,
                        conformal_smoothness_estimate,
                        discrete_lyapunov_run, dual_logdiv_objective,
@@ -233,6 +233,26 @@ def test_step_adaptive_mirror_classical_on_zero_potential():
     assert np.allclose(stepped, theta - 0.25 * obj.grad(theta), atol=1e-12)
 
 
+def test_step_adaptive_mirror_halves_the_folded_step_size():
+    # the step size passed on is delta * w; after j halvings the row must be
+    # the j-th candidate of zeta <- zeta - (delta * 2**-j) * w * grad f
+    gen = QUAD_2D
+    obj = quadratic_objective([3.0, -2.0])
+    theta = np.array([0.5, -0.3])
+    delta = 4.0
+    zeta, w, df = zeta_of(gen, theta), conformal_weight(gen, theta), obj.grad(theta)
+    assert w != 1.0
+    for j in range(MAX_HALVINGS + 1):
+        try:
+            ref = theta_of_zeta(gen, zeta - (delta * 2.0 ** -j) * w * df, theta0=theta)
+        except GeometryError:
+            continue
+        if gen.domain.contains(ref):
+            break
+    assert j >= 1
+    assert step_adaptive_mirror(gen, obj, theta, delta).tobytes() == ref.tobytes()
+
+
 def test_guarded_step_takes_each_rows_first_accepted_halving():
     # row i accepts a step d only while d <= limit[i]; the last row never does
     x = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
@@ -240,41 +260,57 @@ def test_guarded_step_takes_each_rows_first_accepted_halving():
     direction = np.array([1.0, -2.0])
     tried = []
 
-    def propose(d, rows):
-        tried.append((rows, d.copy()))
-        return x[rows] + d[:, None] * direction
+    def finish(z, rows):
+        tried.append((rows, z.copy()))
+        return z
 
     def accept(cand, rows):
         return cand, cand[:, 0] - x[rows][:, 0] <= limit[rows]
 
-    out, failed = _guarded_step(x, 1.0, propose, accept)
+    out, failed = _guarded_step(x, x, np.tile(direction, (4, 1)), 1.0, accept, finish)
     for i, j in enumerate([0, 2, 10]):
         assert np.array_equal(out[i], x[i] + 2.0 ** -j * direction)
     assert np.array_equal(out[3], x[3])
     assert failed.tolist() == [False, False, False, True]
-    # the first try covers the batch; each retry proposes only the rows not yet
-    # accepted, each at half its last step
+    # the first try covers the batch; each retry forms candidates only for the
+    # rows not yet accepted, each at half its last step
     assert len(tried) == MAX_HALVINGS + 1
-    assert tried[0][0] is ... and tried[0][1].tolist() == [1.0] * 4
+    assert tried[0][0] is ... and np.array_equal(tried[0][1], x + direction)
     first_accepted = [0, 2, 10, MAX_HALVINGS + 1]
-    for j, (rows, d) in enumerate(tried[1:], start=1):
+    for j, (rows, z) in enumerate(tried[1:], start=1):
         pending = [i for i, a in enumerate(first_accepted) if a >= j]
         assert np.concatenate(rows).tolist() == pending
-        assert d.tolist() == [2.0 ** -j] * len(pending)
+        assert np.array_equal(z, x[pending] + 2.0 ** -j * direction)
+
+
+def test_guarded_step_takes_a_step_size_per_row():
+    # the first column of each candidate is its step size d; a row accepts d <= 1
+    x = np.full((3, 2), 9.0)
+    base = np.array([[0.0, 0.5], [0.0, 1.1], [0.0, -2.0]])
+    direction = np.array([[1.0, 0.1], [1.0, -0.7], [1.0, 3.3]])
+    delta = np.array([0.3, 1.7, 5.0])
+    out, failed = _guarded_step(x, base, direction, delta,
+                                lambda cand, rows: (cand, cand[:, 0] <= 1.0))
+    assert not failed.any()
+    for i, j in enumerate([0, 1, 3]):
+        assert out[i].tobytes() == (base[i] + (delta[i] * 2.0 ** -j) * direction[i]).tobytes()
 
 
 def test_guarded_step_counts_a_geometry_error_as_a_rejection():
     x = np.array([1.0, 2.0])
+    tried = []
 
-    def propose(d, rows):
+    def finish(z, rows):
         assert rows is ...
-        if d > 0.1:
+        tried.append(z.copy())
+        if z[0] - x[0] > 0.1:
             raise DomainError("step too long")
-        return x + d
+        return z
 
-    out, failed = _guarded_step(x, 1.0, propose, lambda cand, rows: (cand, True))
+    out, failed = _guarded_step(x, x, np.ones(2), 1.0, lambda cand, rows: (cand, True), finish)
     assert np.array_equal(out, x + 2.0 ** -4)
     assert not failed
+    assert len(tried) == 5
 
 
 def test_step_infeasible_reflects_or_halves():
