@@ -18,6 +18,7 @@ small-``lam`` formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +46,9 @@ class SolverError(GeometryError):
 
 
 def _vec(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    """x as a float64 base-class ndarray with ndim >= 1: x itself when it
+    already is one, else a new array (a 0-d or scalar x becomes shape (1,))."""
+    return np.array(x, dtype=float, copy=None, ndmin=1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +90,7 @@ class Domain:
         it moved to the anchor, so that no constraint sees a non-finite point.
         """
         x = _vec(x)
-        inside = np.all((x > self.lower) & (x < self.upper), axis=-1)
+        inside = ((x > self.lower) & (x < self.upper)).all(axis=-1)
         if self.constraints and inside.any():
             if not inside.all():
                 x = np.where(inside[..., None], x, self.anchor)
@@ -134,7 +137,7 @@ class Generator:
     def dim(self) -> int:
         return self.domain.dim
 
-    @property
+    @cached_property
     def is_bregman(self) -> bool:
         return abs(self.lam) < BREGMAN_LIMIT
 
@@ -282,16 +285,22 @@ def log_div_self_dual(gen: Generator, theta, eta_p) -> float:
 
 def metric(gen: Generator, theta) -> np.ndarray:
     """Conformal Hessian metric G = hess phi + lam * (grad phi)(grad phi)^T;
-    raises RegularityError unless G is positive definite."""
+    raises RegularityError unless G is positive definite.
+
+    The Cholesky factor is only the positive-definiteness check and is
+    discarded: ``flows.rhs_primal`` solves with G by LU (``np.linalg.solve``).
+    A solve through the factor (``cho_solve``) measured no faster at these
+    sizes (n <= 3), and it would round differently, so every pinned output
+    would change."""
     theta = _vec(theta)
     if gen.hess is None:
         raise RegularityError(f"generator {gen.name!r} has no Hessian oracle")
-    h = np.atleast_2d(np.asarray(gen.hess(theta), dtype=float))
+    h = np.array(gen.hess(theta), dtype=float, copy=None, ndmin=2)
     if gen.is_bregman:
         g = h
     else:
         u = _vec(gen.grad(theta))
-        g = h + gen.lam * np.outer(u, u)
+        g = h + gen.lam * (u[:, None] * u)
     g = 0.5 * (g + g.T)
     try:
         np.linalg.cholesky(g)

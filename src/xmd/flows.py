@@ -80,12 +80,13 @@ def primal_logdiv_objective(gen: Generator, theta_star) -> Objective:
         theta = _vec(theta)
         u = _vec(gen.grad(theta))
         h = np.atleast_2d(gen.hess(theta))
+        step = theta_star - theta
         if gen.is_bregman:
-            return -np.asarray(h) @ (theta_star - theta)
-        w = 1.0 + gen.lam * float(u @ (theta_star - theta))
+            return -np.asarray(h) @ step
+        w = 1.0 + gen.lam * float(u @ step)
         if w <= 0.0:
             raise DomainError(f"log argument {w:.3e} <= 0 in the primal objective")
-        return -u - (h @ (theta_star - theta) - u) / w
+        return -u - (h @ step - u) / w
 
     return Objective(value=lambda t: log_div(gen, theta_star, t), grad=grad,
                      theta_star=theta_star)
@@ -161,7 +162,7 @@ def _integrate_path(rhs: Callable[[np.ndarray], np.ndarray], feasible,
             half = advance(x, 0.5 * h, depth + 1)
             return advance(half, 0.5 * h, depth + 1)
 
-    for i, h in enumerate(np.diff(times)):
+    for i, h in enumerate(np.diff(times).tolist()):
         path[i + 1] = advance(path[i], h, 0)
     return path
 
@@ -183,16 +184,21 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
     def rhs(x):
         theta = x[:dim]
         w = conformal_weight(gen, theta)
-        return np.concatenate([rhs_primal(gen, obj, theta), [w], w * theta])
+        out = np.empty_like(x)
+        out[:dim] = rhs_primal(gen, obj, theta)
+        out[dim] = w
+        out[dim + 1:] = w * theta
+        return out
 
     path = _integrate_path(rhs, lambda x: gen.domain.contains(x[:dim]),
                            np.concatenate([theta0, [0.0], np.zeros(dim)]), times)
-    states = []
-    for t, x in zip(times, path):
-        theta, tau = x[:dim], float(x[dim])
-        theta_hat = theta.copy() if tau == 0.0 else x[dim + 1:] / tau
-        states.append(FlowState(theta=theta, t=float(t), tau=tau, theta_hat=theta_hat))
-    return states
+    thetas, tau = path[:, :dim], path[:, dim]
+    # theta_hat = (integral of w*theta dt) / tau, and theta itself where tau = 0
+    theta_hats = np.divide(path[:, dim + 1:], tau[:, None], out=thetas.copy(),
+                           where=tau[:, None] != 0.0)
+    return [FlowState(theta=theta, t=t, tau=tau_t, theta_hat=theta_hat)
+            for theta, t, tau_t, theta_hat
+            in zip(thetas, times.tolist(), tau.tolist(), theta_hats)]
 
 
 def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndarray:
@@ -376,7 +382,7 @@ def _segment_deviation(x, a, b) -> float:
     denom = float(seg @ seg)
     if denom == 0.0:
         return float(np.linalg.norm(x - a))
-    s = np.clip(float((x - a) @ seg) / denom, 0.0, 1.0)
+    s = min(max(float((x - a) @ seg) / denom, 0.0), 1.0)
     return float(np.linalg.norm(x - (a + s * seg)))
 
 

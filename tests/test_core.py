@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xmd.core import (DomainError, DualPair, Generator, RegularityError,
+from xmd.core import (DomainError, DualPair, Generator, RegularityError, _vec,
                       bregman_div, big_phi_bregman, big_phi_grad, big_phi_hess,
                       conformal_weight, conjugate_value, inverse_mirror,
                       lambda_mirror, log_cost, log_div, log_div_self_dual,
@@ -358,3 +358,36 @@ def test_domain_contains_and_reflect_on_batches_match_rows(dom):
         assert values.shape == (len(finite),)
         assert np.array_equal(g(finite + 1e-20j), values)
         assert np.array_equal(values, [g(row) for row in finite])
+
+
+# ---------------------------------------------------------------------------
+# array coercion
+
+
+def test_vec_returns_a_float64_array_of_ndim_one_or_more_as_is():
+    base = np.arange(6.0).reshape(2, 3)
+    for x in (np.array([0.5]), np.arange(3.0), base, base[:, 1], base.T):
+        assert _vec(x) is x
+
+
+class Tagged(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("x, values", [
+    ([1, 2], [1.0, 2.0]),
+    ((0.5,), [0.5]),
+    (1.5, [1.5]),
+    (3, [3.0]),
+    (np.float64(2.0), [2.0]),
+    (np.array(2.5), [2.5]),
+    (np.arange(3), [0.0, 1.0, 2.0]),
+    (np.arange(2, dtype=np.float32) + 0.5, [0.5, 1.5]),
+    (np.arange(2.0).view(Tagged), [0.0, 1.0]),
+], ids=["list", "tuple", "float", "int", "numpy-scalar", "0-d", "int-array",
+        "float32-array", "subclass"])
+def test_vec_converts_everything_else_to_a_new_float64_array(x, values):
+    out = _vec(x)
+    assert out is not x
+    assert type(out) is np.ndarray and out.dtype == np.float64
+    assert out.ndim == 1 and out.tolist() == values

@@ -27,11 +27,18 @@ ONLINE_DIGESTS = {
     "dirichlet-online": "f8439e692191faf0b2d95ae82dfdb5e24549ab2e93d47c06769a4dfa42059044",
 }
 
-# the same digest of the two fixed-instance diagnostics suites at their
-# defaults, recorded before the conformal clock joined the RK4 state
+# the same digest of the diagnostics suites, each with its arguments: the two
+# fixed-instance suites at their defaults, recorded before the conformal clock
+# joined the RK4 state; flow-equivalence at the benchmark's t_end=0.1,
+# recorded before the per-call overhead of the RK4 path was cut
 DIAGNOSTICS_DIGESTS = {
-    "geodesic-check": "af23c991c8cce5a8c951516f50208398143ddc6077d1b8d304c33063612d1791",
-    "lyapunov-suite": "c772af6fe74a862e0db99da510c687d3b41eee032c012efdbbdae2b8171126d5",
+    "geodesic-check":
+        ((), "af23c991c8cce5a8c951516f50208398143ddc6077d1b8d304c33063612d1791"),
+    "lyapunov-suite":
+        ((), "c772af6fe74a862e0db99da510c687d3b41eee032c012efdbbdae2b8171126d5"),
+    "flow-equivalence":
+        (("--override", "t_end=0.1"),
+         "5c96ec019e734bd77f562f17c11ddeaaa8c9fa9b1086652f331d2607ab806328"),
 }
 
 
@@ -154,8 +161,9 @@ def test_dirichlet_fails_on_non_finite_distance(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("experiment", sorted(DIAGNOSTICS_DIGESTS))
 def test_diagnostics_outputs_are_unchanged(tmp_path, experiment):
-    assert cli.main([experiment, "--out", str(tmp_path)]) == 0
-    assert output_digest(str(tmp_path / experiment)) == DIAGNOSTICS_DIGESTS[experiment]
+    args, digest = DIAGNOSTICS_DIGESTS[experiment]
+    assert cli.main([experiment, "--out", str(tmp_path), *args]) == 0
+    assert output_digest(str(tmp_path / experiment)) == digest
 
 
 # ---------------------------------------------------------------------------

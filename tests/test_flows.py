@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from xmd.core import (DomainError, GeometryError, big_phi_hess, conformal_weight,
-                      lambda_mirror, mirror_jacobian, theta_of_zeta, zeta_of)
-from xmd.flows import (MAX_HALVINGS, Objective, _guarded_step,
+from xmd.core import (DomainError, GeometryError, SolverError, big_phi_hess,
+                      conformal_weight, lambda_mirror, mirror_jacobian,
+                      theta_of_zeta, zeta_of)
+from xmd.flows import (MAX_HALVINGS, Objective, _guarded_step, _integrate_path,
                        conformal_smoothness_estimate,
                        discrete_lyapunov_run, dual_logdiv_objective,
                        geodesic_flow_check, integrate, integrate_hessian_flow,
@@ -133,6 +134,112 @@ def test_integrate_clock_and_average_fourth_order_endpoint():
         e_coarse = abs(read(end[4e-2]) - read(ref))
         e_mid = abs(read(end[2e-2]) - read(ref))
         assert 10.0 < e_coarse / e_mid < 24.0
+
+
+def test_integrate_reads_its_states_off_one_rk4_path():
+    # the reference: the augmented state (theta, tau, integral of w*theta dt)
+    # through _integrate_path, read off one grid point at a time
+    gen = QUAD_2D
+    obj = quadratic_objective([0.3, -0.2])
+    theta0 = np.array([-0.6, 0.7])
+
+    def rhs(x):
+        w = conformal_weight(gen, x[:2])
+        return np.concatenate([rhs_primal(gen, obj, x[:2]), [w], w * x[:2]])
+
+    times = np.linspace(0.0, 50 * 1e-2, 51)
+    path = _integrate_path(rhs, lambda x: gen.domain.contains(x[:2]),
+                           np.concatenate([theta0, [0.0], np.zeros(2)]), times)
+    states = integrate(gen, obj, theta0, 0.5, 1e-2)
+    assert len(states) == len(path)
+    for st, t, x in zip(states, times, path):
+        tau = float(x[2])
+        theta_hat = x[:2] if tau == 0.0 else x[3:] / tau
+        assert (st.t, st.tau) == (float(t), tau)
+        assert st.theta.tobytes() == x[:2].tobytes()
+        assert st.theta_hat.tobytes() == theta_hat.tobytes()
+
+
+def rk4_step(rhs, x, h):
+    """One classic RK4 step, written out: the halving recursion must
+    reproduce a chain of these bit for bit."""
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def decay(x):
+    # x' = -x: RK4's growth factor 1 - z + z^2/2 - z^3/6 + z^4/24 at z = h
+    # is 13.7 at h = 5 and 0.65 at h = 2.5
+    return -x
+
+
+def test_integrate_path_halves_a_step_that_leaves_the_domain():
+    x0 = np.array([1.0])
+    below_two = lambda x: bool(x[0] < 2.0)
+    assert not below_two(rk4_step(decay, x0, 5.0))
+    half = rk4_step(decay, rk4_step(decay, x0, 2.5), 2.5)
+    path = _integrate_path(decay, below_two, x0, [0.0, 5.0])
+    assert path[1].tobytes() == half.tobytes()
+    # h = 10 halves twice: the first half of the step again splits into
+    # quarters, and so does the second, each on its own
+    quarters = x0
+    for _ in range(4):
+        quarters = rk4_step(decay, quarters, 2.5)
+    path = _integrate_path(decay, below_two, x0, [0.0, 10.0])
+    assert path[1].tobytes() == quarters.tobytes()
+
+
+def test_integrate_path_halves_a_step_whose_rhs_raises():
+    def guarded(x):
+        if x[0] < 0.0:
+            raise DomainError("negative state")
+        return decay(x)
+
+    x0 = np.array([1.0])
+    with pytest.raises(DomainError):
+        rk4_step(guarded, x0, 2.5)  # the second stage is at 1 - 1.25
+    half = rk4_step(guarded, rk4_step(guarded, x0, 1.25), 1.25)
+    path = _integrate_path(guarded, lambda x: True, x0, [0.0, 2.5])
+    assert path[1].tobytes() == half.tobytes()
+
+
+def test_integrate_path_raises_after_max_halvings():
+    tries = []
+
+    def never(x):
+        tries.append(x)
+        return False
+
+    with pytest.raises(SolverError, match=f"halved {MAX_HALVINGS} times"):
+        _integrate_path(decay, never, np.array([1.0]), [0.0, 0.1])
+    # one try per depth 0..MAX_HALVINGS, each on the first half of the last
+    assert len(tries) == MAX_HALVINGS + 1
+
+    def raising(x):
+        raise DomainError("no right-hand side here")
+
+    with pytest.raises(SolverError):
+        _integrate_path(raising, lambda x: True, np.array([1.0]), [0.0, 0.1])
+
+
+def test_integrate_evaluates_the_gradient_four_times_per_step():
+    # without halving, each RK4 step calls rhs_primal, and so the objective
+    # gradient, once per stage
+    calls = []
+    inner = quadratic_objective([2.0])
+
+    def grad(theta):
+        calls.append(theta)
+        return inner.grad(theta)
+
+    n_steps = 50
+    states = integrate(LOG_1D, Objective(inner.value, grad, inner.theta_star),
+                       [0.5], n_steps * 1e-2, 1e-2)
+    assert len(states) == n_steps + 1
+    assert len(calls) == 4 * n_steps
 
 
 def test_zeta_flow_form():
