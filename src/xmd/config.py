@@ -66,6 +66,10 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose one of {', '.join(EXPERIMENTS)}")
+        # rng.substream keys on the seed's low 64 bits: a seed outside
+        # [0, 2**64) would run the same streams as another seed
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.n_steps < 1 or self.n_traj < 1 or self.n_inits < 1:
             raise ConfigError("counts must be positive")
         delta_schedule(self.delta_schedule)

@@ -10,10 +10,11 @@ Such a generator induces
 * the log divergence     ``L[t:t'] = phi(t) - phi(t') - (1/lam)*log(1 + lam*<grad phi(t'), t - t'>)``,
 * the conformal metric   ``G = hess phi + lam * grad phi grad phi^T = exp(-lam*phi) * hess Phi``.
 
-All operations fall back to the classical convex-duality limit (Bregman
-divergence, plain gradient map, Hessian metric) on an exact branch when
-``|lam| < BREGMAN_LIMIT``, instead of evaluating numerically-cancelling
-small-``lam`` formulas.
+At ``lam = 0`` these are the classical convex-duality objects (Bregman
+divergence, plain gradient map, Hessian metric), and every map whose formula
+is finite there is written once and evaluated at ``lam = 0`` as at any other
+``lam``. Only a formula that divides by ``lam``, or that cancels as ``lam``
+goes to 0, keeps a separate exact branch, taken when ``|lam| < BREGMAN_LIMIT``.
 """
 from __future__ import annotations
 
@@ -23,7 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# |lam| below this uses the exact Bregman/convex-duality branch.
+# |lam| below this takes the exact lam = 0 branch, kept only where the lambda
+# formula divides by lam (log_cost, big_phi_value, the value of log_loss, the
+# cross-check of conformal_smoothness_estimate) or cancels as lam -> 0 (the
+# gradient of primal_logdiv_objective). Every other map has one body for all lam.
 BREGMAN_LIMIT = 1e-12
 # log arguments must exceed this; below it we raise rather than return -inf.
 LOG_GUARD = 1e-14
@@ -170,11 +174,9 @@ def log_cost(x, y, lam: float) -> float:
 
 def lambda_mirror(gen: Generator, theta) -> DualPair:
     """Map a primal point to eta = grad phi / (1 - lam*<grad phi, theta>), the one
-    copy of the mirror map for every generator (grad phi on the Bregman branch)."""
+    copy of the mirror map for every generator (grad phi itself at lam = 0)."""
     theta = _vec(theta)
     u = _vec(gen.grad(theta))
-    if gen.is_bregman:
-        return DualPair(theta, u, 1.0)
     s = 1.0 - gen.lam * float(u @ theta)
     if s <= 0.0:
         raise RegularityError(f"regularity 1 - lam*<grad,theta> = {s:.3e} <= 0 at theta={theta}")
@@ -187,8 +189,6 @@ def mirror_jacobian(gen: Generator, theta) -> np.ndarray:
     theta = _vec(theta)
     pair = lambda_mirror(gen, theta)
     g = metric(gen, theta)
-    if gen.is_bregman:
-        return g
     corr = np.eye(gen.dim) + gen.lam * np.outer(pair.eta, theta)
     return pair.pi * corr @ g
 
@@ -278,8 +278,6 @@ def log_div_self_dual(gen: Generator, theta, eta_p) -> float:
     eta_p = _vec(eta_p)
     theta_p = inverse_mirror(gen, eta_p)
     psi = conjugate_value(gen, DualPair(theta_p, eta_p, 1.0 + gen.lam * float(theta_p @ eta_p)))
-    if gen.is_bregman:
-        return float(gen.value(theta)) + psi - float(theta @ eta_p)
     return float(gen.value(theta)) + psi + log_cost(theta, eta_p, gen.lam)
 
 
@@ -296,11 +294,8 @@ def metric(gen: Generator, theta) -> np.ndarray:
     if gen.hess is None:
         raise RegularityError(f"generator {gen.name!r} has no Hessian oracle")
     h = np.array(gen.hess(theta), dtype=float, copy=None, ndmin=2)
-    if gen.is_bregman:
-        g = h
-    else:
-        u = _vec(gen.grad(theta))
-        g = h + gen.lam * (u[:, None] * u)
+    u = _vec(gen.grad(theta))
+    g = h + gen.lam * (u[:, None] * u)
     g = 0.5 * (g + g.T)
     try:
         np.linalg.cholesky(g)
@@ -312,8 +307,6 @@ def metric(gen: Generator, theta) -> np.ndarray:
 def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray) -> np.ndarray:
     """Inverse metric from the mirror Jacobian: pi * (d theta/d eta) * (I + lam eta theta^T)."""
     jac = np.atleast_2d(np.asarray(jac_theta_eta, dtype=float))
-    if gen.is_bregman:
-        return jac
     corr = np.eye(gen.dim) + gen.lam * np.outer(pair.eta, pair.theta)
     return pair.pi * jac @ corr
 
@@ -324,11 +317,8 @@ def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray)
 
 def conformal_weight(gen: Generator, theta):
     """exp(lam*phi(theta)), the rate of the clock tau that turns the Hessian
-    flow of Phi into the conformal flow, so that hess Phi = weight * G; 1 on
-    the Bregman branch. Complex theta gives a complex weight (complex-step
-    checks)."""
-    if gen.is_bregman:
-        return 1.0
+    flow of Phi into the conformal flow, so that hess Phi = weight * G; exactly
+    1 at lam = 0. Complex theta gives a complex weight (complex-step checks)."""
     return np.exp(gen.lam * gen.value(theta))
 
 
@@ -336,11 +326,6 @@ def big_phi_value(gen: Generator, theta) -> float:
     if gen.is_bregman:
         return float(gen.value(_vec(theta)))
     return float(np.expm1(gen.lam * float(gen.value(_vec(theta)))) / gen.lam)
-
-
-def big_phi_grad(gen: Generator, theta):
-    theta = np.asarray(theta)
-    return conformal_weight(gen, theta) * np.atleast_1d(np.asarray(gen.grad(theta)))
 
 
 def big_phi_hess(gen: Generator, theta) -> np.ndarray:
@@ -352,14 +337,16 @@ def big_phi_bregman(gen: Generator, theta, theta_p) -> float:
     """Bregman divergence of Phi; the potential behind all convergence bounds."""
     theta = _vec(theta)
     theta_p = _vec(theta_p)
-    gp = _vec(big_phi_grad(gen, theta_p))
+    gp = zeta_of(gen, theta_p)
     return (big_phi_value(gen, theta) - big_phi_value(gen, theta_p)
             - float(gp @ (theta - theta_p)))
 
 
 def zeta_of(gen: Generator, theta) -> np.ndarray:
-    """Bregman-dual coordinate zeta = grad Phi(theta)."""
-    return _vec(big_phi_grad(gen, theta))
+    """Bregman-dual coordinate zeta = grad Phi(theta) = exp(lam*phi) grad phi.
+    Complex theta gives a complex zeta (complex-step checks)."""
+    theta = np.asarray(theta)
+    return conformal_weight(gen, theta) * np.atleast_1d(np.asarray(gen.grad(theta)))
 
 
 def theta_of_zeta(gen: Generator, zeta, theta0=None, tol: float = 1e-12,

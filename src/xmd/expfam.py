@@ -94,14 +94,11 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
     y = _vec(y)
     with np.errstate(all="ignore"):
         step = y - eta
-        if gen.is_bregman:
-            rate = delta
-        else:
-            pi = 1.0 + model.lam * np.vecdot(theta, eta)
-            pi_y = 1.0 + model.lam * np.vecdot(theta, y)
-            if np.any(pi_y <= 0.0):
-                raise DomainError("observation outside the support of the current parameter")
-            rate = delta * (pi / pi_y)
+        pi = 1.0 + model.lam * np.vecdot(theta, eta)
+        pi_y = 1.0 + model.lam * np.vecdot(theta, y)
+        if np.any(pi_y <= 0.0):
+            raise DomainError("observation outside the support of the current parameter")
+        rate = delta * (pi / pi_y)
     x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), eta, step, rate,
                                _dual_accept(gen, theta, model.reflect_dual))
     dim = eta.shape[-1]

@@ -99,8 +99,6 @@ def dual_logdiv_objective(gen: Generator, theta_star) -> Objective:
 
     def grad(theta):
         pair = lambda_mirror(gen, theta)
-        if gen.is_bregman:
-            return pair.eta - eta_star
         pi_star = 1.0 + gen.lam * float(pair.theta @ eta_star)
         if pi_star <= 0.0:
             raise DomainError(f"pairing {pi_star:.3e} <= 0 in the dual objective")
@@ -123,8 +121,6 @@ def rhs_primal(gen: Generator, obj: Objective, theta) -> np.ndarray:
 def rhs_dual(gen: Generator, obj: Objective, pair: DualPair) -> np.ndarray:
     """-pi * (I + lam eta theta^T) grad f(theta), the flow of the dual variable."""
     df = _vec(obj.grad(pair.theta))
-    if gen.is_bregman:
-        return -df
     corr = df + gen.lam * pair.eta * float(pair.theta @ df)
     return -pair.pi * corr
 

@@ -80,6 +80,10 @@ def quadratic_generator(lam: float, dim: int = 1) -> Generator:
         r = e @ e
         return e * (2.0 / (1.0 + np.sqrt(1.0 + 4.0 * lam * r)))
 
+    # one shared Hessian for every call; read-only so no caller can alter it
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+
     rng = np.random.default_rng(7)
     if dim == 1:
         grid = tuple(np.linspace(-0.9 * grid_r, 0.9 * grid_r, 9).reshape(-1, 1))
@@ -93,7 +97,7 @@ def quadratic_generator(lam: float, dim: int = 1) -> Generator:
         domain=domain,
         value=lambda t: 0.5 * (t @ t),
         grad=lambda t: np.asarray(t),
-        hess=lambda t: np.eye(dim),
+        hess=lambda t: eye,
         inverse_mirror_closed=inverse,
         dual_domain=dual,
         name=f"quadratic(lam={lam}, dim={dim})",

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from xmd.core import (DomainError, DualPair, Generator, RegularityError, _vec,
-                      bregman_div, big_phi_bregman, big_phi_grad, big_phi_hess,
+                      bregman_div, big_phi_bregman, big_phi_hess, big_phi_value,
                       conformal_weight, conjugate_value, inverse_mirror,
                       lambda_mirror, log_cost, log_div, log_div_self_dual,
-                      metric, metric_inverse_sm, mirror_jacobian)
+                      metric, metric_inverse_sm, mirror_jacobian, zeta_of)
+from xmd.expfam import LambdaExpFamily, OnlineState, online_update
+from xmd.flows import dual_logdiv_objective, quadratic_objective, rhs_dual
 from xmd.generators import (dirichlet_generator, linear_generator,
                             log_reciprocal_generator, quadratic_generator,
                             student_t_generator, table_generators)
@@ -46,6 +48,9 @@ def test_log_cost_values():
     # near-zero lam agrees with the exact limit branch
     assert log_cost([1.0], [1.0], 1e-8) == pytest.approx(-1.0, abs=1e-7)
     assert log_cost([1.0], [1.0], 0.0) == -1.0
+    # |lam| < BREGMAN_LIMIT takes the exact branch, not the cancelling formula
+    x, y = np.array([0.3, -1.7]), np.array([2.9, 0.4])
+    assert log_cost(x, y, 1e-13) == -x @ y
 
 
 def test_log_cost_domain_error():
@@ -223,9 +228,9 @@ def test_metric_scalar_values():
     g = metric(gen, [1.0])
     assert g[0, 0] == pytest.approx(0.5, abs=1e-14)
     assert 1.0 / conformal_weight(gen, np.array([1.0])) == pytest.approx(np.exp(0.25), abs=1e-12)
-    # lam -> 0 branch returns the plain Hessian
+    # at lam = 0 the metric is the plain Hessian, exactly
     g0 = metric(quadratic_generator(0.0, 2), [0.3, -0.1])
-    assert np.allclose(g0, np.eye(2))
+    assert np.array_equal(g0, np.eye(2))
 
 
 def _second_derivative_of_dual_potential(gen, theta):
@@ -241,7 +246,7 @@ def _second_derivative_of_dual_potential(gen, theta):
     if name.startswith("quadratic") and gen.dim == 1:
         t = theta[0]
         return np.array([[np.exp(lam * t ** 2 / 2.0) * (1.0 + lam * t ** 2)]])
-    return cs_jacobian(lambda th: big_phi_grad(gen, th), theta)
+    return cs_jacobian(lambda th: zeta_of(gen, th), theta)
 
 
 @pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.name)
@@ -276,6 +281,38 @@ def test_metric_positive_definite_failure():
 
 
 # ---------------------------------------------------------------------------
+# lam = 0 is a value of the lambda formulas, not a separate branch
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lam_zero_gives_the_classical_maps_exactly(dim):
+    gen = quadratic_generator(0.0, dim)
+    theta_star = np.asarray(gen.grid[-1], dtype=float)
+    eta_star = lambda_mirror(gen, theta_star).eta
+    obj = quadratic_objective(theta_star)
+    dual_obj = dual_logdiv_objective(gen, theta_star)
+    model = LambdaExpFamily(gen, statistics=lambda y: y)
+    y = np.linspace(-0.7, 0.5, dim)
+    for theta in gen.grid:
+        theta = np.asarray(theta, dtype=float)
+        hess = np.atleast_2d(gen.hess(theta))
+        pair = lambda_mirror(gen, theta)
+        assert np.array_equal(pair.eta, gen.grad(theta)) and pair.pi == 1.0
+        g = metric(gen, theta)
+        assert np.array_equal(g, 0.5 * (hess + hess.T))
+        assert np.array_equal(mirror_jacobian(gen, theta), g)
+        assert conformal_weight(gen, theta) == 1.0
+        assert np.array_equal(rhs_dual(gen, obj, pair), -obj.grad(theta))
+        assert np.array_equal(dual_obj.grad(theta), pair.eta - eta_star)
+        state = online_update(model, OnlineState(eta=pair.eta, theta=theta), y, 0.3)
+        assert np.array_equal(state.eta, pair.eta + 0.3 * (y - pair.eta))
+    # below BREGMAN_LIMIT, Phi = (exp(lam*phi) - 1)/lam takes its exact value phi
+    tiny = quadratic_generator(1e-13, dim)
+    for theta in tiny.grid:
+        assert big_phi_value(tiny, theta) == float(tiny.value(np.asarray(theta)))
+
+
+# ---------------------------------------------------------------------------
 # inverse metric through the mirror Jacobian
 
 
@@ -284,7 +321,7 @@ def test_metric_inverse_sm_identity_limit():
     theta = np.array([0.2, -0.1, 0.4])
     pair = lambda_mirror(gen, theta)
     jac_inv = np.linalg.inv(mirror_jacobian(gen, theta))
-    assert np.allclose(metric_inverse_sm(gen, pair, jac_inv), np.eye(3), atol=1e-12)
+    assert np.array_equal(metric_inverse_sm(gen, pair, jac_inv), np.eye(3))
 
 
 def test_metric_inverse_sm_scalar_cross_check():

@@ -237,6 +237,10 @@ def test_rank_methods_puts_non_finite_last_in_method_order():
         "n_steps=0",
         "n_traj=2.5",
         "seed=true",
+        # rng.substream keys on the seed's low 64 bits, so these would rerun
+        # seeds 2**64 - 1 and 0
+        "seed=-1",
+        "seed=18446744073709551616",
         "nu=nan",
         "nu=1" + "0" * 400,
         # a non-finite number for an integer key
@@ -275,6 +279,14 @@ def test_bad_override_exits_with_status_2(tmp_path, experiment, overrides, capsy
     for item in overrides:
         argv += ["--override", item]
     status = cli.main(argv)
+    assert status == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not os.listdir(tmp_path)
+
+
+def test_out_of_range_cli_seed_exits_with_status_2(tmp_path, capsys):
+    # --seed is set after the config is built, so validate() must see it too
+    status = cli.main(["student-t-online", "--seed", "-1", "--out", str(tmp_path)])
     assert status == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not os.listdir(tmp_path)
