@@ -15,6 +15,11 @@ divergence, plain gradient map, Hessian metric), and every map whose formula
 is finite there is written once and evaluated at ``lam = 0`` as at any other
 ``lam``. Only a formula that divides by ``lam``, or that cancels as ``lam``
 goes to 0, keeps a separate exact branch, taken when ``|lam| < BREGMAN_LIMIT``.
+
+The maps of a point work over the last axis: ``theta`` is one point ``(d,)``
+or a batch ``(..., d)``, one point is a batch of one, and a batch gives, row
+by row, the bits of the one-point calls. ``metric``, ``mirror_jacobian`` and
+the inversions take one point.
 """
 from __future__ import annotations
 
@@ -89,18 +94,23 @@ class Domain:
         """Whether x lies in the open domain: a bool for one point ``(dim,)``,
         a row mask for a batch ``(batch, dim)``.
 
-        The strict box test also rejects NaN and inf. Constraints are
-        evaluated only when some row is inside the box, with the rows outside
-        it moved to the anchor, so that no constraint sees a non-finite point.
+        The strict box test also rejects NaN and inf. Constraints see only
+        points inside the box: one point outside it is rejected at once, and
+        a batch evaluates them only when some row is inside, with the rows
+        outside moved to the anchor, so that no constraint sees a non-finite
+        point. One point combines its tests with Python's ``and``, not with
+        reductions over numpy scalars.
         """
         x = _vec(x)
         inside = ((x > self.lower) & (x < self.upper)).all(axis=-1)
+        if x.ndim == 1:
+            return bool(inside) and all(g(x) > 0.0 for g in self.constraints)
         if self.constraints and inside.any():
             if not inside.all():
                 x = np.where(inside[..., None], x, self.anchor)
             for g in self.constraints:
                 inside = inside & (g(x) > 0.0)
-        return inside if inside.ndim else bool(inside)
+        return inside
 
     def reflect(self, x, floor: float = 1e-12) -> np.ndarray:
         """Reflect box violations back across the violated face, row-wise.
@@ -121,9 +131,13 @@ class Domain:
 class Generator:
     """A smooth generator phi with value/gradient oracles on an open domain.
 
-    ``hess`` is optional, but ``metric`` needs it, and with it the primal
-    flows, ``mirror_jacobian`` and both Newton inversions. The mirror map is
-    always derived from ``grad`` by ``lambda_mirror``; only its inverse can be
+    ``value`` and ``grad`` work over the last axis: a point ``(d,)`` gives a
+    scalar and a ``(d,)`` gradient, a batch ``(..., d)`` one value and one
+    gradient row per point. ``hess`` takes one point and must return an
+    exactly symmetric ``(d, d)`` matrix: ``metric`` uses it as it is. It is
+    optional, but ``metric`` needs it, and with it the primal flows,
+    ``mirror_jacobian`` and both Newton inversions. The mirror map is always
+    derived from ``grad`` by ``lambda_mirror``; only its inverse can be
     registered in closed form, to bypass the Newton inversion.
     """
 
@@ -148,27 +162,27 @@ class Generator:
 
 @dataclass(frozen=True)
 class DualPair:
-    """A primal point, its mirror image, and the pairing value 1 + lam*<theta, eta>."""
+    """A primal point, its mirror image, and the pairing value 1 + lam*<theta, eta>:
+    for a batch, rows of theta and eta and one pi per row."""
 
     theta: np.ndarray
     eta: np.ndarray
-    pi: float
+    pi: float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # costs and divergences
 
 
-def log_cost(x, y, lam: float) -> float:
-    """Logarithmic pairing cost; reduces to -<x, y> in the lam -> 0 limit."""
-    x = _vec(x)
-    y = _vec(y)
-    ip = float(x @ y)
+def log_cost(x, y, lam: float):
+    """Logarithmic pairing cost over the last axis; reduces to -<x, y> in the
+    lam -> 0 limit."""
+    ip = np.vecdot(_vec(x), _vec(y))
     if abs(lam) < BREGMAN_LIMIT:
         return -ip
     arg = lam * ip
-    if 1.0 + arg <= LOG_GUARD:
-        raise DomainError(f"log argument 1 + lam*<x,y> = {1.0 + arg:.3e} <= 0")
+    if np.count_nonzero(1.0 + arg <= LOG_GUARD):
+        raise DomainError(f"log argument 1 + lam*<x,y> = {np.min(1.0 + arg):.3e} <= 0")
     return -np.log1p(arg) / lam
 
 
@@ -176,12 +190,13 @@ def lambda_mirror(gen: Generator, theta) -> DualPair:
     """Map a primal point to eta = grad phi / (1 - lam*<grad phi, theta>), the one
     copy of the mirror map for every generator (grad phi itself at lam = 0)."""
     theta = _vec(theta)
-    u = _vec(gen.grad(theta))
-    s = 1.0 - gen.lam * float(u @ theta)
-    if s <= 0.0:
-        raise RegularityError(f"regularity 1 - lam*<grad,theta> = {s:.3e} <= 0 at theta={theta}")
-    eta = u / s
-    return DualPair(theta, eta, 1.0 + gen.lam * float(theta @ eta))
+    u = gen.grad(theta)
+    s = 1.0 - gen.lam * np.vecdot(u, theta)
+    if np.count_nonzero(s <= 0.0):
+        raise RegularityError(
+            f"regularity 1 - lam*<grad,theta> = {np.min(s):.3e} <= 0 at theta={theta}")
+    eta = u / s[..., None]
+    return DualPair(theta, eta, 1.0 + gen.lam * np.vecdot(theta, eta))
 
 
 def mirror_jacobian(gen: Generator, theta) -> np.ndarray:
@@ -263,12 +278,13 @@ def bregman_div(gen: Generator, theta, theta_p) -> float:
     return float(gen.value(theta)) - float(gen.value(theta_p)) - float(gp @ (theta - theta_p))
 
 
-def log_div(gen: Generator, theta, theta_p) -> float:
+def log_div(gen: Generator, theta, theta_p):
     """Logarithmic divergence L[theta : theta_p] = phi(theta) - phi(theta_p)
-    + c(grad phi(theta_p), theta - theta_p); Bregman divergence when lam ~ 0."""
+    + c(grad phi(theta_p), theta - theta_p); Bregman divergence when lam ~ 0.
+    Either point may be a batch; one value per row."""
     theta = _vec(theta)
     theta_p = _vec(theta_p)
-    return (float(gen.value(theta)) - float(gen.value(theta_p))
+    return (gen.value(theta) - gen.value(theta_p)
             + log_cost(gen.grad(theta_p), theta - theta_p, gen.lam))
 
 
@@ -282,11 +298,13 @@ def log_div_self_dual(gen: Generator, theta, eta_p) -> float:
 
 
 def metric(gen: Generator, theta) -> np.ndarray:
-    """Conformal Hessian metric G = hess phi + lam * (grad phi)(grad phi)^T;
-    raises RegularityError unless G is positive definite.
+    """Conformal Hessian metric G = hess phi + lam * (grad phi)(grad phi)^T at
+    one point; raises RegularityError unless G is positive definite.
 
-    The Cholesky factor is only the positive-definiteness check and is
-    discarded: ``flows.rhs_primal`` solves with G by LU (``np.linalg.solve``).
+    G is exactly symmetric, with no symmetrising step: ``gen.hess`` must be,
+    and u_i * u_j is the same product as u_j * u_i. The Cholesky factor is
+    only the positive-definiteness check and is discarded:
+    ``flows.rhs_primal`` solves with G by LU (``np.linalg.solve``).
     A solve through the factor (``cho_solve``) measured no faster at these
     sizes (n <= 3), and it would round differently, so every pinned output
     would change."""
@@ -296,7 +314,6 @@ def metric(gen: Generator, theta) -> np.ndarray:
     h = np.array(gen.hess(theta), dtype=float, copy=None, ndmin=2)
     u = _vec(gen.grad(theta))
     g = h + gen.lam * (u[:, None] * u)
-    g = 0.5 * (g + g.T)
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -318,14 +335,17 @@ def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray)
 def conformal_weight(gen: Generator, theta):
     """exp(lam*phi(theta)), the rate of the clock tau that turns the Hessian
     flow of Phi into the conformal flow, so that hess Phi = weight * G; exactly
-    1 at lam = 0. Complex theta gives a complex weight (complex-step checks)."""
+    1 at lam = 0. One weight per row of a batch. Complex theta gives a complex
+    weight (complex-step checks)."""
     return np.exp(gen.lam * gen.value(theta))
 
 
-def big_phi_value(gen: Generator, theta) -> float:
+def big_phi_value(gen: Generator, theta):
+    """Phi(theta) = (exp(lam*phi) - 1)/lam, phi itself when lam ~ 0; one
+    value per row of a batch."""
     if gen.is_bregman:
-        return float(gen.value(_vec(theta)))
-    return float(np.expm1(gen.lam * float(gen.value(_vec(theta)))) / gen.lam)
+        return gen.value(_vec(theta))
+    return np.expm1(gen.lam * gen.value(_vec(theta))) / gen.lam
 
 
 def big_phi_hess(gen: Generator, theta) -> np.ndarray:
@@ -333,20 +353,22 @@ def big_phi_hess(gen: Generator, theta) -> np.ndarray:
     return conformal_weight(gen, theta) * metric(gen, theta)
 
 
-def big_phi_bregman(gen: Generator, theta, theta_p) -> float:
-    """Bregman divergence of Phi; the potential behind all convergence bounds."""
+def big_phi_bregman(gen: Generator, theta, theta_p):
+    """Bregman divergence of Phi; the potential behind all convergence bounds.
+    Either point may be a batch; one value per row."""
     theta = _vec(theta)
     theta_p = _vec(theta_p)
     gp = zeta_of(gen, theta_p)
     return (big_phi_value(gen, theta) - big_phi_value(gen, theta_p)
-            - float(gp @ (theta - theta_p)))
+            - np.vecdot(gp, theta - theta_p))
 
 
 def zeta_of(gen: Generator, theta) -> np.ndarray:
-    """Bregman-dual coordinate zeta = grad Phi(theta) = exp(lam*phi) grad phi.
-    Complex theta gives a complex zeta (complex-step checks)."""
+    """Bregman-dual coordinate zeta = grad Phi(theta) = exp(lam*phi) grad phi,
+    one row per row of a batch. Complex theta gives a complex zeta
+    (complex-step checks)."""
     theta = np.asarray(theta)
-    return conformal_weight(gen, theta) * np.atleast_1d(np.asarray(gen.grad(theta)))
+    return conformal_weight(gen, theta)[..., None] * gen.grad(theta)
 
 
 def theta_of_zeta(gen: Generator, zeta, theta0=None, tol: float = 1e-12,

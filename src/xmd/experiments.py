@@ -296,8 +296,7 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
         gen1 = log_reciprocal_generator(1.0)
         rep1 = geodesic_flow_check(gen1, [2.0], [1.0], t_end=1.0, dt=1e-3)
         checks.append(("geodesic-check", "scalar_instance_max_error",
-                       max(rep1.dual_collinearity, rep1.dual_coefficient_error,
-                           rep1.primal_collinearity), 1e-6, rep1.passed))
+                       rep1.max_error, 1e-6, rep1.passed))
 
     elif config.experiment == "lyapunov-suite":
         gen1 = log_reciprocal_generator(1.0)

@@ -8,10 +8,14 @@ d zeta/dt = -exp(lam*phi(theta)) grad f(theta), exposing the flow as a time
 change (with clock tau_t = integral of exp(lam*phi)) of the Hessian flow of
 Phi. Three forward-Euler schemes discretize the same flow in the three
 coordinate systems.
+
+The diagnostics read each claim off a whole path at once: the maps of
+``core`` and the objectives' values work over the last axis, so one
+trajectory ``(n, d)`` is one batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +31,10 @@ MONOTONE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Objective:
-    """A differentiable target with optional known minimizer."""
+    """A differentiable target with optional known minimizer. ``value`` works
+    over the last axis, one value per row, as the diagnostics read it off
+    whole paths; ``grad`` takes one point (the objectives below that do not
+    need a Hessian also take a batch)."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
@@ -36,40 +43,69 @@ class Objective:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One trajectory sample: the primal point, the time t, the clock tau, and
-    the tau-weighted running average of the path. The dual coordinates are
-    derived where they are read: eta by ``lambda_mirror(gen, theta)``, zeta by
+    """A whole trajectory, one row per grid point: the primal points theta
+    ``(n, d)``, the times t ``(n,)``, the clock tau ``(n,)`` and the
+    tau-weighted running average theta_hat ``(n, d)``. ``len`` is the number
+    of grid points. The dual coordinates are derived where they are read, for
+    the whole path at once: eta by ``lambda_mirror(gen, theta)``, zeta by
     ``zeta_of(gen, theta)``."""
 
     theta: np.ndarray
-    t: float
-    tau: float
+    t: np.ndarray
+    tau: np.ndarray
     theta_hat: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.t)
 
-@dataclass
+
+@dataclass(frozen=True)
 class ConvergenceReport:
-    lyapunov_series: list = field(default_factory=list)   # (t or k, E)
-    bound_series: list = field(default_factory=list)      # (t or k, bound)
-    gap_series: list = field(default_factory=list)        # (t or k, f(avg) - f*)
-    violations: list = field(default_factory=list)        # (t or k, increase)
+    """An audited potential, each series an array of rows (t or k, value):
+    the potential E, the averaged-iterate bound, the gap f(average) - f* that
+    it bounds, and each rise of E above MONOTONE_TOL (t or k, increase). A
+    non-finite rise counts as a violation, and a non-finite gap or bound
+    fails ``bound_dominates``."""
+
+    lyapunov_series: np.ndarray
+    bound_series: np.ndarray
+    gap_series: np.ndarray
+    violations: np.ndarray
 
     @property
     def monotone(self) -> bool:
-        return not self.violations
+        return len(self.violations) == 0
 
     @property
     def bound_dominates(self) -> bool:
-        return all(g <= b + 1e-12 for (_, g), (_, b) in zip(self.gap_series, self.bound_series))
+        return bool(np.all(self.gap_series[:, 1] <= self.bound_series[:, 1] + 1e-12))
+
+
+def _audit(t, e, t_bound, bound, gap) -> ConvergenceReport:
+    """The report of a potential e on the axis t and of a bound and a gap
+    on the axis t_bound."""
+    rise = np.diff(e)
+    bad = ~(rise <= MONOTONE_TOL)
+    return ConvergenceReport(lyapunov_series=np.column_stack((t, e)),
+                             bound_series=np.column_stack((t_bound, bound)),
+                             gap_series=np.column_stack((t_bound, gap)),
+                             violations=np.column_stack((t[1:][bad], rise[bad])))
+
+
+def _row_norm(x):
+    """Euclidean norm of each row, rounded as ``np.linalg.norm`` of one row."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 def quadratic_objective(center, weight: float = 1.0) -> Objective:
     center = _vec(center)
-    return Objective(
-        value=lambda t: 0.5 * weight * float((_vec(t) - center) @ (_vec(t) - center)),
-        grad=lambda t: weight * (_vec(t) - center),
-        theta_star=center,
-    )
+
+    def value(t):
+        diff = _vec(t) - center
+        return 0.5 * weight * np.vecdot(diff, diff)
+
+    return Objective(value=value, grad=lambda t: weight * (_vec(t) - center),
+                     theta_star=center)
 
 
 def primal_logdiv_objective(gen: Generator, theta_star) -> Objective:
@@ -96,16 +132,18 @@ def dual_logdiv_objective(gen: Generator, theta_star) -> Objective:
     """f(theta) = L[theta : theta_star]; its flow follows a dual geodesic."""
     theta_star = _vec(theta_star)
     eta_star = lambda_mirror(gen, theta_star).eta
-
-    def grad(theta):
-        pair = lambda_mirror(gen, theta)
-        pi_star = 1.0 + gen.lam * float(pair.theta @ eta_star)
-        if pi_star <= 0.0:
-            raise DomainError(f"pairing {pi_star:.3e} <= 0 in the dual objective")
-        return pair.eta / pair.pi - eta_star / pi_star
-
-    return Objective(value=lambda t: log_div(gen, t, theta_star), grad=grad,
+    return Objective(value=lambda t: log_div(gen, t, theta_star),
+                     grad=lambda t: _dual_logdiv_grad(gen, lambda_mirror(gen, t), eta_star),
                      theta_star=theta_star)
+
+
+def _dual_logdiv_grad(gen: Generator, pair: DualPair, eta_star) -> np.ndarray:
+    """Gradient of L[theta : theta_star] at the mirrored point(s) ``pair``:
+    eta/pi - eta_star/pi_star, with pi_star = 1 + lam*<theta, eta_star>."""
+    pi_star = 1.0 + gen.lam * np.vecdot(pair.theta, eta_star)
+    if np.count_nonzero(pi_star <= 0.0):
+        raise DomainError(f"pairing {np.min(pi_star):.3e} <= 0 in the dual objective")
+    return pair.eta / pair.pi[..., None] - eta_star / pi_star[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +157,15 @@ def rhs_primal(gen: Generator, obj: Objective, theta) -> np.ndarray:
 
 
 def rhs_dual(gen: Generator, obj: Objective, pair: DualPair) -> np.ndarray:
-    """-pi * (I + lam eta theta^T) grad f(theta), the flow of the dual variable."""
-    df = _vec(obj.grad(pair.theta))
-    corr = df + gen.lam * pair.eta * float(pair.theta @ df)
-    return -pair.pi * corr
+    """-pi * (I + lam eta theta^T) grad f(theta), the flow of the dual
+    variable, one row per row of ``pair``."""
+    return _dual_velocity(gen, pair, _vec(obj.grad(pair.theta)))
+
+
+def _dual_velocity(gen: Generator, pair: DualPair, df) -> np.ndarray:
+    """-pi * (I + lam eta theta^T) df, row-wise."""
+    corr = df + gen.lam * pair.eta * np.vecdot(pair.theta, df)[..., None]
+    return -pair.pi[..., None] * corr
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +206,24 @@ def _integrate_path(rhs: Callable[[np.ndarray], np.ndarray], feasible,
     return path
 
 
+def _time_grid(t_end: float, dt: float) -> np.ndarray:
+    """t = 0, dt, ..., n_steps*dt with n_steps = round(t_end/dt)."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    n_steps = int(round(t_end / dt))
+    return np.linspace(0.0, n_steps * dt, n_steps + 1)
+
+
 def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
-              dt: float = 1e-3) -> list[FlowState]:
+              dt: float = 1e-3) -> FlowState:
     """Integrate the conformal flow together with its clock: the state
     (theta, tau, integral of w*theta dt) with w = exp(lam*phi(theta)) runs
     through one RK4 pass, so tau and the tau-weighted average theta_hat are
-    4th-order accurate like theta. Returns one FlowState per grid point,
-    t = 0, dt, ..., n_steps*dt."""
+    4th-order accurate like theta. Returns the path on the grid
+    t = 0, dt, ..., n_steps*dt as one FlowState."""
     theta0 = _vec(theta0)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    times = _time_grid(t_end, dt)
     dim = theta0.size
-    n_steps = int(round(t_end / dt))
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
 
     def rhs(x):
         theta = x[:dim]
@@ -190,11 +238,9 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
                            np.concatenate([theta0, [0.0], np.zeros(dim)]), times)
     thetas, tau = path[:, :dim], path[:, dim]
     # theta_hat = (integral of w*theta dt) / tau, and theta itself where tau = 0
-    theta_hats = np.divide(path[:, dim + 1:], tau[:, None], out=thetas.copy(),
-                           where=tau[:, None] != 0.0)
-    return [FlowState(theta=theta, t=t, tau=tau_t, theta_hat=theta_hat)
-            for theta, t, tau_t, theta_hat
-            in zip(thetas, times.tolist(), tau.tolist(), theta_hats)]
+    theta_hat = np.divide(path[:, dim + 1:], tau[:, None], out=thetas.copy(),
+                          where=tau[:, None] != 0.0)
+    return FlowState(theta=thetas, t=times, tau=tau, theta_hat=theta_hat)
 
 
 def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndarray:
@@ -337,7 +383,7 @@ def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float
     if failed:
         raise SolverError("dual step infeasible after halving")
     eta, theta = np.split(x, 2)
-    return DualPair(theta, eta, 1.0 + gen.lam * float(theta @ eta))
+    return DualPair(theta, eta, 1.0 + gen.lam * np.vecdot(theta, eta))
 
 
 def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) -> np.ndarray:
@@ -368,71 +414,69 @@ class GeodesicReport:
     tol: float
 
     @property
+    def max_error(self) -> float:
+        """The largest of the three errors; NaN if any of them is NaN."""
+        return float(np.max([self.dual_collinearity, self.dual_coefficient_error,
+                             self.primal_collinearity]))
+
+    @property
     def passed(self) -> bool:
-        return max(self.dual_collinearity, self.dual_coefficient_error,
-                   self.primal_collinearity) < self.tol
+        return self.max_error < self.tol
 
 
-def _segment_deviation(x, a, b) -> float:
+def _segment_deviation(x, a, b):
+    """Distance from each row of x to the segment [a, b]."""
     seg = b - a
-    denom = float(seg @ seg)
+    denom = np.vecdot(seg, seg)
     if denom == 0.0:
-        return float(np.linalg.norm(x - a))
-    s = min(max(float((x - a) @ seg) / denom, 0.0), 1.0)
-    return float(np.linalg.norm(x - (a + s * seg)))
+        return _row_norm(x - a)
+    s = np.clip(np.vecdot(x - a, seg) / denom, 0.0, 1.0)
+    return _row_norm(x - (a + s[..., None] * seg))
 
 
 def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
                         dt: float = 1e-3, tol: float = 1e-6) -> GeodesicReport:
     """Verify that log-divergence flows run along straight lines: the dual flow
-    in eta with velocity -(pi/pi_star)(eta - eta_star), the primal flow in theta."""
+    in eta with velocity -(pi/pi_star)(eta - eta_star), the primal flow in theta.
+    Each flow integrates theta alone, on the grid of ``integrate``; each error
+    is the largest over the path, NaN if the path holds a NaN."""
     theta_star = _vec(theta_star)
     theta0 = _vec(theta0)
     eta_star = lambda_mirror(gen, theta_star).eta
     eta0 = lambda_mirror(gen, theta0).eta
+    times = _time_grid(t_end, dt)
 
-    dual_obj = dual_logdiv_objective(gen, theta_star)
-    dual_states = integrate(gen, dual_obj, theta0, t_end, dt)
-    collin = 0.0
-    coeff = 0.0
-    for st in dual_states:
-        pair = lambda_mirror(gen, st.theta)
-        collin = max(collin, _segment_deviation(pair.eta, eta0, eta_star))
-        measured = rhs_dual(gen, dual_obj, pair)
-        pi_star = 1.0 + gen.lam * float(st.theta @ eta_star)
-        expected = -(pair.pi / pi_star) * (pair.eta - eta_star)
-        coeff = max(coeff, float(np.max(np.abs(measured - expected))))
+    def path(obj):
+        return _integrate_path(lambda theta: rhs_primal(gen, obj, theta),
+                               gen.domain.contains, theta0, times)
 
-    primal_obj = primal_logdiv_objective(gen, theta_star)
-    primal_states = integrate(gen, primal_obj, theta0, t_end, dt)
-    pcollin = max(_segment_deviation(st.theta, theta0, theta_star) for st in primal_states)
+    thetas = path(dual_logdiv_objective(gen, theta_star))
+    pair = lambda_mirror(gen, thetas)
+    collin = np.max(_segment_deviation(pair.eta, eta0, eta_star))
+    measured = _dual_velocity(gen, pair, _dual_logdiv_grad(gen, pair, eta_star))
+    pi_star = 1.0 + gen.lam * np.vecdot(thetas, eta_star)
+    expected = -(pair.pi / pi_star)[:, None] * (pair.eta - eta_star)
+    coeff = np.max(np.abs(measured - expected))
 
-    return GeodesicReport(dual_collinearity=collin, dual_coefficient_error=coeff,
-                          primal_collinearity=pcollin, tol=tol)
+    thetas = path(primal_logdiv_objective(gen, theta_star))
+    pcollin = np.max(_segment_deviation(thetas, theta0, theta_star))
+
+    return GeodesicReport(dual_collinearity=float(collin), dual_coefficient_error=float(coeff),
+                          primal_collinearity=float(pcollin), tol=tol)
 
 
-def lyapunov_continuous(gen: Generator, obj: Objective,
-                        states: Sequence[FlowState]) -> ConvergenceReport:
+def lyapunov_continuous(gen: Generator, obj: Objective, path: FlowState) -> ConvergenceReport:
     """Log divergence to the minimizer as a Lyapunov function, plus the
-    averaged-iterate bound B_Phi[theta_star : theta_0] / tau_t."""
+    averaged-iterate bound B_Phi[theta_star : theta_0] / tau_t where tau > 0,
+    read off the path ``integrate`` returns."""
     if obj.theta_star is None:
         raise ValueError("lyapunov_continuous requires an objective with a known minimizer")
     star = _vec(obj.theta_star)
     f_star = float(obj.value(star))
-    numer = big_phi_bregman(gen, star, states[0].theta)
-
-    report = ConvergenceReport()
-    prev = None
-    for st in states:
-        e = log_div(gen, star, st.theta)
-        report.lyapunov_series.append((st.t, e))
-        if prev is not None and e - prev > MONOTONE_TOL:
-            report.violations.append((st.t, e - prev))
-        prev = e
-        if st.tau > 0.0:
-            report.bound_series.append((st.t, numer / st.tau))
-            report.gap_series.append((st.t, float(obj.value(st.theta_hat)) - f_star))
-    return report
+    numer = big_phi_bregman(gen, star, path.theta[0])
+    clocked = path.tau > 0.0
+    return _audit(path.t, log_div(gen, star, path.theta), path.t[clocked],
+                  numer / path.tau[clocked], obj.value(path.theta_hat[clocked]) - f_star)
 
 
 def conformal_smoothness_estimate(gen: Generator, obj: Objective,
@@ -466,7 +510,8 @@ def discrete_lyapunov_run(gen: Generator, obj: Objective, theta0, delta: float,
                           k_max: int) -> ConvergenceReport:
     """Run the adaptive-mirror scheme and audit the discrete potential
     E_k = B_Phi[star : theta_k] + delta * sum_s w_s (f(theta_s) - f*), with
-    weights w_s = exp(lam*phi(theta_{s-1})), and its averaged-iterate bound."""
+    weights w_s = exp(lam*phi(theta_{s-1})), and its averaged-iterate bound.
+    The running sums are cumulative sums, left to right, as the steps run."""
     if obj.theta_star is None:
         raise ValueError("discrete_lyapunov_run requires an objective with a known minimizer")
     star = _vec(obj.theta_star)
@@ -475,37 +520,23 @@ def discrete_lyapunov_run(gen: Generator, obj: Objective, theta0, delta: float,
     thetas = [_vec(theta0)]
     for _ in range(k_max):
         thetas.append(step_adaptive_mirror(gen, obj, thetas[-1], delta))
+    thetas = np.array(thetas)
 
-    report = ConvergenceReport()
-    running = 0.0
-    wsum = 0.0
-    avg_acc = np.zeros_like(thetas[0])
-    prev_e = None
-    e1 = None
-    for k in range(1, k_max + 1):
-        w = conformal_weight(gen, thetas[k - 1])
-        running += w * (float(obj.value(thetas[k])) - f_star)
-        wsum += w
-        avg_acc = avg_acc + w * thetas[k]
-        e_k = big_phi_bregman(gen, star, thetas[k]) + delta * running
-        if e1 is None:
-            e1 = e_k
-        report.lyapunov_series.append((k, e_k))
-        if prev_e is not None and e_k - prev_e > MONOTONE_TOL:
-            report.violations.append((k, e_k - prev_e))
-        prev_e = e_k
-        theta_hat = avg_acc / wsum
-        report.gap_series.append((k, float(obj.value(theta_hat)) - f_star))
-        report.bound_series.append((k, e1 / (delta * wsum)))
-    return report
+    w = conformal_weight(gen, thetas[:-1])
+    wsum = np.cumsum(w)
+    running = np.cumsum(w * (obj.value(thetas[1:]) - f_star))
+    e = big_phi_bregman(gen, star, thetas[1:]) + delta * running
+    theta_hat = np.cumsum(w[:, None] * thetas[1:], axis=0) / wsum[:, None]
+    k = np.arange(1, k_max + 1)
+    # e[:1] is E_1, or nothing when k_max = 0
+    return _audit(k, e, k, e[:1] / (delta * wsum), obj.value(theta_hat) - f_star)
 
 
 def time_change_compare(gen: Generator, obj: Objective, theta0, t_end: float,
                         dt: float) -> float:
     """Sup distance between the conformal flow at times t and the Hessian
     flow of Phi at its clock tau(t): the time change of the paper, checked
-    on the conformal run's own grid."""
+    on the conformal run's own grid; NaN if either path holds a NaN."""
     conformal = integrate(gen, obj, theta0, t_end, dt)
-    hess_path = integrate_hessian_flow(gen, obj, theta0, [st.tau for st in conformal])
-    return max(float(np.linalg.norm(st.theta - theta))
-               for st, theta in zip(conformal, hess_path))
+    hess_path = integrate_hessian_flow(gen, obj, theta0, conformal.tau)
+    return float(np.max(_row_norm(conformal.theta - hess_path)))

@@ -3,7 +3,8 @@ quadratic in any dimension, the heavy-tail location-scale potential, and the
 simplex-perturbation potential.
 
 Only inverse mirror maps are registered in closed form; ``lambda_mirror``
-derives the mirror map from ``grad``. All closed-form callables are
+derives the mirror map from ``grad``. Every ``value`` and ``grad`` works over
+the last axis, a batch giving the one-point bits row by row. All closed-form callables are
 polymorphic over real and complex inputs so that complex-step differentiation
 can be used as an independent oracle in tests.
 """
@@ -24,8 +25,8 @@ def log_reciprocal_generator(lam: float) -> Generator:
     return Generator(
         lam=lam,
         domain=Domain.box([0.0], [np.inf], anchor=[1.0]),
-        value=lambda t: -0.5 * np.log(t[0]),
-        grad=lambda t: np.array([-0.5 / t[0]]),
+        value=lambda t: -0.5 * np.log(t[..., 0]),
+        grad=lambda t: -0.5 / t,
         hess=lambda t: np.array([[0.5 / t[0] ** 2]]),
         # involution: the mirror map eta = -1/((2+lam) t) is its own inverse
         inverse_mirror_closed=lambda e: -1.0 / ((2.0 + lam) * e),
@@ -43,8 +44,8 @@ def linear_generator(lam: float) -> Generator:
     return Generator(
         lam=lam,
         domain=Domain.box([-np.inf], [1.0 / lam], anchor=[1.0 / lam - 1.0]),
-        value=lambda t: t[0],
-        grad=lambda t: np.ones(1),
+        value=lambda t: t[..., 0],
+        grad=lambda t: np.ones(np.shape(t)),
         hess=lambda t: np.zeros((1, 1)),
         inverse_mirror_closed=lambda e: (e - 1.0) / (lam * e),
         dual_domain=Domain.box([0.0], [np.inf], anchor=[1.0]),
@@ -77,8 +78,8 @@ def quadratic_generator(lam: float, dim: int = 1) -> Generator:
         grid_r = 0.85 * radius
 
     def inverse(e):
-        r = e @ e
-        return e * (2.0 / (1.0 + np.sqrt(1.0 + 4.0 * lam * r)))
+        r = np.vecdot(e, e)
+        return e * (2.0 / (1.0 + np.sqrt(1.0 + 4.0 * lam * r)))[..., None]
 
     # one shared Hessian for every call; read-only so no caller can alter it
     eye = np.eye(dim)
@@ -95,7 +96,9 @@ def quadratic_generator(lam: float, dim: int = 1) -> Generator:
     return Generator(
         lam=lam,
         domain=domain,
-        value=lambda t: 0.5 * (t @ t),
+        # vecdot conjugates its first argument: conj() undoes that for the
+        # complex-step checks, and is free on real input
+        value=lambda t: 0.5 * np.vecdot(t.conj(), t),
         grad=lambda t: np.asarray(t),
         hess=lambda t: eye,
         inverse_mirror_closed=inverse,
@@ -145,8 +148,8 @@ def student_t_generator(nu: float) -> Generator:
     const = math.lgamma(nu / 2.0) + 0.5 * np.log(nu * np.pi) - math.lgamma((nu + 1.0) / 2.0)
 
     def parts(t):
-        a = lam * t[0] ** 2 - 4.0 * t[1]
-        b = -2.0 * t[1]
+        a = lam * pow2(t[..., 0]) - 4.0 * t[..., 1]
+        b = -2.0 * t[..., 1]
         return a, b
 
     def value(t):
@@ -155,9 +158,9 @@ def student_t_generator(nu: float) -> Generator:
 
     def grad(t):
         a, b = parts(t)
-        d1 = (lam + 2.0) * t[0] / a
+        d1 = (lam + 2.0) * t[..., 0] / a
         d2 = 2.0 * (lam + 1.0) / (lam * b) - 2.0 * (lam + 2.0) / (lam * a)
-        return np.array([d1, d2])
+        return np.stack([d1, d2], axis=-1)
 
     def hess(t):
         a, b = parts(t)
@@ -207,7 +210,7 @@ def dirichlet_generator(lam: float, d: int) -> Generator:
     return Generator(
         lam=lam,
         domain=Domain.box([-np.inf] * d, [0.0] * d, anchor=np.full(d, 1.0 / lam)),
-        value=lambda t: np.sum(np.log(-t)) / (lam * n),
+        value=lambda t: np.sum(np.log(-t), axis=-1) / (lam * n),
         grad=lambda t: 1.0 / (lam * n * t),
         hess=lambda t: np.diag(-1.0 / (lam * n * np.asarray(t) ** 2)),
         inverse_mirror_closed=lambda e: 1.0 / (lam * e),

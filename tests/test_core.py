@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xmd.core import (DomainError, DualPair, Generator, RegularityError, _vec,
-                      bregman_div, big_phi_bregman, big_phi_hess, big_phi_value,
-                      conformal_weight, conjugate_value, inverse_mirror,
-                      lambda_mirror, log_cost, log_div, log_div_self_dual,
-                      metric, metric_inverse_sm, mirror_jacobian, zeta_of)
+from xmd.core import (Domain, DomainError, Generator, GeometryError,
+                      RegularityError, _vec, bregman_div, big_phi_bregman,
+                      big_phi_value, conformal_weight, conjugate_value,
+                      inverse_mirror, lambda_mirror, log_cost, log_div,
+                      log_div_self_dual, metric, metric_inverse_sm,
+                      mirror_jacobian, zeta_of)
 from xmd.expfam import LambdaExpFamily, OnlineState, online_update
-from xmd.flows import dual_logdiv_objective, quadratic_objective, rhs_dual
+from xmd.flows import (_segment_deviation, dual_logdiv_objective,
+                       quadratic_objective, rhs_dual)
 from xmd.generators import (dirichlet_generator, linear_generator,
                             log_reciprocal_generator, quadratic_generator,
                             student_t_generator, table_generators)
@@ -271,6 +274,18 @@ def test_metric_hessian_matches_finite_differences(gen):
     assert np.max(np.abs(fd - closed)) < 1e-5 * max(1.0, np.max(np.abs(closed)))
 
 
+@pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.name)
+def test_registered_hessians_are_exactly_symmetric(gen):
+    # metric takes hess as it is, with no symmetrising step
+    for theta in gen.grid:
+        theta = np.asarray(theta, dtype=float)
+        h = np.atleast_2d(gen.hess(theta))
+        assert h.shape == (gen.dim, gen.dim)
+        assert np.array_equal(h, h.T)
+        g = metric(gen, theta)
+        assert np.array_equal(g, g.T)
+
+
 def test_metric_positive_definite_failure():
     bad = Generator(
         lam=-2.0, domain=quadratic_generator(-2.0).domain,
@@ -299,7 +314,7 @@ def test_lam_zero_gives_the_classical_maps_exactly(dim):
         pair = lambda_mirror(gen, theta)
         assert np.array_equal(pair.eta, gen.grad(theta)) and pair.pi == 1.0
         g = metric(gen, theta)
-        assert np.array_equal(g, 0.5 * (hess + hess.T))
+        assert np.array_equal(g, hess)
         assert np.array_equal(mirror_jacobian(gen, theta), g)
         assert conformal_weight(gen, theta) == 1.0
         assert np.array_equal(rhs_dual(gen, obj, pair), -obj.grad(theta))
@@ -395,6 +410,143 @@ def test_domain_contains_and_reflect_on_batches_match_rows(dom):
         assert values.shape == (len(finite),)
         assert np.array_equal(g(finite + 1e-20j), values)
         assert np.array_equal(values, [g(row) for row in finite])
+
+
+def test_domain_contains_one_point_agrees_with_the_batch_mask():
+    seen = []
+
+    def unit_disc(x):
+        seen.append(np.array(x))
+        return 1.0 - np.vecdot(x, x)
+
+    lower, upper = np.array([-1.0, -2.0]), np.array([1.0, 0.5])
+    box = Domain.box(lower, upper, anchor=np.zeros(2))
+    disc = Domain(lower, upper, np.zeros(2), constraints=(unit_disc,))
+    points = np.array([[0.1, 0.2],            # inside both
+                       [0.9, 0.45],           # inside the box, outside the disc
+                       [1.5, 0.0],            # outside the box
+                       [np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]])
+    for dom, expected in ((box, [True, True, False, False, False, False]),
+                          (disc, [True, False, False, False, False, False])):
+        assert dom.contains(points).tolist() == expected
+        singles = [dom.contains(x) for x in points]
+        assert all(type(one) is bool for one in singles)
+        assert singles == expected
+    # one point outside the box, NaN and inf included, never reaches a constraint
+    seen.clear()
+    assert not any(disc.contains(x) for x in points[2:])
+    assert seen == []
+
+
+# ---------------------------------------------------------------------------
+# the maps of a point over the last axis
+
+BATCH_GENERATORS = ALL_GENERATORS + [quadratic_generator(-0.5, 2)]
+
+
+def _grid_rows(gen, data, n):
+    """n rows drawn from the generator's grid, in any order and with repeats,
+    each shrunk toward the origin by a factor in [0.5, 1]: that keeps every
+    registered domain, and gives the rows arbitrary last bits."""
+    grid = np.array(gen.grid, dtype=float)
+    idx = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=n, max_size=n))
+    scale = data.draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n))
+    return grid[idx] * np.array(scale)[:, None]
+
+
+def _assert_rows(batch_call, row_call, n):
+    """batch_call() equals row_call(i), i < n, row by row and bit for bit;
+    or some row raises a GeometryError, and so does the batch."""
+    try:
+        rows = [np.asarray(row_call(i)) for i in range(n)]
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            batch_call()
+        return
+    batch = np.asarray(batch_call())
+    assert batch.shape == (n, *rows[0].shape)
+    for got, want in zip(batch, rows):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("gen", BATCH_GENERATORS, ids=lambda g: g.name)
+def test_maps_over_the_last_axis_equal_the_one_row_calls(gen, data):
+    n = data.draw(st.integers(1, 5))
+    t, tp = _grid_rows(gen, data, n), _grid_rows(gen, data, n)
+    star = _grid_rows(gen, data, 1)[0]
+    obj = quadratic_objective(star, weight=1.7)
+    dual = dual_logdiv_objective(gen, star)
+    lam = gen.lam
+    maps = [
+        lambda x, y: gen.value(x),
+        lambda x, y: gen.grad(x),
+        lambda x, y: log_cost(gen.grad(y), x - y, lam),
+        lambda x, y: log_div(gen, x, y),
+        lambda x, y: log_div(gen, star, x),
+        lambda x, y: log_div(gen, x, star),
+        lambda x, y: lambda_mirror(gen, x).eta,
+        lambda x, y: lambda_mirror(gen, x).pi,
+        lambda x, y: gen.inverse_mirror_closed(lambda_mirror(gen, x).eta),
+        lambda x, y: conformal_weight(gen, x),
+        lambda x, y: zeta_of(gen, x),
+        lambda x, y: big_phi_value(gen, x),
+        lambda x, y: big_phi_bregman(gen, x, y),
+        lambda x, y: big_phi_bregman(gen, star, x),
+        lambda x, y: obj.value(x),
+        lambda x, y: dual.grad(x),
+        lambda x, y: rhs_dual(gen, obj, lambda_mirror(gen, x)),
+        lambda x, y: rhs_dual(gen, dual, lambda_mirror(gen, x)),
+        lambda x, y: _segment_deviation(x, tp[0], star),
+        lambda x, y: _segment_deviation(x, star, star),
+    ]
+    for f in maps:
+        _assert_rows(lambda: f(t, tp), lambda i: f(t[i], tp[i]), n)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("gen", BATCH_GENERATORS, ids=lambda g: g.name)
+def test_one_row_maps_round_as_their_scalar_formulas(gen, data):
+    # the reference rounding of one point: Python floats from 1-d dot
+    # products, as each map was written before it took batches; the property
+    # above carries these bits to every row of a batch
+    t, tp = _grid_rows(gen, data, 2)
+    star = _grid_rows(gen, data, 1)[0]
+    lam = gen.lam
+    x, y = gen.grad(tp), t - tp
+    arg = lam * float(x @ y)
+    if 1.0 + arg > 1e-14:
+        assert _same_bits(log_cost(x, y, lam), -np.log1p(arg) / lam)
+    u = gen.grad(t)
+    eta = u / (1.0 - lam * float(u @ t))
+    pi = 1.0 + lam * float(t @ eta)
+    pair = lambda_mirror(gen, t)
+    assert _same_bits(pair.eta, eta) and _same_bits(pair.pi, pi)
+    assert _same_bits(zeta_of(gen, t), np.exp(lam * gen.value(t)) * u)
+    assert _same_bits(big_phi_bregman(gen, star, t),
+                      big_phi_value(gen, star) - big_phi_value(gen, t)
+                      - float(zeta_of(gen, t) @ (star - t)))
+    obj = quadratic_objective(star, weight=1.7)
+    assert _same_bits(obj.value(t), 0.5 * 1.7 * float((t - star) @ (t - star)))
+    df = obj.grad(t)
+    assert _same_bits(rhs_dual(gen, obj, pair), -pi * (df + lam * eta * float(t @ df)))
+    eta_star = lambda_mirror(gen, star).eta
+    pi_star = 1.0 + lam * float(t @ eta_star)
+    if pi_star > 0.0:
+        assert _same_bits(dual_logdiv_objective(gen, star).grad(t),
+                          eta / pi - eta_star / pi_star)
+    seg = star - tp
+    if float(seg @ seg) > 0.0:
+        s = min(max(float((t - tp) @ seg) / float(seg @ seg), 0.0), 1.0)
+        assert _same_bits(_segment_deviation(t, tp, star),
+                          float(np.linalg.norm(t - (tp + s * seg))))
 
 
 # ---------------------------------------------------------------------------

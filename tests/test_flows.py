@@ -1,14 +1,16 @@
 """Flow engine: right-hand sides, integration, Euler steps, geodesics, Lyapunov."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from xmd.core import (DomainError, GeometryError, SolverError, big_phi_hess,
-                      conformal_weight, lambda_mirror, mirror_jacobian,
-                      theta_of_zeta, zeta_of)
-from xmd.flows import (MAX_HALVINGS, Objective, _guarded_step, _integrate_path,
-                       conformal_smoothness_estimate,
+from xmd import flows
+from xmd.core import (DomainError, GeometryError, SolverError, big_phi_bregman,
+                      big_phi_hess, conformal_weight, lambda_mirror, log_div,
+                      mirror_jacobian, theta_of_zeta, zeta_of)
+from xmd.flows import (MAX_HALVINGS, MONOTONE_TOL, GeodesicReport, Objective, _guarded_step,
+                       _integrate_path, conformal_smoothness_estimate,
                        discrete_lyapunov_run, dual_logdiv_objective,
                        geodesic_flow_check, integrate, integrate_hessian_flow,
                        lyapunov_continuous, primal_logdiv_objective,
@@ -82,11 +84,10 @@ def test_rhs_dual_matches_trajectory_derivative():
     gen = QUAD_2D
     obj = quadratic_objective([0.3, 0.1])
     dt = 1e-3
-    states = integrate(gen, obj, [-0.5, 0.8], 0.2, dt)
-    pairs = [lambda_mirror(gen, st.theta) for st in states]
-    for i in range(1, len(states) - 1):
-        fd = (pairs[i + 1].eta - pairs[i - 1].eta) / (2 * dt)
-        assert np.max(np.abs(fd - rhs_dual(gen, obj, pairs[i]))) < 1e-5
+    path = integrate(gen, obj, [-0.5, 0.8], 0.2, dt)
+    pairs = lambda_mirror(gen, path.theta)
+    fd = (pairs.eta[2:] - pairs.eta[:-2]) / (2 * dt)
+    assert np.max(np.abs(fd - rhs_dual(gen, obj, pairs)[1:-1])) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -96,27 +97,26 @@ def test_rhs_dual_matches_trajectory_derivative():
 def test_integrate_stationary():
     gen = LOG_1D
     obj = quadratic_objective([0.5])
-    states = integrate(gen, obj, [0.5], 1.0, 1e-2)
-    assert all(abs(st.theta[0] - 0.5) < 1e-14 for st in states)
-    taus = [st.tau for st in states]
-    assert all(b > a for a, b in zip(taus, taus[1:]))
+    path = integrate(gen, obj, [0.5], 1.0, 1e-2)
+    assert np.all(np.abs(path.theta[:, 0] - 0.5) < 1e-14)
+    assert np.all(path.tau[1:] > path.tau[:-1])
 
 
 def test_integrate_monotone_toward_target():
     gen = LOG_1D
     obj = primal_logdiv_objective(gen, [2.0])
-    states = integrate(gen, obj, [1.0], 2.0, 1e-3)
-    gaps = [abs(st.theta[0] - 2.0) for st in states]
-    assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+    path = integrate(gen, obj, [1.0], 2.0, 1e-3)
+    gaps = np.abs(path.theta[:, 0] - 2.0)
+    assert np.all(gaps[1:] <= gaps[:-1] + 1e-12)
     assert gaps[-1] < gaps[0]
 
 
 def test_integrate_fourth_order_endpoint():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    end = {dt: integrate(gen, obj, [0.5], 1.0, dt)[-1].theta[0]
+    end = {dt: integrate(gen, obj, [0.5], 1.0, dt).theta[-1, 0]
            for dt in (4e-2, 2e-2, 1e-3, 5e-4)}
-    ref = integrate(gen, obj, [0.5], 1.0, 2.5e-4)[-1].theta[0]
+    ref = integrate(gen, obj, [0.5], 1.0, 2.5e-4).theta[-1, 0]
     e_coarse = abs(end[4e-2] - ref)
     e_mid = abs(end[2e-2] - ref)
     assert 10.0 < e_coarse / e_mid < 24.0
@@ -128,9 +128,9 @@ def test_integrate_clock_and_average_fourth_order_endpoint():
     # tau and the tau-weighted average ride in the RK4 state with theta
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    end = {dt: integrate(gen, obj, [0.5], 1.0, dt)[-1] for dt in (4e-2, 2e-2, 2.5e-4)}
+    end = {dt: integrate(gen, obj, [0.5], 1.0, dt) for dt in (4e-2, 2e-2, 2.5e-4)}
     ref = end[2.5e-4]
-    for read in (lambda st: st.tau, lambda st: st.theta_hat[0]):
+    for read in (lambda path: path.tau[-1], lambda path: path.theta_hat[-1, 0]):
         e_coarse = abs(read(end[4e-2]) - read(ref))
         e_mid = abs(read(end[2e-2]) - read(ref))
         assert 10.0 < e_coarse / e_mid < 24.0
@@ -150,14 +150,15 @@ def test_integrate_reads_its_states_off_one_rk4_path():
     times = np.linspace(0.0, 50 * 1e-2, 51)
     path = _integrate_path(rhs, lambda x: gen.domain.contains(x[:2]),
                            np.concatenate([theta0, [0.0], np.zeros(2)]), times)
-    states = integrate(gen, obj, theta0, 0.5, 1e-2)
-    assert len(states) == len(path)
-    for st, t, x in zip(states, times, path):
+    flow = integrate(gen, obj, theta0, 0.5, 1e-2)
+    assert len(flow) == len(path)
+    assert flow.theta.shape == flow.theta_hat.shape == (len(path), 2)
+    for i, (t, x) in enumerate(zip(times, path)):
         tau = float(x[2])
         theta_hat = x[:2] if tau == 0.0 else x[3:] / tau
-        assert (st.t, st.tau) == (float(t), tau)
-        assert st.theta.tobytes() == x[:2].tobytes()
-        assert st.theta_hat.tobytes() == theta_hat.tobytes()
+        assert (flow.t[i], flow.tau[i]) == (float(t), tau)
+        assert flow.theta[i].tobytes() == x[:2].tobytes()
+        assert flow.theta_hat[i].tobytes() == theta_hat.tobytes()
 
 
 def rk4_step(rhs, x, h):
@@ -236,9 +237,9 @@ def test_integrate_evaluates_the_gradient_four_times_per_step():
         return inner.grad(theta)
 
     n_steps = 50
-    states = integrate(LOG_1D, Objective(inner.value, grad, inner.theta_star),
-                       [0.5], n_steps * 1e-2, 1e-2)
-    assert len(states) == n_steps + 1
+    path = integrate(LOG_1D, Objective(inner.value, grad, inner.theta_star),
+                     [0.5], n_steps * 1e-2, 1e-2)
+    assert len(path) == n_steps + 1
     assert len(calls) == 4 * n_steps
 
 
@@ -247,11 +248,11 @@ def test_zeta_flow_form():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
     dt = 1e-3
-    states = integrate(gen, obj, [0.5], 0.5, dt)
-    for i in range(1, len(states) - 1, 25):
-        fd = (zeta_of(gen, states[i + 1].theta) - zeta_of(gen, states[i - 1].theta)) / (2 * dt)
-        w = math.exp(gen.lam * float(gen.value(states[i].theta)))
-        expected = -w * obj.grad(states[i].theta)
+    path = integrate(gen, obj, [0.5], 0.5, dt)
+    for i in range(1, len(path) - 1, 25):
+        fd = (zeta_of(gen, path.theta[i + 1]) - zeta_of(gen, path.theta[i - 1])) / (2 * dt)
+        w = math.exp(gen.lam * float(gen.value(path.theta[i])))
+        expected = -w * obj.grad(path.theta[i])
         assert np.max(np.abs(fd - expected)) < 1e-5
 
 
@@ -268,7 +269,7 @@ def test_step_primal_euler_values():
 
 
 def _flow_endpoint(gen, obj, theta0, t):
-    return integrate(gen, obj, theta0, t, t / 64.0)[-1].theta
+    return integrate(gen, obj, theta0, t, t / 64.0).theta[-1]
 
 
 @pytest.mark.parametrize("step", [step_primal_euler, step_adaptive_mirror],
@@ -449,13 +450,41 @@ def test_geodesic_coefficient_along_trajectory():
     star = np.array([0.5, -0.3])
     obj = dual_logdiv_objective(gen, star)
     eta_star = lambda_mirror(gen, star).eta
-    states = integrate(gen, obj, [-0.8, 0.6], 0.5, 1e-3)
-    for st in states[:: len(states) // 5]:
-        pair = lambda_mirror(gen, st.theta)
+    path = integrate(gen, obj, [-0.8, 0.6], 0.5, 1e-3)
+    for theta in path.theta[:: len(path) // 5]:
+        pair = lambda_mirror(gen, theta)
         vel = rhs_dual(gen, obj, pair)
         ratio = vel / (eta_star - pair.eta)
-        pi_star = 1.0 + gen.lam * float(st.theta @ eta_star)
+        pi_star = 1.0 + gen.lam * float(theta @ eta_star)
         assert np.max(np.abs(ratio - pair.pi / pi_star)) < 1e-8
+
+
+def _with_nan_row(fn):
+    """fn with a NaN written over the middle row of the path it returns."""
+    def wrapped(*args):
+        path = fn(*args)
+        path[len(path) // 2] = np.nan
+        return path
+    return wrapped
+
+
+def test_geodesic_flow_check_fails_a_nan_path(monkeypatch):
+    monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path))
+    rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], t_end=0.1, dt=1e-2)
+    assert np.isnan(rep.dual_collinearity)
+    assert np.isnan(rep.dual_coefficient_error)
+    assert np.isnan(rep.primal_collinearity)
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("nan_at", range(3))
+def test_geodesic_report_keeps_a_nan_error(nan_at):
+    # max() over floats drops a NaN that is not first; max_error must not
+    errors = [1e-9, 2e-9, 3e-9]
+    errors[nan_at] = math.nan
+    rep = GeodesicReport(*errors, tol=1e-6)
+    assert math.isnan(rep.max_error)
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +502,57 @@ def test_lyapunov_continuous_stationary():
 def test_lyapunov_continuous_decreasing_and_bounded():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    states = integrate(gen, obj, [1.0], 4.0, 1e-3)
-    report = lyapunov_continuous(gen, obj, states)
+    path = integrate(gen, obj, [1.0], 4.0, 1e-3)
+    report = lyapunov_continuous(gen, obj, path)
     assert report.monotone
     values = [e for _, e in report.lyapunov_series]
     assert values[-1] < values[0]
     assert report.bound_dominates
     # O(1/t): t * gap stays bounded by t * bound, and tau grows linearly
     tail = [(t, g) for t, g in report.gap_series if t > 2.0]
-    tau_by_t = min(st.tau / st.t for st in states if st.t > 2.0)
-    numer = report.bound_series[0][1] * states[1].tau  # B_Phi[star:theta0]
+    late = path.t > 2.0
+    tau_by_t = np.min(path.tau[late] / path.t[late])
+    numer = report.bound_series[0][1] * path.tau[1]  # B_Phi[star:theta0]
     assert all(t * g <= numer / tau_by_t + 1e-9 for t, g in tail)
+
+
+def test_lyapunov_continuous_fails_a_nan_path():
+    gen = LOG_1D
+    obj = quadratic_objective([2.0])
+    path = integrate(gen, obj, [1.0], 0.5, 1e-2)
+    report = lyapunov_continuous(gen, obj, path)
+    assert report.monotone and report.bound_dominates
+    theta = path.theta.copy()
+    theta[20] = np.nan
+    report = lyapunov_continuous(gen, obj, dataclasses.replace(path, theta=theta))
+    # the rises into and out of the NaN state both count
+    assert report.violations[:, 0].tolist() == [path.t[20], path.t[21]]
+    assert np.isnan(report.violations[:, 1]).all()
+    assert not report.monotone
+    theta_hat = path.theta_hat.copy()
+    theta_hat[30] = np.nan
+    report = lyapunov_continuous(gen, obj, dataclasses.replace(path, theta_hat=theta_hat))
+    assert report.monotone and not report.bound_dominates
+
+
+def test_discrete_lyapunov_run_fails_a_nan_iterate(monkeypatch):
+    gen = quadratic_generator(-0.5)
+    obj = quadratic_objective([0.0])
+    k_max = 20
+    assert discrete_lyapunov_run(gen, obj, [0.9], 0.1, k_max).monotone
+    steps = []
+
+    def last_step_nan(gen, obj, theta, delta):
+        steps.append(theta)
+        if len(steps) == k_max:
+            return np.full_like(theta, np.nan)
+        return step_adaptive_mirror(gen, obj, theta, delta)
+
+    monkeypatch.setattr(flows, "step_adaptive_mirror", last_step_nan)
+    report = discrete_lyapunov_run(gen, obj, [0.9], 0.1, k_max)
+    assert report.violations[:, 0].tolist() == [k_max]
+    assert not report.monotone
+    assert not report.bound_dominates
 
 
 def test_conformal_smoothness_classical_limit():
@@ -551,6 +620,12 @@ def test_time_change_equivalence_smoke():
     assert dev < 1e-4
 
 
+def test_time_change_compare_keeps_a_nan_deviation(monkeypatch):
+    monkeypatch.setattr(flows, "integrate_hessian_flow",
+                        _with_nan_row(integrate_hessian_flow))
+    assert math.isnan(time_change_compare(LOG_1D, quadratic_objective([2.0]), [0.5], 0.1, 1e-2))
+
+
 def test_time_change_order_of_accuracy():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
@@ -569,3 +644,111 @@ def test_hessian_flow_is_autonomous_reference():
     mid = len(s) // 2
     fd = (zetas[mid + 1] - zetas[mid - 1]) / (s[mid + 1] - s[mid - 1])
     assert np.max(np.abs(fd + obj.grad(path[mid]))) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics against their one-state loops
+#
+# Each reference below walks the path one state at a time with one-row calls
+# and Python running sums and maxima, as the diagnostics did before they read
+# whole paths; the array forms must give the same values exactly.
+
+
+def _lyapunov_loop(gen, obj, path):
+    star = obj.theta_star
+    f_star = float(obj.value(star))
+    numer = big_phi_bregman(gen, star, path.theta[0])
+    series, bound, gap, violations = [], [], [], []
+    prev = None
+    for t, theta, tau, theta_hat in zip(path.t.tolist(), path.theta, path.tau.tolist(),
+                                        path.theta_hat):
+        e = float(log_div(gen, star, theta))
+        series.append([t, e])
+        if prev is not None and e - prev > MONOTONE_TOL:
+            violations.append([t, e - prev])
+        prev = e
+        if tau > 0.0:
+            bound.append([t, numer / tau])
+            gap.append([t, float(obj.value(theta_hat)) - f_star])
+    return series, bound, gap, violations
+
+
+def _report_lists(report):
+    return tuple(a.tolist() for a in (report.lyapunov_series, report.bound_series,
+                                      report.gap_series, report.violations))
+
+
+@pytest.mark.parametrize("gen, obj, theta0", [
+    (LOG_1D, quadratic_objective([2.0]), [1.0]),
+    (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7]),
+    # a negative weight makes E rise, so the violations are compared too
+    (QUAD_2D, quadratic_objective([0.3, -0.2], weight=-1.0), [0.2, -0.1]),
+], ids=["1d", "2d", "2d-rising"])
+def test_lyapunov_continuous_equals_its_one_state_loop(gen, obj, theta0):
+    path = integrate(gen, obj, theta0, 0.5, 1e-2)
+    report = lyapunov_continuous(gen, obj, path)
+    assert _report_lists(report) == _lyapunov_loop(gen, obj, path)
+
+
+def test_discrete_lyapunov_run_equals_its_one_state_loop():
+    gen = quadratic_generator(-0.5)
+    obj = quadratic_objective([0.0])
+    # a step this long makes E rise, so the violations are compared too
+    delta, k_max = 2.5, 200
+    thetas = [np.array([0.9])]
+    for _ in range(k_max):
+        thetas.append(step_adaptive_mirror(gen, obj, thetas[-1], delta))
+    star, f_star = obj.theta_star, float(obj.value(obj.theta_star))
+    series, bound, gap, violations = [], [], [], []
+    running = wsum = 0.0
+    avg_acc = np.zeros(1)
+    for k in range(1, k_max + 1):
+        w = float(conformal_weight(gen, thetas[k - 1]))
+        running += w * (float(obj.value(thetas[k])) - f_star)
+        wsum += w
+        avg_acc = avg_acc + w * thetas[k]
+        e_k = float(big_phi_bregman(gen, star, thetas[k])) + delta * running
+        if series and e_k - series[-1][1] > MONOTONE_TOL:
+            violations.append([k, e_k - series[-1][1]])
+        series.append([k, e_k])
+        gap.append([k, float(obj.value(avg_acc / wsum)) - f_star])
+        bound.append([k, series[0][1] / (delta * wsum)])
+    report = discrete_lyapunov_run(gen, obj, [0.9], delta, k_max)
+    assert _report_lists(report) == (series, bound, gap, violations)
+
+
+@pytest.mark.parametrize("gen, star, theta0", [
+    (QUAD_2D, [0.5, -0.3], [-0.8, 0.6]),
+    (LOG_1D, [2.0], [1.0]),
+], ids=["2d", "1d"])
+def test_geodesic_flow_check_equals_its_one_state_loop(gen, star, theta0):
+    star, theta0 = np.array(star), np.array(theta0)
+    eta_star = lambda_mirror(gen, star).eta
+    eta0 = lambda_mirror(gen, theta0).eta
+
+    def deviation(x, a, b):
+        seg = b - a
+        s = min(max(float((x - a) @ seg) / float(seg @ seg), 0.0), 1.0)
+        return float(np.linalg.norm(x - (a + s * seg)))
+
+    dual_obj = dual_logdiv_objective(gen, star)
+    collin = coeff = 0.0
+    for theta in integrate(gen, dual_obj, theta0, 0.5, 1e-2).theta:
+        pair = lambda_mirror(gen, theta)
+        collin = max(collin, deviation(pair.eta, eta0, eta_star))
+        pi_star = 1.0 + gen.lam * float(theta @ eta_star)
+        expected = -(pair.pi / pi_star) * (pair.eta - eta_star)
+        coeff = max(coeff, float(np.max(np.abs(rhs_dual(gen, dual_obj, pair) - expected))))
+    primal = integrate(gen, primal_logdiv_objective(gen, star), theta0, 0.5, 1e-2).theta
+    pcollin = max(deviation(theta, theta0, star) for theta in primal)
+    rep = geodesic_flow_check(gen, star, theta0, t_end=0.5, dt=1e-2)
+    assert (rep.dual_collinearity, rep.dual_coefficient_error,
+            rep.primal_collinearity) == (collin, coeff, pcollin)
+
+
+def test_time_change_compare_equals_its_one_state_loop():
+    obj = quadratic_objective([2.0])
+    conformal = integrate(LOG_1D, obj, [0.5], 0.5, 1e-2)
+    hess_path = integrate_hessian_flow(LOG_1D, obj, [0.5], conformal.tau.tolist())
+    dev = max(float(np.linalg.norm(a - b)) for a, b in zip(conformal.theta, hess_path))
+    assert time_change_compare(LOG_1D, obj, [0.5], 0.5, 1e-2) == dev
