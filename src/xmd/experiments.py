@@ -7,7 +7,6 @@ fixed (config, seed): every random draw comes from a keyed substream.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -48,14 +47,25 @@ class RunSummary:
         return path
 
 
-def _write_csv(out_dir: str, name: str, header: list[str], rows) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([x if isinstance(x, (str, int)) else repr(float(x))
-                             for x in row])
+def _field(x) -> str:
+    return x if isinstance(x, str) else str(x) if isinstance(x, int) else repr(float(x))
+
+
+def _write_csv(out_dir: str, name: str, header: list[str], columns) -> str:
+    """Write the CSV ``name`` from its header and its columns, of equal length.
+
+    A numpy column is written as the repr of each value as a Python float.
+    In any other column a str is written as it is, an int by ``str`` and
+    anything else as ``repr(float(x))``. Fields are joined by "," and every
+    line, the header's too, ends in "\\r\\n". Nothing is quoted: the str
+    fields are the runners' own labels, with no ",", '"' or line break, and
+    for them these are the bytes ``csv.writer`` writes.
+    """
+    fields = [map(repr, col.astype(float, copy=False).tolist()) if isinstance(col, np.ndarray)
+              else map(_field, col) for col in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*fields, strict=True)]
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
     return name
 
 
@@ -80,19 +90,20 @@ def run_student_t(config: ExperimentConfig, out_dir: str) -> RunSummary:
                    for traj in range(config.n_traj)], axis=1)
     eta0 = np.array([config.mu0, config.mu0 ** 2 + config.sigma0 ** 2])
     state = expfam.start_state(fam, np.tile(eta0, (config.n_traj, 1)))
-    mu = np.empty((config.n_steps + 1, config.n_traj))
-    sigma = np.empty_like(mu)
-    mu[0], sigma[0] = config.mu0, config.sigma0
+    ys = fam.statistics(xs)
+    thetas = np.empty((config.n_steps, config.n_traj, 2))
     for k in range(1, config.n_steps + 1):
-        state = expfam.online_update(fam, state, fam.statistics(xs[k - 1]), schedule(k))
-        params = expfam.student_t_params(state.theta, config.nu)
-        mu[k], sigma[k] = params.mu, params.sigma
+        state = expfam.online_update(fam, state, ys[k - 1], schedule(k))
+        thetas[k - 1] = state.theta
+    params = expfam.student_t_params(thetas, config.nu)
+    mu = np.concatenate([np.full((1, config.n_traj), config.mu0), params.mu])
+    sigma = np.concatenate([np.full((1, config.n_traj), config.sigma0), params.sigma])
 
     summary = RunSummary(experiment=config.experiment)
     for traj in range(config.n_traj):
-        rows = zip(range(config.n_steps + 1), mu[:, traj], sigma[:, traj])
         summary.files.append(_write_csv(out_dir, f"trajectory_{traj:02d}.csv",
-                                        ["k", "mu", "sigma"], rows))
+                                        ["k", "mu", "sigma"],
+                                        [range(config.n_steps + 1), mu[:, traj], sigma[:, traj]]))
     mu_err = [abs(float(m) - config.mu_star) for m in mu[-1]]
     sig_err = [abs(float(s) - config.sigma_star) for s in sigma[-1]]
     summary.metrics = {
@@ -154,7 +165,7 @@ def run_dirichlet_online(config: ExperimentConfig, out_dir: str) -> RunSummary:
     summary = RunSummary(experiment=config.experiment)
     for traj in range(config.n_traj):
         summary.files.append(_write_csv(out_dir, f"trajectory_{traj:02d}.csv", ["k", "dist"],
-                                        zip(range(1, config.n_steps + 1), dist[:, traj])))
+                                        [range(1, config.n_steps + 1), dist[:, traj]]))
     # the fit pools (k, dist) over trajectories in trajectory order
     ks = np.broadcast_to(np.arange(1, config.n_steps + 1), (config.n_traj, config.n_steps))
     in_fit = (ks >= 100) & (ks <= 10000) & (dist.T > 0.0)
@@ -230,27 +241,23 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
         # fmin skips NaN: a row keeps the least weight of its finite iterates
         min_w = np.fmin(min_w, p.min(axis=-1))
 
-    rows = []
-    mean_curves = {}
-    finals = {}
-    for i, (label, alpha) in enumerate(methods):
-        block = slice(i * n_inits, (i + 1) * n_inits)
-        rows.extend((label, "" if alpha is None else float(alpha), j, config.n_steps,
-                     float(cost), float(least))
-                    for j, (cost, least) in enumerate(zip(curves[block, -1], min_w[block])))
-        mean_curves[label] = curves[block].mean(axis=0)
-        finals[label] = float(curves[block, -1].mean())
+    blocks = {label: slice(i * n_inits, (i + 1) * n_inits)
+              for i, (label, _) in enumerate(methods)}
+    mean_curves = {label: curves[block].mean(axis=0) for label, block in blocks.items()}
+    finals = {label: float(curves[block, -1].mean()) for label, block in blocks.items()}
 
     summary = RunSummary(experiment=config.experiment)
-    summary.files.append(_write_csv(out_dir, "final_costs.csv",
-                                    ["method", "alpha", "init", "k", "f_value", "min_weight"],
-                                    rows))
-    curve_rows = []
-    for label, curve in mean_curves.items():
-        for k, v in enumerate(curve):
-            curve_rows.append((label, k, float(v)))
-    summary.files.append(_write_csv(out_dir, "mean_curves.csv",
-                                    ["method", "k", "mean_f"], curve_rows))
+    summary.files.append(_write_csv(
+        out_dir, "final_costs.csv", ["method", "alpha", "init", "k", "f_value", "min_weight"],
+        [[label for label, _ in methods for _ in range(n_inits)],
+         ["" if alpha is None else float(alpha) for _, alpha in methods for _ in range(n_inits)],
+         list(range(n_inits)) * len(methods), [config.n_steps] * len(p),
+         curves[:, -1], min_w]))
+    summary.files.append(_write_csv(
+        out_dir, "mean_curves.csv", ["method", "k", "mean_f"],
+        [[label for label in mean_curves for _ in range(config.n_steps + 1)],
+         list(range(config.n_steps + 1)) * len(mean_curves),
+         np.concatenate(list(mean_curves.values()))]))
     summary.metrics = {
         "target": config.target,
         "target_a": config.target_a,
@@ -258,7 +265,7 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
         "ranking": rank_methods(finals),
     }
     summary.passed = (all(np.isfinite(v) for v in finals.values())
-                      and all(row[-1] > 0.0 for row in rows))
+                      and bool(np.all(min_w > 0.0)))
     summary.wall_time = time.perf_counter() - t0
     return summary
 
@@ -327,10 +334,11 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
         raise ValueError(f"not a diagnostics experiment: {config.experiment}")
 
     summary = RunSummary(experiment=config.experiment)
+    suites, metrics, values, tolerances, oks = zip(*checks)
     summary.files.append(_write_csv(out_dir, "checks.csv",
                                     ["suite", "metric", "value", "tolerance", "passed"],
-                                    [(s, m, float(v), float(tol), str(ok))
-                                     for s, m, v, tol, ok in checks]))
+                                    [suites, metrics, np.array(values, dtype=float),
+                                     np.array(tolerances, dtype=float), map(str, oks)]))
     summary.metrics = {m: float(v) for _, m, v, _, _ in checks}
     summary.passed = all(ok for *_, ok in checks)
     summary.wall_time = time.perf_counter() - t0

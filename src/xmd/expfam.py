@@ -139,8 +139,9 @@ def student_t_coords(params: StudentTParams) -> np.ndarray:
 
 
 def student_t_params(theta, nu: float) -> StudentTParams:
-    """Natural coordinates -> (mu, sigma); requires theta in the parameter set.
-    For a batch ``(batch, 2)`` of coordinates, mu and sigma are arrays."""
+    """Natural coordinates -> (mu, sigma) over the last axis; requires theta
+    in the parameter set. For one point ``(2,)`` mu and sigma are floats, for
+    coordinates ``(..., 2)`` arrays of shape ``(...)``."""
     theta = _vec(theta)
     lam = student_t_lambda(nu)
     t1, t2 = theta[..., 0], theta[..., 1]

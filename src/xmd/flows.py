@@ -272,19 +272,25 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
     callables index the per-row state they hold by it, ``state[rows]``. A
     GeometryError rejects every row of that try. Candidates run under
     np.errstate(all="ignore"): every accept test rejects non-finite rows.
-    Returns the rows and the mask of rows never accepted, which keep their
-    value from x.
+
+    A row that its accept test rejects with z == base in every component
+    stops there: the halvings of d are exact, so every later z rounds to the
+    same bits and is rejected too. A row rejected by a GeometryError keeps
+    halving. Returns the rows and the mask of rows never accepted, which
+    keep their value from x.
     """
     d = np.full(x.shape[:-1], delta, dtype=float)
     pending = np.ones(d.shape, dtype=bool)
+    absorbed = np.zeros(d.shape, dtype=bool)
     rows = ...
     with np.errstate(all="ignore"):
         for _ in range(MAX_HALVINGS + 1):
+            b = base[rows]
             try:
-                z = base[rows] + d[rows][..., None] * direction[rows]
+                z = b + d[rows][..., None] * direction[rows]
                 cand, ok = accept(finish(z, rows) if finish else z, rows)
             except GeometryError:
-                cand, ok = x[rows], False
+                cand, ok, z = x[rows], False, None
             take = pending[rows] & ok
             if rows is ...:
                 if take.all():  # every row accepted at once: nothing to merge
@@ -293,11 +299,14 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
             else:
                 x[rows] = np.where(take[..., None], cand, x[rows])
             pending[rows] = ~take
+            if z is not None:
+                absorbed[rows] = ~take & (z == b).all(axis=-1)
+                pending[rows] &= ~absorbed[rows]
             if not pending.any():
                 break
             d[pending] *= 0.5
             rows = np.nonzero(pending) if pending.ndim else ...
-    return x, pending
+    return x, pending | absorbed
 
 
 def _reflecting(test, reflect):

@@ -17,7 +17,7 @@ import xmd
 from xmd import cli, expfam, simplex
 from xmd.config import (EXPERIMENTS, ConfigError, ExperimentConfig, _build,
                         canonical_dumps, parse_config)
-from xmd.experiments import SLOPE_BAND, rank_methods, run_experiment
+from xmd.experiments import SLOPE_BAND, _write_csv, rank_methods, run_experiment
 
 # sha256 of the CSVs and of summary.json without wall_time (see
 # ``output_digest``) at n_steps=200, seed 0, recorded from the one-trajectory-
@@ -82,6 +82,31 @@ def read_rows(path):
         return list(csv.reader(fh))[1:]
 
 
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    # the column writer against csv.writer fed rows under the per-field rule
+    # it replaced: a str as it is, an int by str, anything else repr(float(x))
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e22, 1 / 3])
+    count = len(floats)
+    columns = [
+        ["entropic", "conformal_a0.5"] * (count // 2),
+        floats,
+        floats[::-1],  # a strided view
+        np.arange(count),
+        [3, np.int64(4), True, -7, np.int32(0), 10 ** 20, 0, 1],
+        [np.float64(x) for x in floats],
+        ["", 0.5, "", -0.0, "", np.float64(1e22), "", 2],
+        range(count),
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    assert _write_csv(str(tmp_path), "new.csv", header, columns) == "new.csv"
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([x if isinstance(x, (str, int)) else repr(float(x)) for x in row])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # online runners
 
@@ -129,7 +154,8 @@ def test_student_t_fails_when_the_error_does_not_shrink(tmp_path):
 
 def test_student_t_fails_on_non_finite_estimate(tmp_path, monkeypatch):
     def nan_params(theta, nu):
-        return expfam.StudentTParams(np.full(len(theta), np.nan), np.ones(len(theta)), nu)
+        shape = np.shape(theta)[:-1]
+        return expfam.StudentTParams(np.full(shape, np.nan), np.ones(shape), nu)
 
     monkeypatch.setattr(expfam, "student_t_params", nan_params)
     summary, _ = run(tmp_path, "student-t-online", n_steps=5, n_traj=2)

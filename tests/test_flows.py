@@ -421,6 +421,36 @@ def test_guarded_step_counts_a_geometry_error_as_a_rejection():
     assert len(tried) == 5
 
 
+def test_guarded_step_stops_a_rejected_row_whose_step_rounds_away():
+    # row 0's increment d * 2**-50 rounds away from d = 2**-3 on (1 + 2**-53
+    # ties to 1), so its rejection there is final; row 1's never rounds away
+    x = np.ones((2, 2))
+    direction = np.array([[2.0 ** -50, 0.0], [1.0, 1.0]])
+    tries = np.zeros(2, dtype=int)
+
+    def accept(cand, rows):
+        tries[rows] += 1
+        return cand, np.zeros(len(cand), dtype=bool)
+
+    out, failed = _guarded_step(x, x, direction, 1.0, accept)
+    assert tries.tolist() == [4, MAX_HALVINGS + 1]
+    assert failed.all() and np.array_equal(out, x)
+
+
+def test_guarded_step_halves_on_after_a_geometry_error_at_a_rounded_away_step():
+    x = np.ones(2)
+    tried = []
+
+    def finish(z, rows):
+        tried.append(z.copy())
+        raise DomainError("no map here")
+
+    out, failed = _guarded_step(x, x, np.full(2, 1e-30), 1.0,
+                                lambda cand, rows: (cand, True), finish)
+    assert len(tried) == MAX_HALVINGS + 1
+    assert failed and np.array_equal(out, x)
+
+
 def test_step_infeasible_reflects_or_halves():
     gen = LOG_1D
     obj = quadratic_objective([-5.0])  # pushes theta toward 0 and beyond
