@@ -22,6 +22,10 @@ EXPERIMENTS = (
 )
 
 
+# the most steps of a flow's time grid (see ExperimentConfig.dt)
+MAX_TIME_STEPS = 10 ** 7
+
+
 class ConfigError(Exception):
     """Invalid configuration; the CLI maps this to exit code 2."""
 
@@ -58,7 +62,9 @@ class ExperimentConfig:
 
     # diagnostics: only flow-equivalence reads dt and t_end; geodesic-check
     # and lyapunov-suite run fixed instances (t_end 1 and 4, dt 1e-3) and
-    # reject any other value of either
+    # reject any other value of either. The flows step on the grid
+    # t = 0, dt, ..., round(t_end/dt)*dt, so round(t_end/dt) may be at most
+    # MAX_TIME_STEPS: 80 MB of grid, and a path of a few times that
     dt: float = 1e-4
     t_end: float = 1.0
 
@@ -102,6 +108,11 @@ class ExperimentConfig:
                 raise ConfigError("dt and t_end must be positive")
             if self.dt > self.t_end:
                 raise ConfigError("dt must not exceed t_end")
+            # t_end/dt may overflow to inf, which round() cannot take
+            steps = self.t_end / self.dt
+            if not (math.isfinite(steps) and round(steps) <= MAX_TIME_STEPS):
+                raise ConfigError(f"t_end/dt must round to at most {MAX_TIME_STEPS} steps, "
+                                  f"got {steps:.3g}")
         if self.experiment in ("geodesic-check", "lyapunov-suite"):
             # config.txt must not record a setting the run ignored
             if (self.dt, self.t_end) != (ExperimentConfig.dt, ExperimentConfig.t_end):

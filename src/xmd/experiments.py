@@ -11,6 +11,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -209,24 +210,14 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
     def grad(p):
         return simplex.dirichlet_cost_grad(p, p_star)
 
-    # every (method, initial point) is a row of one batch, method-major, and
-    # the rows step in three groups: the diversity rows with their alpha as a
-    # column, the equal-weighted rows (alpha = 0) and the entropic rows
+    # every (method, initial point) is a row of one batch, method-major; the
+    # conformal rows come first and step in one call, with their alpha as a
+    # column, and the entropic rows in another
     alphas = config.alpha_list
     methods = [(f"conformal_a{a}", a) for a in alphas] + [("entropic", None)]
     n_inits = config.n_inits
-
-    def rows_of(indices):
-        return (np.asarray(indices, dtype=int)[:, None] * n_inits + np.arange(n_inits)).ravel()
-
-    diversity = [i for i, a in enumerate(alphas) if a != 0.0]
-    equal = [i for i, a in enumerate(alphas) if a == 0.0]
-    groups = [(rows_of([len(alphas)]), None)]  # None: the entropic step
-    if diversity:
-        column = np.repeat([alphas[i] for i in diversity], n_inits)[:, None]
-        groups.append((rows_of(diversity), simplex.diversity_generator(column)))
-    if equal:
-        groups.append((rows_of(equal), simplex.equal_weighted_generator()))
+    conformal = len(alphas) * n_inits
+    gen = simplex.diversity_generator(np.repeat(alphas, n_inits)[:, None])
 
     p = np.tile(inits, (len(methods), 1))
     curves = np.empty((len(p), config.n_steps + 1))
@@ -234,9 +225,9 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
     min_w = p.min(axis=-1)
     for k in range(1, config.n_steps + 1):
         dk = schedule(k)
-        for idx, gen in groups:
-            p[idx] = (simplex.step_entropic(p[idx], grad, dk) if gen is None
-                      else simplex.step_conformal(gen, grad, p[idx], dk))
+        if conformal:
+            p[:conformal] = simplex.step_conformal(gen, grad, p[:conformal], dk)
+        p[conformal:] = simplex.step_entropic(p[conformal:], grad, dk)
         curves[:, k] = objective(p)
         # fmin skips NaN: a row keeps the least weight of its finite iterates
         min_w = np.fmin(min_w, p.min(axis=-1))
@@ -262,7 +253,8 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
         "target": config.target,
         "target_a": config.target_a,
         "final_mean_costs": finals,
-        "ranking": rank_methods(finals),
+        "converged_k": {label: converged_k(curve) for label, curve in mean_curves.items()},
+        "ranking": rank_methods(mean_curves),
     }
     summary.passed = (all(np.isfinite(v) for v in finals.values())
                       and bool(np.all(min_w > 0.0)))
@@ -270,11 +262,31 @@ def run_simplex_compare(config: ExperimentConfig, out_dir: str) -> RunSummary:
     return summary
 
 
-def rank_methods(finals: dict) -> list:
-    """Labels by final cost, lowest first; non-finite costs go last, in the
-    order the methods ran."""
-    return sorted(finals, key=lambda label: ((0, finals[label]) if np.isfinite(finals[label])
-                                             else (1, 0.0)))
+# A method has converged at the first k at which its mean cost is at most
+# CONVERGED times its k = 0 value: far above the round-off (about 1e-17) at
+# which the costs of the fastest methods end, so round-off does not rank them.
+CONVERGED = 1e-12
+
+
+def converged_k(curve) -> Optional[int]:
+    """The first k at which the mean cost ``curve[k]`` is at most CONVERGED
+    times ``curve[0]``, or None if it never is."""
+    curve = np.asarray(curve, dtype=float)
+    hits = np.flatnonzero(curve <= CONVERGED * curve[0])
+    return int(hits[0]) if hits.size else None
+
+
+def rank_methods(mean_curves: dict) -> list:
+    """Labels by mean cost curve, best first: the methods that converge, by
+    their ``converged_k``; then the others, by final mean cost; and last the
+    methods whose final mean cost is not finite. Ties keep method order."""
+    def key(label):
+        curve = mean_curves[label]
+        if not np.isfinite(curve[-1]):
+            return (2, 0.0)
+        k = converged_k(curve)
+        return (0, k) if k is not None else (1, curve[-1])
+    return sorted(mean_curves, key=key)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DomainError, Generator, _vec, inverse_mirror, lambda_mirror
 from .flows import _dual_accept, _guarded_step
-from .generators import (dirichlet_generator, pow2, student_t_generator,
+from .generators import (dirichlet_generator, student_t_generator,
                          student_t_inverse_mirror, student_t_lambda)
 from .simplex import perturb
 
@@ -145,10 +145,12 @@ def student_t_params(theta, nu: float) -> StudentTParams:
     theta = _vec(theta)
     lam = student_t_lambda(nu)
     t1, t2 = theta[..., 0], theta[..., 1]
-    if not np.all((t2 < 0.0) & (lam * pow2(t1) - 4.0 * t2 > 0.0)):
+    if not np.all((t2 < 0.0) & (lam * t1 ** 2 - 4.0 * t2 > 0.0)):
         raise DomainError(f"theta={theta} outside the natural parameter set")
     mu = -t1 / (2.0 * t2)
-    sigma = np.sqrt((-1.0 / t2 + lam * pow2(mu)) / (lam + 2.0))
+    # np.square, not ** 2: for one point mu is a numpy scalar, and a numpy
+    # scalar's ** 2 rounds through libm pow where an array's is x * x
+    sigma = np.sqrt((-1.0 / t2 + lam * np.square(mu)) / (lam + 2.0))
     if theta.ndim == 1:
         mu, sigma = float(mu), float(sigma)
     return StudentTParams(mu=mu, sigma=sigma, nu=nu)
@@ -164,7 +166,7 @@ def student_t_sample(params: StudentTParams, rng: np.random.Generator,
 
 def _student_t_reflect(eta: np.ndarray) -> np.ndarray:
     # reflect the violated scalar constraint value eta2 - eta1^2 > 0, row-wise
-    square = pow2(eta[..., 0])
+    square = eta[..., 0] ** 2
     slack = eta[..., 1] - square
     return np.stack([eta[..., 0], np.where(slack > 0.0, eta[..., 1], square - slack)], axis=-1)
 

@@ -4,7 +4,9 @@ simplex-perturbation potential.
 
 Only inverse mirror maps are registered in closed form; ``lambda_mirror``
 derives the mirror map from ``grad``. Every ``value`` and ``grad`` works over
-the last axis, a batch giving the one-point bits row by row. All closed-form callables are
+the last axis, a batch giving the one-point bits row by row: a coordinate is
+taken as ``t[..., i]``, an array even for one point, and numpy squares an
+array by ``x * x`` whatever its shape. All closed-form callables are
 polymorphic over real and complex inputs so that complex-step differentiation
 can be used as an independent oracle in tests.
 """
@@ -112,24 +114,13 @@ def student_t_lambda(nu: float) -> float:
     return -2.0 / (nu + 1.0)
 
 
-def pow2(x):
-    """x ** 2 element-wise through libm ``pow``.
-
-    Array ``x ** 2`` computes x*x, which differs from ``pow`` in the last bit
-    for about one x in a thousand. The Student-t maps square through ``pow``,
-    the rounding of the scalar ``x ** 2`` that the estimator's outputs have
-    always had, so batched runs reproduce them byte for byte.
-    """
-    return np.float_power(x, 2)
-
-
 def student_t_inverse_mirror(e, lam: float) -> np.ndarray:
     """Inverse mirror map of the Student-t potential over the last axis: the
     escort moments (mu, mu^2 + sigma^2) -> natural coordinates; raises
     DomainError if a row's denominator is not negative (outside the dual
     domain)."""
     e = np.asarray(e)
-    den = 2.0 * (lam + 1.0) * pow2(e[..., 0]) - (lam + 2.0) * e[..., 1]
+    den = 2.0 * (lam + 1.0) * e[..., 0] ** 2 - (lam + 2.0) * e[..., 1]
     if np.any(np.real(den) >= 0.0):
         raise DomainError(f"eta={e} outside the dual domain (denominator {den})")
     return np.stack([-2.0 * e[..., 0] / den, 1.0 / den], axis=-1)
@@ -148,7 +139,7 @@ def student_t_generator(nu: float) -> Generator:
     const = math.lgamma(nu / 2.0) + 0.5 * np.log(nu * np.pi) - math.lgamma((nu + 1.0) / 2.0)
 
     def parts(t):
-        a = lam * pow2(t[..., 0]) - 4.0 * t[..., 1]
+        a = lam * t[..., 0] ** 2 - 4.0 * t[..., 1]
         b = -2.0 * t[..., 1]
         return a, b
 
@@ -181,7 +172,7 @@ def student_t_generator(nu: float) -> Generator:
         domain=Domain(
             lower=np.array([-np.inf, -np.inf]), upper=np.array([np.inf, 0.0]),
             anchor=np.array([0.0, -1.0 / (lam + 2.0)]),
-            constraints=(lambda t: lam * pow2(np.real(t[..., 0])) - 4.0 * np.real(t[..., 1]),),
+            constraints=(lambda t: lam * np.real(t[..., 0]) ** 2 - 4.0 * np.real(t[..., 1]),),
         ),
         value=value,
         grad=grad,
@@ -190,7 +181,7 @@ def student_t_generator(nu: float) -> Generator:
         dual_domain=Domain(
             lower=np.array([-np.inf, -np.inf]), upper=np.array([np.inf, np.inf]),
             anchor=np.array([0.0, 1.0]),
-            constraints=(lambda e: np.real(e[..., 1]) - pow2(np.real(e[..., 0])),),
+            constraints=(lambda e: np.real(e[..., 1]) - np.real(e[..., 0]) ** 2,),
         ),
         name=f"student_t(nu={nu})",
         grid=tuple(grid),

@@ -16,8 +16,9 @@ and the generators' ``value`` takes one point ``(n,)`` or a batch
 ``(batch, n)``, over the last axis: a point is a batch of one, and each row of
 a batch gets the numbers that row alone would. That holds across generators
 too: ``diversity_generator`` takes a column of exponents, one per row, so one
-``step_conformal`` call steps rows of several diversity exponents, each row
-with the bits of its own generator.
+``step_conformal`` call steps rows of several diversity exponents, the
+equal-weighted exponent 0 among them, each row with the bits of its own
+generator.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ class PortfolioGenerator:
     """An exponentially concave function on the simplex with its gradient.
 
     ``inverse_transport(q, rows)`` inverts q = transport_map(gen, p) when a
-    closed form exists (it does for both named families below); ``rows``
+    closed form exists (it does for ``diversity_generator``); ``rows``
     indexes the rows of the generator's batch that q holds, the rows pending
     in a try of ``flows._guarded_step``, and defaults to all of them.
     """
@@ -103,43 +104,37 @@ class PortfolioGenerator:
 
 
 def equal_weighted_generator() -> PortfolioGenerator:
-    """phi(p) = mean(log p); its portfolio is the barycenter, its transport
-    the identity."""
-    return PortfolioGenerator(
-        value=lambda p: float(np.mean(np.log(p))),
-        grad=lambda p: 1.0 / (np.shape(p)[-1] * np.asarray(p, dtype=float)),
-        name="equal_weighted",
-        inverse_transport=lambda q, rows=...: np.asarray(q, dtype=float),
-    )
+    """phi(p) = mean(log p): ``diversity_generator(0.0)``, whose portfolio is
+    the barycenter."""
+    return diversity_generator(0.0)
 
 
 def diversity_generator(alpha) -> PortfolioGenerator:
-    """phi(p) = log(sum p^alpha)/alpha for alpha < 1; the portfolio map is the
+    """phi(p) = log(sum p^alpha)/alpha for alpha < 1, and its limit mean(log p)
+    at alpha = 0, the equal-weighted generator; the portfolio map is the
     alpha-powering and the transport a dilation by (1 - alpha).
 
     ``alpha`` is one exponent or a column ``(batch, 1)`` of them, one per row
-    of the batches that ``grad`` and ``inverse_transport`` then take: row i
-    gets the bits of ``diversity_generator(alpha[i, 0])`` (see ``_pow``).
-    ``value`` takes one point and a scalar alpha. alpha = 0 is the
-    equal-weighted generator, which a column cannot hold: its transport is
-    the identity, not a powering by 1.
+    of the batches that ``grad`` and ``inverse_transport`` then take; a column
+    may hold 0. Row i gets the bits of ``diversity_generator(alpha[i, 0])``:
+    the powers go through ``np.float_power``, which rounds a column exponent
+    as it rounds the same scalar one. ``value`` takes one point and a scalar
+    alpha.
     """
     a = np.asarray(alpha, dtype=float)
     if np.any(a >= 1.0):
         raise ValueError("diversity exponent must be < 1")
-    if a.ndim == 0 and a == 0.0:
-        return equal_weighted_generator()
-    if np.any(a == 0.0):
-        raise ValueError("a column of diversity exponents cannot hold 0; "
-                         "use equal_weighted_generator for those rows")
     dilation = 1.0 / (1.0 - a)
 
     def value(p):
-        return float(np.log(np.sum(np.asarray(p, dtype=float) ** alpha)) / alpha)
+        p = np.asarray(p, dtype=float)
+        if alpha == 0.0:
+            return float(np.mean(np.log(p)))
+        return float(np.log(np.sum(p ** alpha)) / alpha)
 
     def grad(p):
         p = np.asarray(p, dtype=float)
-        return _pow(p, a - 1.0) / np.sum(_pow(p, a), axis=-1, keepdims=True)
+        return np.float_power(p, a - 1.0) / np.sum(np.float_power(p, a), axis=-1, keepdims=True)
 
     def inverse_transport(q, rows=...):
         return power(dilation if a.ndim == 0 else dilation[rows], q)
@@ -147,26 +142,6 @@ def diversity_generator(alpha) -> PortfolioGenerator:
     name = f"diversity({alpha})" if a.ndim == 0 else f"diversity({a.size} rows)"
     return PortfolioGenerator(value=value, grad=grad, name=name,
                               inverse_transport=inverse_transport)
-
-
-def _pow(p: np.ndarray, a) -> np.ndarray:
-    """p ** a for one exponent or a column ``(batch, 1)`` of them, with each
-    row rounded as the scalar ``p ** a`` rounds. numpy's ``**`` with a scalar
-    exponent computes -1 as a reciprocal, 0.5 as a square root and 2 as a
-    square; an exponent array goes through ``pow``, which differs from those
-    in the last bit (from sqrt for about 5% of elements). The rows of those
-    exponents take the same fast path here (``generators.pow2`` is the
-    converse: it keeps a square on ``pow``)."""
-    out = p ** a
-    if np.ndim(a) == 0:
-        return out
-    col = np.asarray(a)[..., 0]
-    p = np.broadcast_to(p, out.shape)
-    for exponent, fast in ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square)):
-        rows = col == exponent
-        if rows.any():
-            out[rows] = fast(p[rows])
-    return out
 
 
 def l_divergence(gen: PortfolioGenerator, q, p) -> float:
@@ -245,11 +220,12 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
     delta is halved, up to MAX_HALVINGS times (``flows._guarded_step``). Every
     returned point is therefore finite and strictly positive, and f does not
     increase whenever it is convex along that segment (the Dirichlet cost is:
-    it is log-sum-exp in log p plus a linear term, and for both named
-    generators the candidates trace a straight line in log p). If no
-    candidate is accepted, p is stationary to round-off and is returned
-    unchanged. A row whose portfolio map fails (see ``portfolio_map``) is
-    returned as NaN; the other rows are stepped as without it.
+    it is log-sum-exp in log p plus a linear term, and for every
+    ``diversity_generator`` the candidates trace a straight line in log p).
+    If no candidate is accepted, p is stationary to round-off and is
+    returned unchanged. A row whose portfolio map fails (see
+    ``portfolio_map``) is returned as NaN; the other rows are stepped as
+    without it.
 
     Each try steps log q by d * rhs and maps the pending rows back through
     ``gen.inverse_transport`` with their index, so ``gen`` may hold per-row

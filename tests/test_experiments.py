@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 import xmd
-from xmd import cli, expfam, simplex
-from xmd.config import (EXPERIMENTS, ConfigError, ExperimentConfig, _build,
-                        canonical_dumps, parse_config)
-from xmd.experiments import SLOPE_BAND, _write_csv, rank_methods, run_experiment
+from xmd import cli, expfam, flows, simplex
+from xmd.config import (EXPERIMENTS, MAX_TIME_STEPS, ConfigError, ExperimentConfig,
+                        _build, canonical_dumps, parse_config)
+from xmd.experiments import (SLOPE_BAND, _write_csv, converged_k, rank_methods,
+                             run_experiment)
 
 # sha256 of the CSVs and of summary.json without wall_time (see
 # ``output_digest``) at n_steps=200, seed 0, recorded from the one-trajectory-
@@ -42,17 +43,18 @@ DIAGNOSTICS_DIGESTS = {
 }
 
 
-# the same digest of simplex-compare, keyed by its arguments: at n_steps=50,
-# seed 0, recorded from the runner that stepped one initial point at a time;
-# the second, which steps alpha = -1 (a reciprocal in numpy's ** fast path),
-# 0 (the equal-weighted generator) and 0.5 (a square root) toward a Dirichlet
-# target, from the runner that stepped one method at a time
+# the same digest of simplex-compare, keyed by its arguments, recorded once
+# every conformal row stepped in one call per k, alpha = 0 in the alpha column
+# with the others, its powers through np.float_power and its ranking by
+# converged_k: at n_steps=50, seed 0; and, toward a Dirichlet target, with
+# alpha = -1, 0 and 0.5, which power by -1, 0 or 0.5: the exponents at which
+# numpy's ** leaves pow for a fast path
 SIMPLEX_DIGESTS = {
     ("--seed", "0", "--override", "n_steps=50"):
-        "eefb4ba0a5daf291e68d8297a83ec5088b6bb9fb28bf10f75ec3e28c74496a45",
+        "e1c93be8b108a51d252530c7a4c23d66cb8a694254a4a8cf127853b9e4064924",
     ("--seed", "1", "--override", "alpha_list=[-1.0,0.0,0.5,0.9]",
      "--override", "target=dirichlet", "--override", "n_steps=200"):
-        "6f6b6b967590806847b1513d5fd11eb246734d9616ec36bc6057c95f4aee38fe",
+        "5e6f9e7442945fa6bb6bdc91c332818b84d826e90a6e405cd3968503338a5b83",
 }
 
 
@@ -241,13 +243,58 @@ def test_simplex_compare_passes_when_finite(tmp_path):
     summary, out_dir = run(tmp_path, "simplex-compare", n=5, n_steps=50, n_inits=2,
                            alpha_list=[0.5])
     assert all(np.isfinite(v) for v in summary.metrics["final_mean_costs"].values())
+    ks = summary.metrics["converged_k"]
+    assert list(ks) == list(summary.metrics["final_mean_costs"])
+    assert all(k is None or 0 < k <= 50 for k in ks.values())
     assert all(float(row[5]) > 0.0 for row in read_rows(os.path.join(out_dir, "final_costs.csv")))
     assert summary.passed
 
 
+def test_simplex_compare_steps_every_conformal_row_in_one_call_per_k(tmp_path, monkeypatch):
+    calls = {"step_conformal": 0, "step_entropic": 0}
+    for name in calls:
+        def counted(*args, _name=name, _step=getattr(simplex, name)):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(simplex, name, counted)
+    summary, out_dir = run(tmp_path / "three", "simplex-compare", n=5, n_steps=7, n_inits=3,
+                           alpha_list=[0.0, -1.0, 0.5])
+    assert calls == {"step_conformal": 7, "step_entropic": 7}
+    assert summary.passed
+    # alpha = 0 alone steps its rows with the bits they get among the others
+    alone, alone_dir = run(tmp_path / "alone", "simplex-compare", n=5, n_steps=7, n_inits=3,
+                           alpha_list=[0.0])
+    assert alone.passed
+    assert list(alone.metrics["final_mean_costs"]) == ["conformal_a0.0", "entropic"]
+    rows = read_rows(os.path.join(out_dir, "final_costs.csv"))
+    assert read_rows(os.path.join(alone_dir, "final_costs.csv")) == [
+        row for row in rows if row[0] in ("conformal_a0.0", "entropic")]
+
+
 def test_rank_methods_puts_non_finite_last_in_method_order():
+    # no method converges: they rank by final mean cost
     finals = {"a": np.nan, "b": 3.0, "c": np.inf, "d": 1.0, "e": -np.inf, "f": 2.0}
-    assert rank_methods(finals) == ["d", "f", "b", "a", "c", "e"]
+    curves = {label: np.array([10.0, final]) for label, final in finals.items()}
+    assert rank_methods(curves) == ["d", "f", "b", "a", "c", "e"]
+
+
+def test_rank_methods_ranks_converged_methods_by_first_k_above_round_off():
+    curves = {
+        "never": [1.0, 1e-6, 1e-9, 1e-11],
+        "slow": [1.0, 1e-3, 1e-13, 5e-17],
+        "lost": [1.0, 1e-13, np.nan, np.nan],
+        "fast": [4.0, 4e-12, 1e-13, 1e-16],
+        "round_off": [1.0, 1e-3, 1e-13, -7e-17],
+        "stalled": [1.0, 0.1, 3e-12, 2e-12],
+        "late": [1.0, 0.5, 0.1, 1e-12],
+    }
+    ks = {label: converged_k(curve) for label, curve in curves.items()}
+    assert ks == {"never": None, "slow": 2, "lost": 1, "fast": 1, "round_off": 2,
+                  "stalled": None, "late": 3}
+    # round_off ends below zero, which ranked it first by final cost; it
+    # reaches the tolerance at the k of slow, and ties keep method order
+    assert rank_methods(curves) == ["fast", "slow", "round_off", "late", "stalled",
+                                    "never", "lost"]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +355,29 @@ def test_bad_override_exits_with_status_2(tmp_path, experiment, overrides, capsy
     assert status == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(["t_end=1e300"], id="t_end=1e300"),
+    pytest.param(["dt=1e-300"], id="dt=1e-300"),
+    pytest.param(["t_end=1000.0001", "dt=1e-4"], id="one-step-past-the-bound"),
+])
+def test_a_flow_grid_beyond_its_bound_exits_with_status_2(tmp_path, overrides, capsys,
+                                                         monkeypatch):
+    # round(t_end/dt) steps past MAX_TIME_STEPS used to reach np.linspace,
+    # which raised "Maximum allowed size exceeded" or tried to allocate them
+    def no_grid(t_end, dt):
+        raise AssertionError("a time grid was built")
+    monkeypatch.setattr(flows, "_time_grid", no_grid)
+    argv = ["flow-equivalence", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not os.listdir(tmp_path)
+    # the bound itself is a valid grid
+    assert round(1000.0 / 1e-4) == MAX_TIME_STEPS
+    ExperimentConfig("flow-equivalence", t_end=1000.0, dt=1e-4).validate()
 
 
 def test_out_of_range_cli_seed_exits_with_status_2(tmp_path, capsys):
@@ -393,9 +463,10 @@ def valid_configs(draw):
         "target": draw(st.sampled_from(["barycenter", "dirichlet"])),
         "target_a": draw(_finite()),
         "n_inits": draw(st.integers(min_value=1)),
-        "dt": draw(positive),
         "t_end": draw(positive),
     }
+    # dt at most t_end, and t_end/dt within the bound on a flow's time grid
+    data["dt"] = data["t_end"] / draw(_finite(min_value=1.0, max_value=MAX_TIME_STEPS))
     # every config file and override goes through _build; keep what it accepts
     try:
         return _build(data)

@@ -281,6 +281,20 @@ def test_batched_start_state_and_maps_match_rows():
         assert dists[i] == log_distance(np.abs(eta) + 0.5, ref)
 
 
+def test_student_t_params_rows_equal_one_point_calls():
+    # one point squares a numpy scalar mu, whose ** would round through pow
+    # and differ from a batch's x * x for about one mu in a thousand
+    rng = substream(23, 0)
+    mu = 2.0 * rng.standard_normal(5000)
+    sigma = rng.uniform(0.3, 3.0, 5000)
+    k = -LAM * mu ** 2 + sigma ** 2 * (LAM + 2.0)
+    theta = np.stack([2.0 * mu / k, -1.0 / k], axis=-1)
+    params = student_t_params(theta, NU)
+    for i, row in enumerate(theta):
+        one = student_t_params(row, NU)
+        assert (params.mu[i], params.sigma[i]) == (one.mu, one.sigma)
+
+
 def test_student_t_params_and_inverse_reject_outside_points():
     with pytest.raises(DomainError):
         student_t_params(np.array([[0.0, -1.0], [0.0, 1.0]]), NU)

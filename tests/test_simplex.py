@@ -12,7 +12,7 @@ from xmd.simplex import (as_simplex, barycenter, dirichlet_cost,
                          diversity_generator, equal_weighted_generator,
                          l_divergence, neg, perturb, portfolio_map, power,
                          sample_simplex, simplex_flow_rhs, step_conformal,
-                         step_entropic, transport_map, _pow)
+                         step_entropic, transport_map)
 from xmd.rng import INIT_STREAM, substream
 from oracles import step_multiplicative
 
@@ -385,23 +385,59 @@ def test_batched_step_equals_one_row_steps(method, data):
 
 
 def test_pow_rounds_each_row_as_its_scalar_power():
-    # numpy's scalar ** takes a reciprocal at -1, sqrt at 0.5 and a square at
-    # 2; an exponent column goes through pow unless _pow routes those rows
-    exponents = [-1.0, 0.5, 2.0, 0.1, -0.9]
+    # diversity_generator powers through np.float_power, which rounds a
+    # column exponent as the scalar one; numpy's ** does not (with a scalar
+    # exponent it takes a reciprocal at -1, sqrt at 0.5 and a square at 2)
+    exponents = [-1.0, 0.0, 0.5, 2.0, 0.1, -0.9]
     rng = substream(21, 0)
-    p = np.array([sample_simplex(rng, 20) for _ in range(200)])
+    p = np.array([sample_simplex(rng, 20) for _ in range(240)])
     a = np.array(exponents * 40)[:, None]
-    out = _pow(p, a)
+    out = np.float_power(p, a)
     for i, row in enumerate(p):
-        assert np.array_equal(out[i], row ** a[i, 0])
-    assert np.array_equal(_pow(p, 0.5), p ** 0.5)
+        assert np.array_equal(out[i], np.float_power(row, a[i, 0]))
+    for exponent in exponents:
+        rows = a[:, 0] == exponent
+        assert np.array_equal(np.float_power(p[rows], exponent), out[rows])
 
 
-def test_alpha_column_rejects_zero_and_one():
-    with pytest.raises(ValueError):
-        diversity_generator(np.array([[0.5], [0.0]]))
+def test_alpha_column_rejects_only_one_and_above():
     with pytest.raises(ValueError):
         diversity_generator(np.array([[0.5], [1.0]]))
+    with pytest.raises(ValueError):
+        diversity_generator(1.5)
+    gen = diversity_generator(np.array([[0.5], [0.0]]))
+    p = sample_simplex(substream(22, 0), 6)
+    assert np.array_equal(gen.grad(np.array([p, p]))[1], equal_weighted_generator().grad(p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_alpha_column_rows_equal_their_scalar_generators(data):
+    # a column holding 0, -1, 0.5 and drawn alphas < 1: each row of grad,
+    # inverse_transport and step_conformal has the bits of its scalar generator
+    n = data.draw(st.sampled_from([3, 20]))
+    drawn = data.draw(st.lists(st.floats(-3.0, 1.0, exclude_max=True), max_size=5))
+    alphas = data.draw(st.permutations([0.0, -1.0, 0.5] + drawn))
+    p_star = sample_simplex(substream(0, 0), n)
+    logs = st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)
+    p = np.array([as_simplex(np.exp(row)) for row in
+                  data.draw(st.lists(logs, min_size=len(alphas), max_size=len(alphas)))])
+    delta = data.draw(st.sampled_from([0.1, 1.0, 10.0]))
+    grad = lambda q: dirichlet_cost_grad(q, p_star)
+    column = diversity_generator(np.array(alphas)[:, None])
+    g = column.grad(p)
+    back = column.inverse_transport(p)
+    rows = [2, 0]
+    part = column.inverse_transport(p[rows], rows)
+    stepped = step_conformal(column, grad, p, delta)
+    for i, alpha in enumerate(alphas):
+        gen = diversity_generator(alpha)
+        assert np.array_equal(g[i], gen.grad(p[i]))
+        assert np.array_equal(back[i], gen.inverse_transport(p[i]))
+        assert np.array_equal(stepped[i], step_conformal(gen, grad, p[i], delta),
+                              equal_nan=True)
+    for j, i in enumerate(rows):
+        assert np.array_equal(part[j], diversity_generator(alphas[i]).inverse_transport(p[i]))
 
 
 def test_a_failing_portfolio_row_is_non_finite_and_leaves_the_others():
