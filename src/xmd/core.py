@@ -18,7 +18,8 @@ goes to 0, keeps a separate exact branch, taken when ``|lam| < BREGMAN_LIMIT``.
 
 The maps of a point work over the last axis: ``theta`` is one point ``(d,)``
 or a batch ``(..., d)``, one point is a batch of one, and a batch gives, row
-by row, the bits of the one-point calls. ``metric``, ``mirror_jacobian`` and
+by row, the bits of the one-point calls. ``metric`` and ``big_phi_hess``
+give one ``(d, d)`` matrix per row, ``(..., d, d)``; ``mirror_jacobian`` and
 the inversions take one point.
 """
 from __future__ import annotations
@@ -131,11 +132,12 @@ class Domain:
 class Generator:
     """A smooth generator phi with value/gradient oracles on an open domain.
 
-    ``value`` and ``grad`` work over the last axis: a point ``(d,)`` gives a
-    scalar and a ``(d,)`` gradient, a batch ``(..., d)`` one value and one
-    gradient row per point. ``hess`` takes one point and must return an
-    exactly symmetric ``(d, d)`` matrix: ``metric`` uses it as it is. It is
-    optional, but ``metric`` needs it, and with it the primal flows,
+    ``value``, ``grad`` and ``hess`` work over the last axis: a point ``(d,)``
+    gives a scalar, a ``(d,)`` gradient and a ``(d, d)`` Hessian, a batch
+    ``(..., d)`` one of each per point, ``(...)``, ``(..., d)`` and
+    ``(..., d, d)``, with the bits of the one-point calls. Each Hessian must
+    be exactly symmetric: ``metric`` uses it as it is. ``hess`` is optional,
+    but ``metric`` needs it, and with it the primal flows,
     ``mirror_jacobian`` and both Newton inversions. The mirror map is always
     derived from ``grad`` by ``lambda_mirror``; only its inverse can be
     registered in closed form, to bypass the Newton inversion.
@@ -298,27 +300,34 @@ def log_div_self_dual(gen: Generator, theta, eta_p) -> float:
 
 
 def metric(gen: Generator, theta) -> np.ndarray:
-    """Conformal Hessian metric G = hess phi + lam * (grad phi)(grad phi)^T at
-    one point; raises RegularityError unless G is positive definite.
+    """Conformal Hessian metric G = hess phi + lam * (grad phi)(grad phi)^T,
+    one ``(d, d)`` matrix per row; raises RegularityError unless every G is
+    positive definite.
 
-    G is exactly symmetric, with no symmetrising step: ``gen.hess`` must be,
-    and u_i * u_j is the same product as u_j * u_i. The Cholesky factor is
-    only the positive-definiteness check and is discarded:
-    ``flows.rhs_primal`` solves with G by LU (``np.linalg.solve``).
+    The check is one Cholesky factorization, whose factor is discarded.
+    The RK4 stages of ``flows`` assemble G by ``_assemble_metric`` unchecked
+    and check the four stage metrics of a step in one stacked Cholesky; they
+    solve with G by LU (``np.linalg.solve``), as ``flows.rhs_primal`` does.
     A solve through the factor (``cho_solve``) measured no faster at these
     sizes (n <= 3), and it would round differently, so every pinned output
     would change."""
     theta = _vec(theta)
     if gen.hess is None:
         raise RegularityError(f"generator {gen.name!r} has no Hessian oracle")
-    h = np.array(gen.hess(theta), dtype=float, copy=None, ndmin=2)
-    u = _vec(gen.grad(theta))
-    g = h + gen.lam * (u[:, None] * u)
+    g = _assemble_metric(gen, gen.grad(theta), gen.hess(theta))
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"metric not positive definite at theta={theta}") from exc
     return g
+
+
+def _assemble_metric(gen: Generator, u, h) -> np.ndarray:
+    """G = h + lam * u u^T over the last axis, from the gradient rows u and
+    the Hessians h of phi, unchecked. G is exactly symmetric, with no
+    symmetrising step: h must be, and u_i * u_j is the same product as
+    u_j * u_i."""
+    return h + gen.lam * (u[..., None] * u[..., None, :])
 
 
 def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray) -> np.ndarray:
@@ -349,8 +358,10 @@ def big_phi_value(gen: Generator, theta):
 
 
 def big_phi_hess(gen: Generator, theta) -> np.ndarray:
+    """hess Phi = exp(lam*phi) * G, one ``(d, d)`` matrix per row; raises
+    RegularityError unless every G is positive definite."""
     theta = _vec(theta)
-    return conformal_weight(gen, theta) * metric(gen, theta)
+    return conformal_weight(gen, theta)[..., None, None] * metric(gen, theta)
 
 
 def big_phi_bregman(gen: Generator, theta, theta_p):

@@ -9,6 +9,12 @@ change (with clock tau_t = integral of exp(lam*phi)) of the Hessian flow of
 Phi. Three forward-Euler schemes discretize the same flow in the three
 coordinate systems.
 
+The RK4 integrator steps a point ``(dim,)`` or a batch of rows
+``(batch, dim)``: each stage evaluates the generator, the metric and the
+objective over the last axis, and the four stage metrics of a step are
+checked positive definite in one stacked Cholesky. ``geodesic_flow_check``
+steps its dual and primal paths as the two rows of one batch.
+
 The diagnostics read each claim off a whole path at once: the maps of
 ``core`` and the objectives' values work over the last axis, so one
 trajectory ``(n, d)`` is one batch.
@@ -21,8 +27,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
-                   RegularityError, SolverError, _vec, big_phi_bregman,
-                   big_phi_hess, conformal_weight, inverse_mirror,
+                   RegularityError, SolverError, _assemble_metric, _vec,
+                   big_phi_bregman, conformal_weight, inverse_mirror,
                    lambda_mirror, log_div, metric, theta_of_zeta, zeta_of)
 
 MAX_HALVINGS = 20
@@ -31,10 +37,10 @@ MONOTONE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Objective:
-    """A differentiable target with optional known minimizer. ``value`` works
-    over the last axis, one value per row, as the diagnostics read it off
-    whole paths; ``grad`` takes one point (the objectives below that do not
-    need a Hessian also take a batch)."""
+    """A differentiable target with optional known minimizer. ``value`` and
+    ``grad`` work over the last axis, one value and one gradient row per row:
+    the diagnostics read values off whole paths, and the RK4 stages take
+    gradients of batches."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
@@ -114,18 +120,25 @@ def primal_logdiv_objective(gen: Generator, theta_star) -> Objective:
 
     def grad(theta):
         theta = _vec(theta)
-        u = _vec(gen.grad(theta))
-        h = np.atleast_2d(gen.hess(theta))
-        step = theta_star - theta
-        if gen.is_bregman:
-            return -np.asarray(h) @ step
-        w = 1.0 + gen.lam * float(u @ step)
-        if w <= 0.0:
-            raise DomainError(f"log argument {w:.3e} <= 0 in the primal objective")
-        return -u - (h @ step - u) / w
+        return _primal_logdiv_grad(gen, theta_star, theta, gen.grad(theta), gen.hess(theta))
 
     return Objective(value=lambda t: log_div(gen, theta_star, t), grad=grad,
                      theta_star=theta_star)
+
+
+def _primal_logdiv_grad(gen: Generator, theta_star, theta, u, h) -> np.ndarray:
+    """Gradient of L[theta_star : theta] over the last axis, from the
+    gradient rows u and the Hessians h of phi at theta:
+    -u - (h (theta_star - theta) - u) / w with w = 1 + lam*<u, theta_star - theta>,
+    and -h (theta_star - theta) at lam ~ 0, where the quotient cancels."""
+    step = theta_star - theta
+    h_step = (h @ step[..., None])[..., 0]
+    if gen.is_bregman:
+        return -h_step
+    w = 1.0 + gen.lam * np.vecdot(u, step)
+    if np.count_nonzero(w <= 0.0):
+        raise DomainError(f"log argument {np.min(w):.3e} <= 0 in the primal objective")
+    return -u - (h_step - u) / w[..., None]
 
 
 def dual_logdiv_objective(gen: Generator, theta_star) -> Objective:
@@ -151,9 +164,15 @@ def _dual_logdiv_grad(gen: Generator, pair: DualPair, eta_star) -> np.ndarray:
 
 
 def rhs_primal(gen: Generator, obj: Objective, theta) -> np.ndarray:
-    """-G^{-1}(theta) grad f(theta)."""
+    """-G^{-1}(theta) grad f(theta), one row per row of theta; raises
+    RegularityError unless every G is positive definite."""
     theta = _vec(theta)
-    return -np.linalg.solve(metric(gen, theta), _vec(obj.grad(theta)))
+    return -_solve(metric(gen, theta), _vec(obj.grad(theta)))
+
+
+def _solve(g, b) -> np.ndarray:
+    """G^{-1} b row by row, by LU: one ``np.linalg.solve`` over the stack."""
+    return np.linalg.solve(g, b[..., None])[..., 0]
 
 
 def rhs_dual(gen: Generator, obj: Objective, pair: DualPair) -> np.ndarray:
@@ -172,37 +191,65 @@ def _dual_velocity(gen: Generator, pair: DualPair, df) -> np.ndarray:
 # integration
 
 
-def _integrate_path(rhs: Callable[[np.ndarray], np.ndarray], feasible,
-                    x0, times) -> np.ndarray:
+# what rejects an RK4 step: a stage off its domain or regularity, a singular
+# stage metric, or a failed positive-definiteness check
+_REJECTED = (GeometryError, np.linalg.LinAlgError)
+
+
+def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
     """Classic 4th-order Runge-Kutta over the grid ``times``, one step per
-    difference, with step halving (up to MAX_HALVINGS) whenever a stage or
-    the accepted point leaves the domain. Returns the path, one row per
-    grid point."""
+    difference, from one point ``x0`` ``(dim,)`` or a batch of rows
+    ``(batch, dim)``. Returns the path, one point or batch per grid point.
+
+    ``stage(x, rows)`` gives the derivative at x, one row per row, and the
+    metrics G ``(..., d, d)`` it solved with, or None if it solved with
+    none; ``rows`` is ``...`` for the whole state and the row number when
+    one row of a batch steps on its own. The four stage metrics of a step
+    are checked positive definite in one stacked Cholesky, and
+    ``feasible(out)`` tests the end point: a bool for one point, a mask
+    over the rows of a batch.
+
+    A step whose check fails, whose stage raises a GeometryError or a
+    LinAlgError (a singular G), or whose end point is infeasible, is halved,
+    and each half steps on its own, up to MAX_HALVINGS deep. A batch step
+    that fails in any row is redone row by row from its start, each row
+    through that one-point recursion, so that every row keeps the bits of
+    its one-point path."""
     x0 = _vec(x0)
-    path = np.empty((len(times), x0.size))
+    path = np.empty((len(times),) + x0.shape)
     path[0] = x0
 
-    def rk4(x, h):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
+    def rk4(x, h, rows):
+        k1, g1 = stage(x, rows)
+        k2, g2 = stage(x + 0.5 * h * k1, rows)
+        k3, g3 = stage(x + 0.5 * h * k2, rows)
+        k4, g4 = stage(x + h * k3, rows)
         out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not feasible(out):
+        if g1 is not None:
+            np.linalg.cholesky(np.array((g1, g2, g3, g4)))
+        ok = feasible(out)
+        if not (ok.all() if out.ndim > 1 else ok):
             raise DomainError("step left the domain")
         return out
 
-    def advance(x, h, depth):
+    def advance(x, h, depth, rows):
         try:
-            return rk4(x, h)
-        except GeometryError:
+            return rk4(x, h, rows)
+        except _REJECTED:
             if depth >= MAX_HALVINGS:
                 raise SolverError(f"step size halved {MAX_HALVINGS} times without staying feasible")
-            half = advance(x, 0.5 * h, depth + 1)
-            return advance(half, 0.5 * h, depth + 1)
+            half = advance(x, 0.5 * h, depth + 1, rows)
+            return advance(half, 0.5 * h, depth + 1, rows)
 
     for i, h in enumerate(np.diff(times).tolist()):
-        path[i + 1] = advance(path[i], h, 0)
+        if x0.ndim == 1:
+            path[i + 1] = advance(path[i], h, 0, ...)
+            continue
+        try:
+            path[i + 1] = rk4(path[i], h, ...)
+        except _REJECTED:
+            for r, x in enumerate(path[i]):
+                path[i + 1, r] = advance(x, h, 0, r)
     return path
 
 
@@ -225,16 +272,17 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
     times = _time_grid(t_end, dt)
     dim = theta0.size
 
-    def rhs(x):
-        theta = x[:dim]
+    def stage(x, rows):
+        theta = x[..., :dim]
+        g = _assemble_metric(gen, gen.grad(theta), gen.hess(theta))
         w = conformal_weight(gen, theta)
         out = np.empty_like(x)
-        out[:dim] = rhs_primal(gen, obj, theta)
-        out[dim] = w
-        out[dim + 1:] = w * theta
-        return out
+        out[..., :dim] = -_solve(g, obj.grad(theta))
+        out[..., dim] = w
+        out[..., dim + 1:] = w[..., None] * theta
+        return out, g
 
-    path = _integrate_path(rhs, lambda x: gen.domain.contains(x[:dim]),
+    path = _integrate_path(stage, lambda x: gen.domain.contains(x[..., :dim]),
                            np.concatenate([theta0, [0.0], np.zeros(dim)]), times)
     thetas, tau = path[:, :dim], path[:, dim]
     # theta_hat = (integral of w*theta dt) / tau, and theta itself where tau = 0
@@ -245,11 +293,14 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
 
 def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndarray:
     """The Hessian gradient flow of Phi, d theta/ds = -(hess Phi)^{-1} grad f,
-    on the grid ``s``; returns the path, one row per grid point."""
-    def rhs(theta):
-        return -np.linalg.solve(big_phi_hess(gen, theta), _vec(obj.grad(theta)))
+    with hess Phi = exp(lam*phi) G, on the grid ``s``; returns the path, one
+    row per grid point."""
+    def stage(theta, rows):
+        g = _assemble_metric(gen, gen.grad(theta), gen.hess(theta))
+        w = conformal_weight(gen, theta)
+        return -_solve(w[..., None, None] * g, obj.grad(theta)), g
 
-    return _integrate_path(rhs, gen.domain.contains, theta0, s)
+    return _integrate_path(stage, gen.domain.contains, theta0, s)
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +498,31 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
                         dt: float = 1e-3, tol: float = 1e-6) -> GeodesicReport:
     """Verify that log-divergence flows run along straight lines: the dual flow
     in eta with velocity -(pi/pi_star)(eta - eta_star), the primal flow in theta.
-    Each flow integrates theta alone, on the grid of ``integrate``; each error
-    is the largest over the path, NaN if the path holds a NaN."""
+    The two flows integrate theta alone, as the two rows of one RK4 batch on
+    the grid of ``integrate``; each error is the largest over the path, NaN
+    if the path holds a NaN."""
     theta_star = _vec(theta_star)
     theta0 = _vec(theta0)
     eta_star = lambda_mirror(gen, theta_star).eta
     eta0 = lambda_mirror(gen, theta0).eta
-    times = _time_grid(t_end, dt)
+    dual = dual_logdiv_objective(gen, theta_star)
+    # row 0 of the batch follows the dual objective, row 1 the primal one
+    grads = (lambda theta, u, h: dual.grad(theta),
+             lambda theta, u, h: _primal_logdiv_grad(gen, theta_star, theta, u, h))
 
-    def path(obj):
-        return _integrate_path(lambda theta: rhs_primal(gen, obj, theta),
-                               gen.domain.contains, theta0, times)
+    def stage(theta, rows):
+        u, h = gen.grad(theta), gen.hess(theta)
+        if rows is ...:
+            df = np.array([f(theta[i], u[i], h[i]) for i, f in enumerate(grads)])
+        else:
+            df = grads[rows](theta, u, h)
+        g = _assemble_metric(gen, u, h)
+        return -_solve(g, df), g
 
-    thetas = path(dual_logdiv_objective(gen, theta_star))
+    path = _integrate_path(stage, gen.domain.contains, np.stack([theta0, theta0]),
+                           _time_grid(t_end, dt))
+
+    thetas = path[:, 0]
     pair = lambda_mirror(gen, thetas)
     collin = np.max(_segment_deviation(pair.eta, eta0, eta_star))
     measured = _dual_velocity(gen, pair, _dual_logdiv_grad(gen, pair, eta_star))
@@ -467,8 +530,7 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
     expected = -(pair.pi / pi_star)[:, None] * (pair.eta - eta_star)
     coeff = np.max(np.abs(measured - expected))
 
-    thetas = path(primal_logdiv_objective(gen, theta_star))
-    pcollin = np.max(_segment_deviation(thetas, theta0, theta_star))
+    pcollin = np.max(_segment_deviation(path[:, 1], theta0, theta_star))
 
     return GeodesicReport(dual_collinearity=float(collin), dual_coefficient_error=float(coeff),
                           primal_collinearity=float(pcollin), tol=tol)

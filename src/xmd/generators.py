@@ -3,12 +3,15 @@ quadratic in any dimension, the heavy-tail location-scale potential, and the
 simplex-perturbation potential.
 
 Only inverse mirror maps are registered in closed form; ``lambda_mirror``
-derives the mirror map from ``grad``. Every ``value`` and ``grad`` works over
-the last axis, a batch giving the one-point bits row by row: a coordinate is
-taken as ``t[..., i]``, an array even for one point, and numpy squares an
-array by ``x * x`` whatever its shape. All closed-form callables are
-polymorphic over real and complex inputs so that complex-step differentiation
-can be used as an independent oracle in tests.
+derives the mirror map from ``grad``. Every ``value``, ``grad`` and ``hess``
+works over the last axis, a batch giving the one-point bits row by row: a
+coordinate is taken as ``t[..., i]``, an array even for one point, and numpy
+squares an array by ``x * x`` whatever its shape. The Hessians square by
+``np.float_power(x, 2.0)``, libm's ``pow``, which is how a numpy scalar's
+``** 2`` rounds, so that a one-point Hessian keeps the bits of its scalar
+formula. All closed-form callables are polymorphic over real and complex
+inputs so that complex-step differentiation can be used as an independent
+oracle in tests.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ def log_reciprocal_generator(lam: float) -> Generator:
         domain=Domain.box([0.0], [np.inf], anchor=[1.0]),
         value=lambda t: -0.5 * np.log(t[..., 0]),
         grad=lambda t: -0.5 / t,
-        hess=lambda t: np.array([[0.5 / t[0] ** 2]]),
+        hess=lambda t: 0.5 / np.float_power(t[..., None], 2.0),
         # involution: the mirror map eta = -1/((2+lam) t) is its own inverse
         inverse_mirror_closed=lambda e: -1.0 / ((2.0 + lam) * e),
         dual_domain=Domain.box([-np.inf], [0.0], anchor=[-1.0 / (2.0 + lam)]),
@@ -48,7 +51,7 @@ def linear_generator(lam: float) -> Generator:
         domain=Domain.box([-np.inf], [1.0 / lam], anchor=[1.0 / lam - 1.0]),
         value=lambda t: t[..., 0],
         grad=lambda t: np.ones(np.shape(t)),
-        hess=lambda t: np.zeros((1, 1)),
+        hess=lambda t: np.zeros(np.shape(t) + (1,)),
         inverse_mirror_closed=lambda e: (e - 1.0) / (lam * e),
         dual_domain=Domain.box([0.0], [np.inf], anchor=[1.0]),
         name=f"linear(lam={lam})",
@@ -83,9 +86,7 @@ def quadratic_generator(lam: float, dim: int = 1) -> Generator:
         r = np.vecdot(e, e)
         return e * (2.0 / (1.0 + np.sqrt(1.0 + 4.0 * lam * r)))[..., None]
 
-    # one shared Hessian for every call; read-only so no caller can alter it
     eye = np.eye(dim)
-    eye.flags.writeable = False
 
     rng = np.random.default_rng(7)
     if dim == 1:
@@ -102,7 +103,7 @@ def quadratic_generator(lam: float, dim: int = 1) -> Generator:
         # complex-step checks, and is free on real input
         value=lambda t: 0.5 * np.vecdot(t.conj(), t),
         grad=lambda t: np.asarray(t),
-        hess=lambda t: eye,
+        hess=lambda t: np.zeros(np.shape(t) + (dim,)) + eye,
         inverse_mirror_closed=inverse,
         dual_domain=dual,
         name=f"quadratic(lam={lam}, dim={dim})",
@@ -155,10 +156,11 @@ def student_t_generator(nu: float) -> Generator:
 
     def hess(t):
         a, b = parts(t)
-        h11 = (lam + 2.0) * (a - 2.0 * lam * t[0] ** 2) / a ** 2
-        h12 = 4.0 * (lam + 2.0) * t[0] / a ** 2
-        h22 = 4.0 * (lam + 1.0) / (lam * b ** 2) - 8.0 * (lam + 2.0) / (lam * a ** 2)
-        return np.array([[h11, h12], [h12, h22]])
+        t1, a2 = t[..., 0], np.float_power(a, 2.0)
+        h11 = (lam + 2.0) * (a - 2.0 * lam * np.float_power(t1, 2.0)) / a2
+        h12 = 4.0 * (lam + 2.0) * t1 / a2
+        h22 = 4.0 * (lam + 1.0) / (lam * np.float_power(b, 2.0)) - 8.0 * (lam + 2.0) / (lam * a2)
+        return np.stack([np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
 
     # grid assembled from a spread of location/scale pairs
     grid = []
@@ -203,7 +205,8 @@ def dirichlet_generator(lam: float, d: int) -> Generator:
         domain=Domain.box([-np.inf] * d, [0.0] * d, anchor=np.full(d, 1.0 / lam)),
         value=lambda t: np.sum(np.log(-t), axis=-1) / (lam * n),
         grad=lambda t: 1.0 / (lam * n * t),
-        hess=lambda t: np.diag(-1.0 / (lam * n * np.asarray(t) ** 2)),
+        hess=lambda t: np.where(np.eye(d, dtype=bool),
+                                (-1.0 / (lam * n * np.asarray(t) ** 2))[..., None, :], 0.0),
         inverse_mirror_closed=lambda e: 1.0 / (lam * e),
         dual_domain=Domain.box([0.0] * d, [np.inf] * d, anchor=np.ones(d)),
         name=f"dirichlet(lam={lam}, d={d})",

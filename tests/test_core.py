@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from xmd.core import (Domain, DomainError, Generator, GeometryError,
                       RegularityError, _vec, bregman_div, big_phi_bregman,
-                      big_phi_value, conformal_weight, conjugate_value,
-                      inverse_mirror, lambda_mirror, log_cost, log_div,
-                      log_div_self_dual, metric, metric_inverse_sm,
+                      big_phi_hess, big_phi_value, conformal_weight,
+                      conjugate_value, inverse_mirror, lambda_mirror, log_cost,
+                      log_div, log_div_self_dual, metric, metric_inverse_sm,
                       mirror_jacobian, zeta_of)
 from xmd.expfam import LambdaExpFamily, OnlineState, online_update
 from xmd.flows import (_segment_deviation, dual_logdiv_objective,
-                       quadratic_objective, rhs_dual)
+                       primal_logdiv_objective, quadratic_objective, rhs_dual,
+                       rhs_primal)
 from xmd.generators import (dirichlet_generator, linear_generator,
                             log_reciprocal_generator, quadratic_generator,
                             student_t_generator, table_generators)
@@ -478,10 +479,16 @@ def test_maps_over_the_last_axis_equal_the_one_row_calls(gen, data):
     star = _grid_rows(gen, data, 1)[0]
     obj = quadratic_objective(star, weight=1.7)
     dual = dual_logdiv_objective(gen, star)
+    primal = primal_logdiv_objective(gen, star)
     lam = gen.lam
     maps = [
         lambda x, y: gen.value(x),
         lambda x, y: gen.grad(x),
+        lambda x, y: gen.hess(x),
+        lambda x, y: metric(gen, x),
+        lambda x, y: big_phi_hess(gen, x),
+        lambda x, y: rhs_primal(gen, obj, x),
+        lambda x, y: primal.grad(x),
         lambda x, y: log_cost(gen.grad(y), x - y, lam),
         lambda x, y: log_div(gen, x, y),
         lambda x, y: log_div(gen, star, x),
@@ -547,6 +554,70 @@ def test_one_row_maps_round_as_their_scalar_formulas(gen, data):
         s = min(max(float((t - tp) @ seg) / float(seg @ seg), 0.0), 1.0)
         assert _same_bits(_segment_deviation(t, tp, star),
                           float(np.linalg.norm(t - (tp + s * seg))))
+    h, step = gen.hess(t), star - t
+    w = 1.0 + lam * float(u @ step)
+    if gen.is_bregman:
+        assert _same_bits(primal_logdiv_objective(gen, star).grad(t), -h @ step)
+    elif w > 0.0:
+        assert _same_bits(primal_logdiv_objective(gen, star).grad(t),
+                          -u - (h @ step - u) / w)
+
+
+def _scalar_hessians(gen):
+    """The one-point Hessian of each registered family by its scalar
+    formula, numpy scalars squared by ``** 2``: the reference rounding of
+    one point."""
+    lam = gen.lam
+    if gen.name.startswith("log_reciprocal"):
+        return lambda t: np.array([[0.5 / t[0] ** 2]])
+    if gen.name.startswith("linear"):
+        return lambda t: np.zeros((1, 1))
+    if gen.name.startswith("quadratic"):
+        return lambda t: np.eye(gen.dim)
+    if gen.name.startswith("student_t"):
+        def hess(t):
+            a = lam * t[..., 0] ** 2 - 4.0 * t[..., 1]
+            b = -2.0 * t[..., 1]
+            h11 = (lam + 2.0) * (a - 2.0 * lam * t[0] ** 2) / a ** 2
+            h12 = 4.0 * (lam + 2.0) * t[0] / a ** 2
+            h22 = 4.0 * (lam + 1.0) / (lam * b ** 2) - 8.0 * (lam + 2.0) / (lam * a ** 2)
+            return np.array([[h11, h12], [h12, h22]])
+        return hess
+    assert gen.name.startswith("dirichlet")
+    return lambda t: np.diag(-1.0 / (lam * (1 + gen.dim) * np.asarray(t) ** 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("gen", BATCH_GENERATORS, ids=lambda g: g.name)
+def test_one_point_hessians_keep_their_scalar_bits(gen, data):
+    # hess over the last axis squares by np.float_power, libm's pow, as a
+    # numpy scalar's ** 2 does; an array's ** 2 is x * x, which differs in
+    # the last bit for about one point in a thousand
+    reference = _scalar_hessians(gen)
+    for t in _grid_rows(gen, data, 3):
+        assert _same_bits(gen.hess(t), reference(t))
+
+
+# points at which a square rounds differently by pow and by x * x: in the
+# first coordinate (1.0975...), and in a and b of the Student-t Hessian
+POW_SENSITIVE = {
+    "log_reciprocal": [[1.097518175579618], [4.501157104706892]],
+    "student_t": [[1.097518175579618, -0.4193542685662134],
+                  [1.097518175579618, -2.3286992967991376]],
+}
+
+
+@pytest.mark.parametrize("gen", [g for g in BATCH_GENERATORS
+                                 if g.name.split("(")[0] in POW_SENSITIVE],
+                         ids=lambda g: g.name)
+def test_hessians_square_as_pow_where_it_differs_from_x_times_x(gen):
+    points = np.array(POW_SENSITIVE[gen.name.split("(")[0]])
+    reference = _scalar_hessians(gen)
+    for t in points:
+        assert _same_bits(gen.hess(t), reference(t))
+    for got, t in zip(gen.hess(points), points):
+        assert _same_bits(got, reference(t))
 
 
 # ---------------------------------------------------------------------------

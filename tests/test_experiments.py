@@ -441,8 +441,16 @@ def _finite(**bounds):
 @st.composite
 def valid_configs(draw):
     positive = _finite(min_value=0.0, exclude_min=True)
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    target = draw(st.sampled_from(["barycenter", "dirichlet"]))
+
+    def checked_by(*experiments):
+        """Floats as the experiment accepts them: positive where its
+        validation requires it, else any finite value."""
+        return positive if experiment in experiments else _finite()
+
     data = {
-        "experiment": draw(st.sampled_from(EXPERIMENTS)),
+        "experiment": experiment,
         "seed": draw(st.integers(min_value=0)),
         "out": draw(st.text()),
         "delta_schedule": draw(st.sampled_from(["1/k", "1/sqrt(k)", "1/(d*sqrt(k))"])
@@ -451,22 +459,26 @@ def valid_configs(draw):
         "n_traj": draw(st.integers(min_value=1)),
         "nu": draw(positive),
         "mu_star": draw(_finite()),
-        "sigma_star": draw(_finite()),
+        "sigma_star": draw(checked_by("student-t-online")),
         "mu0": draw(_finite()),
-        "sigma0": draw(_finite()),
+        "sigma0": draw(checked_by("student-t-online")),
         "dim": draw(st.integers(min_value=1)),
         "lam": draw(_finite(max_value=0.0, exclude_max=True)),
-        "truth_concentration": draw(_finite()),
+        "truth_concentration": draw(checked_by("dirichlet-online")),
         "n": draw(st.integers(min_value=2)),
         "alpha_list": draw(st.lists(_finite(max_value=1.0, exclude_max=True)
                                     | st.integers(max_value=0), max_size=5)),
-        "target": draw(st.sampled_from(["barycenter", "dirichlet"])),
-        "target_a": draw(_finite()),
+        "target": target,
+        "target_a": draw(checked_by("simplex-compare") if target == "dirichlet" else _finite()),
         "n_inits": draw(st.integers(min_value=1)),
-        "t_end": draw(positive),
     }
-    # dt at most t_end, and t_end/dt within the bound on a flow's time grid
-    data["dt"] = data["t_end"] / draw(_finite(min_value=1.0, max_value=MAX_TIME_STEPS))
+    if experiment in ("geodesic-check", "lyapunov-suite"):
+        # they run fixed instances, and accept only the default grid
+        data["t_end"], data["dt"] = ExperimentConfig.t_end, ExperimentConfig.dt
+    else:
+        # dt at most t_end, and t_end/dt within the bound on a flow's time grid
+        data["t_end"] = draw(positive)
+        data["dt"] = data["t_end"] / draw(_finite(min_value=1.0, max_value=MAX_TIME_STEPS))
     # every config file and override goes through _build; keep what it accepts
     try:
         return _build(data)

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xmd import flows
-from xmd.core import (DomainError, GeometryError, SolverError, big_phi_bregman,
-                      big_phi_hess, conformal_weight, lambda_mirror, log_div,
-                      mirror_jacobian, theta_of_zeta, zeta_of)
+from xmd.core import (Domain, DomainError, Generator, GeometryError, RegularityError,
+                      SolverError, big_phi_bregman, big_phi_hess, conformal_weight,
+                      lambda_mirror, log_div, mirror_jacobian, theta_of_zeta, zeta_of)
 from xmd.flows import (MAX_HALVINGS, MONOTONE_TOL, GeodesicReport, Objective, _guarded_step,
                        _integrate_path, conformal_smoothness_estimate,
                        discrete_lyapunov_run, dual_logdiv_objective,
@@ -17,8 +18,9 @@ from xmd.flows import (MAX_HALVINGS, MONOTONE_TOL, GeodesicReport, Objective, _g
                        quadratic_objective, rhs_dual, rhs_primal,
                        step_adaptive_mirror, step_dual_euler,
                        step_primal_euler, time_change_compare)
-from xmd.generators import (log_reciprocal_generator, quadratic_generator,
-                            student_t_generator)
+from xmd.generators import (dirichlet_generator, log_reciprocal_generator,
+                            quadratic_generator, student_t_generator,
+                            table_generators)
 from oracles import fd_grad
 
 QUAD_2D = quadratic_generator(-0.5, 2)
@@ -136,19 +138,34 @@ def test_integrate_clock_and_average_fourth_order_endpoint():
         assert 10.0 < e_coarse / e_mid < 24.0
 
 
+def as_stage(rhs):
+    """A right-hand side of one argument as an RK4 stage with no metric
+    to check."""
+    return lambda x, rows: (rhs(x), None)
+
+
+def augmented_rhs(gen, obj):
+    """The right-hand side of the state (theta, tau, integral of w*theta dt)
+    of ``integrate``, one point at a time, with a positive-definiteness check
+    per stage: rhs_primal raises RegularityError unless G is positive
+    definite."""
+    dim = gen.dim
+
+    def rhs(x):
+        w = conformal_weight(gen, x[:dim])
+        return np.concatenate([rhs_primal(gen, obj, x[:dim]), [w], w * x[:dim]])
+    return rhs
+
+
 def test_integrate_reads_its_states_off_one_rk4_path():
     # the reference: the augmented state (theta, tau, integral of w*theta dt)
     # through _integrate_path, read off one grid point at a time
     gen = QUAD_2D
     obj = quadratic_objective([0.3, -0.2])
     theta0 = np.array([-0.6, 0.7])
-
-    def rhs(x):
-        w = conformal_weight(gen, x[:2])
-        return np.concatenate([rhs_primal(gen, obj, x[:2]), [w], w * x[:2]])
-
     times = np.linspace(0.0, 50 * 1e-2, 51)
-    path = _integrate_path(rhs, lambda x: gen.domain.contains(x[:2]),
+    path = _integrate_path(as_stage(augmented_rhs(gen, obj)),
+                           lambda x: gen.domain.contains(x[:2]),
                            np.concatenate([theta0, [0.0], np.zeros(2)]), times)
     flow = integrate(gen, obj, theta0, 0.5, 1e-2)
     assert len(flow) == len(path)
@@ -182,14 +199,14 @@ def test_integrate_path_halves_a_step_that_leaves_the_domain():
     below_two = lambda x: bool(x[0] < 2.0)
     assert not below_two(rk4_step(decay, x0, 5.0))
     half = rk4_step(decay, rk4_step(decay, x0, 2.5), 2.5)
-    path = _integrate_path(decay, below_two, x0, [0.0, 5.0])
+    path = _integrate_path(as_stage(decay), below_two, x0, [0.0, 5.0])
     assert path[1].tobytes() == half.tobytes()
     # h = 10 halves twice: the first half of the step again splits into
     # quarters, and so does the second, each on its own
     quarters = x0
     for _ in range(4):
         quarters = rk4_step(decay, quarters, 2.5)
-    path = _integrate_path(decay, below_two, x0, [0.0, 10.0])
+    path = _integrate_path(as_stage(decay), below_two, x0, [0.0, 10.0])
     assert path[1].tobytes() == quarters.tobytes()
 
 
@@ -203,7 +220,7 @@ def test_integrate_path_halves_a_step_whose_rhs_raises():
     with pytest.raises(DomainError):
         rk4_step(guarded, x0, 2.5)  # the second stage is at 1 - 1.25
     half = rk4_step(guarded, rk4_step(guarded, x0, 1.25), 1.25)
-    path = _integrate_path(guarded, lambda x: True, x0, [0.0, 2.5])
+    path = _integrate_path(as_stage(guarded), lambda x: True, x0, [0.0, 2.5])
     assert path[1].tobytes() == half.tobytes()
 
 
@@ -215,7 +232,7 @@ def test_integrate_path_raises_after_max_halvings():
         return False
 
     with pytest.raises(SolverError, match=f"halved {MAX_HALVINGS} times"):
-        _integrate_path(decay, never, np.array([1.0]), [0.0, 0.1])
+        _integrate_path(as_stage(decay), never, np.array([1.0]), [0.0, 0.1])
     # one try per depth 0..MAX_HALVINGS, each on the first half of the last
     assert len(tries) == MAX_HALVINGS + 1
 
@@ -223,7 +240,7 @@ def test_integrate_path_raises_after_max_halvings():
         raise DomainError("no right-hand side here")
 
     with pytest.raises(SolverError):
-        _integrate_path(raising, lambda x: True, np.array([1.0]), [0.0, 0.1])
+        _integrate_path(as_stage(raising), lambda x: True, np.array([1.0]), [0.0, 0.1])
 
 
 def test_integrate_evaluates_the_gradient_four_times_per_step():
@@ -241,6 +258,158 @@ def test_integrate_evaluates_the_gradient_four_times_per_step():
                      [0.5], n_steps * 1e-2, 1e-2)
     assert len(path) == n_steps + 1
     assert len(calls) == 4 * n_steps
+
+
+# ---------------------------------------------------------------------------
+# the positive-definiteness check of an RK4 step, and batches of rows
+
+
+def _half_square(lam, upper, name):
+    """phi = theta^2/2 with hess 1, so that G = 1 + lam*theta^2, on the box
+    (-upper, upper)."""
+    return Generator(lam=lam, domain=Domain.box([-upper], [upper], anchor=[0.0]),
+                     value=lambda t: 0.5 * np.vecdot(t, t), grad=lambda t: np.asarray(t),
+                     hess=lambda t: np.ones(np.shape(t) + (1,)), name=name)
+
+
+# G = 1 - 2 theta^2 is positive definite only on |theta| < 1/sqrt(2), inside the box
+NARROW_PD = _half_square(-2.0, 1.0, "narrow_pd")
+# G = 1 - theta^2 is exactly singular at theta = 1, inside the box
+SINGULAR_AT_ONE = _half_square(-1.0, 2.0, "singular_at_one")
+
+
+def rk4_halving(rhs, feasible, x, h):
+    """The one-point halving recursion, written out: a step whose stage
+    raises a GeometryError, or whose end point is infeasible, is replaced
+    by two half steps, each halved on its own."""
+    try:
+        out = rk4_step(rhs, x, h)
+        if feasible(out):
+            return out
+    except GeometryError:
+        pass
+    return rk4_halving(rhs, feasible, rk4_halving(rhs, feasible, x, 0.5 * h), 0.5 * h)
+
+
+def _assert_state(flow, i, x):
+    """Grid point i of ``flow`` holds the bits of the state x."""
+    assert flow.theta[i].tobytes() == x[:1].tobytes()
+    assert flow.tau[i] == x[1]
+
+
+def test_integrate_halves_a_step_whose_stage_metric_is_not_positive_definite():
+    gen, obj = NARROW_PD, quadratic_objective([0.6])
+    rhs = augmented_rhs(gen, obj)
+    x0 = np.array([0.5, 0.0, 0.0])
+    with pytest.raises(RegularityError):
+        rk4_step(rhs, x0, 1.2)  # the fourth stage is at theta = 0.80, where G < 0
+    # stepped through without a check, the step would end inside the box:
+    # only the positive-definiteness check rejects it
+    unchecked_end = rk4_step(lambda x: (0.6 - x) / (1.0 - 2.0 * x * x), x0[:1], 1.2)
+    assert gen.domain.contains(unchecked_end)
+    half = rk4_step(rhs, rk4_step(rhs, x0, 0.6), 0.6)
+    _assert_state(integrate(gen, obj, [0.5], 1.2, 1.2), 1, half)
+
+
+def test_integrate_halves_a_step_whose_stage_metric_is_singular():
+    gen, obj = SINGULAR_AT_ONE, quadratic_objective([0.875])
+    rhs = augmented_rhs(gen, obj)
+    x0 = np.array([0.5, 0.0, 0.0])
+    # k1 = 0.375 / 0.75 = 0.5 exactly, so the second stage of a step of 2 is
+    # at theta = 1, where G = 1 - 1 = 0: np.linalg.solve raises there
+    assert rhs(x0)[0] == 0.5
+    with pytest.raises(RegularityError):
+        rk4_step(rhs, x0, 2.0)
+    expected = rk4_halving(rhs, lambda x: gen.domain.contains(x[:1]), x0, 2.0)
+    _assert_state(integrate(gen, obj, [0.5], 2.0, 2.0), 1, expected)
+
+
+def test_integrate_checks_each_step_with_one_stacked_cholesky(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    n_steps = 50
+    integrate(QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7], n_steps * 1e-2, 1e-2)
+    # one call per step, over the four stage metrics
+    assert calls == [(4, 2, 2)] * n_steps
+
+
+def test_geodesic_flow_check_evaluates_the_hessian_once_per_stage():
+    calls = []
+
+    def hess(t):
+        calls.append(np.shape(t))
+        return QUAD_2D.hess(t)
+
+    gen = dataclasses.replace(QUAD_2D, hess=hess)
+    rep = geodesic_flow_check(gen, [0.5, -0.3], [-0.8, 0.6], t_end=1.0, dt=1e-3)
+    assert rep.passed
+    # 1,000 steps of the (dual, primal) pair, four stages each: the primal
+    # gradient reads the Hessians of the metric
+    assert calls == [(2, 2)] * 4000
+
+
+def _batch_equals_rows(run, x0):
+    """run(x0) on the batch x0 gives, row by row, the bits of run(x0[i]); or
+    some row raises a SolverError, and so does the batch."""
+    try:
+        rows = [run(x) for x in x0]
+    except SolverError:
+        with pytest.raises(SolverError):
+            run(x0)
+        return
+    batch = run(x0)
+    assert batch.shape == (rows[0].shape[0], len(x0), *rows[0].shape[1:])
+    for i, row in enumerate(rows):
+        assert batch[:, i].tobytes() == row.tobytes()
+
+
+def test_integrate_path_halves_the_rows_of_a_batch_on_their_own():
+    # the step of 1.2 halves from 0.5 (the check fails) and not from -0.2
+    obj = quadratic_objective([0.6])
+    s = [0.0, 1.2, 1.5]
+    run = lambda x: integrate_hessian_flow(NARROW_PD, obj, x, s)
+    halved = []
+    for x in (0.5, -0.2):
+        try:
+            rk4_step(lambda t: -np.linalg.solve(big_phi_hess(NARROW_PD, t), obj.grad(t)),
+                     np.array([x]), 1.2)
+        except RegularityError:
+            halved.append(x)
+    assert halved == [0.5]
+    _batch_equals_rows(run, np.array([[0.5], [-0.2]]))
+
+
+FLOW_GENERATORS = table_generators() + [quadratic_generator(-0.5, 2),
+                                        quadratic_generator(-0.4, 3),
+                                        student_t_generator(3.0),
+                                        dirichlet_generator(-0.5, 2)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("gen", FLOW_GENERATORS, ids=lambda g: g.name)
+def test_integrate_path_of_a_batch_equals_its_one_row_paths(gen, data):
+    # rows from the generator's grid, shrunk toward the origin by a factor in
+    # [0.5, 1] (that keeps every registered domain), and steps long enough
+    # that some rows halve
+    grid = np.array(gen.grid, dtype=float)
+    n = data.draw(st.integers(1, 4))
+    idx = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=n + 1, max_size=n + 1))
+    scale = data.draw(st.lists(st.floats(0.5, 1.0), min_size=n + 1, max_size=n + 1))
+    points = grid[idx] * np.array(scale)[:, None]
+    steps = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3))
+    s = np.concatenate([[0.0], np.cumsum(steps)])
+    obj = quadratic_objective(points[0])
+    # a stage off the domain may take a log of a negative number: the step
+    # is rejected either way, so the warning says nothing here
+    with np.errstate(all="ignore"):
+        _batch_equals_rows(lambda x: integrate_hessian_flow(gen, obj, x, s), points[1:])
 
 
 def test_zeta_flow_form():
@@ -747,11 +916,15 @@ def test_discrete_lyapunov_run_equals_its_one_state_loop():
     assert _report_lists(report) == (series, bound, gap, violations)
 
 
-@pytest.mark.parametrize("gen, star, theta0", [
-    (QUAD_2D, [0.5, -0.3], [-0.8, 0.6]),
-    (LOG_1D, [2.0], [1.0]),
-], ids=["2d", "1d"])
-def test_geodesic_flow_check_equals_its_one_state_loop(gen, star, theta0):
+@pytest.mark.parametrize("gen, star, theta0, t_end, dt", [
+    (QUAD_2D, [0.5, -0.3], [-0.8, 0.6], 0.5, 1e-2),
+    (LOG_1D, [2.0], [1.0], 0.5, 1e-2),
+    # one step of 1, which the dual row halves and the primal row does not
+    (QUAD_2D, [-0.4, -0.3], [0.9, 0.8], 1.0, 1.0),
+    # and the other way round
+    (LOG_1D, [2.2], [0.9], 1.0, 1.0),
+], ids=["2d", "1d", "2d-dual-row-halves", "1d-primal-row-halves"])
+def test_geodesic_flow_check_equals_its_one_state_loop(gen, star, theta0, t_end, dt):
     star, theta0 = np.array(star), np.array(theta0)
     eta_star = lambda_mirror(gen, star).eta
     eta0 = lambda_mirror(gen, theta0).eta
@@ -763,15 +936,15 @@ def test_geodesic_flow_check_equals_its_one_state_loop(gen, star, theta0):
 
     dual_obj = dual_logdiv_objective(gen, star)
     collin = coeff = 0.0
-    for theta in integrate(gen, dual_obj, theta0, 0.5, 1e-2).theta:
+    for theta in integrate(gen, dual_obj, theta0, t_end, dt).theta:
         pair = lambda_mirror(gen, theta)
         collin = max(collin, deviation(pair.eta, eta0, eta_star))
         pi_star = 1.0 + gen.lam * float(theta @ eta_star)
         expected = -(pair.pi / pi_star) * (pair.eta - eta_star)
         coeff = max(coeff, float(np.max(np.abs(rhs_dual(gen, dual_obj, pair) - expected))))
-    primal = integrate(gen, primal_logdiv_objective(gen, star), theta0, 0.5, 1e-2).theta
+    primal = integrate(gen, primal_logdiv_objective(gen, star), theta0, t_end, dt).theta
     pcollin = max(deviation(theta, theta0, star) for theta in primal)
-    rep = geodesic_flow_check(gen, star, theta0, t_end=0.5, dt=1e-2)
+    rep = geodesic_flow_check(gen, star, theta0, t_end=t_end, dt=dt)
     assert (rep.dual_collinearity, rep.dual_coefficient_error,
             rep.primal_collinearity) == (collin, coeff, pcollin)
 
