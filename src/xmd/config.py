@@ -80,8 +80,8 @@ class ExperimentConfig:
             raise ConfigError("counts must be positive")
         delta_schedule(self.delta_schedule)
         if self.experiment == "student-t-online":
-            if self.nu <= 0:
-                raise ConfigError("nu must be positive")
+            if not (self.nu > 0 and self.nu + 1.0 > 1.0):
+                raise ConfigError(f"nu must be positive with nu + 1 > 1, got {self.nu!r}")
             if self.sigma_star <= 0 or self.sigma0 <= 0:
                 raise ConfigError("sigma_star and sigma0 must be positive")
         if self.experiment == "dirichlet-online":

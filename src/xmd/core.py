@@ -20,7 +20,7 @@ The maps of a point work over the last axis: ``theta`` is one point ``(d,)``
 or a batch ``(..., d)``, one point is a batch of one, and a batch gives, row
 by row, the bits of the one-point calls. ``metric`` and ``big_phi_hess``
 give one ``(d, d)`` matrix per row, ``(..., d, d)``; ``mirror_jacobian`` and
-the inversions take one point.
+``theta_of_zeta`` take one point.
 """
 from __future__ import annotations
 
@@ -37,6 +37,8 @@ import numpy as np
 BREGMAN_LIMIT = 1e-12
 # log arguments must exceed this; below it we raise rather than return -inf.
 LOG_GUARD = 1e-14
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 100
 
 
 class GeometryError(Exception):
@@ -69,7 +71,8 @@ def _vec(x) -> np.ndarray:
 class Domain:
     """Open domain: an axis-aligned box intersected with scalar constraints g(x) > 0.
 
-    ``anchor`` must be an interior point; it seeds Newton inversions.
+    ``anchor`` must be an interior point: it seeds ``theta_of_zeta`` and
+    stands in for the rows of a batch that a test rejects.
     """
 
     lower: np.ndarray
@@ -138,9 +141,9 @@ class Generator:
     ``(..., d, d)``, with the bits of the one-point calls. Each Hessian must
     be exactly symmetric: ``metric`` uses it as it is. ``hess`` is optional,
     but ``metric`` needs it, and with it the primal flows,
-    ``mirror_jacobian`` and both Newton inversions. The mirror map is always
-    derived from ``grad`` by ``lambda_mirror``; only its inverse can be
-    registered in closed form, to bypass the Newton inversion.
+    ``mirror_jacobian`` and ``theta_of_zeta``. The mirror map is always
+    derived from ``grad`` by ``lambda_mirror``; ``inverse_mirror`` needs its
+    inverse in closed form, registered with the dual domain it inverts.
     """
 
     lam: float
@@ -210,61 +213,34 @@ def mirror_jacobian(gen: Generator, theta) -> np.ndarray:
     return pair.pi * corr @ g
 
 
-def inverse_mirror(gen: Generator, eta, theta0=None, tol: float = 1e-12,
-                   max_iter: int = 100) -> np.ndarray:
-    """Invert the mirror map: find theta with lambda_mirror(gen, theta).eta == eta.
-
-    Uses a registered closed form when available, otherwise damped Newton
-    with Armijo backtracking on the residual norm, seeded at the domain anchor.
-    """
+def inverse_mirror(gen: Generator, eta) -> np.ndarray:
+    """Invert the mirror map over the last axis by its registered closed form.
+    Raises DomainError if a row of eta lies outside the dual domain or inverts
+    outside the domain, and RegularityError if no inverse is registered."""
     eta = _vec(eta)
-    if gen.dual_domain is not None and not gen.dual_domain.contains(eta):
-        raise DomainError(f"eta={eta} outside the dual domain")
-    if gen.inverse_mirror_closed is not None:
-        theta = _vec(gen.inverse_mirror_closed(eta))
-        if not gen.domain.contains(theta):
-            raise DomainError(f"closed-form inverse left the domain at eta={eta}")
-        return theta
-
-    theta, rnorm = _damped_newton(lambda theta: lambda_mirror(gen, theta).eta - eta,
-                                  lambda theta: mirror_jacobian(gen, theta),
-                                  gen.domain, theta0, tol, max_iter)
-    if rnorm <= tol * max(1.0, np.linalg.norm(eta)):
-        return theta
-    raise SolverError(f"inverse mirror did not converge for eta={eta} (residual {rnorm:.3e})")
+    theta, ok = _invert_rows(gen, eta)
+    if not np.all(ok):
+        raise DomainError(f"eta={eta[~ok][0]} or its inverse lies outside its domain")
+    return theta
 
 
-def _damped_newton(residual, jacobian, domain: Domain, x0, tol: float,
-                   max_iter: int) -> tuple[np.ndarray, float]:
-    """Damped Newton on residual(x) = 0 from x0 (the domain anchor if None),
-    with Armijo backtracking on the residual norm inside the open domain.
-    Returns the last iterate and its residual norm, early once that is <= tol;
-    raises SolverError on a singular Jacobian or a stalled line search."""
-    x = _vec(x0) if x0 is not None else domain.anchor.copy()
-    res = residual(x)
-    rnorm = np.linalg.norm(res)
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            break
-        try:
-            step = np.linalg.solve(jacobian(x), -res)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Jacobian at x={x}") from exc
-        t = 1.0
-        for _ in range(60):
-            cand = x + t * step
-            if domain.contains(cand):
-                try:
-                    cres = residual(cand)
-                except GeometryError:
-                    cres = None
-                if cres is not None and np.linalg.norm(cres) <= (1.0 - 1e-4 * t) * rnorm:
-                    x, res, rnorm = cand, cres, np.linalg.norm(cres)
-                    break
-            t *= 0.5
-        else:
-            raise SolverError(f"Newton line search stalled at x={x}")
-    return x, rnorm
+def _invert_rows(gen: Generator, eta):
+    """``inverse_mirror`` with a mask: theta, and the rows of eta in the dual
+    domain whose inverse lies in the domain. The closed form sees the dual
+    anchor in place of each row outside the dual domain."""
+    _require_inverse(gen)
+    dual = gen.dual_domain
+    ok = np.asarray(dual.contains(eta))
+    if not ok.all():
+        eta = np.where(ok[..., None], eta, dual.anchor)
+    theta = _vec(gen.inverse_mirror_closed(eta))
+    return theta, ok & gen.domain.contains(theta)
+
+
+def _require_inverse(gen: Generator) -> None:
+    """RegularityError unless a closed-form inverse and its dual domain are registered."""
+    if gen.inverse_mirror_closed is None or gen.dual_domain is None:
+        raise RegularityError(f"generator {gen.name!r} has no closed-form inverse mirror map")
 
 
 def conjugate_value(gen: Generator, pair: DualPair) -> float:
@@ -382,13 +358,35 @@ def zeta_of(gen: Generator, theta) -> np.ndarray:
     return conformal_weight(gen, theta)[..., None] * gen.grad(theta)
 
 
-def theta_of_zeta(gen: Generator, zeta, theta0=None, tol: float = 1e-12,
-                  max_iter: int = 100) -> np.ndarray:
-    """Invert grad Phi by damped Newton (Jacobian is hess Phi, available in closed form)."""
+def theta_of_zeta(gen: Generator, zeta, theta0=None) -> np.ndarray:
+    """Invert grad Phi by damped Newton from theta0 (the domain anchor if None):
+    Jacobian hess Phi, Armijo backtracking on the residual norm inside the
+    open domain; SolverError if that fails or stalls in NEWTON_MAX_ITER steps."""
     zeta = _vec(zeta)
-    theta, rnorm = _damped_newton(lambda theta: zeta_of(gen, theta) - zeta,
-                                  lambda theta: big_phi_hess(gen, theta),
-                                  gen.domain, theta0, tol, max_iter)
-    if rnorm <= tol * max(1.0, np.linalg.norm(zeta)):
+    theta = _vec(theta0) if theta0 is not None else gen.domain.anchor.copy()
+    res = zeta_of(gen, theta) - zeta
+    rnorm = np.linalg.norm(res)
+    for _ in range(NEWTON_MAX_ITER):
+        if rnorm <= NEWTON_TOL:
+            break
+        try:
+            step = np.linalg.solve(big_phi_hess(gen, theta), -res)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular Jacobian at theta={theta}") from exc
+        t = 1.0
+        for _ in range(60):
+            cand = theta + t * step
+            if gen.domain.contains(cand):
+                try:
+                    cres = zeta_of(gen, cand) - zeta
+                except GeometryError:
+                    cres = None
+                if cres is not None and np.linalg.norm(cres) <= (1.0 - 1e-4 * t) * rnorm:
+                    theta, res, rnorm = cand, cres, np.linalg.norm(cres)
+                    break
+            t *= 0.5
+        else:
+            raise SolverError(f"Newton line search stalled at theta={theta}")
+    if rnorm <= NEWTON_TOL * max(1.0, np.linalg.norm(zeta)):
         return theta
     raise SolverError(f"dual-potential inversion did not converge (residual {rnorm:.3e})")

@@ -19,15 +19,16 @@ import numpy as np
 from .core import DomainError, Generator, _vec, inverse_mirror, lambda_mirror
 from .flows import _dual_accept, _guarded_step
 from .generators import (dirichlet_generator, student_t_generator,
-                         student_t_inverse_mirror, student_t_lambda)
+                         student_t_inverse_mirror, student_t_lambda,
+                         student_t_natural_coords)
 from .simplex import perturb
 
 
 @dataclass(frozen=True)
 class LambdaExpFamily:
-    """A model family: its potential generator, its statistics map and,
-    optionally, the reflection into its dual domain that the online estimator
-    tries before halving a step."""
+    """A model family: its potential generator, its statistics map and the
+    reflection into its dual domain that the online estimator tries before
+    halving a step, by default the box reflection of that domain."""
 
     gen: Generator
     statistics: Callable[[np.ndarray], np.ndarray]
@@ -54,8 +55,7 @@ class OnlineState:
 def start_state(model: LambdaExpFamily, eta0) -> OnlineState:
     """Initial state at eta0, one point ``(dim,)`` or a batch ``(batch, dim)``."""
     eta0 = _vec(eta0)
-    theta0 = np.apply_along_axis(lambda e: inverse_mirror(model.gen, e), -1, eta0)
-    return OnlineState(eta=eta0, theta=theta0, k=0)
+    return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0), k=0)
 
 
 def log_loss(model: LambdaExpFamily, theta, y) -> tuple[float, np.ndarray]:
@@ -100,7 +100,7 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
             raise DomainError("observation outside the support of the current parameter")
         rate = delta * (pi / pi_y)
     x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), eta, step, rate,
-                               _dual_accept(gen, theta, model.reflect_dual))
+                               _dual_accept(gen, model.reflect_dual or gen.dual_domain.reflect))
     dim = eta.shape[-1]
     return OnlineState(eta=x[..., :dim], theta=x[..., dim:], k=state.k + 1,
                        skipped=state.skipped + int(np.count_nonzero(skipped)))
@@ -133,9 +133,7 @@ def student_t_coords(params: StudentTParams) -> np.ndarray:
     """(mu, sigma) -> natural coordinates."""
     if params.sigma <= 0.0:
         raise DomainError("scale must be positive")
-    lam = params.lam
-    k = -lam * params.mu ** 2 + params.sigma ** 2 * (lam + 2.0)
-    return np.array([2.0 * params.mu / k, -1.0 / k])
+    return student_t_natural_coords(params.mu, params.sigma, params.lam)
 
 
 def student_t_params(theta, nu: float) -> StudentTParams:
@@ -204,8 +202,9 @@ class DirichletPerturbModel:
 
 
 def simplex_to_eta(p) -> np.ndarray:
+    """Simplex point(s) -> dual coordinates p_i / p_0, i >= 1, over the last axis."""
     p = _vec(p)
-    return p[1:] / p[0]
+    return p[..., 1:] / p[..., :1]
 
 
 def eta_to_simplex(eta) -> np.ndarray:
@@ -227,9 +226,5 @@ def dirichlet_perturb_sample(model: DirichletPerturbModel, rng: np.random.Genera
 def dirichlet_family(lam: float, d: int) -> LambdaExpFamily:
     gen = dirichlet_generator(lam, d)
 
-    def statistics(q):
-        q = np.asarray(q, dtype=float)
-        return q[..., 1:] / q[..., :1]
-
-    return LambdaExpFamily(gen=gen, statistics=statistics,
+    return LambdaExpFamily(gen=gen, statistics=simplex_to_eta,
                            name=f"dirichlet_perturb(lam={lam}, d={d})")

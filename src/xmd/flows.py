@@ -27,9 +27,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
-                   RegularityError, SolverError, _assemble_metric, _vec,
-                   big_phi_bregman, conformal_weight, inverse_mirror,
-                   lambda_mirror, log_div, metric, theta_of_zeta, zeta_of)
+                   RegularityError, SolverError, _assemble_metric,
+                   _invert_rows, _require_inverse, _vec, big_phi_bregman,
+                   conformal_weight, lambda_mirror, log_div, metric,
+                   theta_of_zeta, zeta_of)
 
 MAX_HALVINGS = 20
 MONOTONE_TOL = 1e-9
@@ -363,12 +364,11 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
 def _reflecting(test, reflect):
     """Accept test that repairs by reflection: per row, the rows of
     ``test(cand, rows)`` where its mask holds, else those of
-    ``test(reflect(cand), rows)``. ``test`` returns (rows, mask); with
-    ``reflect`` None nothing is repaired."""
+    ``test(reflect(cand), rows)``. ``test`` returns (rows, mask)."""
     def accept(cand, rows):
         taken, ok = test(cand, rows)
         ok = np.asarray(ok)
-        if ok.all() or reflect is None:
+        if ok.all():
             return taken, ok
         refl_taken, refl_ok = test(reflect(cand), rows)
         return np.where((~ok & refl_ok)[..., None], refl_taken, taken), ok | refl_ok
@@ -381,42 +381,14 @@ def _reflect_into(domain: Domain):
     return _reflecting(lambda theta, rows: (theta, domain.contains(theta)), domain.reflect)
 
 
-def _invert_rows(gen: Generator, eta, theta0):
-    """``inverse_mirror`` row by row: theta, and the mask of rows where it
-    succeeds. A registered closed form runs on all rows at once, with the
-    rows outside the dual domain moved to its anchor."""
-    if gen.inverse_mirror_closed is None:
-        theta = np.array(theta0, dtype=float)
-        ok = np.zeros(eta.shape[:-1], dtype=bool)
-        for i in np.ndindex(ok.shape):
-            try:
-                theta[i] = inverse_mirror(gen, eta[i], theta0=theta0[i])
-                ok[i] = True
-            except GeometryError:
-                pass
-        return theta, ok
-    dual = gen.dual_domain
-    if dual is None:
-        ok = np.ones(eta.shape[:-1], dtype=bool)
-    else:
-        ok = np.asarray(dual.contains(eta))
-        if not ok.all():
-            eta = np.where(ok[..., None], eta, dual.anchor)
-    theta = np.asarray(gen.inverse_mirror_closed(eta), dtype=float)
-    return theta, ok & gen.domain.contains(theta)
-
-
-def _dual_accept(gen: Generator, theta0, reflect=None):
+def _dual_accept(gen: Generator, reflect):
     """Accept test of the steps in the dual coordinate: per row, the first of
-    (eta, its reflection into the dual domain) whose mirror inverse exists,
-    taken as the row [eta, theta]. ``reflect`` defaults to the box reflection
-    of the dual domain; the inversions of a row are seeded at its row of
-    theta0."""
-    if reflect is None and gen.dual_domain is not None:
-        reflect = gen.dual_domain.reflect
-
+    (eta, reflect(eta)) that lies in the dual domain and whose closed-form
+    mirror inverse lies in the domain, taken as the row [eta, theta]. A
+    missing inverse raises here, not in a try that the guarded step rejects."""
+    _require_inverse(gen)
     def test(eta, rows):
-        theta, ok = _invert_rows(gen, eta, theta0[rows])
+        theta, ok = _invert_rows(gen, eta)
         return np.concatenate([eta, theta], axis=-1), ok
     return _reflecting(test, reflect)
 
@@ -433,13 +405,13 @@ def step_primal_euler(gen: Generator, obj: Objective, theta_k, delta: float) -> 
 
 
 def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float) -> DualPair:
-    """eta step followed by mirror inversion; infeasible eta is reflected into
-    the dual domain (when one is registered) and the step halved otherwise."""
+    """eta step followed by mirror inversion; infeasible eta is reflected
+    across the box faces of the dual domain, and the step halved otherwise."""
     if delta == 0.0:
         return pair
     direction = rhs_dual(gen, obj, pair)
     x, failed = _guarded_step(np.concatenate([pair.eta, pair.theta]), pair.eta, direction,
-                              delta, _dual_accept(gen, pair.theta))
+                              delta, _dual_accept(gen, gen.dual_domain.reflect))
     if failed:
         raise SolverError("dual step infeasible after halving")
     eta, theta = np.split(x, 2)

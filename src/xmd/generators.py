@@ -127,6 +127,12 @@ def student_t_inverse_mirror(e, lam: float) -> np.ndarray:
     return np.stack([-2.0 * e[..., 0] / den, 1.0 / den], axis=-1)
 
 
+def student_t_natural_coords(mu: float, sigma: float, lam: float) -> np.ndarray:
+    """(mu, sigma) -> natural coordinates [2 mu, -1] / (sigma^2 (lam + 2) - lam mu^2)."""
+    k = -lam * mu ** 2 + sigma ** 2 * (lam + 2.0)
+    return np.array([2.0 * mu / k, -1.0 / k])
+
+
 def student_t_generator(nu: float) -> Generator:
     """Divisive-normalization potential of the location-scale heavy-tail family.
 
@@ -137,6 +143,8 @@ def student_t_generator(nu: float) -> Generator:
     if not nu > 0.0:
         raise ValueError("degrees of freedom must be positive")
     lam = student_t_lambda(nu)
+    if not lam + 2.0 > 0.0:  # lam = -2 where nu + 1 rounds to 1
+        raise ValueError(f"the Student-t potential requires lam > -2, got nu={nu!r}")
     const = math.lgamma(nu / 2.0) + 0.5 * np.log(nu * np.pi) - math.lgamma((nu + 1.0) / 2.0)
 
     def parts(t):
@@ -163,11 +171,8 @@ def student_t_generator(nu: float) -> Generator:
         return np.stack([np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
 
     # grid assembled from a spread of location/scale pairs
-    grid = []
-    for mu in (-1.0, 0.0, 1.5):
-        for sigma in (0.5, 1.0, 2.0):
-            k = -lam * mu ** 2 + sigma ** 2 * (lam + 2.0)
-            grid.append(np.array([2.0 * mu / k, -1.0 / k]))
+    grid = [student_t_natural_coords(mu, sigma, lam)
+            for mu in (-1.0, 0.0, 1.5) for sigma in (0.5, 1.0, 2.0)]
 
     return Generator(
         lam=lam,

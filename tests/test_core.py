@@ -12,7 +12,8 @@ from xmd.core import (Domain, DomainError, Generator, GeometryError,
                       conjugate_value, inverse_mirror, lambda_mirror, log_cost,
                       log_div, log_div_self_dual, metric, metric_inverse_sm,
                       mirror_jacobian, zeta_of)
-from xmd.expfam import LambdaExpFamily, OnlineState, online_update
+from xmd.expfam import (LambdaExpFamily, OnlineState, online_update, start_state,
+                        student_t_family)
 from xmd.flows import (_segment_deviation, dual_logdiv_objective,
                        primal_logdiv_objective, quadratic_objective, rhs_dual,
                        rhs_primal)
@@ -94,6 +95,8 @@ def test_mirror_regularity_violation_reports_value():
 
 @pytest.mark.parametrize("gen", ALL_GENERATORS, ids=lambda g: g.name)
 def test_inverse_mirror_round_trip(gen):
+    assert gen.inverse_mirror_closed is not None
+    assert gen.hess is not None and gen.dual_domain is not None
     for theta in gen.grid:
         eta = lambda_mirror(gen, theta).eta
         back = inverse_mirror(gen, eta)
@@ -107,12 +110,18 @@ def test_inverse_mirror_row2_example():
     assert inverse_mirror(linear_generator(2.0), [1.0])[0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_newton_fallback_matches_closed_forms():
+def test_a_generator_without_a_closed_inverse_raises_regularity_error():
     gen = student_t_generator(3.0)
-    newton = dataclasses.replace(gen, inverse_mirror_closed=None)
-    for theta in gen.grid:
-        eta = lambda_mirror(gen, theta).eta
-        assert np.max(np.abs(inverse_mirror(newton, eta) - inverse_mirror(gen, eta))) < 1e-9
+    bare = dataclasses.replace(gen, inverse_mirror_closed=None)
+    fam = dataclasses.replace(student_t_family(3.0), gen=bare)
+    eta = lambda_mirror(gen, gen.grid[0]).eta
+    with pytest.raises(RegularityError, match="student_t"):
+        inverse_mirror(bare, eta)
+    with pytest.raises(RegularityError, match="student_t"):
+        start_state(fam, eta)
+    state = OnlineState(eta=eta, theta=np.asarray(gen.grid[0], dtype=float))
+    with pytest.raises(RegularityError, match="student_t"):
+        online_update(fam, state, eta, 0.5)
 
 
 def test_inverse_mirror_outside_dual_domain():
@@ -496,6 +505,7 @@ def test_maps_over_the_last_axis_equal_the_one_row_calls(gen, data):
         lambda x, y: lambda_mirror(gen, x).eta,
         lambda x, y: lambda_mirror(gen, x).pi,
         lambda x, y: gen.inverse_mirror_closed(lambda_mirror(gen, x).eta),
+        lambda x, y: inverse_mirror(gen, lambda_mirror(gen, x).eta),
         lambda x, y: conformal_weight(gen, x),
         lambda x, y: zeta_of(gen, x),
         lambda x, y: big_phi_value(gen, x),

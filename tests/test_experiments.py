@@ -316,6 +316,9 @@ def test_rank_methods_ranks_converged_methods_by_first_k_above_round_off():
         "seed=18446744073709551616",
         "nu=nan",
         "nu=1" + "0" * 400,
+        # nu + 1 rounds to 1, so lam = -2/(nu+1) is exactly -2
+        "nu=1e-16",
+        "nu=1e-17",
         # a non-finite number for an integer key
         "n=1e400",
         "n_inits=-inf",

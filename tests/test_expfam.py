@@ -1,5 +1,4 @@
 """Deformed exponential families, samplers, and the online estimator."""
-import dataclasses
 import math
 
 import numpy as np
@@ -248,20 +247,6 @@ def _reflection(name, eta):
     return np.abs(eta)
 
 
-def test_batched_update_without_closed_inverse_uses_newton_rows():
-    closed = student_t_family(NU)
-    fam = dataclasses.replace(closed, gen=dataclasses.replace(closed.gen,
-                                                              inverse_mirror_closed=None))
-    eta = np.array([e for _, e, _ in STUDENT_T_EVENTS] + [[0.4, 1.2]])
-    y = np.array([obs for _, _, obs in STUDENT_T_EVENTS] + [[1.0, 1.0]])
-    with np.errstate(all="ignore"):
-        out = online_update(fam, start_state(fam, eta), y, 1.0)
-        ref = online_update(closed, start_state(closed, eta), y, 1.0)
-    assert np.allclose(out.eta, ref.eta, rtol=1e-12, atol=1e-12)
-    assert np.allclose(out.theta, ref.theta, rtol=1e-9, atol=1e-12)
-    assert out.skipped == ref.skipped == 1
-
-
 def test_batched_start_state_and_maps_match_rows():
     fam = student_t_family(NU)
     etas = np.array([[0.0, 1.0], [0.4, 1.2], [-1.5, 6.0]])
@@ -314,6 +299,14 @@ def test_student_t_coords_examples():
     assert LAM * theta[0] ** 2 - 4.0 * theta[1] == pytest.approx(8.0 / 3.0, abs=1e-14)
     back = student_t_params(theta, NU)
     assert (back.mu, back.sigma) == pytest.approx((0.0, 1.0), abs=1e-14)
+
+
+def test_student_t_potential_requires_lam_above_minus_two():
+    # nu + 1 rounds to 1 below nu ~ 1.1e-16, and lam = -2/(nu+1) is then -2
+    for nu in (1e-16, 1e-17):
+        with pytest.raises(ValueError, match="lam"):
+            student_t_generator(nu)
+    assert student_t_generator(1e-15).lam > -2.0
 
 
 def test_student_t_coords_round_trip_grid():
