@@ -25,6 +25,16 @@ EXPERIMENTS = (
 # the most steps of a flow's time grid (see ExperimentConfig.dt)
 MAX_TIME_STEPS = 10 ** 7
 
+# the Student-t nu that student-t-online accepts. Each sample divides by a
+# chi-square(nu) draw V, which is 0, and the sample infinite, with
+# probability about 2**(-538 nu): V/2 is Gamma(nu/2), P(V/2 < x) ~ x**(nu/2)
+# near 0, and V/2 rounds to 0 below 2**-1075 (4e5 draws at nu = 0.02 and
+# 0.03 match it). NU_MIN keeps that under 1e-32 a draw. The generator's
+# normalizing constant lgamma(nu/2) ~ (nu/2) log(nu/2) overflows past
+# nu = 5.1e305, and NU_MAX stays below that.
+NU_MIN = 0.2
+NU_MAX = 1e305
+
 
 class ConfigError(Exception):
     """Invalid configuration; the CLI maps this to exit code 2."""
@@ -80,8 +90,8 @@ class ExperimentConfig:
             raise ConfigError("counts must be positive")
         delta_schedule(self.delta_schedule)
         if self.experiment == "student-t-online":
-            if not (self.nu > 0 and self.nu + 1.0 > 1.0):
-                raise ConfigError(f"nu must be positive with nu + 1 > 1, got {self.nu!r}")
+            if not NU_MIN <= self.nu <= NU_MAX:
+                raise ConfigError(f"nu must be in [{NU_MIN}, {NU_MAX}], got {self.nu!r}")
             if self.sigma_star <= 0 or self.sigma0 <= 0:
                 raise ConfigError("sigma_star and sigma0 must be positive")
         if self.experiment == "dirichlet-online":

@@ -91,10 +91,10 @@ def dirichlet_cost_grad(p, p_star) -> np.ndarray:
 class PortfolioGenerator:
     """An exponentially concave function on the simplex with its gradient.
 
-    ``inverse_transport(q, rows)`` inverts q = transport_map(gen, p) when a
-    closed form exists (it does for ``diversity_generator``); ``rows``
-    indexes the rows of the generator's batch that q holds, the rows pending
-    in a try of ``flows._guarded_step``, and defaults to all of them.
+    ``inverse_transport(log_q, rows)`` maps log q, up to a shift per row, to
+    the p of q = transport_map(gen, p) if a closed form exists (as for
+    ``diversity_generator``); ``rows`` indexes the rows of the generator's
+    batch in log_q, the rows pending in a ``flows._guarded_step`` try, or all.
     """
 
     value: Callable[[np.ndarray], float]
@@ -112,14 +112,15 @@ def equal_weighted_generator() -> PortfolioGenerator:
 def diversity_generator(alpha) -> PortfolioGenerator:
     """phi(p) = log(sum p^alpha)/alpha for alpha < 1, and its limit mean(log p)
     at alpha = 0, the equal-weighted generator; the portfolio map is the
-    alpha-powering and the transport a dilation by (1 - alpha).
+    alpha-powering and the transport a dilation by (1 - alpha), so that the
+    inverse transport is log q dilated by 1/(1 - alpha), up to a shift.
 
     ``alpha`` is one exponent or a column ``(batch, 1)`` of them, one per row
     of the batches that ``grad`` and ``inverse_transport`` then take; a column
     may hold 0. Row i gets the bits of ``diversity_generator(alpha[i, 0])``:
-    the powers go through ``np.float_power``, which rounds a column exponent
-    as it rounds the same scalar one. ``value`` takes one point and a scalar
-    alpha.
+    ``grad`` powers by exp(alpha * log p), whose exp, log, * and / round a
+    column exponent as the scalar one, and is exactly (1/p)/n at alpha = 0.
+    ``value`` takes one point and a scalar alpha.
     """
     a = np.asarray(alpha, dtype=float)
     if np.any(a >= 1.0):
@@ -134,10 +135,11 @@ def diversity_generator(alpha) -> PortfolioGenerator:
 
     def grad(p):
         p = np.asarray(p, dtype=float)
-        return np.float_power(p, a - 1.0) / np.sum(np.float_power(p, a), axis=-1, keepdims=True)
+        pa = np.exp(a * np.log(p))
+        return pa / p / pa.sum(axis=-1, keepdims=True)
 
-    def inverse_transport(q, rows=...):
-        return power(dilation if a.ndim == 0 else dilation[rows], q)
+    def inverse_transport(log_q, rows=...):
+        return _normalize_logs((dilation if a.ndim == 0 else dilation[rows]) * log_q)
 
     name = f"diversity({alpha})" if a.ndim == 0 else f"diversity({a.size} rows)"
     return PortfolioGenerator(value=value, grad=grad, name=name,
@@ -229,22 +231,19 @@ def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.nda
 
     Each try steps log q by d * rhs and maps the pending rows back through
     ``gen.inverse_transport`` with their index, so ``gen`` may hold per-row
-    parameters, as a ``diversity_generator`` column does.
+    parameters, as a ``diversity_generator`` column does. log p is taken once,
+    neg(p) included, and a try's one exp is the inverse transport of its log q.
     """
     if gen.inverse_transport is None:
         raise DomainError(f"generator {gen.name!r} has no registered inverse transport")
     p = np.asarray(p, dtype=float)
-    pi_neg = portfolio_map(gen, neg(p))
+    log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
+    pi_neg = portfolio_map(gen, _normalize_logs(-log_p))
     q = perturb(p, pi_neg)
     rhs = _flow_rhs(obj_grad, p, q, pi_neg)
-    log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
     log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
-
-    def finish(log_q_next, rows):
-        p_next = gen.inverse_transport(_normalize_logs(log_q_next), rows)
-        return p_next / p_next.sum(axis=-1, keepdims=True)
-
-    p_next = _guarded_step(p, log_q, rhs, delta, _descends(obj_grad, log_p), finish)[0]
+    p_next = _guarded_step(p, log_q, rhs, delta, _descends(obj_grad, log_p),
+                           gen.inverse_transport)[0]
     return np.where(np.isnan(pi_neg).any(axis=-1, keepdims=True), np.nan, p_next)
 
 

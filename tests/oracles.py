@@ -234,3 +234,20 @@ def step_multiplicative(p_k, grads, delta: float) -> np.ndarray:
     p = np.asarray(p_k, dtype=float)
     logw = np.log(np.maximum(p, simplex.WEIGHT_FLOOR)) - delta * p * np.asarray(grads, dtype=float)
     return simplex._normalize_logs(logw)
+
+
+def diversity_inverse_transport_by_power(alpha, log_q) -> np.ndarray:
+    """The inverse transport of ``diversity_generator(alpha)`` as the
+    conformal step once formed it from log q: normalize q, power it by
+    1/(1 - alpha) (a log and a second normalization), then renormalize."""
+    p = simplex.power(1.0 / (1.0 - np.asarray(alpha, dtype=float)),
+                      simplex._normalize_logs(np.asarray(log_q, dtype=float)))
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def diversity_grad_by_float_power(alpha, p) -> np.ndarray:
+    """grad of ``diversity_generator(alpha)``, p^(alpha - 1) / sum(p^alpha),
+    with both powers through np.float_power."""
+    a = np.asarray(alpha, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return np.float_power(p, a - 1.0) / np.sum(np.float_power(p, a), axis=-1, keepdims=True)

@@ -15,8 +15,8 @@ from hypothesis import given, reject, strategies as st
 
 import xmd
 from xmd import cli, expfam, flows, simplex
-from xmd.config import (EXPERIMENTS, MAX_TIME_STEPS, ConfigError, ExperimentConfig,
-                        _build, canonical_dumps, parse_config)
+from xmd.config import (EXPERIMENTS, MAX_TIME_STEPS, NU_MAX, NU_MIN, ConfigError,
+                        ExperimentConfig, _build, canonical_dumps, parse_config)
 from xmd.experiments import (SLOPE_BAND, _write_csv, converged_k, rank_methods,
                              run_experiment)
 
@@ -44,17 +44,18 @@ DIAGNOSTICS_DIGESTS = {
 
 
 # the same digest of simplex-compare, keyed by its arguments, recorded once
-# every conformal row stepped in one call per k, alpha = 0 in the alpha column
-# with the others, its powers through np.float_power and its ranking by
-# converged_k: at n_steps=50, seed 0; and, toward a Dirichlet target, with
-# alpha = -1, 0 and 0.5, which power by -1, 0 or 0.5: the exponents at which
-# numpy's ** leaves pow for a fast path
+# the conformal step stayed in logs: every conformal row stepped in one call
+# per k, alpha = 0 in the alpha column with the others, its powers as
+# exp(alpha * log p), a candidate mapped back by one normalization of its
+# dilated log q, and the ranking by converged_k: at n_steps=50, seed 0; and,
+# toward a Dirichlet target, with alpha = -1, 0 and 0.5, which power by -1, 0
+# or 0.5: the exponents at which numpy's ** leaves pow for a fast path
 SIMPLEX_DIGESTS = {
     ("--seed", "0", "--override", "n_steps=50"):
-        "e1c93be8b108a51d252530c7a4c23d66cb8a694254a4a8cf127853b9e4064924",
+        "e7541528bf4a6d308828fbe7af8b5ec7a5cf1f22d1438f12690cef2fe7480823",
     ("--seed", "1", "--override", "alpha_list=[-1.0,0.0,0.5,0.9]",
      "--override", "target=dirichlet", "--override", "n_steps=200"):
-        "5e6f9e7442945fa6bb6bdc91c332818b84d826e90a6e405cd3968503338a5b83",
+        "c3fff4773a52d56c46a93ff4d40bb3d0bfd742c04305ebd9783b601a8fbe46ba",
 }
 
 
@@ -319,6 +320,12 @@ def test_rank_methods_ranks_converged_methods_by_first_k_above_round_off():
         # nu + 1 rounds to 1, so lam = -2/(nu+1) is exactly -2
         "nu=1e-16",
         "nu=1e-17",
+        # chi-square(nu) draws would be 0 (see config.NU_MIN)
+        "nu=1e-15",
+        "nu=0.1",
+        # lgamma(nu/2) of the generator's constant overflows
+        "nu=1e308",
+        "nu=5.2e305",
         # a non-finite number for an integer key
         "n=1e400",
         "n_inits=-inf",
@@ -358,6 +365,20 @@ def test_bad_override_exits_with_status_2(tmp_path, experiment, overrides, capsy
     assert status == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not os.listdir(tmp_path)
+
+
+def test_nu_bounds_keep_student_t_draws_finite(tmp_path):
+    # a chi-square(nu) draw is 0 with probability about 2**(-538 nu) (see
+    # config.NU_MIN): the zero rate of 4e5 draws at nu = 0.02 matches it,
+    # and at NU_MIN it is below 1e-32
+    zeros = np.mean(np.random.default_rng(0).chisquare(0.02, 400_000) == 0.0)
+    assert 0.5 < zeros / 2.0 ** (-538 * 0.02) < 2.0
+    assert 2.0 ** (-538 * NU_MIN) < 1e-32
+    # at either bound the run skips no update and warns of nothing (pytest
+    # turns a RuntimeWarning into an error)
+    for nu in (NU_MIN, NU_MAX):
+        summary, _ = run(tmp_path / repr(nu), "student-t-online", nu=nu, n_steps=50)
+        assert summary.metrics["skipped_updates"] == 0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -460,7 +481,8 @@ def valid_configs(draw):
                                | positive.map(lambda c: f"const:{c!r}")),
         "n_steps": draw(st.integers(min_value=1)),
         "n_traj": draw(st.integers(min_value=1)),
-        "nu": draw(positive),
+        "nu": draw(_finite(min_value=NU_MIN, max_value=NU_MAX)
+                   if experiment == "student-t-online" else positive),
         "mu_star": draw(_finite()),
         "sigma_star": draw(checked_by("student-t-online")),
         "mu0": draw(_finite()),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xmd import simplex
 from xmd.core import Domain, DomainError, Generator, log_div
 from xmd.flows import MAX_HALVINGS
 from xmd.simplex import (as_simplex, barycenter, dirichlet_cost,
@@ -14,7 +15,8 @@ from xmd.simplex import (as_simplex, barycenter, dirichlet_cost,
                          sample_simplex, simplex_flow_rhs, step_conformal,
                          step_entropic, transport_map)
 from xmd.rng import INIT_STREAM, substream
-from oracles import step_multiplicative
+from oracles import (diversity_grad_by_float_power, diversity_inverse_transport_by_power,
+                     step_multiplicative)
 
 
 def random_points(n, count, seed=0):
@@ -152,7 +154,7 @@ def test_transport_maps():
     for q in random_points(4, 4, seed=14):
         gen = diversity_generator(0.3)
         assert np.allclose(transport_map(gen, q), power(0.7, q), atol=1e-12)
-        assert np.allclose(gen.inverse_transport(transport_map(gen, q)), q, atol=1e-12)
+        assert np.allclose(gen.inverse_transport(np.log(transport_map(gen, q))), q, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +387,22 @@ def test_batched_step_equals_one_row_steps(method, data):
 
 
 def test_pow_rounds_each_row_as_its_scalar_power():
-    # diversity_generator powers through np.float_power, which rounds a
-    # column exponent as the scalar one; numpy's ** does not (with a scalar
-    # exponent it takes a reciprocal at -1, sqrt at 0.5 and a square at 2)
+    # diversity_generator powers by exp(a * log p), whose exp, log and *
+    # round a column exponent as the scalar one; numpy's ** does not (with a
+    # scalar exponent it takes a reciprocal at -1, sqrt at 0.5 and a square
+    # at 2). At a = 0 every power is exactly 1, so grad is exactly (1/p)/n.
     exponents = [-1.0, 0.0, 0.5, 2.0, 0.1, -0.9]
     rng = substream(21, 0)
     p = np.array([sample_simplex(rng, 20) for _ in range(240)])
     a = np.array(exponents * 40)[:, None]
-    out = np.float_power(p, a)
+    out = np.exp(a * np.log(p))
     for i, row in enumerate(p):
-        assert np.array_equal(out[i], np.float_power(row, a[i, 0]))
+        assert np.array_equal(out[i], np.exp(a[i, 0] * np.log(row)))
     for exponent in exponents:
         rows = a[:, 0] == exponent
-        assert np.array_equal(np.float_power(p[rows], exponent), out[rows])
+        assert np.array_equal(np.exp(exponent * np.log(p[rows])), out[rows])
+    zero = a[:, 0] == 0.0
+    assert np.array_equal(diversity_generator(a[zero]).grad(p[zero]), (1.0 / p[zero]) / 20)
 
 
 def test_alpha_column_rejects_only_one_and_above():
@@ -426,24 +431,89 @@ def test_alpha_column_rows_equal_their_scalar_generators(data):
     grad = lambda q: dirichlet_cost_grad(q, p_star)
     column = diversity_generator(np.array(alphas)[:, None])
     g = column.grad(p)
-    back = column.inverse_transport(p)
+    back = column.inverse_transport(np.log(p))
     rows = [2, 0]
-    part = column.inverse_transport(p[rows], rows)
+    part = column.inverse_transport(np.log(p[rows]), rows)
     stepped = step_conformal(column, grad, p, delta)
     for i, alpha in enumerate(alphas):
         gen = diversity_generator(alpha)
         assert np.array_equal(g[i], gen.grad(p[i]))
-        assert np.array_equal(back[i], gen.inverse_transport(p[i]))
+        assert np.array_equal(back[i], gen.inverse_transport(np.log(p[i])))
         assert np.array_equal(stepped[i], step_conformal(gen, grad, p[i], delta),
                               equal_nan=True)
     for j, i in enumerate(rows):
-        assert np.array_equal(part[j], diversity_generator(alphas[i]).inverse_transport(p[i]))
+        assert np.array_equal(part[j],
+                              diversity_generator(alphas[i]).inverse_transport(np.log(p[i])))
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("shape", ["scalar", "column"])
+def test_log_space_maps_match_the_power_oracles(shape, data):
+    # inverse_transport against normalize, power by 1/(1 - alpha) and
+    # renormalize, on log q with a shift per row; grad against float_power.
+    # Both sides round the exponent dilation * (log q - max log q), up to
+    # 8 * dilation here, and the oracle's log of q (up to 11 in size) adds
+    # dilation times its rounding: 64 eps (1 + dilation) bounds the gap (it
+    # reached 15 eps (1 + dilation) in 2e4 random cases). grad's exponents
+    # alpha log p and (alpha - 1) log p reach 4 * 11, so 1e-13 bounds its gap
+    # (it reached 6.5e-15)
+    n = data.draw(st.sampled_from([3, 20]))
+    alphas = [0.0, -1.0, 0.5, 0.9] + data.draw(st.lists(st.floats(-3.0, 0.99), max_size=4))
+    rows = len(alphas)
+    logs = st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)
+    log_q = np.array(data.draw(st.lists(logs, min_size=rows, max_size=rows)))
+    shift = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=rows, max_size=rows)))
+    log_q = log_q + shift[:, None]
+    p = np.array([as_simplex(np.exp(row)) for row in log_q])
+    if shape == "column":
+        cases = [(np.array(alphas)[:, None], log_q, p)]
+    else:
+        cases = list(zip(alphas, log_q, p))
+    for alpha, lq, pp in cases:
+        gen = diversity_generator(alpha)
+        dilation = np.max(1.0 / (1.0 - np.asarray(alpha)))
+        np.testing.assert_allclose(gen.inverse_transport(lq),
+                                   diversity_inverse_transport_by_power(alpha, lq),
+                                   rtol=64 * EPS * (1.0 + dilation), atol=1e-300)
+        np.testing.assert_allclose(gen.grad(pp), diversity_grad_by_float_power(alpha, pp),
+                                   rtol=1e-13)
+
+
+def test_a_conformal_try_exponentiates_once(monkeypatch):
+    # log p is taken once and gives neg(p), one _normalize_logs call; each
+    # try maps its candidates back by one more, and power is never called:
+    # for one row accepted at the first try, for one row that halves, and
+    # for both in one batch with an alpha column
+    calls = {"_normalize_logs": 0, "power": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(simplex, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(simplex, name, counted)
+    p_star = sample_simplex(substream(0, 0), 5)
+    far = np.full(5, 1e-3)
+    far[np.argmin(p_star)] = 1.0
+    near = as_simplex(p_star + 0.01)
+    for alpha, p, delta, first in [(0.5, near, 0.1, True), (0.5, as_simplex(far), 3.0, False),
+                                   (np.array([[0.5], [-1.0]]),
+                                    np.array([near, as_simplex(far)]), 3.0, False)]:
+        grad, grads = _counting_grad(p_star)
+        calls.update(_normalize_logs=0, power=0)
+        step_conformal(diversity_generator(alpha), grad, p, delta)
+        tries = grads[0] - 1
+        assert (tries == 1) == first
+        assert calls == {"_normalize_logs": 1 + tries, "power": 0}
 
 
 def test_a_failing_portfolio_row_is_non_finite_and_leaves_the_others():
     # at alpha = -50 the lightest weights dominate the gradient, and 1 + dd_i
-    # rounds to zero at the others, of this point and of its negation
-    p = sample_simplex(substream(0, INIT_STREAM), 20)
+    # rounds to zero or below at the others, of this point (the fourth
+    # initial point of simplex-compare at seed 0) and of its negation
+    p = sample_simplex(substream(0, INIT_STREAM + 3), 20)
     batch = np.array([p, p])
     gen = diversity_generator(np.array([[-50.0], [0.5]]))
     pi = portfolio_map(gen, batch)
