@@ -3,7 +3,8 @@
 Core geometry (costs, mirror maps, divergences, the conformal Hessian metric),
 gradient flows with three Euler discretizations and convergence diagnostics,
 deformed exponential families with an online natural-gradient estimator, and
-Dirichlet-transport gradient flows on the unit simplex.
+Dirichlet-transport gradient flows on the unit simplex, whose maps take the
+exponent alpha of a diversity generator and are stated in closed form.
 
 The package holds what the experiment runners call and what names an object
 of the paper; numpy is its only dependency. Finite-difference and quadrature
@@ -30,10 +31,8 @@ from .expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState,
                      log_loss, online_update, start_state, student_t_coords,
                      student_t_family, student_t_inverse_mirror,
                      student_t_params, student_t_sample)
-from .simplex import (PortfolioGenerator, as_simplex, barycenter,
-                      dirichlet_cost, directional_derivs, diversity_generator,
-                      equal_weighted_generator, l_divergence, neg, perturb,
-                      portfolio_map, power, simplex_flow_rhs, step_conformal,
+from .simplex import (as_simplex, barycenter, dirichlet_cost,
+                      directional_derivs, perturb, simplex_flow_rhs, step_conformal,
                       step_entropic, transport_map)
 
 __version__ = "0.1.0"

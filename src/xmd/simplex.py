@@ -1,33 +1,36 @@
-"""Aitchison algebra on the open unit simplex, the Dirichlet transport cost,
-portfolio/transport maps of exponentially concave generators, the induced
-conformal gradient flow and its guarded step, and the entropic mirror step as
-a baseline.
+"""The open unit simplex: the Dirichlet transport cost, the transport map and
+conformal gradient flow of the diversity generators, the guarded conformal
+step, and the entropic mirror step as a baseline.
 
 The simplex is a vector space under componentwise perturbation (+) and
-powering (x); the transport map q = p (+) pi(neg p) plays the role of the
-mirror map, and the cost
+powering (x). For an exponentially concave generator phi with portfolio map
+pi, the transport map q = p (+) pi(neg p) plays the role of the mirror map,
+and the cost
 
     c(p, q) = log(mean(q/p)) - mean(log(q/p))
 
-is the associated divergence (nonnegative by AM-GM, zero iff p = q).
+is the associated divergence (nonnegative by AM-GM, zero iff p = q). The
+generators here are the diversity family, phi(p) = log(sum p^alpha)/alpha
+for alpha < 1 and its limit mean(log p) at alpha = 0, the equal-weighted
+generator. Its portfolio map is alpha-powering, so pi(neg p) is the
+(-alpha)-powering of p and the transport map the (1 - alpha)-powering: the
+maps below take alpha and state these closed forms. The generic formulas
+through grad phi are test oracles.
 
-Every map below except ``as_simplex``, ``sample_simplex``, ``l_divergence``
-and the generators' ``value`` takes one point ``(n,)`` or a batch
-``(batch, n)``, over the last axis: a point is a batch of one, and each row of
-a batch gets the numbers that row alone would. That holds across generators
-too: ``diversity_generator`` takes a column of exponents, one per row, so one
-``step_conformal`` call steps rows of several diversity exponents, the
-equal-weighted exponent 0 among them, each row with the bits of its own
-generator.
+Every map below except ``as_simplex`` and ``sample_simplex`` takes one point
+``(n,)`` or a batch ``(batch, n)``, over the last axis: a point is a batch of
+one, and each row of a batch gets the numbers that row alone would. alpha is
+one exponent or a column ``(batch, 1)`` of them, one per row, so one
+``step_conformal`` call steps rows of several exponents, 0 among them, each
+row with the bits of its own exponent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, LOG_GUARD
+from .core import DomainError
 from .flows import _guarded_step
 
 WEIGHT_FLOOR = 1e-300
@@ -54,19 +57,9 @@ def perturb(p, q) -> np.ndarray:
     return r / r.sum(axis=-1, keepdims=True)
 
 
-def power(alpha: float, p) -> np.ndarray:
-    """Componentwise power, renormalized over the last axis (Aitchison
-    scaling); stable in logs."""
-    return _normalize_logs(alpha * np.log(np.maximum(np.asarray(p, dtype=float), WEIGHT_FLOOR)))
-
-
 def _normalize_logs(logw: np.ndarray) -> np.ndarray:
     w = np.exp(logw - logw.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def neg(p) -> np.ndarray:
-    return power(-1.0, p)
 
 
 def dirichlet_cost(p, q):
@@ -87,73 +80,17 @@ def dirichlet_cost_grad(p, p_star) -> np.ndarray:
     return -ratio / p / ratio.sum(axis=-1, keepdims=True) + 1.0 / (p.shape[-1] * p)
 
 
-@dataclass(frozen=True)
-class PortfolioGenerator:
-    """An exponentially concave function on the simplex with its gradient.
-
-    ``inverse_transport(log_q, rows)`` maps log q, up to a shift per row, to
-    the p of q = transport_map(gen, p) if a closed form exists (as for
-    ``diversity_generator``); ``rows`` indexes the rows of the generator's
-    batch in log_q, the rows pending in a ``flows._guarded_step`` try, or all.
-    """
-
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
-    inverse_transport: Optional[Callable[..., np.ndarray]] = None
-
-
-def equal_weighted_generator() -> PortfolioGenerator:
-    """phi(p) = mean(log p): ``diversity_generator(0.0)``, whose portfolio is
-    the barycenter."""
-    return diversity_generator(0.0)
-
-
-def diversity_generator(alpha) -> PortfolioGenerator:
-    """phi(p) = log(sum p^alpha)/alpha for alpha < 1, and its limit mean(log p)
-    at alpha = 0, the equal-weighted generator; the portfolio map is the
-    alpha-powering and the transport a dilation by (1 - alpha), so that the
-    inverse transport is log q dilated by 1/(1 - alpha), up to a shift.
-
-    ``alpha`` is one exponent or a column ``(batch, 1)`` of them, one per row
-    of the batches that ``grad`` and ``inverse_transport`` then take; a column
-    may hold 0. Row i gets the bits of ``diversity_generator(alpha[i, 0])``:
-    ``grad`` powers by exp(alpha * log p), whose exp, log, * and / round a
-    column exponent as the scalar one, and is exactly (1/p)/n at alpha = 0.
-    ``value`` takes one point and a scalar alpha.
-    """
+def _exponent(alpha) -> np.ndarray:
+    """alpha as an array, one diversity exponent or a column of them; alpha
+    must be < 1."""
     a = np.asarray(alpha, dtype=float)
     if np.any(a >= 1.0):
         raise ValueError("diversity exponent must be < 1")
-    dilation = 1.0 / (1.0 - a)
-
-    def value(p):
-        p = np.asarray(p, dtype=float)
-        if alpha == 0.0:
-            return float(np.mean(np.log(p)))
-        return float(np.log(np.sum(p ** alpha)) / alpha)
-
-    def grad(p):
-        p = np.asarray(p, dtype=float)
-        pa = np.exp(a * np.log(p))
-        return pa / p / pa.sum(axis=-1, keepdims=True)
-
-    def inverse_transport(log_q, rows=...):
-        return _normalize_logs((dilation if a.ndim == 0 else dilation[rows]) * log_q)
-
-    name = f"diversity({alpha})" if a.ndim == 0 else f"diversity({a.size} rows)"
-    return PortfolioGenerator(value=value, grad=grad, name=name,
-                              inverse_transport=inverse_transport)
+    return a
 
 
-def l_divergence(gen: PortfolioGenerator, q, p) -> float:
-    """log(1 + <grad phi(p), q - p>) - (phi(q) - phi(p)); nonnegative, zero iff q = p."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    w = 1.0 + float(np.asarray(gen.grad(p)) @ (q - p))
-    if w <= LOG_GUARD:
-        raise DomainError(f"log argument {w:.3e} <= 0 in l_divergence")
-    return float(np.log(w) - (gen.value(q) - gen.value(p)))
+def _log(p) -> np.ndarray:
+    return np.log(np.maximum(p, WEIGHT_FLOOR))
 
 
 def directional_derivs(grad_fn: Callable[[np.ndarray], np.ndarray], p) -> np.ndarray:
@@ -166,31 +103,19 @@ def directional_derivs(grad_fn: Callable[[np.ndarray], np.ndarray], p) -> np.nda
     return g - np.vecdot(p, g)[..., None]
 
 
-def portfolio_map(gen: PortfolioGenerator, p) -> np.ndarray:
-    """The portfolio pi(p) = p * (1 + dd phi(p)), renormalized, for one point
-    ``(n,)`` or a batch ``(batch, n)``, over the last axis; the result has the
-    shape of p. A row with a weight that is not positive and finite, which
-    round-off can give at a large negative alpha, is NaN: the rows that are
-    not all finite are the rows where the map fails."""
+def transport_map(alpha, p) -> np.ndarray:
+    """q = p (+) pi(neg p) for the diversity exponent ``alpha``: pi is
+    alpha-powering, so q is the (1 - alpha)-powering of p."""
+    return _normalize_logs((1.0 - _exponent(alpha)) * _log(p))
+
+
+def simplex_flow_rhs(alpha, obj_grad, p, q) -> np.ndarray:
+    """d/dt log q_i along the transport-map image of the gradient flow, at p
+    and q = transport_map(alpha, p):
+    (-p_i / pi_i(neg p)) * [dd_i f(p) - q_i * sum_j (p_j/p_i)^2 dd_j f(p)],
+    where pi(neg p) is the (-alpha)-powering of p."""
     p = np.asarray(p, dtype=float)
-    w = p * (1.0 + directional_derivs(gen.grad, p))
-    valid = np.all((w > 0.0) & np.isfinite(w), axis=-1, keepdims=True)
-    return np.where(valid, w / w.sum(axis=-1, keepdims=True), np.nan)
-
-
-def transport_map(gen: PortfolioGenerator, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    return perturb(p, portfolio_map(gen, neg(p)))
-
-
-def simplex_flow_rhs(gen: PortfolioGenerator, obj_grad, p, q) -> np.ndarray:
-    """d/dt log q_i along the transport-map image of the gradient flow:
-    (-p_i / pi_i(neg p)) * [dd_i f(p) - q_i * sum_j (p_j/p_i)^2 dd_j f(p)]."""
-    p = np.asarray(p, dtype=float)
-    return _flow_rhs(obj_grad, p, np.asarray(q, dtype=float), portfolio_map(gen, neg(p)))
-
-
-def _flow_rhs(obj_grad, p: np.ndarray, q: np.ndarray, pi_neg: np.ndarray) -> np.ndarray:
+    pi_neg = _normalize_logs(-_exponent(alpha) * _log(p))
     dd = directional_derivs(obj_grad, p)
     weighted = np.sum(p ** 2 * dd, axis=-1, keepdims=True)
     return (-p / pi_neg) * (dd - q * weighted / p ** 2)
@@ -211,40 +136,39 @@ def _descends(obj_grad, log_p: np.ndarray):
     return accept
 
 
-def step_conformal(gen: PortfolioGenerator, obj_grad, p, delta: float) -> np.ndarray:
-    """Forward Euler in log q, mapped back through the inverse transport, with
-    step-size control, for one point ``(n,)`` or a batch ``(batch, n)`` over
-    the last axis. Returns the next point, or the batch of next rows; each
-    row is stepped, halved and accepted on its own.
+def step_conformal(alpha, obj_grad, p, delta: float) -> np.ndarray:
+    """Forward Euler in log q of the flow of the diversity exponent ``alpha``,
+    mapped back through the inverse transport, with step-size control, for
+    one point ``(n,)`` or a batch ``(batch, n)`` over the last axis; ``alpha``
+    is one exponent or a column ``(batch, 1)``, one per row. Returns the next
+    point, or the batch of next rows; each row is stepped, halved and
+    accepted on its own.
 
     A candidate is accepted only if it is finite and strictly positive and the
     slope of f at it along the log-p segment from p is nonpositive; otherwise
     delta is halved, up to MAX_HALVINGS times (``flows._guarded_step``). Every
     returned point is therefore finite and strictly positive, and f does not
     increase whenever it is convex along that segment (the Dirichlet cost is:
-    it is log-sum-exp in log p plus a linear term, and for every
-    ``diversity_generator`` the candidates trace a straight line in log p).
-    If no candidate is accepted, p is stationary to round-off and is
-    returned unchanged. A row whose portfolio map fails (see
-    ``portfolio_map``) is returned as NaN; the other rows are stepped as
-    without it.
+    it is log-sum-exp in log p plus a linear term, and the candidates trace a
+    straight line in log p). If no candidate is accepted, p is stationary to
+    round-off and is returned unchanged. A row whose flow direction is not
+    finite, as when pi(neg p) underflows at a large negative alpha, is
+    returned as NaN; the other rows are stepped as without it.
 
-    Each try steps log q by d * rhs and maps the pending rows back through
-    ``gen.inverse_transport`` with their index, so ``gen`` may hold per-row
-    parameters, as a ``diversity_generator`` column does. log p is taken once,
-    neg(p) included, and a try's one exp is the inverse transport of its log q.
+    q and rhs come from ``transport_map`` and ``simplex_flow_rhs``. log q up
+    to a shift per row is (1 - alpha) log p; each try steps it by d * rhs and
+    maps the pending rows back by the inverse transport, the
+    1/(1 - alpha)-powering, with one exp.
     """
-    if gen.inverse_transport is None:
-        raise DomainError(f"generator {gen.name!r} has no registered inverse transport")
+    a = _exponent(alpha)
     p = np.asarray(p, dtype=float)
-    log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
-    pi_neg = portfolio_map(gen, _normalize_logs(-log_p))
-    q = perturb(p, pi_neg)
-    rhs = _flow_rhs(obj_grad, p, q, pi_neg)
-    log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
-    p_next = _guarded_step(p, log_q, rhs, delta, _descends(obj_grad, log_p),
-                           gen.inverse_transport)[0]
-    return np.where(np.isnan(pi_neg).any(axis=-1, keepdims=True), np.nan, p_next)
+    with np.errstate(all="ignore"):
+        rhs = simplex_flow_rhs(a, obj_grad, p, transport_map(a, p))
+    log_p = _log(p)
+    dilation = np.broadcast_to(1.0 / (1.0 - a), p.shape[:-1] + (1,))
+    p_next = _guarded_step(p, (1.0 - a) * log_p, rhs, delta, _descends(obj_grad, log_p),
+                           lambda log_q, rows: _normalize_logs(dilation[rows] * log_q))[0]
+    return np.where(np.isfinite(rhs).all(axis=-1, keepdims=True), p_next, np.nan)
 
 
 def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
@@ -261,7 +185,7 @@ def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
     Dirichlet cost is.
     """
     p = np.asarray(p_k, dtype=float)
-    log_p = np.log(np.maximum(p, WEIGHT_FLOOR))
+    log_p = _log(p)
     grads = np.asarray(obj_grad(p), dtype=float)
     return _guarded_step(p, log_p, -grads, delta, _descends(obj_grad, log_p),
                          lambda log_p_next, rows: _normalize_logs(log_p_next))[0]

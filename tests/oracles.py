@@ -236,18 +236,60 @@ def step_multiplicative(p_k, grads, delta: float) -> np.ndarray:
     return simplex._normalize_logs(logw)
 
 
-def diversity_inverse_transport_by_power(alpha, log_q) -> np.ndarray:
-    """The inverse transport of ``diversity_generator(alpha)`` as the
-    conformal step once formed it from log q: normalize q, power it by
-    1/(1 - alpha) (a log and a second normalization), then renormalize."""
-    p = simplex.power(1.0 / (1.0 - np.asarray(alpha, dtype=float)),
-                      simplex._normalize_logs(np.asarray(log_q, dtype=float)))
-    return p / p.sum(axis=-1, keepdims=True)
+def power(alpha, p) -> np.ndarray:
+    """Componentwise power, renormalized over the last axis (Aitchison
+    scaling)."""
+    w = np.asarray(p, dtype=float) ** alpha
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def diversity_grad_by_float_power(alpha, p) -> np.ndarray:
-    """grad of ``diversity_generator(alpha)``, p^(alpha - 1) / sum(p^alpha),
-    with both powers through np.float_power."""
+def neg(p) -> np.ndarray:
+    return power(-1.0, p)
+
+
+def diversity_value(alpha: float, p) -> float:
+    """phi(p) = log(sum p^alpha)/alpha of one point for alpha < 1, and its
+    limit mean(log p) at alpha = 0: the diversity generator of exponent alpha."""
+    p = np.asarray(p, dtype=float)
+    if alpha == 0.0:
+        return float(np.mean(np.log(p)))
+    return float(np.log(np.sum(p ** alpha)) / alpha)
+
+
+def diversity_grad(alpha, p) -> np.ndarray:
+    """grad phi(p) = p^(alpha - 1) / sum(p^alpha), over the last axis, for one
+    exponent or a column of them."""
     a = np.asarray(alpha, dtype=float)
     p = np.asarray(p, dtype=float)
-    return np.float_power(p, a - 1.0) / np.sum(np.float_power(p, a), axis=-1, keepdims=True)
+    return p ** (a - 1.0) / np.sum(p ** a, axis=-1, keepdims=True)
+
+
+def portfolio_map(alpha, p) -> np.ndarray:
+    """The generic portfolio pi(p) = p * (1 + dd phi(p)), renormalized, of the
+    diversity generator: alpha-powering, up to the round-off of 1 + dd."""
+    p = np.asarray(p, dtype=float)
+    w = p * (1.0 + simplex.directional_derivs(lambda r: diversity_grad(alpha, r), p))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def transport_by_portfolio(alpha, p) -> np.ndarray:
+    """q = p (+) pi(neg p) through the generic portfolio map."""
+    return simplex.perturb(p, portfolio_map(alpha, neg(p)))
+
+
+def flow_rhs_by_portfolio(alpha, obj_grad, p, q) -> np.ndarray:
+    """The flow in log q, (-p_i / pi_i(neg p)) * [dd_i f(p) - q_i * sum_j
+    (p_j/p_i)^2 dd_j f(p)], with pi(neg p) through the generic portfolio map."""
+    p = np.asarray(p, dtype=float)
+    dd = simplex.directional_derivs(obj_grad, p)
+    weighted = np.sum(p ** 2 * dd, axis=-1, keepdims=True)
+    return (-p / portfolio_map(alpha, neg(p))) * (dd - q * weighted / p ** 2)
+
+
+def l_divergence(alpha: float, q, p) -> float:
+    """log(1 + <grad phi(p), q - p>) - (phi(q) - phi(p)) of the diversity
+    generator; nonnegative, zero iff q = p."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return (math.log(1.0 + float(diversity_grad(alpha, p) @ (q - p)))
+            - (diversity_value(alpha, q) - diversity_value(alpha, p)))

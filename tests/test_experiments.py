@@ -44,18 +44,19 @@ DIAGNOSTICS_DIGESTS = {
 
 
 # the same digest of simplex-compare, keyed by its arguments, recorded once
-# the conformal step stayed in logs: every conformal row stepped in one call
-# per k, alpha = 0 in the alpha column with the others, its powers as
-# exp(alpha * log p), a candidate mapped back by one normalization of its
-# dilated log q, and the ranking by converged_k: at n_steps=50, seed 0; and,
-# toward a Dirichlet target, with alpha = -1, 0 and 0.5, which power by -1, 0
-# or 0.5: the exponents at which numpy's ** leaves pow for a fast path
+# the conformal step took alpha in closed form: every conformal row stepped in
+# one call per k with alpha as a column, pi(neg p) the (-alpha)-powering and q
+# the (1 - alpha)-powering of p, log q stepped from (1 - alpha) log p and
+# mapped back by one normalization of its dilated value, and the ranking by
+# converged_k: at n_steps=50, seed 0; and, toward a Dirichlet target, with
+# alpha = -1, 0 and 0.5, which power by -1, 0 or 0.5: the exponents at which
+# numpy's ** leaves pow for a fast path
 SIMPLEX_DIGESTS = {
     ("--seed", "0", "--override", "n_steps=50"):
-        "e7541528bf4a6d308828fbe7af8b5ec7a5cf1f22d1438f12690cef2fe7480823",
+        "6114199f478e3aa02dec73345797827121b519cfa2a1eed14182f5b4e0395dc4",
     ("--seed", "1", "--override", "alpha_list=[-1.0,0.0,0.5,0.9]",
      "--override", "target=dirichlet", "--override", "n_steps=200"):
-        "c3fff4773a52d56c46a93ff4d40bb3d0bfd742c04305ebd9783b601a8fbe46ba",
+        "f47d23225fe8eb519c7c0180ce77e0b21cf1dcdbc239450bcfef80401eb61c5e",
 }
 
 
@@ -207,21 +208,23 @@ def test_simplex_outputs_are_unchanged(tmp_path):
 
 
 def test_simplex_compare_fails_a_bad_alpha_alone(tmp_path, capsys):
-    # at alpha = -50 the portfolio map gives some initial points a nonpositive
-    # weight (round-off): those rows turn NaN and fail the run, and the rows
-    # of the other methods, stepped in the same batch, keep their bits
+    # at alpha = -200, pi(neg p), the 200-powering of p, underflows to zero at
+    # the lightest weights of the initial points, so their flow direction is
+    # not finite: those rows turn NaN and fail the run, with no
+    # RuntimeWarning (which the suite turns into an error), and the rows of
+    # the other methods, stepped in the same batch, keep their bits
     argv = ["simplex-compare", "--override", "n_steps=20", "--override"]
-    assert cli.main([*argv, "alpha_list=[-50.0, 0.5]", "--out", str(tmp_path / "bad")]) == 1
+    assert cli.main([*argv, "alpha_list=[-200.0, 0.5]", "--out", str(tmp_path / "bad")]) == 1
     assert "simplex-compare: FAIL" in capsys.readouterr().out
     assert cli.main([*argv, "alpha_list=[0.5]", "--out", str(tmp_path / "good")]) == 0
     bad = read_rows(tmp_path / "bad" / "simplex-compare" / "final_costs.csv")
     good = read_rows(tmp_path / "good" / "simplex-compare" / "final_costs.csv")
-    assert any(row[4] == "nan" for row in bad if row[0] == "conformal_a-50.0")
-    assert [row for row in bad if row[0] != "conformal_a-50.0"] == good
+    assert any(row[4] == "nan" for row in bad if row[0] == "conformal_a-200.0")
+    assert [row for row in bad if row[0] != "conformal_a-200.0"] == good
     with open(tmp_path / "bad" / "simplex-compare" / "summary.json") as fh:
         metrics = json.load(fh)["metrics"]
-    assert np.isnan(metrics["final_mean_costs"]["conformal_a-50.0"])
-    assert metrics["ranking"][-1] == "conformal_a-50.0"
+    assert np.isnan(metrics["final_mean_costs"]["conformal_a-200.0"])
+    assert metrics["ranking"][-1] == "conformal_a-200.0"
 
 
 def test_simplex_compare_runs_entropic_alone(tmp_path):
@@ -270,6 +273,35 @@ def test_simplex_compare_steps_every_conformal_row_in_one_call_per_k(tmp_path, m
     rows = read_rows(os.path.join(out_dir, "final_costs.csv"))
     assert read_rows(os.path.join(alone_dir, "final_costs.csv")) == [
         row for row in rows if row[0] in ("conformal_a0.0", "entropic")]
+
+
+def test_every_simplex_function_is_entered_by_a_runner(tmp_path):
+    # the reach census of xmd/simplex.py: simplex-compare and dirichlet-online
+    # at a few steps enter every function the module defines, nested ones
+    # included, so nothing in it is reached by tests alone
+    defined = {}
+
+    def collect(code):
+        defined[code] = code.co_qualname
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                collect(const)
+    for value in vars(simplex).values():
+        if inspect.isfunction(value) and value.__module__ == simplex.__name__:
+            collect(value.__code__)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+    sys.setprofile(profile)
+    try:
+        run(tmp_path, "simplex-compare", n_steps=3, n_inits=2)
+        run(tmp_path, "dirichlet-online", n_steps=3)
+    finally:
+        sys.setprofile(None)
+    assert len(defined) > 10
+    assert sorted(name for code, name in defined.items() if code not in entered) == []
 
 
 def test_rank_methods_puts_non_finite_last_in_method_order():
