@@ -7,8 +7,8 @@ Exit codes: 0 all configured assertions passed, 1 an assertion failed,
 XMD_OUT environment variable (the only environment variable consulted).
 
 Of the diagnostics experiments only flow-equivalence reads the dt and t_end
-keys; geodesic-check and lyapunov-suite run fixed instances, at t_end 1 and 4
-with dt 1e-3.
+keys; geodesic-check and lyapunov-suite run fixed instances, at t_end 1 with
+dt 1e-2 and at t_end 4 with dt 5e-3.
 """
 from __future__ import annotations
 

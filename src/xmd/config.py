@@ -71,7 +71,9 @@ class ExperimentConfig:
     n_inits: int = 12
 
     # diagnostics: only flow-equivalence reads dt and t_end; geodesic-check
-    # and lyapunov-suite run fixed instances (t_end 1 and 4, dt 1e-3) and
+    # (t_end 1, dt 1e-2) and lyapunov-suite (t_end 4, dt 5e-3 with a
+    # companion run at 1e-2) run fixed instances on the coarsest grids their
+    # tolerances certify (see experiments.GEODESIC_DT and LYAPUNOV_DT), and
     # reject any other value of either. The flows step on the grid
     # t = 0, dt, ..., round(t_end/dt)*dt, so round(t_end/dt) may be at most
     # MAX_TIME_STEPS: 80 MB of grid, and a path of a few times that

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import expfam, simplex
 from .config import ExperimentConfig, delta_schedule
-from .flows import (discrete_lyapunov_run, geodesic_flow_check, integrate,
-                    lyapunov_continuous, conformal_smoothness_estimate,
-                    quadratic_objective, time_change_compare)
+from .core import GeometryError
+from .flows import (MONOTONE_TOL, _richardson_error, conformal_smoothness_estimate,
+                    discrete_lyapunov_run, geodesic_flow_check, integrate,
+                    lyapunov_continuous, quadratic_objective, time_change_compare)
 from .generators import (log_reciprocal_generator, quadratic_generator)
 from .rng import INIT_STREAM, TRUTH_STREAM, substream
 
@@ -298,56 +299,107 @@ def rank_methods(mean_curves: dict) -> list:
 # ---------------------------------------------------------------------------
 # diagnostics suites
 
+# geodesic-check steps each instance at dt = 1e-2, 100 steps to t_end 1. The
+# exact flows are straight lines, so each error it reports is the integration
+# error plus any fault: a coarser grid can only raise it, never hide a fault,
+# and the suite needs no companion run. At 1e-2 the errors are 2.0e-10 (the
+# 2-d dual_collinearity) and 4.2e-17 (the 1-d instance), against the tolerance
+# 1e-6; at 1e-3 they were 1.8e-14 and 5.6e-17. The metric-sign fault
+# (G = hess phi - lam u u^T) reads 1.8e-2 at either grid.
+GEODESIC_DT = 1e-2
+
+# lyapunov-suite steps each path at dt = 5e-3, 800 steps to t_end 4, and runs
+# a companion path on every other point of that grid (step 1e-2) for the
+# Richardson estimate of the error in E(t) = L[theta_star : theta_t]
+# (``flows._richardson_error``). A violations row passes only if twice the
+# estimate is under MONOTONE_TOL, so that integration error can neither invent
+# nor hide a rise of E. At 5e-3 the estimates are 1.2e-11 (1-d) and 2.0e-10
+# (2-d), with no violation, and the least margins of the bound over the gap,
+# 0.065 and 0.123, are those of dt = 1e-3. At dt = 0.2 the 2-d estimate is
+# 3e-4, and its row fails.
+LYAPUNOV_DT = 5e-3
+
+
+def _check(suite: str, named, measure, errors: list) -> list:
+    """The checks.csv rows (suite, metric, value, tolerance, passed) of one
+    check: one row per (metric, tolerance) of ``named``, with the (value,
+    passed) pairs that ``measure()`` returns in that order. A GeometryError
+    out of ``measure`` fails every row of the check, with value NaN, and its
+    text joins ``errors``: the check reports FAIL, not a traceback."""
+    try:
+        results = measure()
+    except GeometryError as exc:
+        errors.append(f"{suite}: {type(exc).__name__}: {exc}")
+        results = [(np.nan, False)] * len(named)
+    return [(suite, metric, value, tol, ok)
+            for (metric, tol), (value, ok) in zip(named, results, strict=True)]
+
 
 def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
     t0 = time.perf_counter()
     checks = []  # (suite, metric, value, tolerance, ok)
+    extra = {}  # summary metrics that are not checks
+    errors = []
 
     if config.experiment == "flow-equivalence":
-        gen = log_reciprocal_generator(1.0)
-        obj = quadratic_objective([2.0])
-        dev = time_change_compare(gen, obj, [0.5], config.t_end, config.dt)
-        checks.append(("flow-equivalence", "sup_deviation", dev, 1e-4, dev < 1e-4))
+        def equivalence():
+            gen = log_reciprocal_generator(1.0)
+            obj = quadratic_objective([2.0])
+            dev = time_change_compare(gen, obj, [0.5], config.t_end, config.dt)
+            return [(dev, dev < 1e-4)]
+        checks += _check("flow-equivalence", [("sup_deviation", 1e-4)], equivalence, errors)
 
     elif config.experiment == "geodesic-check":
-        gen2 = quadratic_generator(-0.5, 2)
-        rep = geodesic_flow_check(gen2, [0.5, -0.3], [-0.8, 0.6], t_end=1.0, dt=1e-3)
-        checks.append(("geodesic-check", "dual_collinearity",
-                       rep.dual_collinearity, 1e-6, rep.dual_collinearity < 1e-6))
-        checks.append(("geodesic-check", "dual_coefficient_error",
-                       rep.dual_coefficient_error, 1e-6, rep.dual_coefficient_error < 1e-6))
-        checks.append(("geodesic-check", "primal_collinearity",
-                       rep.primal_collinearity, 1e-6, rep.primal_collinearity < 1e-6))
-        gen1 = log_reciprocal_generator(1.0)
-        rep1 = geodesic_flow_check(gen1, [2.0], [1.0], t_end=1.0, dt=1e-3)
-        checks.append(("geodesic-check", "scalar_instance_max_error",
-                       rep1.max_error, 1e-6, rep1.passed))
+        def two_d():
+            rep = geodesic_flow_check(quadratic_generator(-0.5, 2), [0.5, -0.3], [-0.8, 0.6],
+                                      t_end=1.0, dt=GEODESIC_DT, tol=1e-6)
+            return [(e, e < rep.tol) for e in (rep.dual_collinearity,
+                                               rep.dual_coefficient_error,
+                                               rep.primal_collinearity)]
+
+        def one_d():
+            rep = geodesic_flow_check(log_reciprocal_generator(1.0), [2.0], [1.0],
+                                      t_end=1.0, dt=GEODESIC_DT, tol=1e-6)
+            return [(rep.max_error, rep.passed)]
+        checks += _check("geodesic-check", [("dual_collinearity", 1e-6),
+                                            ("dual_coefficient_error", 1e-6),
+                                            ("primal_collinearity", 1e-6)], two_d, errors)
+        checks += _check("geodesic-check", [("scalar_instance_max_error", 1e-6)], one_d, errors)
 
     elif config.experiment == "lyapunov-suite":
-        gen1 = log_reciprocal_generator(1.0)
-        obj1 = quadratic_objective([2.0])
-        report1 = lyapunov_continuous(gen1, obj1, integrate(gen1, obj1, [1.0], 4.0, 1e-3))
-        checks.append(("lyapunov-continuous", "violations_1d",
-                       len(report1.violations), 0, report1.monotone))
-        checks.append(("lyapunov-continuous", "bound_dominates_1d",
-                       float(report1.bound_dominates), 1, report1.bound_dominates))
+        def continuous(gen, obj, theta0, label):
+            """The report of the path from theta0, and whether the Richardson
+            estimate of its error in E, kept in the summary, is in budget."""
+            path = integrate(gen, obj, theta0, 4.0, LYAPUNOV_DT)
+            err = _richardson_error(gen, obj, path)
+            extra[f"richardson_error_{label}"] = err
+            return lyapunov_continuous(gen, obj, path), 2.0 * err < MONOTONE_TOL
 
-        gen2 = quadratic_generator(-0.5, 2)
-        obj2 = quadratic_objective([0.3, -0.2])
-        report2 = lyapunov_continuous(gen2, obj2, integrate(gen2, obj2, [-0.6, 0.7], 4.0, 1e-3))
-        checks.append(("lyapunov-continuous", "violations_2d",
-                       len(report2.violations), 0, report2.monotone))
+        def one_d():
+            rep, exact = continuous(log_reciprocal_generator(1.0), quadratic_objective([2.0]),
+                                    [1.0], "1d")
+            return [(len(rep.violations), rep.monotone and exact),
+                    (float(rep.bound_dominates), rep.bound_dominates)]
 
-        gen = quadratic_generator(-0.5, 1)
-        obj = quadratic_objective([0.0])
-        grid = np.linspace(-0.5, 0.5, 7)
-        pairs = [(np.array([a]), np.array([b])) for a in grid for b in grid if a != b]
-        smooth = conformal_smoothness_estimate(gen, obj, pairs)
-        disc = discrete_lyapunov_run(gen, obj, [0.9], 0.5 / smooth, 2000)
-        checks.append(("lyapunov-discrete", "violations",
-                       len(disc.violations), 0, disc.monotone))
-        checks.append(("lyapunov-discrete", "bound_dominates",
-                       float(disc.bound_dominates), 1, disc.bound_dominates))
+        def two_d():
+            rep, exact = continuous(quadratic_generator(-0.5, 2), quadratic_objective([0.3, -0.2]),
+                                    [-0.6, 0.7], "2d")
+            return [(len(rep.violations), rep.monotone and exact)]
+
+        def discrete():
+            gen = quadratic_generator(-0.5, 1)
+            obj = quadratic_objective([0.0])
+            grid = np.linspace(-0.5, 0.5, 7)
+            pairs = [(np.array([a]), np.array([b])) for a in grid for b in grid if a != b]
+            smooth = conformal_smoothness_estimate(gen, obj, pairs)
+            rep = discrete_lyapunov_run(gen, obj, [0.9], 0.5 / smooth, 2000)
+            return [(len(rep.violations), rep.monotone),
+                    (float(rep.bound_dominates), rep.bound_dominates)]
+        checks += _check("lyapunov-continuous", [("violations_1d", 0), ("bound_dominates_1d", 1)],
+                         one_d, errors)
+        checks += _check("lyapunov-continuous", [("violations_2d", 0)], two_d, errors)
+        checks += _check("lyapunov-discrete", [("violations", 0), ("bound_dominates", 1)],
+                         discrete, errors)
     else:
         raise ValueError(f"not a diagnostics experiment: {config.experiment}")
 
@@ -357,7 +409,9 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
                                     ["suite", "metric", "value", "tolerance", "passed"],
                                     [suites, metrics, np.array(values, dtype=float),
                                      np.array(tolerances, dtype=float), map(str, oks)]))
-    summary.metrics = {m: float(v) for _, m, v, _, _ in checks}
+    summary.metrics = {m: float(v) for _, m, v, _, _ in checks} | extra
+    if errors:
+        summary.metrics["errors"] = errors
     summary.passed = all(ok for *_, ok in checks)
     summary.wall_time = time.perf_counter() - t0
     return summary

@@ -269,8 +269,12 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
     through one RK4 pass, so tau and the tau-weighted average theta_hat are
     4th-order accurate like theta. Returns the path on the grid
     t = 0, dt, ..., n_steps*dt as one FlowState."""
+    return _integrate_clocked(gen, obj, theta0, _time_grid(t_end, dt))
+
+
+def _integrate_clocked(gen: Generator, obj: Objective, theta0, times) -> FlowState:
+    """``integrate`` on the grid ``times``."""
     theta0 = _vec(theta0)
-    times = _time_grid(t_end, dt)
     dim = theta0.size
 
     def stage(x, rows):
@@ -472,7 +476,13 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
     in eta with velocity -(pi/pi_star)(eta - eta_star), the primal flow in theta.
     The two flows integrate theta alone, as the two rows of one RK4 batch on
     the grid of ``integrate``; each error is the largest over the path, NaN
-    if the path holds a NaN."""
+    if the path holds a NaN.
+
+    The exact flows are straight lines with the exact coefficient, so each
+    error is the integration error plus any fault of the geometry: a coarser
+    grid can only raise it, never hide a fault, and the grid needs no
+    companion run to certify it. The grid may be as coarse as keeps the
+    integration error under ``tol``."""
     theta_star = _vec(theta_star)
     theta0 = _vec(theta0)
     eta_star = lambda_mirror(gen, theta_star).eta
@@ -511,7 +521,12 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
 def lyapunov_continuous(gen: Generator, obj: Objective, path: FlowState) -> ConvergenceReport:
     """Log divergence to the minimizer as a Lyapunov function, plus the
     averaged-iterate bound B_Phi[theta_star : theta_0] / tau_t where tau > 0,
-    read off the path ``integrate`` returns."""
+    read off the path ``integrate`` returns.
+
+    A rise of E(t) = L[theta_star : theta_t] counts as a violation above
+    MONOTONE_TOL, so the path's integration error in E must stay well under
+    that for the report to mean the exact flow's: ``_richardson_error``
+    estimates it from a companion run on every other grid point."""
     if obj.theta_star is None:
         raise ValueError("lyapunov_continuous requires an objective with a known minimizer")
     star = _vec(obj.theta_star)
@@ -520,6 +535,18 @@ def lyapunov_continuous(gen: Generator, obj: Objective, path: FlowState) -> Conv
     clocked = path.tau > 0.0
     return _audit(path.t, log_div(gen, star, path.theta), path.t[clocked],
                   numer / path.tau[clocked], obj.value(path.theta_hat[clocked]) - f_star)
+
+
+def _richardson_error(gen: Generator, obj: Objective, path: FlowState) -> float:
+    """Richardson estimate of the RK4 error in E(t) = L[theta_star : theta_t]
+    on ``path``, an ``integrate`` path of the objective ``obj``: E on every
+    other grid point against E of a companion run stepped over those points,
+    max |E_fine - E_coarse| / 15 (RK4 is 4th order, so the coarse run's error
+    is about 16 times the fine one's); NaN if either path holds a NaN."""
+    star = _vec(obj.theta_star)
+    coarse = _integrate_clocked(gen, obj, path.theta[0], path.t[::2])
+    diff = log_div(gen, star, path.theta[::2]) - log_div(gen, star, coarse.theta)
+    return float(np.max(np.abs(diff))) / 15.0
 
 
 def conformal_smoothness_estimate(gen: Generator, obj: Objective,

@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 import xmd
-from xmd import cli, expfam, flows, simplex
+from xmd import cli, core, experiments, expfam, flows, simplex
+from xmd.core import SolverError
 from xmd.config import (EXPERIMENTS, MAX_TIME_STEPS, NU_MAX, NU_MIN, ConfigError,
                         ExperimentConfig, _build, canonical_dumps, parse_config)
 from xmd.experiments import (SLOPE_BAND, _write_csv, converged_k, rank_methods,
@@ -29,14 +31,16 @@ ONLINE_DIGESTS = {
 }
 
 # the same digest of the diagnostics suites, each with its arguments: the two
-# fixed-instance suites at their defaults, recorded before the conformal clock
-# joined the RK4 state; flow-equivalence at the benchmark's t_end=0.1,
-# recorded before the per-call overhead of the RK4 path was cut
+# fixed-instance suites at their defaults, recorded once they stepped on
+# their error-budgeted grids (geodesic-check at dt 1e-2, lyapunov-suite at
+# 5e-3 with the Richardson estimates in its summary); flow-equivalence at the
+# benchmark's t_end=0.1, recorded before the per-call overhead of the RK4
+# path was cut
 DIAGNOSTICS_DIGESTS = {
     "geodesic-check":
-        ((), "af23c991c8cce5a8c951516f50208398143ddc6077d1b8d304c33063612d1791"),
+        ((), "c14c40e2a622435d47a428ced01d9f6b628a676a885573cad1736cefd40c1fde"),
     "lyapunov-suite":
-        ((), "c772af6fe74a862e0db99da510c687d3b41eee032c012efdbbdae2b8171126d5"),
+        ((), "7ca34977546710985db8e53a69330af963f8553ca2e7c750bb95a6cf5f995b8d"),
     "flow-equivalence":
         (("--override", "t_end=0.1"),
          "5c96ec019e734bd77f562f17c11ddeaaa8c9fa9b1086652f331d2607ab806328"),
@@ -194,6 +198,124 @@ def test_diagnostics_outputs_are_unchanged(tmp_path, experiment):
     args, digest = DIAGNOSTICS_DIGESTS[experiment]
     assert cli.main([experiment, "--out", str(tmp_path), *args]) == 0
     assert output_digest(str(tmp_path / experiment)) == digest
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path (the benchmark is not a package)
+    once, as the module ``bench_workloads``: its dataclasses need their
+    module in sys.modules."""
+    if "bench_workloads" not in sys.modules:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", os.path.join(root, "bench", "workloads.py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["bench_workloads"] = module
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]
+
+
+@pytest.mark.parametrize("experiment", sorted(DIAGNOSTICS_DIGESTS))
+def test_diagnostics_write_the_rows_the_benchmark_expects(tmp_path, experiment):
+    # the benchmark counts a checks.csv with any other metric column, an
+    # added row included, as incorrect output; run each suite as its
+    # workload does and check the outputs with the benchmark's own checks
+    workloads = _bench_workloads()
+    (overrides,) = [o for e, o in workloads.WORKLOADS["flows"] if e == experiment]
+    assert cli.main(workloads.cli_argv(experiment, overrides, 0, str(tmp_path))) == 0
+    out_dir = str(tmp_path / experiment)
+    assert ([row[1] for row in read_rows(os.path.join(out_dir, "checks.csv"))]
+            == workloads.DIAGNOSTIC_CHECKS[experiment])
+    attempted, failed, problems = workloads.check_outputs(experiment, out_dir)
+    assert (attempted, failed, problems) == (len(workloads.DIAGNOSTIC_CHECKS[experiment]), 0, [])
+
+
+def _checks(out_dir):
+    """checks.csv as {metric: (value, passed)}."""
+    return {row[1]: (float(row[2]), row[4] == "True")
+            for row in read_rows(os.path.join(out_dir, "checks.csv"))}
+
+
+def _summary(out_dir):
+    with open(os.path.join(out_dir, "summary.json")) as fh:
+        return json.load(fh)
+
+
+def test_lyapunov_suite_reports_its_error_estimates_in_budget(tmp_path):
+    summary, out_dir = run(tmp_path, "lyapunov-suite")
+    assert summary.passed
+    metrics = _summary(out_dir)["metrics"]
+    for label in ("1d", "2d"):
+        assert 0.0 < 2.0 * metrics[f"richardson_error_{label}"] < flows.MONOTONE_TOL
+    assert "errors" not in metrics
+
+
+def test_lyapunov_suite_fails_a_path_too_coarse_for_its_error_budget(tmp_path, monkeypatch,
+                                                                    capsys):
+    # at dt = 0.2 neither path shows a rise of E, but the Richardson estimate
+    # of E's error (3e-5 and 3e-4) is far over its budget: the grid cannot
+    # tell a rise from its own error, so the violations rows fail
+    monkeypatch.setattr(experiments, "LYAPUNOV_DT", 0.2)
+    assert cli.main(["lyapunov-suite", "--out", str(tmp_path)]) == 1
+    assert "lyapunov-suite: FAIL" in capsys.readouterr().out
+    out_dir = str(tmp_path / "lyapunov-suite")
+    checks = _checks(out_dir)
+    assert checks["violations_1d"] == checks["violations_2d"] == (0.0, False)
+    assert checks["bound_dominates_1d"] == (1.0, True)
+    metrics = _summary(out_dir)["metrics"]
+    assert 2.0 * metrics["richardson_error_2d"] > 1e4 * flows.MONOTONE_TOL
+
+
+def _put_fault(monkeypatch, name, fault):
+    """Replace the function ``name`` by ``fault`` at every binding the runners
+    read: in core, and in flows, which imports it."""
+    for module in (core, flows):
+        monkeypatch.setattr(module, name, fault)
+
+
+def test_geodesic_check_fails_the_metric_sign_fault(tmp_path, monkeypatch, capsys):
+    # G = hess phi - lam u u^T bends the 2-d flows off their straight lines
+    # by about 1e-2 at the coarse grid, as at the fine one
+    _put_fault(monkeypatch, "_assemble_metric",
+               lambda gen, u, h: h - gen.lam * (u[..., None] * u[..., None, :]))
+    assert cli.main(["geodesic-check", "--out", str(tmp_path)]) == 1
+    assert "geodesic-check: FAIL" in capsys.readouterr().out
+    checks = _checks(str(tmp_path / "geodesic-check"))
+    assert not checks["dual_collinearity"][1] and checks["dual_collinearity"][0] > 1e-3
+    assert not checks["primal_collinearity"][1] and checks["primal_collinearity"][0] > 1e-3
+
+
+def test_lyapunov_suite_fails_the_clock_sign_fault_without_a_traceback(tmp_path, monkeypatch,
+                                                                      capsys):
+    # with the clock exp(-lam phi), the two forms of the smoothness
+    # denominator disagree and conformal_smoothness_estimate raises a
+    # RegularityError: the discrete check's rows fail, every row is written
+    # and the error's text is kept in the summary
+    _put_fault(monkeypatch, "conformal_weight",
+               lambda gen, theta: np.exp(-gen.lam * gen.value(theta)))
+    assert cli.main(["lyapunov-suite", "--out", str(tmp_path)]) == 1
+    assert "lyapunov-suite: FAIL" in capsys.readouterr().out
+    out_dir = str(tmp_path / "lyapunov-suite")
+    checks = _checks(out_dir)
+    assert list(checks) == ["violations_1d", "bound_dominates_1d", "violations_2d",
+                            "violations", "bound_dominates"]
+    for metric in ("violations", "bound_dominates"):
+        assert np.isnan(checks[metric][0]) and not checks[metric][1]
+    (error,) = _summary(out_dir)["metrics"]["errors"]
+    assert error.startswith("lyapunov-discrete: RegularityError: smoothness denominators")
+
+
+def test_a_diagnostics_check_that_raises_fails_only_its_own_rows(tmp_path, monkeypatch):
+    def no_path(gen, obj, theta0, t_end, dt):
+        raise SolverError("no path")
+    monkeypatch.setattr(experiments, "integrate", no_path)
+    summary, out_dir = run(tmp_path, "lyapunov-suite")
+    assert not summary.passed
+    checks = _checks(out_dir)
+    for metric in ("violations_1d", "bound_dominates_1d", "violations_2d"):
+        assert np.isnan(checks[metric][0]) and not checks[metric][1]
+    assert checks["violations"] == (0.0, True) and checks["bound_dominates"] == (1.0, True)
+    assert summary.metrics["errors"] == ["lyapunov-continuous: SolverError: no path"] * 2
+    assert not any(key.startswith("richardson_error") for key in summary.metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -734,6 +734,33 @@ def test_lyapunov_continuous_fails_a_nan_path():
     assert report.monotone and not report.bound_dominates
 
 
+@pytest.mark.parametrize("gen, obj, theta0", [
+    (LOG_1D, quadratic_objective([2.0]), [1.0]),
+    (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7]),
+], ids=["1d", "2d"])
+@pytest.mark.parametrize("dt", [0.1, 0.05])
+def test_richardson_error_estimates_the_error_in_e(gen, obj, theta0, dt):
+    # the estimate against the error of E on the path, read from a run at a
+    # 40th of its step (whose own error is 40**4 times smaller); the ratio
+    # reads 0.88 to 1.11 at these steps, and 0.56 on the 2-d path at dt 0.2,
+    # which is not yet in RK4's asymptotic range
+    path = integrate(gen, obj, theta0, 2.0, dt)
+    fine = integrate(gen, obj, theta0, 2.0, dt / 40)
+    star = obj.theta_star
+    error = np.max(np.abs(log_div(gen, star, path.theta)
+                          - log_div(gen, star, fine.theta[::40])))
+    assert 0.5 < flows._richardson_error(gen, obj, path) / error < 2.0
+
+
+def test_richardson_error_keeps_a_nan():
+    gen = LOG_1D
+    obj = quadratic_objective([2.0])
+    path = integrate(gen, obj, [1.0], 0.5, 1e-2)
+    theta = path.theta.copy()
+    theta[20] = np.nan
+    assert np.isnan(flows._richardson_error(gen, obj, dataclasses.replace(path, theta=theta)))
+
+
 def test_discrete_lyapunov_run_fails_a_nan_iterate(monkeypatch):
     gen = quadratic_generator(-0.5)
     obj = quadratic_objective([0.0])
