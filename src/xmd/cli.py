@@ -7,8 +7,9 @@ Exit codes: 0 all configured assertions passed, 1 an assertion failed,
 XMD_OUT environment variable (the only environment variable consulted).
 
 Of the diagnostics experiments only flow-equivalence reads the dt and t_end
-keys; geodesic-check and lyapunov-suite run fixed instances, at t_end 1 with
-dt 1e-2 and at t_end 4 with dt 5e-3.
+keys, by default t_end 1 and dt 1e-2 (dt may not exceed t_end, so a t_end
+under 1e-2 needs a smaller dt as well); geodesic-check and lyapunov-suite run
+fixed instances, at t_end 1 with dt 1e-2 and at t_end 4 with dt 5e-3.
 """
 from __future__ import annotations
 

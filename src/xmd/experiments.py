@@ -307,6 +307,7 @@ def rank_methods(mean_curves: dict) -> list:
 # 1e-6; at 1e-3 they were 1.8e-14 and 5.6e-17. The metric-sign fault
 # (G = hess phi - lam u u^T) reads 1.8e-2 at either grid.
 GEODESIC_DT = 1e-2
+GEODESIC_TOL = 1e-6
 
 # lyapunov-suite steps each path at dt = 5e-3, 800 steps to t_end 4, and runs
 # a companion path on every other point of that grid (step 1e-2) for the
@@ -318,6 +319,18 @@ GEODESIC_DT = 1e-2
 # 0.065 and 0.123, are those of dt = 1e-3. At dt = 0.2 the 2-d estimate is
 # 3e-4, and its row fails.
 LYAPUNOV_DT = 5e-3
+
+# flow-equivalence steps on the grid of ExperimentConfig.dt, 1e-2 by default,
+# 100 steps to the default t_end 1. The exact conformal path and the Hessian
+# path read at its clock coincide, so the sup deviation is the integration
+# error plus any fault: a coarser grid can only raise it, never hide a fault,
+# and the suite needs no companion run. At dt 1e-4, 1e-3 and 1e-2 the
+# deviation is 2.2e-16, 1.1e-15 and 7.4e-12 at t_end 0.1, and 5.1e-15,
+# 7.7e-14 and 8.0e-10 at t_end 1, against the tolerance 1e-4; halving dt from
+# 1e-2 divides it by 16, RK4's rate. On all three grids a Hessian path on a
+# clock 1% fast reads 6.1e-4 (t_end 0.1) and 1.8e-2 (t_end 1), and the
+# Hessian flow without its weight reads 2.3e-2 and 0.18.
+EQUIVALENCE_TOL = 1e-4
 
 
 def _check(suite: str, named, measure, errors: list) -> list:
@@ -346,25 +359,27 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
             gen = log_reciprocal_generator(1.0)
             obj = quadratic_objective([2.0])
             dev = time_change_compare(gen, obj, [0.5], config.t_end, config.dt)
-            return [(dev, dev < 1e-4)]
-        checks += _check("flow-equivalence", [("sup_deviation", 1e-4)], equivalence, errors)
+            return [(dev, dev < EQUIVALENCE_TOL)]
+        checks += _check("flow-equivalence", [("sup_deviation", EQUIVALENCE_TOL)], equivalence,
+                         errors)
 
     elif config.experiment == "geodesic-check":
         def two_d():
             rep = geodesic_flow_check(quadratic_generator(-0.5, 2), [0.5, -0.3], [-0.8, 0.6],
-                                      t_end=1.0, dt=GEODESIC_DT, tol=1e-6)
+                                      t_end=1.0, dt=GEODESIC_DT, tol=GEODESIC_TOL)
             return [(e, e < rep.tol) for e in (rep.dual_collinearity,
                                                rep.dual_coefficient_error,
                                                rep.primal_collinearity)]
 
         def one_d():
             rep = geodesic_flow_check(log_reciprocal_generator(1.0), [2.0], [1.0],
-                                      t_end=1.0, dt=GEODESIC_DT, tol=1e-6)
+                                      t_end=1.0, dt=GEODESIC_DT, tol=GEODESIC_TOL)
             return [(rep.max_error, rep.passed)]
-        checks += _check("geodesic-check", [("dual_collinearity", 1e-6),
-                                            ("dual_coefficient_error", 1e-6),
-                                            ("primal_collinearity", 1e-6)], two_d, errors)
-        checks += _check("geodesic-check", [("scalar_instance_max_error", 1e-6)], one_d, errors)
+        checks += _check("geodesic-check", [("dual_collinearity", GEODESIC_TOL),
+                                            ("dual_coefficient_error", GEODESIC_TOL),
+                                            ("primal_collinearity", GEODESIC_TOL)], two_d, errors)
+        checks += _check("geodesic-check", [("scalar_instance_max_error", GEODESIC_TOL)], one_d,
+                         errors)
 
     elif config.experiment == "lyapunov-suite":
         def continuous(gen, obj, theta0, label):

@@ -606,7 +606,13 @@ def time_change_compare(gen: Generator, obj: Objective, theta0, t_end: float,
                         dt: float) -> float:
     """Sup distance between the conformal flow at times t and the Hessian
     flow of Phi at its clock tau(t): the time change of the paper, checked
-    on the conformal run's own grid; NaN if either path holds a NaN."""
+    on the conformal run's own grid; NaN if either path holds a NaN.
+
+    The exact conformal path and the Hessian path read at its clock
+    coincide, so the deviation is the integration error plus any fault of
+    the time change: a coarser grid can only raise it, never hide a fault,
+    and the grid needs no companion run to certify it. The grid may be as
+    coarse as keeps the integration error under the check's tolerance."""
     conformal = integrate(gen, obj, theta0, t_end, dt)
     hess_path = integrate_hessian_flow(gen, obj, theta0, conformal.tau)
     return float(np.max(_row_norm(conformal.theta - hess_path)))

@@ -30,12 +30,11 @@ ONLINE_DIGESTS = {
     "dirichlet-online": "f8439e692191faf0b2d95ae82dfdb5e24549ab2e93d47c06769a4dfa42059044",
 }
 
-# the same digest of the diagnostics suites, each with its arguments: the two
-# fixed-instance suites at their defaults, recorded once they stepped on
-# their error-budgeted grids (geodesic-check at dt 1e-2, lyapunov-suite at
-# 5e-3 with the Richardson estimates in its summary); flow-equivalence at the
-# benchmark's t_end=0.1, recorded before the per-call overhead of the RK4
-# path was cut
+# the same digest of the diagnostics suites, each with its arguments, each
+# recorded once it stepped on its error-budgeted grid: the two fixed-instance
+# suites at their defaults (geodesic-check at dt 1e-2, lyapunov-suite at 5e-3
+# with the Richardson estimates in its summary); flow-equivalence at the
+# benchmark's t_end=0.1 and its default dt 1e-2
 DIAGNOSTICS_DIGESTS = {
     "geodesic-check":
         ((), "c14c40e2a622435d47a428ced01d9f6b628a676a885573cad1736cefd40c1fde"),
@@ -43,7 +42,7 @@ DIAGNOSTICS_DIGESTS = {
         ((), "7ca34977546710985db8e53a69330af963f8553ca2e7c750bb95a6cf5f995b8d"),
     "flow-equivalence":
         (("--override", "t_end=0.1"),
-         "5c96ec019e734bd77f562f17c11ddeaaa8c9fa9b1086652f331d2607ab806328"),
+         "5f2c24183aef62aac52dd03a298999c848c6c48d4d1db148d4f054e442ca1dd9"),
 }
 
 
@@ -238,6 +237,53 @@ def _checks(out_dir):
 def _summary(out_dir):
     with open(os.path.join(out_dir, "summary.json")) as fh:
         return json.load(fh)
+
+
+def _flow_equivalence(tmp_path, *overrides):
+    """The exit status of flow-equivalence under ``overrides`` and its
+    sup_deviation row (value, passed)."""
+    out = tmp_path / "-".join(overrides)
+    argv = ["flow-equivalence", "--out", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    status = cli.main(argv)
+    return status, _checks(str(out / "flow-equivalence"))["sup_deviation"]
+
+
+def test_flow_equivalence_default_grid_is_in_rk4_asymptotic_range(tmp_path):
+    # the exact paths coincide, so the deviation is integration error: at
+    # the defaults (t_end 1, dt 1e-2) it is 1e-4 of the tolerance or less,
+    # and halving dt divides it by about 16, RK4's rate
+    assert ExperimentConfig("flow-equivalence").t_end == 1.0
+    status, (dev, ok) = _flow_equivalence(tmp_path)
+    assert status == 0 and ok
+    assert 0.0 < dev <= 1e-4 * experiments.EQUIVALENCE_TOL
+    _, (half, _) = _flow_equivalence(tmp_path, f"dt={ExperimentConfig.dt / 2}")
+    assert 8.0 < dev / half < 32.0
+
+
+def _clock_fast(gen, obj, theta0, s, hessian_flow=flows.integrate_hessian_flow):
+    return hessian_flow(gen, obj, theta0, 1.01 * s)
+
+
+def _weight_dropped(gen, obj, theta0, s):
+    return flows._integrate_clocked(gen, obj, theta0, s).theta
+
+
+@pytest.mark.parametrize("fault", [_clock_fast, _weight_dropped])
+@pytest.mark.parametrize("t_end", ["t_end=0.1", "t_end=1.0"])
+def test_flow_equivalence_fails_a_time_change_fault_on_its_default_grid(tmp_path, monkeypatch,
+                                                                        capsys, fault, t_end):
+    # a Hessian path on a clock 1% fast, or the Hessian flow without its
+    # weight, leaves the time change by 6e-4 to 0.18: the default grid reads
+    # the deviation of the grid 10x finer, so it cannot hide the fault
+    monkeypatch.setattr(flows, "integrate_hessian_flow", fault)
+    status, (dev, ok) = _flow_equivalence(tmp_path, t_end)
+    assert status == 1 and not ok
+    assert "flow-equivalence: FAIL" in capsys.readouterr().out
+    assert "errors" not in _summary(str(tmp_path / t_end / "flow-equivalence"))["metrics"]
+    _, (fine, _) = _flow_equivalence(tmp_path, t_end, "dt=1e-3")
+    assert dev == pytest.approx(fine, rel=1e-3)
 
 
 def test_lyapunov_suite_reports_its_error_estimates_in_budget(tmp_path):
@@ -519,6 +565,18 @@ def test_bad_override_exits_with_status_2(tmp_path, experiment, overrides, capsy
     assert status == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not os.listdir(tmp_path)
+
+
+def test_a_t_end_under_the_default_dt_names_both_values(tmp_path, capsys):
+    # t_end alone below the default dt 1e-2 is rejected with both numbers, so
+    # the message says what to lower; with dt lowered too, the run passes
+    argv = ["flow-equivalence", "--out", str(tmp_path), "--override", "t_end=0.005"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dt must not exceed t_end")
+    assert "0.01" in err and "0.005" in err
+    assert not os.listdir(tmp_path)
+    assert cli.main(argv + ["--override", "dt=1e-3"]) == 0
 
 
 def test_nu_bounds_keep_student_t_draws_finite(tmp_path):
