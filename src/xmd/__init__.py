@@ -6,30 +6,28 @@ deformed exponential families with an online natural-gradient estimator, and
 Dirichlet-transport gradient flows on the unit simplex, whose maps take the
 exponent alpha of a diversity generator and are stated in closed form.
 
-The package holds what the experiment runners call and what names an object
-of the paper; numpy is its only dependency. Finite-difference and quadrature
-oracles that only verify these objects live with the tests.
+Rule: ``src/xmd`` holds what an experiment runner or the benchmark reaches,
+and checks live in ``tests/``: a function that only a test calls belongs in
+``tests/oracles.py``. A reach test in ``tests/test_experiments.py`` runs the
+six runners and fails on any function, method or property defined here that
+none of them enters, apart from an allow-list that gives each exception its
+reason. numpy is the package's only dependency.
 """
 
 from .core import (BREGMAN_LIMIT, Domain, DomainError, DualPair, Generator,
-                   GeometryError, RegularityError, SolverError,
-                   bregman_div, conjugate_value, inverse_mirror, lambda_mirror,
-                   log_cost, log_div, log_div_self_dual, metric,
-                   metric_inverse_sm, mirror_jacobian)
+                   GeometryError, RegularityError, SolverError, inverse_mirror,
+                   lambda_mirror, log_cost, log_div, metric)
 from .flows import (ConvergenceReport, FlowState, Objective,
                     conformal_smoothness_estimate, discrete_lyapunov_run,
                     dual_logdiv_objective, geodesic_flow_check, integrate,
-                    lyapunov_continuous, primal_logdiv_objective,
-                    quadratic_objective, rhs_dual, rhs_primal,
+                    lyapunov_continuous, quadratic_objective, rhs_dual, rhs_primal,
                     step_adaptive_mirror, step_dual_euler, step_primal_euler,
                     time_change_compare)
-from .generators import (dirichlet_generator, linear_generator,
-                         log_reciprocal_generator, quadratic_generator,
-                         student_t_generator, table_generators)
+from .generators import (dirichlet_generator, log_reciprocal_generator,
+                         quadratic_generator, student_t_generator)
 from .expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState,
                      StudentTParams, dirichlet_family, dirichlet_perturb_sample,
-                     log_loss, online_update, start_state, student_t_coords,
-                     student_t_family, student_t_inverse_mirror,
+                     log_loss, online_update, start_state, student_t_family,
                      student_t_params, student_t_sample)
 from .simplex import (as_simplex, barycenter, dirichlet_cost,
                       directional_derivs, perturb, simplex_flow_rhs, step_conformal,

@@ -39,13 +39,13 @@ def main(argv=None) -> int:
     try:
         if args.config:
             config = load_config(args.config)
-            if config.experiment != args.experiment:
-                raise ConfigError(
-                    f"config is for {config.experiment!r}, not {args.experiment!r}")
         else:
             config = ExperimentConfig(experiment=args.experiment).validate()
         if args.override:
             config = apply_overrides(config, args.override)
+        # one check for both routes: the config file and an experiment override
+        if config.experiment != args.experiment:
+            raise ConfigError(f"config is for {config.experiment!r}, not {args.experiment!r}")
         if args.seed is not None:
             config.seed = args.seed
         out_dir = args.out or os.environ.get("XMD_OUT") or config.out

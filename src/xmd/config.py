@@ -1,8 +1,9 @@
 """Experiment configuration: a flat human-readable key = value file with
 command-line overrides and a canonical serialization that round-trips.
 
-Supported value syntax: integers, floats, booleans, double-quoted strings,
-and flat lists like [0, 0.1, 0.2]. Lines starting with # are comments.
+Supported value syntax: integers, floats, double-quoted strings, bare
+strings, and flat lists of numbers like [0, 0.1, 0.2]. Lines starting with #
+are comments. No key is a bool, so ``true`` and ``false`` are bare strings.
 """
 from __future__ import annotations
 
@@ -141,8 +142,6 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, (int, float)):
         return repr(v)
     if isinstance(v, str):
@@ -161,8 +160,6 @@ def _parse_value(text: str):
     if text.startswith("[") and text.endswith("]"):
         inner = text[1:-1].strip()
         return [] if not inner else [_parse_value(x) for x in inner.split(",")]
-    if text in ("true", "false"):
-        return text == "true"
     try:
         return int(text)
     except ValueError:

@@ -19,8 +19,8 @@ goes to 0, keeps a separate exact branch, taken when ``|lam| < BREGMAN_LIMIT``.
 The maps of a point work over the last axis: ``theta`` is one point ``(d,)``
 or a batch ``(..., d)``, one point is a batch of one, and a batch gives, row
 by row, the bits of the one-point calls. ``metric`` and ``big_phi_hess``
-give one ``(d, d)`` matrix per row, ``(..., d, d)``; ``mirror_jacobian`` and
-``theta_of_zeta`` take one point.
+give one ``(d, d)`` matrix per row, ``(..., d, d)``; ``theta_of_zeta`` takes
+one point.
 """
 from __future__ import annotations
 
@@ -32,13 +32,15 @@ import numpy as np
 
 # |lam| below this takes the exact lam = 0 branch, kept only where the lambda
 # formula divides by lam (log_cost, big_phi_value, the value of log_loss, the
-# cross-check of conformal_smoothness_estimate) or cancels as lam -> 0 (the
-# gradient of primal_logdiv_objective). Every other map has one body for all lam.
+# cross-check of conformal_smoothness_estimate) or cancels as lam -> 0
+# (flows._primal_logdiv_grad). Every other map has one body for all lam.
 BREGMAN_LIMIT = 1e-12
 # log arguments must exceed this; below it we raise rather than return -inf.
 LOG_GUARD = 1e-14
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
+# the least distance by which Domain.reflect puts a point back inside a face
+REFLECT_FLOOR = 1e-12
 
 
 class GeometryError(Exception):
@@ -71,8 +73,8 @@ def _vec(x) -> np.ndarray:
 class Domain:
     """Open domain: an axis-aligned box intersected with scalar constraints g(x) > 0.
 
-    ``anchor`` must be an interior point: it seeds ``theta_of_zeta`` and
-    stands in for the rows of a batch that a test rejects.
+    ``anchor`` must be an interior point: it stands in for the rows of a
+    batch that a test rejects.
     """
 
     lower: np.ndarray
@@ -89,10 +91,6 @@ class Domain:
             hi = np.where(np.isfinite(upper), upper, np.maximum(lower + 1.0, 0.0))
             anchor = 0.5 * (lo + hi)
         return Domain(lower, upper, _vec(anchor))
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
 
     def contains(self, x):
         """Whether x lies in the open domain: a bool for one point ``(dim,)``,
@@ -116,15 +114,17 @@ class Domain:
                 inside = inside & (g(x) > 0.0)
         return inside
 
-    def reflect(self, x, floor: float = 1e-12) -> np.ndarray:
-        """Reflect box violations back across the violated face, row-wise.
+    def reflect(self, x) -> np.ndarray:
+        """Reflect box violations back across the violated face, row-wise,
+        to at least REFLECT_FLOOR inside it.
 
         Constraint violations are not repaired here; callers fall back to
         step halving when a reflected point is still infeasible.
         """
         x = _vec(x)
-        x = np.where(x <= self.lower, self.lower + np.maximum(self.lower - x, floor), x)
-        return np.where(x >= self.upper, self.upper - np.maximum(x - self.upper, floor), x)
+        x = np.where(x <= self.lower, self.lower + np.maximum(self.lower - x, REFLECT_FLOOR), x)
+        return np.where(x >= self.upper,
+                        self.upper - np.maximum(x - self.upper, REFLECT_FLOOR), x)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +140,10 @@ class Generator:
     ``(..., d)`` one of each per point, ``(...)``, ``(..., d)`` and
     ``(..., d, d)``, with the bits of the one-point calls. Each Hessian must
     be exactly symmetric: ``metric`` uses it as it is. ``hess`` is optional,
-    but ``metric`` needs it, and with it the primal flows,
-    ``mirror_jacobian`` and ``theta_of_zeta``. The mirror map is always
-    derived from ``grad`` by ``lambda_mirror``; ``inverse_mirror`` needs its
-    inverse in closed form, registered with the dual domain it inverts.
+    but ``metric`` needs it, and with it the primal flows and
+    ``theta_of_zeta``. The mirror map is always derived from ``grad`` by
+    ``lambda_mirror``; ``inverse_mirror`` needs its inverse in closed form,
+    registered with the dual domain it inverts.
     """
 
     lam: float
@@ -155,10 +155,6 @@ class Generator:
     dual_domain: Optional[Domain] = None
     name: str = ""
     grid: tuple = field(default_factory=tuple)
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
 
     @cached_property
     def is_bregman(self) -> bool:
@@ -204,15 +200,6 @@ def lambda_mirror(gen: Generator, theta) -> DualPair:
     return DualPair(theta, eta, 1.0 + gen.lam * np.vecdot(theta, eta))
 
 
-def mirror_jacobian(gen: Generator, theta) -> np.ndarray:
-    """d eta / d theta, assembled from the metric as pi * (I + lam eta theta^T) G."""
-    theta = _vec(theta)
-    pair = lambda_mirror(gen, theta)
-    g = metric(gen, theta)
-    corr = np.eye(gen.dim) + gen.lam * np.outer(pair.eta, theta)
-    return pair.pi * corr @ g
-
-
 def inverse_mirror(gen: Generator, eta) -> np.ndarray:
     """Invert the mirror map over the last axis by its registered closed form.
     Raises DomainError if a row of eta lies outside the dual domain or inverts
@@ -243,19 +230,6 @@ def _require_inverse(gen: Generator) -> None:
         raise RegularityError(f"generator {gen.name!r} has no closed-form inverse mirror map")
 
 
-def conjugate_value(gen: Generator, pair: DualPair) -> float:
-    """Value of the conjugate at the mirror image: psi(eta) = -phi(theta) - c(theta, eta)."""
-    return -float(gen.value(pair.theta)) - log_cost(pair.theta, pair.eta, gen.lam)
-
-
-def bregman_div(gen: Generator, theta, theta_p) -> float:
-    """Bregman divergence of the generator's value, treating it as convex."""
-    theta = _vec(theta)
-    theta_p = _vec(theta_p)
-    gp = _vec(gen.grad(theta_p))
-    return float(gen.value(theta)) - float(gen.value(theta_p)) - float(gp @ (theta - theta_p))
-
-
 def log_div(gen: Generator, theta, theta_p):
     """Logarithmic divergence L[theta : theta_p] = phi(theta) - phi(theta_p)
     + c(grad phi(theta_p), theta - theta_p); Bregman divergence when lam ~ 0.
@@ -264,15 +238,6 @@ def log_div(gen: Generator, theta, theta_p):
     theta_p = _vec(theta_p)
     return (gen.value(theta) - gen.value(theta_p)
             + log_cost(gen.grad(theta_p), theta - theta_p, gen.lam))
-
-
-def log_div_self_dual(gen: Generator, theta, eta_p) -> float:
-    """Self-dual form: phi(theta) + psi(eta') - (1/lam) log(1 + lam*<theta, eta'>)."""
-    theta = _vec(theta)
-    eta_p = _vec(eta_p)
-    theta_p = inverse_mirror(gen, eta_p)
-    psi = conjugate_value(gen, DualPair(theta_p, eta_p, 1.0 + gen.lam * float(theta_p @ eta_p)))
-    return float(gen.value(theta)) + psi + log_cost(theta, eta_p, gen.lam)
 
 
 def metric(gen: Generator, theta) -> np.ndarray:
@@ -304,13 +269,6 @@ def _assemble_metric(gen: Generator, u, h) -> np.ndarray:
     symmetrising step: h must be, and u_i * u_j is the same product as
     u_j * u_i."""
     return h + gen.lam * (u[..., None] * u[..., None, :])
-
-
-def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray) -> np.ndarray:
-    """Inverse metric from the mirror Jacobian: pi * (d theta/d eta) * (I + lam eta theta^T)."""
-    jac = np.atleast_2d(np.asarray(jac_theta_eta, dtype=float))
-    corr = np.eye(gen.dim) + gen.lam * np.outer(pair.eta, pair.theta)
-    return pair.pi * jac @ corr
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +316,12 @@ def zeta_of(gen: Generator, theta) -> np.ndarray:
     return conformal_weight(gen, theta)[..., None] * gen.grad(theta)
 
 
-def theta_of_zeta(gen: Generator, zeta, theta0=None) -> np.ndarray:
-    """Invert grad Phi by damped Newton from theta0 (the domain anchor if None):
+def theta_of_zeta(gen: Generator, zeta, theta0) -> np.ndarray:
+    """Invert grad Phi by damped Newton from theta0:
     Jacobian hess Phi, Armijo backtracking on the residual norm inside the
     open domain; SolverError if that fails or stalls in NEWTON_MAX_ITER steps."""
     zeta = _vec(zeta)
-    theta = _vec(theta0) if theta0 is not None else gen.domain.anchor.copy()
+    theta = _vec(theta0)
     res = zeta_of(gen, theta) - zeta
     rnorm = np.linalg.norm(res)
     for _ in range(NEWTON_MAX_ITER):

@@ -366,15 +366,15 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
     elif config.experiment == "geodesic-check":
         def two_d():
             rep = geodesic_flow_check(quadratic_generator(-0.5, 2), [0.5, -0.3], [-0.8, 0.6],
-                                      t_end=1.0, dt=GEODESIC_DT, tol=GEODESIC_TOL)
-            return [(e, e < rep.tol) for e in (rep.dual_collinearity,
-                                               rep.dual_coefficient_error,
-                                               rep.primal_collinearity)]
+                                      t_end=1.0, dt=GEODESIC_DT)
+            return [(e, e < GEODESIC_TOL) for e in (rep.dual_collinearity,
+                                                    rep.dual_coefficient_error,
+                                                    rep.primal_collinearity)]
 
         def one_d():
             rep = geodesic_flow_check(log_reciprocal_generator(1.0), [2.0], [1.0],
-                                      t_end=1.0, dt=GEODESIC_DT, tol=GEODESIC_TOL)
-            return [(rep.max_error, rep.passed)]
+                                      t_end=1.0, dt=GEODESIC_DT)
+            return [(rep.max_error, rep.max_error < GEODESIC_TOL)]
         checks += _check("geodesic-check", [("dual_collinearity", GEODESIC_TOL),
                                             ("dual_coefficient_error", GEODESIC_TOL),
                                             ("primal_collinearity", GEODESIC_TOL)], two_d, errors)

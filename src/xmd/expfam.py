@@ -18,9 +18,7 @@ import numpy as np
 
 from .core import DomainError, Generator, _vec, inverse_mirror, lambda_mirror
 from .flows import _dual_accept, _guarded_step
-from .generators import (dirichlet_generator, student_t_generator,
-                         student_t_inverse_mirror, student_t_lambda,
-                         student_t_natural_coords)
+from .generators import dirichlet_generator, student_t_generator, student_t_lambda
 from .simplex import perturb
 
 
@@ -38,10 +36,6 @@ class LambdaExpFamily:
     @property
     def lam(self) -> float:
         return self.gen.lam
-
-    @property
-    def dim(self) -> int:
-        return self.gen.dim
 
 
 @dataclass(frozen=True)
@@ -124,17 +118,6 @@ class StudentTParams:
     sigma: float
     nu: float
 
-    @property
-    def lam(self) -> float:
-        return student_t_lambda(self.nu)
-
-
-def student_t_coords(params: StudentTParams) -> np.ndarray:
-    """(mu, sigma) -> natural coordinates."""
-    if params.sigma <= 0.0:
-        raise DomainError("scale must be positive")
-    return student_t_natural_coords(params.mu, params.sigma, params.lam)
-
 
 def student_t_params(theta, nu: float) -> StudentTParams:
     """Natural coordinates -> (mu, sigma) over the last axis; requires theta
@@ -192,25 +175,11 @@ class DirichletPerturbModel:
     p: np.ndarray
     sigma: float
 
-    @property
-    def lam(self) -> float:
-        return -self.sigma
-
-    @property
-    def d(self) -> int:
-        return self.p.size - 1
-
 
 def simplex_to_eta(p) -> np.ndarray:
     """Simplex point(s) -> dual coordinates p_i / p_0, i >= 1, over the last axis."""
     p = _vec(p)
     return p[..., 1:] / p[..., :1]
-
-
-def eta_to_simplex(eta) -> np.ndarray:
-    eta = _vec(eta)
-    p = np.concatenate([[1.0], eta])
-    return p / p.sum()
 
 
 def dirichlet_perturb_sample(model: DirichletPerturbModel, rng: np.random.Generator,

@@ -34,6 +34,9 @@ from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
 
 MAX_HALVINGS = 20
 MONOTONE_TOL = 1e-9
+# conformal_smoothness_estimate raises on a denominator B_Phi[x:y] * exp(-lam*phi(y))
+# below this: the ratio it bounds is then unbounded
+SMOOTHNESS_GUARD = 1e-18
 
 
 @dataclass(frozen=True)
@@ -113,18 +116,6 @@ def quadratic_objective(center, weight: float = 1.0) -> Objective:
 
     return Objective(value=value, grad=lambda t: weight * (_vec(t) - center),
                      theta_star=center)
-
-
-def primal_logdiv_objective(gen: Generator, theta_star) -> Objective:
-    """f(theta) = L[theta_star : theta]; its flow follows a primal geodesic."""
-    theta_star = _vec(theta_star)
-
-    def grad(theta):
-        theta = _vec(theta)
-        return _primal_logdiv_grad(gen, theta_star, theta, gen.grad(theta), gen.hess(theta))
-
-    return Objective(value=lambda t: log_div(gen, theta_star, t), grad=grad,
-                     theta_star=theta_star)
 
 
 def _primal_logdiv_grad(gen: Generator, theta_star, theta, u, h) -> np.ndarray:
@@ -262,8 +253,7 @@ def _time_grid(t_end: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
 
 
-def integrate(gen: Generator, obj: Objective, theta0, t_end: float,
-              dt: float = 1e-3) -> FlowState:
+def integrate(gen: Generator, obj: Objective, theta0, t_end: float, dt: float) -> FlowState:
     """Integrate the conformal flow together with its clock: the state
     (theta, tau, integral of w*theta dt) with w = exp(lam*phi(theta)) runs
     through one RK4 pass, so tau and the tau-weighted average theta_hat are
@@ -447,17 +437,12 @@ class GeodesicReport:
     dual_collinearity: float
     dual_coefficient_error: float
     primal_collinearity: float
-    tol: float
 
     @property
     def max_error(self) -> float:
         """The largest of the three errors; NaN if any of them is NaN."""
         return float(np.max([self.dual_collinearity, self.dual_coefficient_error,
                              self.primal_collinearity]))
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error < self.tol
 
 
 def _segment_deviation(x, a, b):
@@ -470,8 +455,8 @@ def _segment_deviation(x, a, b):
     return _row_norm(x - (a + s[..., None] * seg))
 
 
-def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
-                        dt: float = 1e-3, tol: float = 1e-6) -> GeodesicReport:
+def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float,
+                        dt: float) -> GeodesicReport:
     """Verify that log-divergence flows run along straight lines: the dual flow
     in eta with velocity -(pi/pi_star)(eta - eta_star), the primal flow in theta.
     The two flows integrate theta alone, as the two rows of one RK4 batch on
@@ -482,7 +467,7 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
     error is the integration error plus any fault of the geometry: a coarser
     grid can only raise it, never hide a fault, and the grid needs no
     companion run to certify it. The grid may be as coarse as keeps the
-    integration error under ``tol``."""
+    integration error under the check's tolerance."""
     theta_star = _vec(theta_star)
     theta0 = _vec(theta0)
     eta_star = lambda_mirror(gen, theta_star).eta
@@ -515,7 +500,7 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float = 1.0,
     pcollin = np.max(_segment_deviation(path[:, 1], theta0, theta_star))
 
     return GeodesicReport(dual_collinearity=float(collin), dual_coefficient_error=float(coeff),
-                          primal_collinearity=float(pcollin), tol=tol)
+                          primal_collinearity=float(pcollin))
 
 
 def lyapunov_continuous(gen: Generator, obj: Objective, path: FlowState) -> ConvergenceReport:
@@ -550,7 +535,7 @@ def _richardson_error(gen: Generator, obj: Objective, path: FlowState) -> float:
 
 
 def conformal_smoothness_estimate(gen: Generator, obj: Objective,
-                                  grid_pairs: Sequence, guard: float = 1e-18) -> float:
+                                  grid_pairs: Sequence) -> float:
     """Smallest L with B_f[x:y] <= L * exp(-lam*phi(y)) * B_Phi[x:y] over the grid.
 
     Also cross-checks the two equivalent forms of the right-hand side against
@@ -570,7 +555,7 @@ def conformal_smoothness_estimate(gen: Generator, obj: Objective,
             if abs(denom - alt) > 1e-10 * max(1.0, abs(denom)):
                 raise RegularityError(
                     f"smoothness denominators disagree at ({x}, {y}): {denom} vs {alt}")
-        if denom < guard:
+        if denom < SMOOTHNESS_GUARD:
             raise DomainError(f"unbounded smoothness ratio at pair ({x}, {y})")
         worst = max(worst, bf / denom)
     return worst

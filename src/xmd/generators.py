@@ -1,6 +1,7 @@
-"""Registered generators: the three scalar reference families, the isotropic
-quadratic in any dimension, the heavy-tail location-scale potential, and the
-simplex-perturbation potential.
+"""Registered generators: the scalar -log/2 family, the isotropic quadratic in
+any dimension, the heavy-tail location-scale potential, and the
+simplex-perturbation potential. The linear family, which no runner uses, is
+a test oracle.
 
 Only inverse mirror maps are registered in closed form; ``lambda_mirror``
 derives the mirror map from ``grad``. Every ``value``, ``grad`` and ``hess``
@@ -38,24 +39,6 @@ def log_reciprocal_generator(lam: float) -> Generator:
         dual_domain=Domain.box([-np.inf], [0.0], anchor=[-1.0 / (2.0 + lam)]),
         name=f"log_reciprocal(lam={lam})",
         grid=tuple(np.geomspace(0.2, 5.0, 9).reshape(-1, 1)),
-    )
-
-
-def linear_generator(lam: float) -> Generator:
-    """phi(t) = t on (-inf, 1/lam); regular for lam > 0."""
-    if not lam > 0.0:
-        raise ValueError("the linear generator requires lam > 0")
-
-    return Generator(
-        lam=lam,
-        domain=Domain.box([-np.inf], [1.0 / lam], anchor=[1.0 / lam - 1.0]),
-        value=lambda t: t[..., 0],
-        grad=lambda t: np.ones(np.shape(t)),
-        hess=lambda t: np.zeros(np.shape(t) + (1,)),
-        inverse_mirror_closed=lambda e: (e - 1.0) / (lam * e),
-        dual_domain=Domain.box([0.0], [np.inf], anchor=[1.0]),
-        name=f"linear(lam={lam})",
-        grid=tuple(np.linspace(1.0 / lam - 4.0, 1.0 / lam - 0.05, 9).reshape(-1, 1)),
     )
 
 
@@ -217,12 +200,3 @@ def dirichlet_generator(lam: float, d: int) -> Generator:
         name=f"dirichlet(lam={lam}, d={d})",
         grid=grid,
     )
-
-
-def table_generators() -> list[Generator]:
-    """One representative of each scalar reference family."""
-    return [
-        log_reciprocal_generator(1.0),
-        linear_generator(2.0),
-        quadratic_generator(-1.0),
-    ]

@@ -1,9 +1,13 @@
 """Verification oracles: independent numerical checks of the objects in ``xmd``.
 
-Rule: a helper that only checks something lives here, in ``tests/``; only what
-an experiment runner calls, or what names an object of the paper, stays in
-``src/xmd``. That keeps numpy the package's only runtime dependency: the
-quadrature oracle below needs scipy, which is a test dependency.
+Rule: ``src/xmd`` holds what an experiment runner or the benchmark reaches,
+and checks live in ``tests/``. A helper that only a test calls lives here,
+even when it names an object of the paper (the conjugate, the self-dual
+divergence, the mirror Jacobian, the linear generator); the reach test in
+``test_experiments.py`` fails on any package function that no runner enters
+and that its allow-list does not name. That also keeps numpy the package's
+only runtime dependency: the quadrature oracle below needs scipy, which is a
+test dependency.
 """
 import math
 from dataclasses import dataclass
@@ -13,10 +17,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from xmd import expfam, simplex
-from xmd.core import (DomainError, DualPair, Generator, GeometryError, _vec,
-                      big_phi_hess, conjugate_value, inverse_mirror,
-                      lambda_mirror, metric)
+from xmd.core import (Domain, DomainError, DualPair, Generator, GeometryError, _vec,
+                      big_phi_hess, inverse_mirror, lambda_mirror, log_cost,
+                      log_div, metric)
 from xmd.expfam import LambdaExpFamily, OnlineState, StudentTParams
+from xmd.flows import Objective, _primal_logdiv_grad
+from xmd.generators import log_reciprocal_generator, quadratic_generator
 from xmd.rng import TRUTH_STREAM, substream
 
 # ---------------------------------------------------------------------------
@@ -67,6 +73,33 @@ def cs_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-20) -> n
 # generators
 
 
+def linear_generator(lam: float) -> Generator:
+    """phi(t) = t on (-inf, 1/lam); regular for lam > 0."""
+    if not lam > 0.0:
+        raise ValueError("the linear generator requires lam > 0")
+
+    return Generator(
+        lam=lam,
+        domain=Domain.box([-np.inf], [1.0 / lam], anchor=[1.0 / lam - 1.0]),
+        value=lambda t: t[..., 0],
+        grad=lambda t: np.ones(np.shape(t)),
+        hess=lambda t: np.zeros(np.shape(t) + (1,)),
+        inverse_mirror_closed=lambda e: (e - 1.0) / (lam * e),
+        dual_domain=Domain.box([0.0], [np.inf], anchor=[1.0]),
+        name=f"linear(lam={lam})",
+        grid=tuple(np.linspace(1.0 / lam - 4.0, 1.0 / lam - 0.05, 9).reshape(-1, 1)),
+    )
+
+
+def table_generators() -> list[Generator]:
+    """One representative of each scalar reference family."""
+    return [
+        log_reciprocal_generator(1.0),
+        linear_generator(2.0),
+        quadratic_generator(-1.0),
+    ]
+
+
 def check_regularity(gen: Generator, points: Sequence) -> list[str]:
     """Evaluate both regularity conditions on a set of points; return violations."""
     bad = []
@@ -83,6 +116,61 @@ def check_regularity(gen: Generator, points: Sequence) -> list[str]:
         except (np.linalg.LinAlgError, GeometryError) as exc:
             bad.append(f"{exc} at theta={theta}")
     return bad
+
+
+# ---------------------------------------------------------------------------
+# duality
+
+
+def conjugate_value(gen: Generator, pair: DualPair) -> float:
+    """Value of the conjugate at the mirror image: psi(eta) = -phi(theta) - c(theta, eta)."""
+    return -float(gen.value(pair.theta)) - log_cost(pair.theta, pair.eta, gen.lam)
+
+
+def bregman_div(gen: Generator, theta, theta_p) -> float:
+    """Bregman divergence of the generator's value, treating it as convex."""
+    theta = _vec(theta)
+    theta_p = _vec(theta_p)
+    gp = _vec(gen.grad(theta_p))
+    return float(gen.value(theta)) - float(gen.value(theta_p)) - float(gp @ (theta - theta_p))
+
+
+def log_div_self_dual(gen: Generator, theta, eta_p) -> float:
+    """Self-dual form: phi(theta) + psi(eta') - (1/lam) log(1 + lam*<theta, eta'>)."""
+    theta = _vec(theta)
+    eta_p = _vec(eta_p)
+    theta_p = inverse_mirror(gen, eta_p)
+    psi = conjugate_value(gen, DualPair(theta_p, eta_p, 1.0 + gen.lam * float(theta_p @ eta_p)))
+    return float(gen.value(theta)) + psi + log_cost(theta, eta_p, gen.lam)
+
+
+def mirror_jacobian(gen: Generator, theta) -> np.ndarray:
+    """d eta / d theta, assembled from the metric as pi * (I + lam eta theta^T) G."""
+    theta = _vec(theta)
+    pair = lambda_mirror(gen, theta)
+    g = metric(gen, theta)
+    corr = np.eye(theta.size) + gen.lam * np.outer(pair.eta, theta)
+    return pair.pi * corr @ g
+
+
+def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray) -> np.ndarray:
+    """Inverse metric from the mirror Jacobian: pi * (d theta/d eta) * (I + lam eta theta^T)."""
+    jac = np.atleast_2d(np.asarray(jac_theta_eta, dtype=float))
+    corr = np.eye(pair.theta.size) + gen.lam * np.outer(pair.eta, pair.theta)
+    return pair.pi * jac @ corr
+
+
+def primal_logdiv_objective(gen: Generator, theta_star) -> Objective:
+    """f(theta) = L[theta_star : theta]; its flow follows a primal geodesic.
+    ``geodesic_flow_check`` steps this flow from its gradient alone."""
+    theta_star = _vec(theta_star)
+
+    def grad(theta):
+        theta = _vec(theta)
+        return _primal_logdiv_grad(gen, theta_star, theta, gen.grad(theta), gen.hess(theta))
+
+    return Objective(value=lambda t: log_div(gen, theta_star, t), grad=grad,
+                     theta_star=theta_star)
 
 
 def conjugate_generator(gen: Generator) -> Generator:
@@ -149,11 +237,19 @@ def student_t_sampler(nu: float):
     return sampler
 
 
+def eta_to_simplex(eta) -> np.ndarray:
+    """Dual coordinates -> the simplex point (1, eta) / (1 + sum eta), the
+    inverse of ``expfam.simplex_to_eta``."""
+    eta = _vec(eta)
+    p = np.concatenate([[1.0], eta])
+    return p / p.sum()
+
+
 def dirichlet_sampler(lam: float):
     """Draws from the Dirichlet perturbation model at natural coordinates theta."""
     def sampler(theta, rng, size=None):
         eta = 1.0 / (lam * _vec(theta))
-        model = expfam.DirichletPerturbModel(p=expfam.eta_to_simplex(eta), sigma=-lam)
+        model = expfam.DirichletPerturbModel(p=eta_to_simplex(eta), sigma=-lam)
         return expfam.dirichlet_perturb_sample(model, rng, size)
     return sampler
 
@@ -193,8 +289,9 @@ def escort_expectation_numeric(model: LambdaExpFamily, theta) -> np.ndarray:
         return float(family_density(model, theta, x)) ** q
 
     norm, _ = quad(weight, -np.inf, np.inf, limit=200)
-    out = np.empty(model.dim)
-    for i in range(model.dim):
+    dim = theta.size
+    out = np.empty(dim)
+    for i in range(dim):
         def integrand(x, i=i):
             return float(np.atleast_1d(model.statistics(x))[i]) * weight(x)
         val, _ = quad(integrand, -np.inf, np.inf, limit=200)
@@ -219,7 +316,7 @@ def dirichlet_lambda_independence(seed: int, d: int, sigma: float, n_steps: int,
         for i, fam in enumerate(fams):
             y = fam.statistics(qs[k - 1])
             states[i] = expfam.online_update(fam, states[i], y, 1.0 / k)
-            ps.append(expfam.eta_to_simplex(states[i].eta))
+            ps.append(eta_to_simplex(states[i].eta))
         worst = max(worst, float(np.max(np.abs(ps[0] - ps[1]))))
     return worst
 

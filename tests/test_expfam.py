@@ -8,12 +8,11 @@ from scipy.integrate import quad
 
 from xmd.core import DomainError, inverse_mirror, lambda_mirror
 from xmd.expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState, StudentTParams,
-                        dirichlet_family, dirichlet_perturb_sample, eta_to_simplex,
-                        log_distance, log_loss, online_update, simplex_to_eta,
-                        start_state, student_t_coords, student_t_family,
-                        student_t_inverse_mirror, student_t_params,
-                        student_t_sample)
-from xmd.generators import quadratic_generator, student_t_generator, student_t_lambda
+                        dirichlet_family, dirichlet_perturb_sample, log_distance,
+                        log_loss, online_update, simplex_to_eta, start_state,
+                        student_t_family, student_t_params, student_t_sample)
+from xmd.generators import (quadratic_generator, student_t_generator, student_t_inverse_mirror,
+                            student_t_lambda, student_t_natural_coords)
 from xmd.rng import substream
 from oracles import (dirichlet_lambda_independence, dirichlet_sampler,
                      escort_expectation_numeric, family_density, fd_grad,
@@ -38,7 +37,7 @@ def identity_family():
 def test_log_loss_matches_density():
     fam = student_t_family(NU)
     params = StudentTParams(0.3, 1.4, NU)
-    theta = student_t_coords(params)
+    theta = student_t_natural_coords(params.mu, params.sigma, LAM)
     for x in (-2.0, 0.0, 0.7, 5.0):
         value, _ = log_loss(fam, theta, fam.statistics(x))
         assert value + math.log(student_t_density(x, params)) == pytest.approx(0.0, abs=1e-10)
@@ -48,7 +47,7 @@ def test_log_loss_matches_density():
 
 def test_log_loss_gradient_structure_and_fd():
     fam = student_t_family(NU)
-    theta = student_t_coords(StudentTParams(0.0, 1.0, NU))
+    theta = student_t_natural_coords(0.0, 1.0, LAM)
     pair = lambda_mirror(fam.gen, theta)
     # an observation whose pairing matches the mean pairing gives a gradient
     # colinear with eta - y
@@ -103,8 +102,8 @@ def test_online_update_dirichlet_factor_example():
 def test_online_update_equals_natural_gradient_step(build):
     fam, sampler = build()
     rng = substream(123, 0)
-    if fam.gen.dim == 2:
-        theta0 = student_t_coords(StudentTParams(0.5, 1.5, NU))
+    if fam.gen.domain.lower.size == 2:
+        theta0 = student_t_natural_coords(0.5, 1.5, LAM)
         state = start_state(fam, lambda_mirror(fam.gen, theta0).eta)
     else:
         state = start_state(fam, np.ones(4) * 0.8)
@@ -171,7 +170,7 @@ def student_t_rows(draw):
     mu = draw(st.floats(-5.0, 5.0))
     sigma = draw(st.floats(0.1, 5.0))
     x = draw(st.floats(-50.0, 50.0))
-    theta = student_t_coords(StudentTParams(mu, sigma, NU))
+    theta = student_t_natural_coords(mu, sigma, LAM)
     return list(lambda_mirror(STUDENT_T, theta).eta), [x, x * x]
 
 
@@ -294,7 +293,7 @@ def test_student_t_params_and_inverse_reject_outside_points():
 
 
 def test_student_t_coords_examples():
-    theta = student_t_coords(StudentTParams(0.0, 1.0, NU))
+    theta = student_t_natural_coords(0.0, 1.0, LAM)
     assert np.allclose(theta, [0.0, -2.0 / 3.0], atol=1e-15)
     assert LAM * theta[0] ** 2 - 4.0 * theta[1] == pytest.approx(8.0 / 3.0, abs=1e-14)
     back = student_t_params(theta, NU)
@@ -312,7 +311,7 @@ def test_student_t_potential_requires_lam_above_minus_two():
 def test_student_t_coords_round_trip_grid():
     for mu in (-2.0, -0.3, 0.0, 1.7):
         for sigma in (0.2, 1.0, 3.5):
-            theta = student_t_coords(StudentTParams(mu, sigma, NU))
+            theta = student_t_natural_coords(mu, sigma, LAM)
             back = student_t_params(theta, NU)
             assert abs(back.mu - mu) < 1e-12
             assert abs(back.sigma - sigma) < 1e-12
@@ -324,7 +323,7 @@ def test_student_t_mirror_values_and_round_trip():
     assert np.allclose(eta, [0.0, 1.0], atol=1e-15)
     for mu in (-1.0, 0.5):
         for sigma in (0.5, 2.0):
-            th = student_t_coords(StudentTParams(mu, sigma, NU))
+            th = student_t_natural_coords(mu, sigma, LAM)
             e = lambda_mirror(STUDENT_T, th).eta
             assert np.max(np.abs(student_t_inverse_mirror(e, LAM) - th)) < 1e-12
             # escort closed form: eta = (mu, mu^2 + sigma^2)
@@ -396,7 +395,7 @@ def test_dirichlet_escort_average_matches_dual_variable():
 
 def test_fisher_metric_check_student_t():
     fam = student_t_family(NU)
-    theta = student_t_coords(StudentTParams(0.0, 1.0, NU))
+    theta = student_t_natural_coords(0.0, 1.0, LAM)
     report = fisher_metric_check(fam, theta, 300_000, substream(6, 0), student_t_sampler(NU))
     assert report.rel_error < 0.08
     # entrywise factor 1 - lam = 1.5
@@ -409,19 +408,19 @@ def test_fisher_metric_check_student_t():
 
 def test_escort_expectation_quadrature():
     fam = student_t_family(NU)
-    theta = student_t_coords(StudentTParams(0.0, 1.0, NU))
+    theta = student_t_natural_coords(0.0, 1.0, LAM)
     escort = escort_expectation_numeric(fam, theta)
     assert abs(escort[0]) < 1e-4
     assert abs(escort[1] - 1.0) < 1e-4
     # translation shifts the escort mean
-    theta_c = student_t_coords(StudentTParams(0.8, 1.0, NU))
+    theta_c = student_t_natural_coords(0.8, 1.0, LAM)
     escort_c = escort_expectation_numeric(fam, theta_c)
     assert escort_c[0] - escort[0] == pytest.approx(0.8, abs=1e-4)
 
 
 def test_density_normalizes():
     fam = student_t_family(NU)
-    theta = student_t_coords(StudentTParams(0.4, 1.3, NU))
+    theta = student_t_natural_coords(0.4, 1.3, LAM)
     total, _ = quad(lambda x: float(family_density(fam, theta, x)), -np.inf, np.inf)
     assert abs(total - 1.0) < 1e-3
 
