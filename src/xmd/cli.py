@@ -10,6 +10,9 @@ Of the diagnostics experiments only flow-equivalence reads the dt and t_end
 keys, by default t_end 1 and dt 1e-2 (dt may not exceed t_end, so a t_end
 under 1e-2 needs a smaller dt as well); geodesic-check and lyapunov-suite run
 fixed instances, at t_end 1 with dt 1e-2 and at t_end 4 with dt 5e-3.
+lyapunov-suite steps each continuous path with its Richardson companion (the
+same path at dt 1e-2) as the second row of one RK4 batch, and stops its
+discrete run at the first step that returns its input's bits.
 """
 from __future__ import annotations
 

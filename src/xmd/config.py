@@ -75,10 +75,11 @@ class ExperimentConfig:
     # grid, dt 1e-2 as in geodesic-check, gives a deviation of 8.0e-10 at
     # t_end 1 against the tolerance 1e-4 (see experiments.EQUIVALENCE_TOL);
     # a t_end under 1e-2 needs a dt set no larger than it. geodesic-check
-    # (t_end 1, dt 1e-2) and lyapunov-suite (t_end 4, dt 5e-3 with a
-    # companion run at 1e-2) run fixed instances on the coarsest grids their
-    # tolerances certify (see experiments.GEODESIC_DT and LYAPUNOV_DT), and
-    # reject any other value of either. The flows step on the grid
+    # (t_end 1, dt 1e-2) and lyapunov-suite (t_end 4, dt 5e-3, each path with
+    # a companion at 1e-2 as the second row of its RK4 batch) run fixed
+    # instances on the coarsest grids their tolerances certify (see
+    # experiments.GEODESIC_DT and LYAPUNOV_DT), and reject any other value
+    # of either. The flows step on the grid
     # t = 0, dt, ..., round(t_end/dt)*dt, so round(t_end/dt) may be at most
     # MAX_TIME_STEPS: 80 MB of grid, and a path of a few times that
     dt: float = 1e-2

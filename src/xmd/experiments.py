@@ -18,9 +18,10 @@ import numpy as np
 from . import expfam, simplex
 from .config import ExperimentConfig, delta_schedule
 from .core import GeometryError
-from .flows import (MONOTONE_TOL, _richardson_error, conformal_smoothness_estimate,
-                    discrete_lyapunov_run, geodesic_flow_check, integrate,
-                    lyapunov_continuous, quadratic_objective, time_change_compare)
+from .flows import (MONOTONE_TOL, _integrate_with_companion, _richardson_error,
+                    conformal_smoothness_estimate, discrete_lyapunov_run,
+                    geodesic_flow_check, lyapunov_continuous, quadratic_objective,
+                    time_change_compare)
 from .generators import (log_reciprocal_generator, quadratic_generator)
 from .rng import INIT_STREAM, TRUTH_STREAM, substream
 
@@ -309,15 +310,19 @@ def rank_methods(mean_curves: dict) -> list:
 GEODESIC_DT = 1e-2
 GEODESIC_TOL = 1e-6
 
-# lyapunov-suite steps each path at dt = 5e-3, 800 steps to t_end 4, and runs
-# a companion path on every other point of that grid (step 1e-2) for the
+# lyapunov-suite steps each path at dt = 5e-3, 800 steps to t_end 4, with a
+# companion path on every other point of that grid (step 1e-2) for the
 # Richardson estimate of the error in E(t) = L[theta_star : theta_t]
-# (``flows._richardson_error``). A violations row passes only if twice the
-# estimate is under MONOTONE_TOL, so that integration error can neither invent
-# nor hide a rise of E. At 5e-3 the estimates are 1.2e-11 (1-d) and 2.0e-10
-# (2-d), with no violation, and the least margins of the bound over the gap,
-# 0.065 and 0.123, are those of dt = 1e-3. At dt = 0.2 the 2-d estimate is
-# 3e-4, and its row fails.
+# (``flows._richardson_error``). The companion steps as the second row of its
+# path's RK4 batch (``flows._integrate_with_companion``): it jumps 1e-2, then
+# sits out a step, and keeps the bits of a run of its own. A violations row
+# passes only if twice the estimate is under MONOTONE_TOL, so that integration
+# error can neither invent nor hide a rise of E. At 5e-3 the estimates are
+# 1.2e-11 (1-d) and 2.0e-10 (2-d), with no violation, and the least margins of
+# the bound over the gap, 0.065 and 0.123, are those of dt = 1e-3. At dt = 0.2
+# the 2-d estimate is 3e-4, and its row fails. The discrete run of 2000 steps
+# reaches its fixed point at step 45, which returns its input's bits, and stops
+# stepping there (``flows.discrete_lyapunov_run``).
 LYAPUNOV_DT = 5e-3
 
 # flow-equivalence steps on the grid of ExperimentConfig.dt, 1e-2 by default,
@@ -385,8 +390,8 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
         def continuous(gen, obj, theta0, label):
             """The report of the path from theta0, and whether the Richardson
             estimate of its error in E, kept in the summary, is in budget."""
-            path = integrate(gen, obj, theta0, 4.0, LYAPUNOV_DT)
-            err = _richardson_error(gen, obj, path)
+            path, companion = _integrate_with_companion(gen, obj, theta0, 4.0, LYAPUNOV_DT)
+            err = _richardson_error(gen, obj, path, companion)
             extra[f"richardson_error_{label}"] = err
             return lyapunov_continuous(gen, obj, path), 2.0 * err < MONOTONE_TOL
 

@@ -12,8 +12,15 @@ coordinate systems.
 The RK4 integrator steps a point ``(dim,)`` or a batch of rows
 ``(batch, dim)``: each stage evaluates the generator, the metric and the
 objective over the last axis, and the four stage metrics of a step are
-checked positive definite in one stacked Cholesky. ``geodesic_flow_check``
-steps its dual and primal paths as the two rows of one batch.
+checked positive definite in one stacked Cholesky. A batch steps on one
+shared grid or on one grid per row. ``geodesic_flow_check`` steps its dual
+and primal paths as the two rows of one batch, and
+``_integrate_with_companion`` a path and its Richardson companion, on every
+other point of the path's grid, as the two rows of one batch.
+
+``discrete_lyapunov_run`` stops stepping at the first step that returns its
+input's bits: each step is a function of its input alone, so every later
+step would return them too.
 
 The diagnostics read each claim off a whole path at once: the maps of
 ``core`` and the objectives' values work over the last axis, so one
@@ -56,9 +63,11 @@ class FlowState:
     """A whole trajectory, one row per grid point: the primal points theta
     ``(n, d)``, the times t ``(n,)``, the clock tau ``(n,)`` and the
     tau-weighted running average theta_hat ``(n, d)``. ``len`` is the number
-    of grid points. The dual coordinates are derived where they are read, for
-    the whole path at once: eta by ``lambda_mirror(gen, theta)``, zeta by
-    ``zeta_of(gen, theta)``."""
+    of grid points. A batch of paths has a batch axis after the grid axis:
+    theta and theta_hat ``(n, batch, d)``, tau ``(n, batch)``, and t ``(n,)``
+    on a shared grid or ``(n, batch)`` on one grid per row. The dual
+    coordinates are derived where they are read, for the whole path at once:
+    eta by ``lambda_mirror(gen, theta)``, zeta by ``zeta_of(gen, theta)``."""
 
     theta: np.ndarray
     t: np.ndarray
@@ -191,7 +200,9 @@ _REJECTED = (GeometryError, np.linalg.LinAlgError)
 def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
     """Classic 4th-order Runge-Kutta over the grid ``times``, one step per
     difference, from one point ``x0`` ``(dim,)`` or a batch of rows
-    ``(batch, dim)``. Returns the path, one point or batch per grid point.
+    ``(batch, dim)``. ``times`` is one grid ``(n,)``, shared by every row,
+    or one grid per row of a batch, ``(n, batch)``. Returns the path, one
+    point or batch per grid point.
 
     ``stage(x, rows)`` gives the derivative at x, one row per row, and the
     metrics G ``(..., d, d)`` it solved with, or None if it solved with
@@ -206,8 +217,14 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
     and each half steps on its own, up to MAX_HALVINGS deep. A batch step
     that fails in any row is redone row by row from its start, each row
     through that one-point recursion, so that every row keeps the bits of
-    its one-point path."""
+    its one-point path.
+
+    A zero-length step holds its point still, with no stage evaluated. In a
+    step where some row's grid holds still, the rows that move step row by
+    row, as in a redo: a row on a grid with repeated points keeps the bits
+    of its one-point path on that grid without them."""
     x0 = _vec(x0)
+    times = np.asarray(times, dtype=float)
     path = np.empty((len(times),) + x0.shape)
     path[0] = x0
 
@@ -233,15 +250,20 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
             half = advance(x, 0.5 * h, depth + 1, rows)
             return advance(half, 0.5 * h, depth + 1, rows)
 
-    for i, h in enumerate(np.diff(times).tolist()):
+    per_row = times.ndim == 2
+    for i, h in enumerate(np.diff(times, axis=0).tolist()):
         if x0.ndim == 1:
-            path[i + 1] = advance(path[i], h, 0, ...)
+            path[i + 1] = advance(path[i], h, 0, ...) if h else path[i]
             continue
-        try:
-            path[i + 1] = rk4(path[i], h, ...)
-        except _REJECTED:
-            for r, x in enumerate(path[i]):
-                path[i + 1, r] = advance(x, h, 0, r)
+        steps = h if per_row else [h] * len(x0)
+        if all(steps):
+            try:
+                path[i + 1] = rk4(path[i], np.array(steps)[:, None] if per_row else h, ...)
+                continue
+            except _REJECTED:
+                pass
+        for r, (x, step) in enumerate(zip(path[i], steps)):
+            path[i + 1, r] = advance(x, step, 0, r) if step else x
     return path
 
 
@@ -263,9 +285,12 @@ def integrate(gen: Generator, obj: Objective, theta0, t_end: float, dt: float) -
 
 
 def _integrate_clocked(gen: Generator, obj: Objective, theta0, times) -> FlowState:
-    """``integrate`` on the grid ``times``."""
+    """``integrate`` on the grid ``times``, from one point theta0 ``(dim,)``
+    or from its rows ``(batch, dim)`` as one ``_integrate_path`` batch, on
+    one grid ``(n,)`` or one per row ``(n, batch)``; a batch gives a batch
+    of paths (see FlowState)."""
     theta0 = _vec(theta0)
-    dim = theta0.size
+    dim = theta0.shape[-1]
 
     def stage(x, rows):
         theta = x[..., :dim]
@@ -277,13 +302,31 @@ def _integrate_clocked(gen: Generator, obj: Objective, theta0, times) -> FlowSta
         out[..., dim + 1:] = w[..., None] * theta
         return out, g
 
-    path = _integrate_path(stage, lambda x: gen.domain.contains(x[..., :dim]),
-                           np.concatenate([theta0, [0.0], np.zeros(dim)]), times)
-    thetas, tau = path[:, :dim], path[:, dim]
+    x0 = np.concatenate([theta0, np.zeros(theta0.shape[:-1] + (dim + 1,))], axis=-1)
+    path = _integrate_path(stage, lambda x: gen.domain.contains(x[..., :dim]), x0, times)
+    thetas, tau = path[..., :dim], path[..., dim]
     # theta_hat = (integral of w*theta dt) / tau, and theta itself where tau = 0
-    theta_hat = np.divide(path[:, dim + 1:], tau[:, None], out=thetas.copy(),
-                          where=tau[:, None] != 0.0)
+    theta_hat = np.divide(path[..., dim + 1:], tau[..., None], out=thetas.copy(),
+                          where=tau[..., None] != 0.0)
     return FlowState(theta=thetas, t=times, tau=tau, theta_hat=theta_hat)
+
+
+def _integrate_with_companion(gen: Generator, obj: Objective, theta0, t_end: float,
+                              dt: float) -> tuple[FlowState, FlowState]:
+    """``integrate``'s path from theta0 and its Richardson companion, the
+    same flow stepped over every other point of that grid, as the two rows
+    of one ``_integrate_path`` batch. On the fine grid t the companion's
+    grid jumps 2 dt, then holds still for a step (which leaves the row out of
+    that step), and holds at the end when the step count is odd: at each
+    even grid point the companion holds the bits of a run over t[::2].
+    Returns (path, companion), each one row of the batch."""
+    t = _time_grid(t_end, dt)
+    i = np.arange(len(t))
+    coarse = t[::2][np.minimum((i + 1) // 2, (len(t) - 1) // 2)]
+    batch = _integrate_clocked(gen, obj, np.stack([_vec(theta0)] * 2),
+                               np.column_stack((t, coarse)))
+    return tuple(FlowState(theta=batch.theta[:, r], t=batch.t[:, r], tau=batch.tau[:, r],
+                           theta_hat=batch.theta_hat[:, r]) for r in (0, 1))
 
 
 def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndarray:
@@ -511,7 +554,9 @@ def lyapunov_continuous(gen: Generator, obj: Objective, path: FlowState) -> Conv
     A rise of E(t) = L[theta_star : theta_t] counts as a violation above
     MONOTONE_TOL, so the path's integration error in E must stay well under
     that for the report to mean the exact flow's: ``_richardson_error``
-    estimates it from a companion run on every other grid point."""
+    estimates it from a companion run on every other grid point, which
+    ``_integrate_with_companion`` steps as the second row of the path's
+    batch."""
     if obj.theta_star is None:
         raise ValueError("lyapunov_continuous requires an objective with a known minimizer")
     star = _vec(obj.theta_star)
@@ -522,15 +567,16 @@ def lyapunov_continuous(gen: Generator, obj: Objective, path: FlowState) -> Conv
                   numer / path.tau[clocked], obj.value(path.theta_hat[clocked]) - f_star)
 
 
-def _richardson_error(gen: Generator, obj: Objective, path: FlowState) -> float:
+def _richardson_error(gen: Generator, obj: Objective, path: FlowState,
+                      companion: FlowState) -> float:
     """Richardson estimate of the RK4 error in E(t) = L[theta_star : theta_t]
-    on ``path``, an ``integrate`` path of the objective ``obj``: E on every
-    other grid point against E of a companion run stepped over those points,
-    max |E_fine - E_coarse| / 15 (RK4 is 4th order, so the coarse run's error
-    is about 16 times the fine one's); NaN if either path holds a NaN."""
+    on ``path``, read off the batch ``_integrate_with_companion`` returns for
+    the objective ``obj``: E of the path on every other grid point against E
+    of its companion there, max |E_fine - E_coarse| / 15 (RK4 is 4th order,
+    so the coarse run's error is about 16 times the fine one's); NaN if
+    either row holds a NaN."""
     star = _vec(obj.theta_star)
-    coarse = _integrate_clocked(gen, obj, path.theta[0], path.t[::2])
-    diff = log_div(gen, star, path.theta[::2]) - log_div(gen, star, coarse.theta)
+    diff = log_div(gen, star, path.theta[::2]) - log_div(gen, star, companion.theta[::2])
     return float(np.max(np.abs(diff))) / 15.0
 
 
@@ -539,7 +585,10 @@ def conformal_smoothness_estimate(gen: Generator, obj: Objective,
     """Smallest L with B_f[x:y] <= L * exp(-lam*phi(y)) * B_Phi[x:y] over the grid.
 
     Also cross-checks the two equivalent forms of the right-hand side against
-    each other to 1e-10 relative.
+    each other to 1e-10 relative. Raises DomainError at the first pair whose
+    B_f or denominator is not finite, or whose denominator is under
+    SMOOTHNESS_GUARD, and RegularityError at the first whose two forms
+    disagree (a NaN form included).
     """
     worst = 0.0
     for x, y in grid_pairs:
@@ -549,10 +598,14 @@ def conformal_smoothness_estimate(gen: Generator, obj: Objective,
               - float(_vec(obj.grad(y)) @ (x - y)))
         w_y = conformal_weight(gen, y)
         denom = big_phi_bregman(gen, x, y) / w_y
+        # every comparison below is False for a NaN, and max() would drop it
+        if not (np.isfinite(bf) and np.isfinite(denom)):
+            raise DomainError(f"non-finite smoothness ratio at pair ({x}, {y}): "
+                              f"B_f = {bf}, denominator {denom}")
         if not gen.is_bregman:
             alt = (conformal_weight(gen, x) / w_y
                    * (-np.expm1(-gen.lam * log_div(gen, x, y))) / gen.lam)
-            if abs(denom - alt) > 1e-10 * max(1.0, abs(denom)):
+            if not abs(denom - alt) <= 1e-10 * max(1.0, abs(denom)):
                 raise RegularityError(
                     f"smoothness denominators disagree at ({x}, {y}): {denom} vs {alt}")
         if denom < SMOOTHNESS_GUARD:
@@ -566,7 +619,13 @@ def discrete_lyapunov_run(gen: Generator, obj: Objective, theta0, delta: float,
     """Run the adaptive-mirror scheme and audit the discrete potential
     E_k = B_Phi[star : theta_k] + delta * sum_s w_s (f(theta_s) - f*), with
     weights w_s = exp(lam*phi(theta_{s-1})), and its averaged-iterate bound.
-    The running sums are cumulative sums, left to right, as the steps run."""
+    The running sums are cumulative sums, left to right, as the steps run.
+
+    The run stops stepping at the first step that returns its input's bits
+    (the suite's run does at step 45 of 2000) and fills the later iterates
+    with that point: ``step_adaptive_mirror`` is a function of (gen, obj,
+    theta_k, delta) alone, so every later step would return the same bits.
+    Bits, not values: a step from -0.0 to 0.0 does not stop the run."""
     if obj.theta_star is None:
         raise ValueError("discrete_lyapunov_run requires an objective with a known minimizer")
     star = _vec(obj.theta_star)
@@ -575,7 +634,9 @@ def discrete_lyapunov_run(gen: Generator, obj: Objective, theta0, delta: float,
     thetas = [_vec(theta0)]
     for _ in range(k_max):
         thetas.append(step_adaptive_mirror(gen, obj, thetas[-1], delta))
-    thetas = np.array(thetas)
+        if thetas[-1].tobytes() == thetas[-2].tobytes():
+            break
+    thetas = np.array(thetas + thetas[-1:] * (k_max + 1 - len(thetas)))
 
     w = conformal_weight(gen, thetas[:-1])
     wsum = np.cumsum(w)

@@ -352,10 +352,55 @@ def test_lyapunov_suite_fails_the_clock_sign_fault_without_a_traceback(tmp_path,
     assert error.startswith("lyapunov-discrete: RegularityError: smoothness denominators")
 
 
+def test_lyapunov_suite_steps_its_discrete_run_to_the_fixed_point_only(tmp_path,
+                                                                       monkeypatch):
+    # of the k_max = 2000 steps, step 45 returns its input's bits, so every
+    # later step would too: the run stops there and fills the rest
+    step = flows.step_adaptive_mirror
+    steps = []
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(flows, "step_adaptive_mirror", counted)
+    summary, _ = run(tmp_path, "lyapunov-suite")
+    assert summary.passed
+    assert len(steps) == 45
+    gen, obj, theta, delta = steps[-1]
+    assert step(gen, obj, theta, delta).tobytes() == theta.tobytes()
+    assert steps[-2][2].tobytes() != theta.tobytes()
+
+
+def test_lyapunov_suite_fails_a_nan_smoothness_pair_without_a_traceback(tmp_path, monkeypatch,
+                                                                        capsys):
+    # a NaN B_Phi at one of the 42 pairs left the smoothness estimate, and
+    # the discrete rows, as they were; now the discrete check fails with the
+    # pair named, and the continuous checks run as before
+    big_phi_bregman = flows.big_phi_bregman
+
+    def nan_at_one_pair(gen, x, y):
+        if np.array_equal(x, [0.5]) and np.array_equal(y, [-0.5]):
+            return np.nan
+        return big_phi_bregman(gen, x, y)
+
+    monkeypatch.setattr(flows, "big_phi_bregman", nan_at_one_pair)
+    assert cli.main(["lyapunov-suite", "--out", str(tmp_path)]) == 1
+    assert "lyapunov-suite: FAIL" in capsys.readouterr().out
+    out_dir = str(tmp_path / "lyapunov-suite")
+    checks = _checks(out_dir)
+    assert checks["violations_1d"] == checks["violations_2d"] == (0.0, True)
+    for metric in ("violations", "bound_dominates"):
+        assert np.isnan(checks[metric][0]) and not checks[metric][1]
+    assert _summary(out_dir)["metrics"]["errors"] == [
+        "lyapunov-discrete: DomainError: non-finite smoothness ratio at pair ([0.5], [-0.5]): "
+        "B_f = 0.5, denominator nan"]
+
+
 def test_a_diagnostics_check_that_raises_fails_only_its_own_rows(tmp_path, monkeypatch):
     def no_path(gen, obj, theta0, t_end, dt):
         raise SolverError("no path")
-    monkeypatch.setattr(experiments, "integrate", no_path)
+    monkeypatch.setattr(experiments, "_integrate_with_companion", no_path)
     summary, out_dir = run(tmp_path, "lyapunov-suite")
     assert not summary.passed
     checks = _checks(out_dir)

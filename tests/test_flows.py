@@ -1,6 +1,7 @@
 """Flow engine: right-hand sides, integration, Euler steps, geodesics, Lyapunov."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,9 @@ def _half_square(lam, upper, name):
 NARROW_PD = _half_square(-2.0, 1.0, "narrow_pd")
 # G = 1 - theta^2 is exactly singular at theta = 1, inside the box
 SINGULAR_AT_ONE = _half_square(-1.0, 2.0, "singular_at_one")
+# G = 1 - theta^2/10^4 stays positive definite at every stage of an RK4 step
+# of 5 from 1, so that only the box (-2, 2) rejects the step
+NEAR_DECAY = _half_square(-1e-4, 2.0, "near_decay")
 
 
 def rk4_halving(rhs, feasible, x, h):
@@ -743,21 +747,81 @@ def test_richardson_error_estimates_the_error_in_e(gen, obj, theta0, dt):
     # 40th of its step (whose own error is 40**4 times smaller); the ratio
     # reads 0.88 to 1.11 at these steps, and 0.56 on the 2-d path at dt 0.2,
     # which is not yet in RK4's asymptotic range
-    path = integrate(gen, obj, theta0, 2.0, dt)
+    path, companion = flows._integrate_with_companion(gen, obj, theta0, 2.0, dt)
     fine = integrate(gen, obj, theta0, 2.0, dt / 40)
     star = obj.theta_star
     error = np.max(np.abs(log_div(gen, star, path.theta)
                           - log_div(gen, star, fine.theta[::40])))
-    assert 0.5 < flows._richardson_error(gen, obj, path) / error < 2.0
+    assert 0.5 < flows._richardson_error(gen, obj, path, companion) / error < 2.0
 
 
 def test_richardson_error_keeps_a_nan():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    path = integrate(gen, obj, [1.0], 0.5, 1e-2)
-    theta = path.theta.copy()
-    theta[20] = np.nan
-    assert np.isnan(flows._richardson_error(gen, obj, dataclasses.replace(path, theta=theta)))
+    rows = flows._integrate_with_companion(gen, obj, [1.0], 0.5, 1e-2)
+    assert np.isfinite(flows._richardson_error(gen, obj, *rows))
+    # a NaN at a grid point the estimate reads, in either row of the batch
+    for r in (0, 1):
+        theta = rows[r].theta.copy()
+        theta[20] = np.nan
+        nan_rows = list(rows)
+        nan_rows[r] = dataclasses.replace(rows[r], theta=theta)
+        assert np.isnan(flows._richardson_error(gen, obj, *nan_rows))
+
+
+def _assert_same_path(a, b, points=slice(None)):
+    """The FlowState a at its grid points ``points`` holds the bits of b."""
+    for name in ("theta", "t", "tau", "theta_hat"):
+        assert getattr(a, name)[points].tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("gen, obj, theta0, t_end, dt", [
+    (LOG_1D, quadratic_objective([2.0]), [1.0], 4.0, 5e-3),
+    (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7], 4.0, 5e-3),
+    # an odd step count: the companion holds at the last even grid point
+    (LOG_1D, quadratic_objective([2.0]), [1.0], 0.5, 0.1),
+    # G = 1 - theta^2/10^4 and theta' = -theta/G, nearly x' = -x (see decay):
+    # the companion's first step, of 5, leaves the box (-2, 2) and halves,
+    # in the batch's row-by-row redo
+    (NEAR_DECAY, quadratic_objective([0.0]), [1.0], 10.0, 2.5),
+], ids=["1d-suite", "2d-suite", "odd-steps", "companion-halves"])
+def test_integrate_with_companion_keeps_the_bits_of_two_runs(gen, obj, theta0, t_end, dt):
+    # the oracle: the fine path and the companion, each run on its own grid
+    path, companion = flows._integrate_with_companion(gen, obj, theta0, t_end, dt)
+    _assert_same_path(path, integrate(gen, obj, theta0, t_end, dt))
+    coarse = flows._integrate_clocked(gen, obj, theta0, path.t[::2])
+    _assert_same_path(companion, coarse, slice(None, None, 2))
+    # between its points the companion holds still
+    n = len(path)
+    for i in range(1, n - 1, 2):
+        assert companion.theta[i].tobytes() == companion.theta[i + 1].tobytes()
+    if n % 2 == 0:
+        assert companion.theta[-1].tobytes() == companion.theta[-2].tobytes()
+
+
+def test_integrate_with_companion_redoes_a_halved_step_row_by_row(monkeypatch):
+    # the "companion-halves" case above: the companion's first step of 5
+    # leaves the box and the fine path's of 2.5 does not, so the batch step
+    # fails and each row redoes it on its own, the companion in halves
+    gen, obj = NEAR_DECAY, quadratic_objective([0.0])
+    rhs = augmented_rhs(gen, obj)
+    x0 = np.array([1.0, 0.0, 0.0])
+    assert not gen.domain.contains(rk4_step(rhs, x0, 5.0)[:1])
+    assert gen.domain.contains(rk4_step(rhs, x0, 2.5)[:1])
+    rows = []
+    integrate_path = flows._integrate_path
+
+    def recording(stage, feasible, x, times):
+        def recorded(y, r):
+            rows.append(r)
+            return stage(y, r)
+        return integrate_path(recorded, feasible, x, times)
+
+    monkeypatch.setattr(flows, "_integrate_path", recording)
+    flows._integrate_with_companion(gen, obj, [1.0], 5.0, 2.5)
+    # the batch try; the fine row's step of 2.5 and the companion's two
+    # halves; then the fine row's second step alone, the companion held
+    assert rows == [...] * 4 + [0] * 4 + [1] * 12 + [0] * 4
 
 
 def test_discrete_lyapunov_run_fails_a_nan_iterate(monkeypatch):
@@ -812,6 +876,30 @@ def test_conformal_smoothness_grid_stability():
     fine = conformal_smoothness_estimate(gen, obj, pairs(15))
     assert coarse > 0.0
     assert abs(fine - coarse) / coarse < 0.05
+
+
+def _nan_at(fn, point):
+    """fn with NaN for its value at the first argument ``point``; the
+    arguments are (x, ...) or (gen, x, ...)."""
+    def wrapped(*args):
+        x = args[1] if isinstance(args[0], Generator) else args[0]
+        return np.nan if np.array_equal(x, point) else fn(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("source", ["objective_value", "big_phi_bregman"])
+def test_conformal_smoothness_raises_at_the_first_non_finite_pair(monkeypatch, source):
+    # a NaN ratio passed the guard and the cross-check, which are False for
+    # a NaN, and max() dropped it: the estimate read 1.0962736943174158
+    gen, obj, pairs = _suite_discrete_instance()
+    if source == "objective_value":
+        obj = dataclasses.replace(obj, value=_nan_at(obj.value, [0.5]))
+        first = "([-0.5], [0.5])"  # the first pair that evaluates f at 0.5
+    else:
+        monkeypatch.setattr(flows, "big_phi_bregman", _nan_at(big_phi_bregman, [0.5]))
+        first = "([0.5], [-0.5])"
+    with pytest.raises(DomainError, match=re.escape(f"non-finite smoothness ratio at pair {first}")):
+        conformal_smoothness_estimate(gen, obj, pairs)
 
 
 def test_discrete_lyapunov_run():
@@ -915,11 +1003,9 @@ def test_lyapunov_continuous_equals_its_one_state_loop(gen, obj, theta0):
     assert _report_lists(report) == _lyapunov_loop(gen, obj, path)
 
 
-def test_discrete_lyapunov_run_equals_its_one_state_loop():
-    gen = quadratic_generator(-0.5)
-    obj = quadratic_objective([0.0])
-    # a step this long makes E rise, so the violations are compared too
-    delta, k_max = 2.5, 200
+def _discrete_lyapunov_loop(gen, obj, delta, k_max):
+    """The report lists of the discrete run from 0.9, one state at a time,
+    stepping all k_max steps."""
     thetas = [np.array([0.9])]
     for _ in range(k_max):
         thetas.append(step_adaptive_mirror(gen, obj, thetas[-1], delta))
@@ -938,8 +1024,33 @@ def test_discrete_lyapunov_run_equals_its_one_state_loop():
         series.append([k, e_k])
         gap.append([k, float(obj.value(avg_acc / wsum)) - f_star])
         bound.append([k, series[0][1] / (delta * wsum)])
+    return series, bound, gap, violations
+
+
+def test_discrete_lyapunov_run_equals_its_one_state_loop():
+    gen = quadratic_generator(-0.5)
+    obj = quadratic_objective([0.0])
+    # a step this long makes E rise, so the violations are compared too
+    delta, k_max = 2.5, 200
     report = discrete_lyapunov_run(gen, obj, [0.9], delta, k_max)
-    assert _report_lists(report) == (series, bound, gap, violations)
+    assert _report_lists(report) == _discrete_lyapunov_loop(gen, obj, delta, k_max)
+
+
+def _suite_discrete_instance():
+    """lyapunov-suite's discrete instance: the generator, the objective and
+    the 42 pairs of its grid for the smoothness estimate."""
+    grid = np.linspace(-0.5, 0.5, 7)
+    pairs = [(np.array([a]), np.array([b])) for a in grid for b in grid if a != b]
+    return quadratic_generator(-0.5, 1), quadratic_objective([0.0]), pairs
+
+
+def test_discrete_lyapunov_run_at_the_suite_step_equals_its_one_state_loop():
+    # the run reaches a fixed point at step 45 and fills the later iterates
+    # with it; the loop steps all 2000 times
+    gen, obj, pairs = _suite_discrete_instance()
+    delta = 0.5 / conformal_smoothness_estimate(gen, obj, pairs)
+    report = discrete_lyapunov_run(gen, obj, [0.9], delta, 2000)
+    assert _report_lists(report) == _discrete_lyapunov_loop(gen, obj, delta, 2000)
 
 
 @pytest.mark.parametrize("gen, star, theta0, t_end, dt", [
