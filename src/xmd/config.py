@@ -11,7 +11,6 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
 EXPERIMENTS = (
     "student-t-online",
@@ -179,8 +178,8 @@ def canonical_dumps(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str, defaults: Optional[dict] = None) -> ExperimentConfig:
-    data = dict(defaults or {})
+def parse_config(text: str) -> ExperimentConfig:
+    data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

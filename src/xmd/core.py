@@ -83,14 +83,8 @@ class Domain:
     constraints: tuple[Callable[[np.ndarray], float], ...] = ()
 
     @staticmethod
-    def box(lower, upper, anchor=None) -> "Domain":
-        lower = _vec(lower)
-        upper = _vec(upper)
-        if anchor is None:
-            lo = np.where(np.isfinite(lower), lower, np.minimum(upper - 1.0, 0.0))
-            hi = np.where(np.isfinite(upper), upper, np.maximum(lower + 1.0, 0.0))
-            anchor = 0.5 * (lo + hi)
-        return Domain(lower, upper, _vec(anchor))
+    def box(lower, upper, anchor) -> "Domain":
+        return Domain(_vec(lower), _vec(upper), _vec(anchor))
 
     def contains(self, x):
         """Whether x lies in the open domain: a bool for one point ``(dim,)``,

@@ -18,10 +18,8 @@ import numpy as np
 from . import expfam, simplex
 from .config import ExperimentConfig, delta_schedule
 from .core import GeometryError
-from .flows import (MONOTONE_TOL, _integrate_with_companion, _richardson_error,
-                    conformal_smoothness_estimate, discrete_lyapunov_run,
-                    geodesic_flow_check, lyapunov_continuous, quadratic_objective,
-                    time_change_compare)
+from .flows import (conformal_smoothness_estimate, discrete_lyapunov_run, geodesic_flow_check,
+                    lyapunov_continuous, quadratic_objective, time_change_compare)
 from .generators import (log_reciprocal_generator, quadratic_generator)
 from .rng import INIT_STREAM, TRUTH_STREAM, substream
 
@@ -312,12 +310,12 @@ GEODESIC_TOL = 1e-6
 
 # lyapunov-suite steps each path at dt = 5e-3, 800 steps to t_end 4, with a
 # companion path on every other point of that grid (step 1e-2) for the
-# Richardson estimate of the error in E(t) = L[theta_star : theta_t]
-# (``flows._richardson_error``). The companion steps as the second row of its
-# path's RK4 batch (``flows._integrate_with_companion``): it jumps 1e-2, then
-# sits out a step, and keeps the bits of a run of its own. A violations row
-# passes only if twice the estimate is under MONOTONE_TOL, so that integration
-# error can neither invent nor hide a rise of E. At 5e-3 the estimates are
+# Richardson estimate of the error in E(t) = L[theta_star : theta_t]. Both
+# step in one RK4 batch (``flows.lyapunov_continuous``): the companion jumps
+# 1e-2, then sits out a step, and keeps the bits of a run of its own. A
+# violations row passes only if the report is monotone, which requires twice
+# the estimate to be under flows.MONOTONE_TOL, so that integration error can
+# neither invent nor hide a rise of E. At 5e-3 the estimates are
 # 1.2e-11 (1-d) and 2.0e-10 (2-d), with no violation, and the least margins of
 # the bound over the gap, 0.065 and 0.123, are those of dt = 1e-3. At dt = 0.2
 # the 2-d estimate is 3e-4, and its row fails. The discrete run of 2000 steps
@@ -388,23 +386,21 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
 
     elif config.experiment == "lyapunov-suite":
         def continuous(gen, obj, theta0, label):
-            """The report of the path from theta0, and whether the Richardson
-            estimate of its error in E, kept in the summary, is in budget."""
-            path, companion = _integrate_with_companion(gen, obj, theta0, 4.0, LYAPUNOV_DT)
-            err = _richardson_error(gen, obj, path, companion)
-            extra[f"richardson_error_{label}"] = err
-            return lyapunov_continuous(gen, obj, path), 2.0 * err < MONOTONE_TOL
+            """The report of the path from theta0; the Richardson estimate of
+            its error in E goes in the summary."""
+            rep = lyapunov_continuous(gen, obj, theta0, 4.0, LYAPUNOV_DT)
+            extra[f"richardson_error_{label}"] = rep.richardson_error
+            return rep
 
         def one_d():
-            rep, exact = continuous(log_reciprocal_generator(1.0), quadratic_objective([2.0]),
-                                    [1.0], "1d")
-            return [(len(rep.violations), rep.monotone and exact),
+            rep = continuous(log_reciprocal_generator(1.0), quadratic_objective([2.0]), [1.0], "1d")
+            return [(len(rep.violations), rep.monotone),
                     (float(rep.bound_dominates), rep.bound_dominates)]
 
         def two_d():
-            rep, exact = continuous(quadratic_generator(-0.5, 2), quadratic_objective([0.3, -0.2]),
-                                    [-0.6, 0.7], "2d")
-            return [(len(rep.violations), rep.monotone and exact)]
+            rep = continuous(quadratic_generator(-0.5, 2), quadratic_objective([0.3, -0.2]),
+                             [-0.6, 0.7], "2d")
+            return [(len(rep.violations), rep.monotone)]
 
         def discrete():
             gen = quadratic_generator(-0.5, 1)

@@ -42,14 +42,13 @@ class LambdaExpFamily:
 class OnlineState:
     eta: np.ndarray
     theta: np.ndarray
-    k: int = 0
     skipped: int = 0
 
 
 def start_state(model: LambdaExpFamily, eta0) -> OnlineState:
     """Initial state at eta0, one point ``(dim,)`` or a batch ``(batch, dim)``."""
     eta0 = _vec(eta0)
-    return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0), k=0)
+    return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0))
 
 
 def log_loss(model: LambdaExpFamily, theta, y) -> tuple[float, np.ndarray]:
@@ -96,7 +95,7 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
     x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), eta, step, rate,
                                _dual_accept(gen, model.reflect_dual or gen.dual_domain.reflect))
     dim = eta.shape[-1]
-    return OnlineState(eta=x[..., :dim], theta=x[..., dim:], k=state.k + 1,
+    return OnlineState(eta=x[..., :dim], theta=x[..., dim:],
                        skipped=state.skipped + int(np.count_nonzero(skipped)))
 
 
@@ -138,8 +137,9 @@ def student_t_params(theta, nu: float) -> StudentTParams:
 
 
 def student_t_sample(params: StudentTParams, rng: np.random.Generator,
-                     size: Optional[int] = None) -> np.ndarray:
-    """mu + sigma * Z / sqrt(V/nu) with Z standard normal, V chi-square(nu)."""
+                     size: int) -> np.ndarray:
+    """``size`` draws mu + sigma * Z / sqrt(V/nu) with Z standard normal, V
+    chi-square(nu)."""
     z = rng.standard_normal(size)
     v = rng.chisquare(params.nu, size)
     return params.mu + params.sigma * z / np.sqrt(v / params.nu)
@@ -183,12 +183,12 @@ def simplex_to_eta(p) -> np.ndarray:
 
 
 def dirichlet_perturb_sample(model: DirichletPerturbModel, rng: np.random.Generator,
-                             size: Optional[int] = None) -> np.ndarray:
-    """Draw Q = p (+) D with D Dirichlet(sigma^{-1}/(1+d), ..., repeated),
-    via normalized Gamma variates."""
+                             size: int) -> np.ndarray:
+    """Draw ``size`` rows Q = p (+) D with D Dirichlet(sigma^{-1}/(1+d), ...,
+    repeated), via normalized Gamma variates."""
     n = model.p.size
     shape = (1.0 / model.sigma) / n
-    g = rng.gamma(shape, size=(n,) if size is None else (size, n))
+    g = rng.gamma(shape, size=(size, n))
     return perturb(model.p, g / g.sum(axis=-1, keepdims=True))
 
 

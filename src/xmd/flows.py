@@ -14,9 +14,9 @@ The RK4 integrator steps a point ``(dim,)`` or a batch of rows
 objective over the last axis, and the four stage metrics of a step are
 checked positive definite in one stacked Cholesky. A batch steps on one
 shared grid or on one grid per row. ``geodesic_flow_check`` steps its dual
-and primal paths as the two rows of one batch, and
-``_integrate_with_companion`` a path and its Richardson companion, on every
-other point of the path's grid, as the two rows of one batch.
+and primal paths as the two rows of one batch, and ``lyapunov_continuous`` a
+path and its Richardson companion, on every other point of the path's grid,
+as the two rows of one batch.
 
 ``discrete_lyapunov_run`` stops stepping at the first step that returns its
 input's bits: each step is a function of its input alone, so every later
@@ -84,23 +84,31 @@ class ConvergenceReport:
     the potential E, the averaged-iterate bound, the gap f(average) - f* that
     it bounds, and each rise of E above MONOTONE_TOL (t or k, increase). A
     non-finite rise counts as a violation, and a non-finite gap or bound
-    fails ``bound_dominates``."""
+    fails ``bound_dominates``.
+
+    A continuous report carries ``richardson_error``, the estimate of the
+    integration error in E, and is ``monotone`` only if twice the estimate
+    is under MONOTONE_TOL: a larger error could invent or hide a rise. A NaN
+    estimate fails that budget. The discrete report carries None: its E is
+    computed exactly from its iterates, with no budget."""
 
     lyapunov_series: np.ndarray
     bound_series: np.ndarray
     gap_series: np.ndarray
     violations: np.ndarray
+    richardson_error: Optional[float] = None
 
     @property
     def monotone(self) -> bool:
-        return len(self.violations) == 0
+        in_budget = self.richardson_error is None or 2.0 * self.richardson_error < MONOTONE_TOL
+        return len(self.violations) == 0 and in_budget
 
     @property
     def bound_dominates(self) -> bool:
         return bool(np.all(self.gap_series[:, 1] <= self.bound_series[:, 1] + 1e-12))
 
 
-def _audit(t, e, t_bound, bound, gap) -> ConvergenceReport:
+def _audit(t, e, t_bound, bound, gap, richardson_error=None) -> ConvergenceReport:
     """The report of a potential e on the axis t and of a bound and a gap
     on the axis t_bound."""
     rise = np.diff(e)
@@ -108,7 +116,8 @@ def _audit(t, e, t_bound, bound, gap) -> ConvergenceReport:
     return ConvergenceReport(lyapunov_series=np.column_stack((t, e)),
                              bound_series=np.column_stack((t_bound, bound)),
                              gap_series=np.column_stack((t_bound, gap)),
-                             violations=np.column_stack((t[1:][bad], rise[bad])))
+                             violations=np.column_stack((t[1:][bad], rise[bad])),
+                             richardson_error=richardson_error)
 
 
 def _row_norm(x):
@@ -309,24 +318,6 @@ def _integrate_clocked(gen: Generator, obj: Objective, theta0, times) -> FlowSta
     theta_hat = np.divide(path[..., dim + 1:], tau[..., None], out=thetas.copy(),
                           where=tau[..., None] != 0.0)
     return FlowState(theta=thetas, t=times, tau=tau, theta_hat=theta_hat)
-
-
-def _integrate_with_companion(gen: Generator, obj: Objective, theta0, t_end: float,
-                              dt: float) -> tuple[FlowState, FlowState]:
-    """``integrate``'s path from theta0 and its Richardson companion, the
-    same flow stepped over every other point of that grid, as the two rows
-    of one ``_integrate_path`` batch. On the fine grid t the companion's
-    grid jumps 2 dt, then holds still for a step (which leaves the row out of
-    that step), and holds at the end when the step count is odd: at each
-    even grid point the companion holds the bits of a run over t[::2].
-    Returns (path, companion), each one row of the batch."""
-    t = _time_grid(t_end, dt)
-    i = np.arange(len(t))
-    coarse = t[::2][np.minimum((i + 1) // 2, (len(t) - 1) // 2)]
-    batch = _integrate_clocked(gen, obj, np.stack([_vec(theta0)] * 2),
-                               np.column_stack((t, coarse)))
-    return tuple(FlowState(theta=batch.theta[:, r], t=batch.t[:, r], tau=batch.tau[:, r],
-                           theta_hat=batch.theta_hat[:, r]) for r in (0, 1))
 
 
 def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndarray:
@@ -546,38 +537,42 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, t_end: float,
                           primal_collinearity=float(pcollin))
 
 
-def lyapunov_continuous(gen: Generator, obj: Objective, path: FlowState) -> ConvergenceReport:
-    """Log divergence to the minimizer as a Lyapunov function, plus the
-    averaged-iterate bound B_Phi[theta_star : theta_0] / tau_t where tau > 0,
-    read off the path ``integrate`` returns.
+def lyapunov_continuous(gen: Generator, obj: Objective, theta0, t_end: float,
+                        dt: float) -> ConvergenceReport:
+    """Log divergence to the minimizer as a Lyapunov function along the
+    conformal flow from theta0, plus the averaged-iterate bound
+    B_Phi[theta_star : theta_0] / tau_t where tau > 0, on the grid of
+    ``integrate``.
 
     A rise of E(t) = L[theta_star : theta_t] counts as a violation above
     MONOTONE_TOL, so the path's integration error in E must stay well under
-    that for the report to mean the exact flow's: ``_richardson_error``
-    estimates it from a companion run on every other grid point, which
-    ``_integrate_with_companion`` steps as the second row of the path's
-    batch."""
+    that for the report to mean the exact flow's. The report carries the
+    Richardson estimate of that error: a companion run on every other grid
+    point steps as the second row of the path's RK4 batch, and the estimate
+    is max |E_path - E_companion| / 15 over the companion's points (RK4 is
+    4th order, so the companion's error is about 16 times the path's); NaN
+    if either row holds a NaN there. ``monotone`` holds the estimate to its
+    budget (see ConvergenceReport)."""
     if obj.theta_star is None:
         raise ValueError("lyapunov_continuous requires an objective with a known minimizer")
     star = _vec(obj.theta_star)
     f_star = float(obj.value(star))
-    numer = big_phi_bregman(gen, star, path.theta[0])
-    clocked = path.tau > 0.0
-    return _audit(path.t, log_div(gen, star, path.theta), path.t[clocked],
-                  numer / path.tau[clocked], obj.value(path.theta_hat[clocked]) - f_star)
-
-
-def _richardson_error(gen: Generator, obj: Objective, path: FlowState,
-                      companion: FlowState) -> float:
-    """Richardson estimate of the RK4 error in E(t) = L[theta_star : theta_t]
-    on ``path``, read off the batch ``_integrate_with_companion`` returns for
-    the objective ``obj``: E of the path on every other grid point against E
-    of its companion there, max |E_fine - E_coarse| / 15 (RK4 is 4th order,
-    so the coarse run's error is about 16 times the fine one's); NaN if
-    either row holds a NaN."""
-    star = _vec(obj.theta_star)
-    diff = log_div(gen, star, path.theta[::2]) - log_div(gen, star, companion.theta[::2])
-    return float(np.max(np.abs(diff))) / 15.0
+    t = _time_grid(t_end, dt)
+    # on the grid t the companion's grid jumps 2 dt, then holds still for a
+    # step (which leaves the row out of that step), and holds at the end when
+    # the step count is odd: at each even grid point the companion holds the
+    # bits of a run over t[::2]
+    i = np.arange(len(t))
+    coarse = t[::2][np.minimum((i + 1) // 2, (len(t) - 1) // 2)]
+    batch = _integrate_clocked(gen, obj, np.stack([_vec(theta0)] * 2),
+                               np.column_stack((t, coarse)))
+    theta, tau = batch.theta[:, 0], batch.tau[:, 0]
+    e = log_div(gen, star, theta)
+    err = float(np.max(np.abs(e[::2] - log_div(gen, star, batch.theta[::2, 1])))) / 15.0
+    numer = big_phi_bregman(gen, star, theta[0])
+    clocked = tau > 0.0
+    return _audit(t, e, t[clocked], numer / tau[clocked],
+                  obj.value(batch.theta_hat[clocked, 0]) - f_star, err)
 
 
 def conformal_smoothness_estimate(gen: Generator, obj: Objective,

@@ -232,7 +232,7 @@ def student_t_density(x, params: StudentTParams) -> np.ndarray:
 
 def student_t_sampler(nu: float):
     """Draws from the Student-t family member at natural coordinates theta."""
-    def sampler(theta, rng, size=None):
+    def sampler(theta, rng, size):
         return expfam.student_t_sample(expfam.student_t_params(theta, nu), rng, size)
     return sampler
 
@@ -247,7 +247,7 @@ def eta_to_simplex(eta) -> np.ndarray:
 
 def dirichlet_sampler(lam: float):
     """Draws from the Dirichlet perturbation model at natural coordinates theta."""
-    def sampler(theta, rng, size=None):
+    def sampler(theta, rng, size):
         eta = 1.0 / (lam * _vec(theta))
         model = expfam.DirichletPerturbModel(p=eta_to_simplex(eta), sigma=-lam)
         return expfam.dirichlet_perturb_sample(model, rng, size)

@@ -230,6 +230,30 @@ def test_diagnostics_write_the_rows_the_benchmark_expects(tmp_path, experiment):
     assert (attempted, failed, problems) == (len(workloads.DIAGNOSTIC_CHECKS[experiment]), 0, [])
 
 
+# RK4 stages per suite at its DIAGNOSTICS_DIGESTS arguments: flow-equivalence
+# steps two 10-step paths, geodesic-check two 2-row batches of 100 steps, and
+# lyapunov-suite two paths of 800 steps, each batched with its companion of
+# 400: 400 steps of the batch and 400 of the path alone
+RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 800, "lyapunov-suite": 6400}
+
+
+@pytest.mark.parametrize("experiment", sorted(RK4_STAGES))
+def test_diagnostics_make_their_count_of_rk4_stages(tmp_path, monkeypatch, experiment):
+    # each RK4 stage assembles its metrics once through the flows binding of
+    # _assemble_metric; core.metric calls the core binding, so only stages count
+    assemble = flows._assemble_metric
+    stages = []
+
+    def counted(*args):
+        stages.append(None)
+        return assemble(*args)
+
+    monkeypatch.setattr(flows, "_assemble_metric", counted)
+    args, _ = DIAGNOSTICS_DIGESTS[experiment]
+    assert cli.main([experiment, "--out", str(tmp_path), *args]) == 0
+    assert len(stages) == RK4_STAGES[experiment]
+
+
 def _checks(out_dir):
     """checks.csv as {metric: (value, passed)}."""
     return {row[1]: (float(row[2]), row[4] == "True")
@@ -400,7 +424,7 @@ def test_lyapunov_suite_fails_a_nan_smoothness_pair_without_a_traceback(tmp_path
 def test_a_diagnostics_check_that_raises_fails_only_its_own_rows(tmp_path, monkeypatch):
     def no_path(gen, obj, theta0, t_end, dt):
         raise SolverError("no path")
-    monkeypatch.setattr(experiments, "_integrate_with_companion", no_path)
+    monkeypatch.setattr(experiments, "lyapunov_continuous", no_path)
     summary, out_dir = run(tmp_path, "lyapunov-suite")
     assert not summary.passed
     checks = _checks(out_dir)

@@ -1,17 +1,19 @@
 """The fault table: each runner's ``passed`` against one-line faults of the
-geometry.
+geometry, the online estimator and the simplex flow.
 
-A row puts one fault into the package by ``monkeypatch`` and runs one
-diagnostics runner at its benchmark size through the command line. It
-asserts that the runner reports FAIL with exit status 1, and raises no
-traceback. A runner that cannot see a fault is a blind spot: its row is
-marked ``xfail(strict=True)`` with the reason, so that the row fails the
-suite once the runner starts to catch the fault, and the marker must go.
+A row puts one fault into the package by ``monkeypatch`` and runs one runner
+at its benchmark size through the command line. It asserts that the runner
+reports FAIL with exit status 1, and raises no traceback. A runner that
+cannot see a fault is a blind spot: its row is marked ``xfail(strict=True)``
+with the reason, so that the row fails the suite once the runner starts to
+catch the fault, and the marker must go.
 """
+import inspect
+
 import numpy as np
 import pytest
 
-from xmd import cli, core, flows
+from xmd import cli, core, expfam, flows, simplex
 
 
 def _clock_sign(gen, theta):
@@ -27,21 +29,56 @@ def _dual_velocity_sign(gen, pair, df):
     return -pair.pi[..., None] * corr
 
 
+def _edited(module, name, old, new):
+    """``module.name`` compiled from its own source with the one expression
+    ``old`` written as ``new``, in the namespace of ``module``: a fault in an
+    expression that no other function computes."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
 # each fault replaces one function at every binding the runners read: flows
-# imports conformal_weight and _assemble_metric from core
+# imports conformal_weight and _assemble_metric from core, and the runners
+# call online_update, transport_map and simplex_flow_rhs through their modules
 FAULTS = {
     "clock_sign": [(core, "conformal_weight", _clock_sign),
                    (flows, "conformal_weight", _clock_sign)],
     "metric_sign": [(core, "_assemble_metric", _metric_sign),
                     (flows, "_assemble_metric", _metric_sign)],
     "dual_velocity_sign": [(flows, "_dual_velocity", _dual_velocity_sign)],
+    "online_rate_inverted": [(expfam, "online_update", _edited(
+        expfam, "online_update", "delta * (pi / pi_y)", "delta * (pi_y / pi)"))],
+    "transport_map_plus_alpha": [(simplex, "transport_map", _edited(
+        simplex, "transport_map", "(1.0 - _exponent(alpha))", "(1.0 + _exponent(alpha))"))],
+    "flow_rhs_sign": [(simplex, "simplex_flow_rhs", _edited(
+        simplex, "simplex_flow_rhs", "(-p / pi_neg)", "(p / pi_neg)"))],
+    "flow_rhs_pi_plus_alpha": [(simplex, "simplex_flow_rhs", _edited(
+        simplex, "simplex_flow_rhs", "-_exponent(alpha) * _log(p)",
+        "_exponent(alpha) * _log(p)"))],
 }
 
-# each runner at its size in the benchmark's flows workload
+# each runner at its size in the benchmark's workloads
 RUNNERS = {
+    "student-t-online": ["--override", "n_steps=1000"],
+    "dirichlet-online": ["--override", "n_steps=1000"],
+    "simplex-compare": ["--override", "n_steps=50"],
     "flow-equivalence": ["--override", "t_end=0.1"],
     "geodesic-check": [],
     "lyapunov-suite": [],
+}
+
+SIMPLEX_FAULTS = ("transport_map_plus_alpha", "flow_rhs_sign", "flow_rhs_pi_plus_alpha")
+
+# the runners that call each faulted function
+CALLERS = {
+    "clock_sign": ("flow-equivalence", "lyapunov-suite"),
+    "metric_sign": ("flow-equivalence", "geodesic-check", "lyapunov-suite"),
+    "dual_velocity_sign": ("geodesic-check",),
+    "online_rate_inverted": ("student-t-online", "dirichlet-online"),
+    **dict.fromkeys(SIMPLEX_FAULTS, ("simplex-compare",)),
 }
 
 # (fault, runner): why the runner cannot see the fault
@@ -56,13 +93,24 @@ BLIND_SPOTS = {
         "the time change is checked in the primal coordinate and reads no dual velocity",
     ("dual_velocity_sign", "lyapunov-suite"):
         "the Lyapunov checks run in the primal coordinate and read no dual velocity",
+    # the guarded step rejects every step up the cost, so a flow that points
+    # the wrong way leaves p where it is
+    **{(fault, "simplex-compare"):
+       "passed checks only finite, positive weights, not a claim of the paper on the "
+       "simplex flow (ROADMAP items 2-3)" for fault in SIMPLEX_FAULTS},
 }
+for fault, callers in CALLERS.items():
+    for runner in RUNNERS:
+        if runner not in callers:
+            BLIND_SPOTS.setdefault((fault, runner),
+                                   f"the runner never calls {FAULTS[fault][0][1]}")
 
 # caught today: the clock sign by the discrete check (the two forms of the
 # smoothness denominator disagree); the metric sign by geodesic-check's 2-d
 # instance and by lyapunov-suite's error budget (the 1-d Richardson estimate
 # reads 9.9e-10, and twice it exceeds MONOTONE_TOL); the dual-velocity sign by
-# geodesic-check's dual coefficient
+# geodesic-check's dual coefficient; the inverted online rate by both online
+# runners
 ROWS = [pytest.param(fault, runner, id=f"{fault}-{runner}",
                      marks=[pytest.mark.xfail(reason=BLIND_SPOTS[fault, runner],
                                               raises=AssertionError, strict=True)]

@@ -661,13 +661,28 @@ def test_geodesic_coefficient_along_trajectory():
         assert np.max(np.abs(ratio - pair.pi / pi_star)) < 1e-8
 
 
-def _with_nan_row(fn):
-    """fn with a NaN written over the middle row of the path it returns."""
+def _with_nan_row(fn, index=None):
+    """fn with a NaN written at ``index`` of the path it returns, by default
+    over its middle row."""
     def wrapped(*args):
         path = fn(*args)
-        path[len(path) // 2] = np.nan
+        path[len(path) // 2 if index is None else index] = np.nan
         return path
     return wrapped
+
+
+def _recording_paths(monkeypatch):
+    """The list that each later ``_integrate_path`` call appends its (times,
+    path) to."""
+    calls = []
+
+    def recording(stage, feasible, x0, times):
+        path = _integrate_path(stage, feasible, x0, times)
+        calls.append((np.asarray(times), path))
+        return path
+
+    monkeypatch.setattr(flows, "_integrate_path", recording)
+    return calls
 
 
 def test_geodesic_flow_check_fails_a_nan_path(monkeypatch):
@@ -696,45 +711,60 @@ def test_geodesic_report_keeps_a_nan_error(nan_at):
 def test_lyapunov_continuous_stationary():
     gen = LOG_1D
     obj = quadratic_objective([0.7])
-    report = lyapunov_continuous(gen, obj, integrate(gen, obj, [0.7], 1.0, 1e-2))
+    report = lyapunov_continuous(gen, obj, [0.7], 1.0, 1e-2)
     assert all(abs(e) < 1e-14 for _, e in report.lyapunov_series)
     assert report.monotone
 
 
-def test_lyapunov_continuous_decreasing_and_bounded():
+def test_lyapunov_continuous_decreasing_and_bounded(monkeypatch):
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    path = integrate(gen, obj, [1.0], 4.0, 1e-3)
-    report = lyapunov_continuous(gen, obj, path)
+    calls = _recording_paths(monkeypatch)
+    report = lyapunov_continuous(gen, obj, [1.0], 4.0, 1e-3)
+    ((times, batch),) = calls
+    # row 0 of the batch is the path, its state [theta, tau, integral of w*theta]
+    path_t, path_tau = times[:, 0], batch[:, 0, 1]
     assert report.monotone
     values = [e for _, e in report.lyapunov_series]
     assert values[-1] < values[0]
     assert report.bound_dominates
     # O(1/t): t * gap stays bounded by t * bound, and tau grows linearly
     tail = [(t, g) for t, g in report.gap_series if t > 2.0]
-    late = path.t > 2.0
-    tau_by_t = np.min(path.tau[late] / path.t[late])
-    numer = report.bound_series[0][1] * path.tau[1]  # B_Phi[star:theta0]
+    late = path_t > 2.0
+    tau_by_t = np.min(path_tau[late] / path_t[late])
+    numer = report.bound_series[0][1] * path_tau[1]  # B_Phi[star:theta0]
     assert all(t * g <= numer / tau_by_t + 1e-9 for t, g in tail)
 
 
-def test_lyapunov_continuous_fails_a_nan_path():
+def test_lyapunov_continuous_fails_a_nan_path(monkeypatch):
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    path = integrate(gen, obj, [1.0], 0.5, 1e-2)
-    report = lyapunov_continuous(gen, obj, path)
+    report = lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2)
     assert report.monotone and report.bound_dominates
-    theta = path.theta.copy()
-    theta[20] = np.nan
-    report = lyapunov_continuous(gen, obj, dataclasses.replace(path, theta=theta))
+    t = report.lyapunov_series[:, 0]
+    # the batch's state is [theta, tau, integral of w*theta] per row, and row
+    # 0 is the path: a NaN theta at grid point 20
+    monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path, (20, 0, 0)))
+    report = lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2)
     # the rises into and out of the NaN state both count
-    assert report.violations[:, 0].tolist() == [path.t[20], path.t[21]]
+    assert report.violations[:, 0].tolist() == [t[20], t[21]]
     assert np.isnan(report.violations[:, 1]).all()
     assert not report.monotone
-    theta_hat = path.theta_hat.copy()
-    theta_hat[30] = np.nan
-    report = lyapunov_continuous(gen, obj, dataclasses.replace(path, theta_hat=theta_hat))
+    # a NaN integral of w*theta, so a NaN theta_hat, at grid point 30
+    monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path, (30, 0, 2)))
+    report = lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2)
     assert report.monotone and not report.bound_dominates
+
+
+def test_lyapunov_continuous_fails_a_grid_over_its_error_budget():
+    # at dt = 0.2 the 2-d path shows no rise of E, but its Richardson
+    # estimate (3e-4) is far over the budget: the grid cannot tell a rise
+    # from its own error
+    report = lyapunov_continuous(QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7], 4.0,
+                                 0.2)
+    assert len(report.violations) == 0
+    assert 2.0 * report.richardson_error > 1e4 * MONOTONE_TOL
+    assert not report.monotone
 
 
 @pytest.mark.parametrize("gen, obj, theta0", [
@@ -747,32 +777,24 @@ def test_richardson_error_estimates_the_error_in_e(gen, obj, theta0, dt):
     # 40th of its step (whose own error is 40**4 times smaller); the ratio
     # reads 0.88 to 1.11 at these steps, and 0.56 on the 2-d path at dt 0.2,
     # which is not yet in RK4's asymptotic range
-    path, companion = flows._integrate_with_companion(gen, obj, theta0, 2.0, dt)
+    report = lyapunov_continuous(gen, obj, theta0, 2.0, dt)
     fine = integrate(gen, obj, theta0, 2.0, dt / 40)
-    star = obj.theta_star
-    error = np.max(np.abs(log_div(gen, star, path.theta)
-                          - log_div(gen, star, fine.theta[::40])))
-    assert 0.5 < flows._richardson_error(gen, obj, path, companion) / error < 2.0
+    error = np.max(np.abs(report.lyapunov_series[:, 1]
+                          - log_div(gen, obj.theta_star, fine.theta[::40])))
+    assert 0.5 < report.richardson_error / error < 2.0
 
 
-def test_richardson_error_keeps_a_nan():
+def test_richardson_error_keeps_a_nan(monkeypatch):
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    rows = flows._integrate_with_companion(gen, obj, [1.0], 0.5, 1e-2)
-    assert np.isfinite(flows._richardson_error(gen, obj, *rows))
-    # a NaN at a grid point the estimate reads, in either row of the batch
+    assert np.isfinite(lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2).richardson_error)
+    # a NaN theta at a grid point the estimate reads, in either row of the
+    # batch: the companion's NaN raises no violation, and fails the budget
     for r in (0, 1):
-        theta = rows[r].theta.copy()
-        theta[20] = np.nan
-        nan_rows = list(rows)
-        nan_rows[r] = dataclasses.replace(rows[r], theta=theta)
-        assert np.isnan(flows._richardson_error(gen, obj, *nan_rows))
-
-
-def _assert_same_path(a, b, points=slice(None)):
-    """The FlowState a at its grid points ``points`` holds the bits of b."""
-    for name in ("theta", "t", "tau", "theta_hat"):
-        assert getattr(a, name)[points].tobytes() == getattr(b, name).tobytes(), name
+        monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path, (20, r, 0)))
+        report = lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2)
+        assert np.isnan(report.richardson_error)
+        assert not report.monotone
 
 
 @pytest.mark.parametrize("gen, obj, theta0, t_end, dt", [
@@ -785,18 +807,25 @@ def _assert_same_path(a, b, points=slice(None)):
     # in the batch's row-by-row redo
     (NEAR_DECAY, quadratic_objective([0.0]), [1.0], 10.0, 2.5),
 ], ids=["1d-suite", "2d-suite", "odd-steps", "companion-halves"])
-def test_integrate_with_companion_keeps_the_bits_of_two_runs(gen, obj, theta0, t_end, dt):
-    # the oracle: the fine path and the companion, each run on its own grid
-    path, companion = flows._integrate_with_companion(gen, obj, theta0, t_end, dt)
-    _assert_same_path(path, integrate(gen, obj, theta0, t_end, dt))
-    coarse = flows._integrate_clocked(gen, obj, theta0, path.t[::2])
-    _assert_same_path(companion, coarse, slice(None, None, 2))
+def test_integrate_with_companion_keeps_the_bits_of_two_runs(monkeypatch, gen, obj, theta0,
+                                                            t_end, dt):
+    # the oracle: the fine path and the companion, each run on its own grid;
+    # each batch row holds the whole RK4 state [theta, tau, integral of w*theta]
+    calls = _recording_paths(monkeypatch)
+    lyapunov_continuous(gen, obj, theta0, t_end, dt)
+    path = integrate(gen, obj, theta0, t_end, dt)
+    flows._integrate_clocked(gen, obj, theta0, path.t[::2])
+    (times, batch), (t, fine), (t_coarse, coarse) = calls
+    assert times[:, 0].tobytes() == t.tobytes()
+    assert batch[:, 0].tobytes() == fine.tobytes()
+    assert times[::2, 1].tobytes() == t_coarse.tobytes()
+    assert batch[::2, 1].tobytes() == coarse.tobytes()
     # between its points the companion holds still
-    n = len(path)
+    n = len(batch)
     for i in range(1, n - 1, 2):
-        assert companion.theta[i].tobytes() == companion.theta[i + 1].tobytes()
+        assert batch[i, 1].tobytes() == batch[i + 1, 1].tobytes()
     if n % 2 == 0:
-        assert companion.theta[-1].tobytes() == companion.theta[-2].tobytes()
+        assert batch[-1, 1].tobytes() == batch[-2, 1].tobytes()
 
 
 def test_integrate_with_companion_redoes_a_halved_step_row_by_row(monkeypatch):
@@ -818,7 +847,7 @@ def test_integrate_with_companion_redoes_a_halved_step_row_by_row(monkeypatch):
         return integrate_path(recorded, feasible, x, times)
 
     monkeypatch.setattr(flows, "_integrate_path", recording)
-    flows._integrate_with_companion(gen, obj, [1.0], 5.0, 2.5)
+    lyapunov_continuous(gen, obj, [1.0], 5.0, 2.5)
     # the batch try; the fine row's step of 2.5 and the companion's two
     # halves; then the fine row's second step alone, the companion held
     assert rows == [...] * 4 + [0] * 4 + [1] * 12 + [0] * 4
@@ -909,6 +938,7 @@ def test_discrete_lyapunov_run():
     pairs = [(np.array([a]), np.array([b])) for a in grid for b in grid if a != b]
     smooth = conformal_smoothness_estimate(gen, obj, pairs)
     report = discrete_lyapunov_run(gen, obj, [0.9], 0.5 / smooth, 2000)
+    assert report.richardson_error is None
     assert report.monotone
     assert report.bound_dominates
     values = [e for _, e in report.lyapunov_series]
@@ -998,9 +1028,9 @@ def _report_lists(report):
     (QUAD_2D, quadratic_objective([0.3, -0.2], weight=-1.0), [0.2, -0.1]),
 ], ids=["1d", "2d", "2d-rising"])
 def test_lyapunov_continuous_equals_its_one_state_loop(gen, obj, theta0):
-    path = integrate(gen, obj, theta0, 0.5, 1e-2)
-    report = lyapunov_continuous(gen, obj, path)
-    assert _report_lists(report) == _lyapunov_loop(gen, obj, path)
+    report = lyapunov_continuous(gen, obj, theta0, 0.5, 1e-2)
+    assert _report_lists(report) == _lyapunov_loop(gen, obj,
+                                                   integrate(gen, obj, theta0, 0.5, 1e-2))
 
 
 def _discrete_lyapunov_loop(gen, obj, delta, k_max):
