@@ -12,6 +12,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from .core import DomainError
+from .expfam import start_state, student_t_family, student_t_moments
+
 EXPERIMENTS = (
     "student-t-online",
     "dirichlet-online",
@@ -100,6 +103,21 @@ class ExperimentConfig:
                 raise ConfigError(f"nu must be in [{NU_MIN}, {NU_MAX}], got {self.nu!r}")
             if self.sigma_star <= 0 or self.sigma0 <= 0:
                 raise ConfigError("sigma_star and sigma0 must be positive")
+            # the start must be a state of the estimator: escort moments
+            # that are finite, in the dual domain and invert into the natural
+            # parameter set. A sigma0 tiny beside mu0 rounds mu0^2 + sigma0^2
+            # to mu0^2, on the dual boundary
+            start = f"mu0 = {self.mu0!r} and sigma0 = {self.sigma0!r}"
+            try:
+                eta0 = student_t_moments(self.mu0, self.sigma0)
+            except OverflowError:
+                raise ConfigError(f"the escort moments of {start} overflow") from None
+            try:
+                start_state(student_t_family(self.nu), eta0)
+            except DomainError:
+                raise ConfigError(f"{start} give the escort moments {eta0}, which lie outside "
+                                  "the dual domain or invert outside the natural parameter "
+                                  "set") from None
         if self.experiment == "dirichlet-online":
             if not self.lam < 0:
                 raise ConfigError("dirichlet-online requires lam < 0")

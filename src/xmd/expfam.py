@@ -46,9 +46,12 @@ class OnlineState:
 
 
 def start_state(model: LambdaExpFamily, eta0) -> OnlineState:
-    """Initial state at eta0, one point ``(dim,)`` or a batch ``(batch, dim)``."""
+    """Initial state at eta0, one point ``(dim,)`` or a batch ``(batch, dim)``.
+    Raises DomainError if a row of eta0 or its inverse lies outside its
+    domain, an inverse that overflows included."""
     eta0 = _vec(eta0)
-    return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0))
+    with np.errstate(all="ignore"):
+        return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0))
 
 
 def log_loss(model: LambdaExpFamily, theta, y) -> tuple[float, np.ndarray]:
@@ -116,6 +119,13 @@ class StudentTParams:
     mu: float
     sigma: float
     nu: float
+
+
+def student_t_moments(mu: float, sigma: float) -> np.ndarray:
+    """The escort moments [mu, mu^2 + sigma^2] of location mu and scale
+    sigma, the dual point of (mu, sigma). Raises OverflowError where mu^2 or
+    sigma^2 overflows."""
+    return np.array([mu, mu ** 2 + sigma ** 2])
 
 
 def student_t_params(theta, nu: float) -> StudentTParams:

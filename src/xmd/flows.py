@@ -83,8 +83,9 @@ class ConvergenceReport:
     """An audited potential, each series an array of rows (t or k, value):
     the potential E, the averaged-iterate bound, the gap f(average) - f* that
     it bounds, and each rise of E above MONOTONE_TOL (t or k, increase). A
-    non-finite rise counts as a violation, and a non-finite gap or bound
-    fails ``bound_dominates``.
+    non-finite rise counts as a violation. ``bound_dominates`` holds the gap
+    between -1e-12 and the bound plus 1e-12: a gap is never negative, since
+    f* is the least value of f. A non-finite gap or bound fails it.
 
     A continuous report carries ``richardson_error``, the estimate of the
     integration error in E, and is ``monotone`` only if twice the estimate
@@ -105,7 +106,8 @@ class ConvergenceReport:
 
     @property
     def bound_dominates(self) -> bool:
-        return bool(np.all(self.gap_series[:, 1] <= self.bound_series[:, 1] + 1e-12))
+        gap = self.gap_series[:, 1]
+        return bool(np.all((gap >= -1e-12) & (gap <= self.bound_series[:, 1] + 1e-12)))
 
 
 def _audit(t, e, t_bound, bound, gap, richardson_error=None) -> ConvergenceReport:
@@ -343,15 +345,20 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
     ``x`` is one point ``(dim,)`` or a batch ``(batch, dim)``, and ``base``
     and ``direction`` have one row per row of x. ``delta`` is one step size
     or one per row; each row takes its first accepted candidate at
-    d = delta * 2**-j, j = 0..MAX_HALVINGS. A try maps z = base + d * direction
-    by ``finish(z, rows)``, if given, and ``accept(cand, rows)`` gives the rows
-    to take (the candidates, or repairs such as reflections) and a row mask.
-    ``rows`` indexes the batch axes of x: ``...`` on the first try, which
-    covers every row, then the index of the rows still pending (still ``...``
-    for one point), so a retry forms and tests only the pending rows. Both
-    callables index the per-row state they hold by it, ``state[rows]``. A
-    GeometryError rejects every row of that try. Candidates run under
-    np.errstate(all="ignore"): every accept test rejects non-finite rows.
+    d = delta * 2**-j, j = 0..MAX_HALVINGS. A try forms every row: it maps
+    z = base + d * direction by ``finish(z)``, if given, and ``accept(cand)``
+    gives the rows to take (the candidates, or repairs such as reflections)
+    and a row mask. Only the pending rows halve d, so a row that was accepted
+    or stopped is formed again at its last d on each later try, and that
+    result is thrown away. Candidates run under np.errstate(all="ignore"):
+    every accept test rejects non-finite rows.
+
+    A GeometryError rejects every pending row of that try. No callable of
+    a batch caller raises one, so batch rows stay independent:
+    ``core._invert_rows`` gives the closed-form inverses only rows inside
+    the dual domain, where the Student-t inverse's denominator is negative
+    (e2 > e1**2 forces it). Only one-point steps, such as the Newton solve
+    of ``step_adaptive_mirror``, raise one.
 
     A row that its accept test rejects with z == base in every component
     stops there: the halvings of d are exact, so every later z rounds to the
@@ -362,43 +369,37 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
     d = np.full(x.shape[:-1], delta, dtype=float)
     pending = np.ones(d.shape, dtype=bool)
     absorbed = np.zeros(d.shape, dtype=bool)
-    rows = ...
     with np.errstate(all="ignore"):
         for _ in range(MAX_HALVINGS + 1):
-            b = base[rows]
             try:
-                z = b + d[rows][..., None] * direction[rows]
-                cand, ok = accept(finish(z, rows) if finish else z, rows)
+                z = base + d[..., None] * direction
+                cand, ok = accept(finish(z) if finish else z)
             except GeometryError:
-                cand, ok, z = x[rows], False, None
-            take = pending[rows] & ok
-            if rows is ...:
-                if take.all():  # every row accepted at once: nothing to merge
-                    return cand, ~take
-                x = np.where(take[..., None], cand, x)
-            else:
-                x[rows] = np.where(take[..., None], cand, x[rows])
-            pending[rows] = ~take
+                cand, ok, z = x, False, None
+            take = pending & ok
+            if take.all():  # every row accepted at once: nothing to merge
+                return cand, ~take
+            x = np.where(take[..., None], cand, x)
+            pending &= ~take
             if z is not None:
-                absorbed[rows] = ~take & (z == b).all(axis=-1)
-                pending[rows] &= ~absorbed[rows]
+                absorbed |= pending & (z == base).all(axis=-1)
+                pending &= ~absorbed
             if not pending.any():
                 break
             d[pending] *= 0.5
-            rows = np.nonzero(pending) if pending.ndim else ...
     return x, pending | absorbed
 
 
 def _reflecting(test, reflect):
     """Accept test that repairs by reflection: per row, the rows of
-    ``test(cand, rows)`` where its mask holds, else those of
-    ``test(reflect(cand), rows)``. ``test`` returns (rows, mask)."""
-    def accept(cand, rows):
-        taken, ok = test(cand, rows)
+    ``test(cand)`` where its mask holds, else those of
+    ``test(reflect(cand))``. ``test`` returns (rows, mask)."""
+    def accept(cand):
+        taken, ok = test(cand)
         ok = np.asarray(ok)
         if ok.all():
             return taken, ok
-        refl_taken, refl_ok = test(reflect(cand), rows)
+        refl_taken, refl_ok = test(reflect(cand))
         return np.where((~ok & refl_ok)[..., None], refl_taken, taken), ok | refl_ok
     return accept
 
@@ -406,7 +407,7 @@ def _reflecting(test, reflect):
 def _reflect_into(domain: Domain):
     """Accept test of the primal steps: the candidate, else its reflection
     across the violated box faces, if it lies in the domain."""
-    return _reflecting(lambda theta, rows: (theta, domain.contains(theta)), domain.reflect)
+    return _reflecting(lambda theta: (theta, domain.contains(theta)), domain.reflect)
 
 
 def _dual_accept(gen: Generator, reflect):
@@ -415,7 +416,7 @@ def _dual_accept(gen: Generator, reflect):
     mirror inverse lies in the domain, taken as the row [eta, theta]. A
     missing inverse raises here, not in a try that the guarded step rejects."""
     _require_inverse(gen)
-    def test(eta, rows):
+    def test(eta):
         theta, ok = _invert_rows(gen, eta)
         return np.concatenate([eta, theta], axis=-1), ok
     return _reflecting(test, reflect)
@@ -456,7 +457,7 @@ def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) 
     w = conformal_weight(gen, theta_k)
     df = _vec(obj.grad(theta_k))
     theta, failed = _guarded_step(theta_k, zeta_k, -df, delta * w, _reflect_into(gen.domain),
-                                  lambda zeta, rows: theta_of_zeta(gen, zeta, theta0=theta_k))
+                                  lambda zeta: theta_of_zeta(gen, zeta, theta0=theta_k))
     if failed:
         raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
     return theta

@@ -123,15 +123,15 @@ def simplex_flow_rhs(alpha, obj_grad, p, q) -> np.ndarray:
 
 def _descends(obj_grad, log_p: np.ndarray):
     """Accept test of the simplex steps from p (``log_p`` = log p), row by
-    row, for the rows ``rows`` of p (see ``flows._guarded_step``): takes a
-    row of p_next if it is finite and strictly positive and the slope of f at
-    it along the log-p segment from p, sum_i p'_i dd_i f(p') log(p'_i/p_i), is
-    nonpositive. p_next sums to one, so an infinite weight would have made
-    some weight NaN, which fails the min test."""
-    def accept(p_next, rows):
+    row (see ``flows._guarded_step``): takes a row of p_next if it is finite
+    and strictly positive and the slope of f at it along the log-p segment
+    from p, sum_i p'_i dd_i f(p') log(p'_i/p_i), is nonpositive. p_next sums
+    to one, so an infinite weight would have made some weight NaN, which
+    fails the min test."""
+    def accept(p_next):
         positive = p_next.min(axis=-1) > 0.0
         dd = directional_derivs(obj_grad, p_next)
-        slope = np.sum(p_next * dd * (np.log(p_next) - log_p[rows]), axis=-1)
+        slope = np.sum(p_next * dd * (np.log(p_next) - log_p), axis=-1)
         return p_next, positive & (slope <= 0.0)
     return accept
 
@@ -157,17 +157,17 @@ def step_conformal(alpha, obj_grad, p, delta: float) -> np.ndarray:
 
     q and rhs come from ``transport_map`` and ``simplex_flow_rhs``. log q up
     to a shift per row is (1 - alpha) log p; each try steps it by d * rhs and
-    maps the pending rows back by the inverse transport, the
-    1/(1 - alpha)-powering, with one exp.
+    maps it back by the inverse transport, the 1/(1 - alpha)-powering, with
+    one exp.
     """
     a = _exponent(alpha)
     p = np.asarray(p, dtype=float)
     with np.errstate(all="ignore"):
         rhs = simplex_flow_rhs(a, obj_grad, p, transport_map(a, p))
     log_p = _log(p)
-    dilation = np.broadcast_to(1.0 / (1.0 - a), p.shape[:-1] + (1,))
+    dilation = 1.0 / (1.0 - a)
     p_next = _guarded_step(p, (1.0 - a) * log_p, rhs, delta, _descends(obj_grad, log_p),
-                           lambda log_q, rows: _normalize_logs(dilation[rows] * log_q))[0]
+                           lambda log_q: _normalize_logs(dilation * log_q))[0]
     return np.where(np.isfinite(rhs).all(axis=-1, keepdims=True), p_next, np.nan)
 
 
@@ -188,7 +188,7 @@ def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
     log_p = _log(p)
     grads = np.asarray(obj_grad(p), dtype=float)
     return _guarded_step(p, log_p, -grads, delta, _descends(obj_grad, log_p),
-                         lambda log_p_next, rows: _normalize_logs(log_p_next))[0]
+                         _normalize_logs)[0]
 
 
 def sample_simplex(rng: np.random.Generator, n: int, concentration: float = 1.0) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Experiment runners and the command line: outputs, pass/fail gates, exit codes."""
+import collections
 import csv
 import functools
 import hashlib
@@ -252,6 +253,48 @@ def test_diagnostics_make_their_count_of_rk4_stages(tmp_path, monkeypatch, exper
     args, _ = DIAGNOSTICS_DIGESTS[experiment]
     assert cli.main([experiment, "--out", str(tmp_path), *args]) == 0
     assert len(stages) == RK4_STAGES[experiment]
+
+
+# guarded-step tries per caller for each runner at its benchmark size, seed 0:
+# no online update retries; the 50 calls of each simplex step make 28 and 21
+# retries in all; the discrete Lyapunov run steps 45 times, to its fixed point, and
+# each of its steps is accepted at once
+GUARDED_TRIES = {
+    "student-t-online": (("--override", "n_steps=1000"), {"online_update": 1000}),
+    "dirichlet-online": (("--override", "n_steps=1000"), {"online_update": 1000}),
+    "simplex-compare": (("--override", "n_steps=50"), {"step_conformal": 78, "step_entropic": 71}),
+    "flow-equivalence": (("--override", "t_end=0.1"), {}),
+    "geodesic-check": ((), {}),
+    "lyapunov-suite": ((), {"step_adaptive_mirror": 45}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(GUARDED_TRIES))
+def test_runners_make_their_count_of_guarded_step_tries(tmp_path, monkeypatch, experiment):
+    # a try maps its candidates by finish, if given, then tests them by
+    # accept, so a try calls finish once, or accept once when there is no
+    # finish; each count goes to the function that called the guarded step
+    guarded = flows._guarded_step
+    tries = collections.Counter()
+
+    def counted(x, base, direction, delta, accept, finish=None):
+        caller = sys._getframe(1).f_code.co_name
+
+        def tried(f):
+            def call(*args):
+                tries[caller] += 1
+                return f(*args)
+            return call
+
+        if finish is None:
+            return guarded(x, base, direction, delta, tried(accept))
+        return guarded(x, base, direction, delta, accept, tried(finish))
+
+    for module in (flows, simplex, expfam):
+        monkeypatch.setattr(module, "_guarded_step", counted)
+    args, counts = GUARDED_TRIES[experiment]
+    assert cli.main([experiment, "--seed", "0", "--out", str(tmp_path), *args]) == 0
+    assert tries == counts
 
 
 def _checks(out_dir):
@@ -665,6 +708,16 @@ def test_rank_methods_ranks_converged_methods_by_first_k_above_round_off():
     # configs that used to run on a degenerate model instead of failing
     pytest.param("student-t-online", ["sigma_star=0", "n_steps=5"], id="sigma_star=0"),
     pytest.param("student-t-online", ["sigma0=-1"], id="sigma0=-1"),
+    # starts off the model: mu0^2 + sigma0^2 rounds to mu0^2, on the dual
+    # boundary; a subnormal eta2 inverts outside the parameter set; mu0^2 or
+    # sigma0^2 overflows
+    *(pytest.param("student-t-online", o, id=",".join(o)) for o in [
+        ["sigma0=1e-9"],
+        ["sigma0=1e-8"],
+        ["mu0=0", "sigma0=1e-155"],
+        ["mu0=1e160"],
+        ["sigma0=1e160"],
+    ]),
     pytest.param("dirichlet-online", ["truth_concentration=0"], id="truth_concentration=0"),
     pytest.param("simplex-compare", ['target="dirichlet"', "target_a=0", "n_steps=2"],
                  id="target_a=0"),
@@ -709,6 +762,17 @@ def test_a_t_end_under_the_default_dt_names_both_values(tmp_path, capsys):
     assert "0.01" in err and "0.005" in err
     assert not os.listdir(tmp_path)
     assert cli.main(argv + ["--override", "dt=1e-3"]) == 0
+
+
+def test_a_student_t_start_off_the_model_names_mu0_and_sigma0(tmp_path, capsys):
+    argv = ["student-t-online", "--out", str(tmp_path), "--override", "n_steps=5"]
+    assert cli.main(argv + ["--override", "sigma0=1e-9"]) == 2
+    err = capsys.readouterr().err
+    assert "mu0 = 1.0" in err and "sigma0 = 1e-09" in err
+    # a power of ten up, mu0^2 + sigma0^2 keeps sigma0 and the run reaches
+    # its verdict
+    assert cli.main(argv + ["--override", "sigma0=1e-7"]) == 1
+    assert capsys.readouterr().out.startswith("student-t-online: FAIL")
 
 
 def test_nu_bounds_keep_student_t_draws_finite(tmp_path):

@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 import pytest
 
-from xmd import cli, core, expfam, flows, simplex
+from xmd import cli, core, experiments, expfam, flows, simplex
 
 
 def _clock_sign(gen, theta):
@@ -40,9 +40,16 @@ def _edited(module, name, old, new):
     return namespace[name]
 
 
+_GAP_PLUS_F_STAR = _edited(flows, "lyapunov_continuous",
+                           "obj.value(batch.theta_hat[clocked, 0]) - f_star",
+                           "obj.value(batch.theta_hat[clocked, 0]) + f_star")
+_QUADRATIC_SHIFT = _edited(flows, "quadratic_objective",
+                           "diff = _vec(t) - center", "diff = _vec(t) + center")
+
 # each fault replaces one function at every binding the runners read: flows
-# imports conformal_weight and _assemble_metric from core, and the runners
-# call online_update, transport_map and simplex_flow_rhs through their modules
+# imports conformal_weight and _assemble_metric from core, experiments imports
+# lyapunov_continuous and quadratic_objective from flows, and the runners call
+# online_update, transport_map and simplex_flow_rhs through their modules
 FAULTS = {
     "clock_sign": [(core, "conformal_weight", _clock_sign),
                    (flows, "conformal_weight", _clock_sign)],
@@ -58,6 +65,10 @@ FAULTS = {
     "flow_rhs_pi_plus_alpha": [(simplex, "simplex_flow_rhs", _edited(
         simplex, "simplex_flow_rhs", "-_exponent(alpha) * _log(p)",
         "_exponent(alpha) * _log(p)"))],
+    "lyapunov_gap_plus_f_star": [(flows, "lyapunov_continuous", _GAP_PLUS_F_STAR),
+                                 (experiments, "lyapunov_continuous", _GAP_PLUS_F_STAR)],
+    "quadratic_value_shift": [(flows, "quadratic_objective", _QUADRATIC_SHIFT),
+                              (experiments, "quadratic_objective", _QUADRATIC_SHIFT)],
 }
 
 # each runner at its size in the benchmark's workloads
@@ -79,6 +90,8 @@ CALLERS = {
     "dual_velocity_sign": ("geodesic-check",),
     "online_rate_inverted": ("student-t-online", "dirichlet-online"),
     **dict.fromkeys(SIMPLEX_FAULTS, ("simplex-compare",)),
+    "lyapunov_gap_plus_f_star": ("lyapunov-suite",),
+    "quadratic_value_shift": ("flow-equivalence", "lyapunov-suite"),
 }
 
 # (fault, runner): why the runner cannot see the fault
@@ -93,6 +106,7 @@ BLIND_SPOTS = {
         "the time change is checked in the primal coordinate and reads no dual velocity",
     ("dual_velocity_sign", "lyapunov-suite"):
         "the Lyapunov checks run in the primal coordinate and read no dual velocity",
+    ("quadratic_value_shift", "flow-equivalence"): "reads only the objective's gradient",
     # the guarded step rejects every step up the cost, so a flow that points
     # the wrong way leaves p where it is
     **{(fault, "simplex-compare"):
@@ -110,7 +124,9 @@ for fault, callers in CALLERS.items():
 # instance and by lyapunov-suite's error budget (the 1-d Richardson estimate
 # reads 9.9e-10, and twice it exceeds MONOTONE_TOL); the dual-velocity sign by
 # geodesic-check's dual coefficient; the inverted online rate by both online
-# runners
+# runners; the gap taken as f + f*, and the quadratic value shifted to
+# 1/2 |theta + c|^2, by lyapunov-suite's bound_dominates_1d, whose objective
+# has f* = 1 and whose gap must not be negative
 ROWS = [pytest.param(fault, runner, id=f"{fault}-{runner}",
                      marks=[pytest.mark.xfail(reason=BLIND_SPOTS[fault, runner],
                                               raises=AssertionError, strict=True)]
