@@ -13,6 +13,10 @@ fixed instances, at t_end 1 with dt 1e-2 and at t_end 4 with dt 5e-3.
 lyapunov-suite steps each continuous path with its Richardson companion (the
 same path at dt 1e-2) as the second row of one RK4 batch, and stops its
 discrete run at the first step that returns its input's bits.
+
+The verdict and the metrics are printed after the outputs are written. If
+standard output closes early (``xmd ... | head -1``), the rest of the printout
+is dropped and the exit code is still the run's own.
 """
 from __future__ import annotations
 
@@ -64,9 +68,17 @@ def main(argv=None) -> int:
 
     summary = run_experiment(config, out_dir)
     status = "PASS" if summary.passed else "FAIL"
-    print(f"{config.experiment}: {status} ({summary.wall_time:.2f}s) -> {out_dir}")
-    for key, value in summary.metrics.items():
-        print(f"  {key}: {value}")
+    try:
+        print(f"{config.experiment}: {status} ({summary.wall_time:.2f}s) -> {out_dir}")
+        for key, value in summary.metrics.items():
+            print(f"  {key}: {value}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if summary.passed else 1
 
 

@@ -92,18 +92,16 @@ class Domain:
 
         The strict box test also rejects NaN and inf. Constraints see only
         points inside the box: one point outside it is rejected at once, and
-        a batch evaluates them only when some row is inside, with the rows
-        outside moved to the anchor, so that no constraint sees a non-finite
-        point. One point combines its tests with Python's ``and``, not with
-        reductions over numpy scalars.
+        in a batch the rows outside the box are moved to the anchor, so that
+        no constraint sees a non-finite point. One point combines its tests
+        with Python's ``and``, not with reductions over numpy scalars.
         """
         x = _vec(x)
         inside = ((x > self.lower) & (x < self.upper)).all(axis=-1)
         if x.ndim == 1:
             return bool(inside) and all(g(x) > 0.0 for g in self.constraints)
-        if self.constraints and inside.any():
-            if not inside.all():
-                x = np.where(inside[..., None], x, self.anchor)
+        if self.constraints:
+            x = np.where(inside[..., None], x, self.anchor)
             for g in self.constraints:
                 inside = inside & (g(x) > 0.0)
         return inside

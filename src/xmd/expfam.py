@@ -92,7 +92,7 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
         step = y - eta
         pi = 1.0 + model.lam * np.vecdot(theta, eta)
         pi_y = 1.0 + model.lam * np.vecdot(theta, y)
-        if np.any(pi_y <= 0.0):
+        if np.count_nonzero(pi_y <= 0.0):
             raise DomainError("observation outside the support of the current parameter")
         rate = delta * (pi / pi_y)
     x, skipped = _guarded_step(np.concatenate([eta, theta], axis=-1), eta, step, rate,

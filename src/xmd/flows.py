@@ -365,10 +365,13 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
     same bits and is rejected too. A row rejected by a GeometryError keeps
     halving. Returns the rows and the mask of rows never accepted, which
     keep their value from x.
+
+    The masks of pending and stopped rows exist only once the first try
+    leaves a row pending: a first try that accepts every row returns its
+    candidates at once, with an all-False mask of one entry per row.
     """
     d = np.full(x.shape[:-1], delta, dtype=float)
-    pending = np.ones(d.shape, dtype=bool)
-    absorbed = np.zeros(d.shape, dtype=bool)
+    pending = None
     with np.errstate(all="ignore"):
         for _ in range(MAX_HALVINGS + 1):
             try:
@@ -376,9 +379,12 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
                 cand, ok = accept(finish(z) if finish else z)
             except GeometryError:
                 cand, ok, z = x, False, None
+            if pending is None:
+                if np.count_nonzero(ok) == d.size:  # every row accepted at once
+                    return cand, np.zeros(d.shape, dtype=bool)
+                pending = np.ones(d.shape, dtype=bool)
+                absorbed = np.zeros(d.shape, dtype=bool)
             take = pending & ok
-            if take.all():  # every row accepted at once: nothing to merge
-                return cand, ~take
             x = np.where(take[..., None], cand, x)
             pending &= ~take
             if z is not None:

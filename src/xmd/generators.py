@@ -105,9 +105,9 @@ def student_t_inverse_mirror(e, lam: float) -> np.ndarray:
     domain)."""
     e = np.asarray(e)
     den = 2.0 * (lam + 1.0) * e[..., 0] ** 2 - (lam + 2.0) * e[..., 1]
-    if np.any(np.real(den) >= 0.0):
+    if np.count_nonzero(den.real >= 0.0):
         raise DomainError(f"eta={e} outside the dual domain (denominator {den})")
-    return np.stack([-2.0 * e[..., 0] / den, 1.0 / den], axis=-1)
+    return np.concatenate([(-2.0 * e[..., 0] / den)[..., None], (1.0 / den)[..., None]], axis=-1)
 
 
 def student_t_natural_coords(mu: float, sigma: float, lam: float) -> np.ndarray:
@@ -162,7 +162,7 @@ def student_t_generator(nu: float) -> Generator:
         domain=Domain(
             lower=np.array([-np.inf, -np.inf]), upper=np.array([np.inf, 0.0]),
             anchor=np.array([0.0, -1.0 / (lam + 2.0)]),
-            constraints=(lambda t: lam * np.real(t[..., 0]) ** 2 - 4.0 * np.real(t[..., 1]),),
+            constraints=(lambda t: lam * t[..., 0].real ** 2 - 4.0 * t[..., 1].real,),
         ),
         value=value,
         grad=grad,
@@ -171,7 +171,7 @@ def student_t_generator(nu: float) -> Generator:
         dual_domain=Domain(
             lower=np.array([-np.inf, -np.inf]), upper=np.array([np.inf, np.inf]),
             anchor=np.array([0.0, 1.0]),
-            constraints=(lambda e: np.real(e[..., 1]) - np.real(e[..., 0]) ** 2,),
+            constraints=(lambda e: e[..., 1].real - e[..., 0].real ** 2,),
         ),
         name=f"student_t(nu={nu})",
         grid=tuple(grid),

@@ -84,7 +84,7 @@ def _exponent(alpha) -> np.ndarray:
     """alpha as an array, one diversity exponent or a column of them; alpha
     must be < 1."""
     a = np.asarray(alpha, dtype=float)
-    if np.any(a >= 1.0):
+    if np.count_nonzero(a >= 1.0):
         raise ValueError("diversity exponent must be < 1")
     return a
 

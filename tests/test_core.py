@@ -441,6 +441,11 @@ def test_domain_contains_one_point_agrees_with_the_batch_mask():
         singles = [dom.contains(x) for x in points]
         assert all(type(one) is bool for one in singles)
         assert singles == expected
+    # a batch moves its rows outside the box to the anchor, so a constraint
+    # sees only finite rows, also when no row of the batch is inside the box
+    assert disc.contains(points[2:]).tolist() == [False] * 4
+    assert disc.contains(points[::-1]).tolist() == expected[::-1]
+    assert all(np.isfinite(x).all() for x in seen)
     # one point outside the box, NaN and inf included, never reaches a constraint
     seen.clear()
     assert not any(disc.contains(x) for x in points[2:])

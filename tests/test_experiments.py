@@ -820,6 +820,29 @@ def test_out_of_range_cli_seed_exits_with_status_2(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    pytest.param([], 0, id="PASS"),
+    pytest.param(["sigma0=1e-7"], 1, id="FAIL"),
+])
+def test_cli_survives_a_closed_stdout(tmp_path, overrides, expected):
+    # the reader closes the pipe before the run prints anything: the printout
+    # is dropped, with no traceback, and the exit code is the run's own
+    src = os.path.dirname(os.path.dirname(xmd.__file__))
+    argv = [sys.executable, "-m", "xmd.cli", "student-t-online", "--out", str(tmp_path),
+            "--override", "n_steps=200"]
+    for item in overrides:
+        argv += ["--override", item]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == expected
+    assert err == b""
+    with open(tmp_path / "student-t-online" / "summary.json") as fh:
+        assert json.load(fh)["passed"] is (expected == 0)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # every run pays for its imports in start-up time; numpy is the only dependency
     src = os.path.dirname(os.path.dirname(xmd.__file__))

@@ -288,6 +288,26 @@ def test_student_t_params_and_inverse_reject_outside_points():
         student_t_inverse_mirror([0.0, -1.0], LAM)  # denominator 1.5 > 0
     with pytest.raises(DomainError):
         student_t_inverse_mirror([[0.0, 1.0], [0.0, -1.0]], LAM)
+    # a denominator of exactly 0 too, in a point, a batch and complex input
+    for e in ([0.0, 0.0], [[0.5, 1.0], [0.0, 0.0]], [0.0 + 0j, 0.0]):
+        with pytest.raises(DomainError):
+            student_t_inverse_mirror(e, LAM)
+
+
+def test_student_t_inverse_mirror_keeps_shape_and_dtype():
+    # a point gives (2,), a batch (n, 2), each row with the bits of its point;
+    # complex input gives a complex result whose real part is the real result
+    # up to its last bit, which complex division may round differently
+    eta = np.array([[0.5, 1.0], [-1.2, 3.0], [0.0, 0.25]])
+    rows = student_t_inverse_mirror(eta, LAM)
+    assert rows.shape == (3, 2) and rows.dtype == np.float64
+    for e, row in zip(eta, rows):
+        one = student_t_inverse_mirror(e, LAM)
+        assert one.shape == (2,) and one.tobytes() == row.tobytes()
+    for e, real in ((eta, rows), (eta[0], rows[0])):
+        cplx = student_t_inverse_mirror(e.astype(complex), LAM)
+        assert cplx.shape == real.shape and cplx.dtype == np.complex128
+        assert np.allclose(cplx.real, real, rtol=1e-15, atol=0.0) and not cplx.imag.any()
 
 
 # ---------------------------------------------------------------------------

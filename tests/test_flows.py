@@ -552,6 +552,25 @@ def test_guarded_step_takes_each_rows_first_accepted_halving():
     assert len(tries) == MAX_HALVINGS + 1
 
 
+def test_guarded_step_returns_a_first_try_that_accepts_every_row():
+    # one try, no merge: a batch's failure mask is all False, one bool per
+    # row, and one point's is falsy
+    x = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    direction = np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 0.25]])
+    tries = []
+
+    def accept(cand):
+        tries.append(cand.copy())
+        return cand, np.ones(len(cand), dtype=bool)
+
+    out, failed = _guarded_step(x, x, direction, 0.5, accept)
+    assert len(tries) == 1 and out.tobytes() == (x + 0.5 * direction).tobytes()
+    assert failed.dtype == bool and failed.shape == (3,) and not failed.any()
+    out, failed = _guarded_step(x[1], x[1], direction[1], 0.5, lambda cand: (cand, True))
+    assert not failed
+    assert out.tobytes() == (x[1] + 0.5 * direction[1]).tobytes()
+
+
 def test_guarded_step_takes_a_step_size_per_row():
     # the first column of each candidate is its step size d; a row accepts d <= 1
     x = np.full((3, 2), 9.0)
