@@ -21,6 +21,13 @@ or a batch ``(..., d)``, one point is a batch of one, and a batch gives, row
 by row, the bits of the one-point calls. ``metric`` and ``big_phi_hess``
 give one ``(d, d)`` matrix per row, ``(..., d, d)``; ``theta_of_zeta`` takes
 one point.
+
+Every LAPACK call of the package goes through two private helpers: ``_solve``
+(LU, ``gesv``) and ``_cholesky`` (``potrf``). Each calls the gufunc that
+``np.linalg.solve`` or ``np.linalg.cholesky`` wraps, under the same
+floating-point state, so it gives the same bits and raises the same
+``np.linalg.LinAlgError``, without their argument handling: at the 1x1 and
+2x2 stacks of the flows, that handling cost more than LAPACK itself.
 """
 from __future__ import annotations
 
@@ -210,7 +217,7 @@ def _invert_rows(gen: Generator, eta):
     _require_inverse(gen)
     dual = gen.dual_domain
     ok = np.asarray(dual.contains(eta))
-    if not ok.all():
+    if np.count_nonzero(ok) != ok.size:
         eta = np.where(ok[..., None], eta, dual.anchor)
     theta = _vec(gen.inverse_mirror_closed(eta))
     return theta, ok & gen.domain.contains(theta)
@@ -237,22 +244,47 @@ def metric(gen: Generator, theta) -> np.ndarray:
     one ``(d, d)`` matrix per row; raises RegularityError unless every G is
     positive definite.
 
-    The check is one Cholesky factorization, whose factor is discarded.
-    The RK4 stages of ``flows`` assemble G by ``_assemble_metric`` unchecked
-    and check the four stage metrics of a step in one stacked Cholesky; they
-    solve with G by LU (``np.linalg.solve``), as ``flows.rhs_primal`` does.
-    A solve through the factor (``cho_solve``) measured no faster at these
-    sizes (n <= 3), and it would round differently, so every pinned output
-    would change."""
+    The check is one Cholesky factorization (``_cholesky``), whose factor is
+    discarded. The RK4 stages of ``flows`` assemble G by ``_assemble_metric``
+    unchecked and check the four stage metrics of a step in one stacked
+    ``_cholesky``; they solve with G by LU (``_solve``), as
+    ``flows.rhs_primal`` does. A solve through the factor (``cho_solve``)
+    measured no faster at these sizes (n <= 3), and it would round
+    differently, so every pinned output would change."""
     theta = _vec(theta)
     if gen.hess is None:
         raise RegularityError(f"generator {gen.name!r} has no Hessian oracle")
     g = _assemble_metric(gen, gen.grad(theta), gen.hess(theta))
     try:
-        np.linalg.cholesky(g)
+        _cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"metric not positive definite at theta={theta}") from exc
     return g
+
+
+def _solve(g, b) -> np.ndarray:
+    """G^{-1} b over the last axis, by LU: one LAPACK ``gesv`` over the
+    stack of G ``(..., d, d)`` and rows b ``(..., d)``, with the bits of
+    ``np.linalg.solve(g, b[..., None])[..., 0]``; raises LinAlgError if a
+    G is singular. Real input only: complex input raises a TypeError."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return np.linalg._umath_linalg.solve(g, b[..., None], signature="dd->d")[..., 0]
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+
+
+def _cholesky(g) -> np.ndarray:
+    """The lower Cholesky factor of each G of the stack ``(..., d, d)``,
+    with the bits of ``np.linalg.cholesky(g)``; raises LinAlgError unless
+    every G is positive definite. Like it, reads only the lower triangle and
+    lets NaN entries and +inf diagonal entries pass. Real input only: complex
+    input raises a TypeError."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return np.linalg._umath_linalg.cholesky_lo(g, signature="d->d")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Matrix is not positive definite") from None
 
 
 def _assemble_metric(gen: Generator, u, h) -> np.ndarray:
@@ -320,7 +352,7 @@ def theta_of_zeta(gen: Generator, zeta, theta0) -> np.ndarray:
         if rnorm <= NEWTON_TOL:
             break
         try:
-            step = np.linalg.solve(big_phi_hess(gen, theta), -res)
+            step = _solve(big_phi_hess(gen, theta), -res)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Jacobian at theta={theta}") from exc
         t = 1.0

@@ -34,8 +34,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
-                   RegularityError, SolverError, _assemble_metric,
-                   _invert_rows, _require_inverse, _vec, big_phi_bregman,
+                   RegularityError, SolverError, _assemble_metric, _cholesky,
+                   _invert_rows, _require_inverse, _solve, _vec, big_phi_bregman,
                    conformal_weight, lambda_mirror, log_div, metric,
                    theta_of_zeta, zeta_of)
 
@@ -182,11 +182,6 @@ def rhs_primal(gen: Generator, obj: Objective, theta) -> np.ndarray:
     return -_solve(metric(gen, theta), _vec(obj.grad(theta)))
 
 
-def _solve(g, b) -> np.ndarray:
-    """G^{-1} b row by row, by LU: one ``np.linalg.solve`` over the stack."""
-    return np.linalg.solve(g, b[..., None])[..., 0]
-
-
 def rhs_dual(gen: Generator, obj: Objective, pair: DualPair) -> np.ndarray:
     """-pi * (I + lam eta theta^T) grad f(theta), the flow of the dual
     variable, one row per row of ``pair``."""
@@ -246,9 +241,9 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
         k4, g4 = stage(x + h * k3, rows)
         out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if g1 is not None:
-            np.linalg.cholesky(np.array((g1, g2, g3, g4)))
+            _cholesky(np.array((g1, g2, g3, g4)))
         ok = feasible(out)
-        if not (ok.all() if out.ndim > 1 else ok):
+        if not (np.count_nonzero(ok) == ok.size if out.ndim > 1 else ok):
             raise DomainError("step left the domain")
         return out
 
@@ -403,7 +398,7 @@ def _reflecting(test, reflect):
     def accept(cand):
         taken, ok = test(cand)
         ok = np.asarray(ok)
-        if ok.all():
+        if np.count_nonzero(ok) == ok.size:
             return taken, ok
         refl_taken, refl_ok = test(reflect(cand))
         return np.where((~ok & refl_ok)[..., None], refl_taken, taken), ok | refl_ok

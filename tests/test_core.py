@@ -1,14 +1,18 @@
 """Core geometry: costs, mirror maps, conjugacy, divergences, and the metric."""
+import ast
 import dataclasses
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import xmd
 from xmd.core import (Domain, DomainError, Generator, GeometryError,
-                      RegularityError, _vec, big_phi_bregman, big_phi_hess,
-                      big_phi_value, conformal_weight, inverse_mirror,
+                      RegularityError, _cholesky, _solve, _vec, big_phi_bregman,
+                      big_phi_hess, big_phi_value, conformal_weight, inverse_mirror,
                       lambda_mirror, log_cost, log_div, metric, zeta_of)
 from xmd.expfam import (LambdaExpFamily, OnlineState, online_update, start_state,
                         student_t_family)
@@ -302,6 +306,120 @@ def test_metric_positive_definite_failure():
         hess=lambda t: np.eye(1), name="bad")
     with pytest.raises(RegularityError):
         metric(bad, [0.75])  # 1 - 2*theta^2 < 0
+
+
+# ---------------------------------------------------------------------------
+# the two LAPACK helpers: the gufuncs of np.linalg, without its argument handling
+
+
+def _same(helper, reference, *args):
+    """helper(*args) and reference(*args) give the same bytes, or both raise
+    LinAlgError."""
+    try:
+        expected = reference(*args)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            helper(*args)
+        return
+    got = helper(*args)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _stacked_solve(g, b):
+    return np.linalg.solve(g, b[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("batch", [(), (2,), (4, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lapack_helpers_give_the_bits_of_np_linalg(d, batch):
+    rng = np.random.default_rng(100 * d + len(batch))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(100):
+            a = rng.normal(size=batch + (d, d))
+            g = a @ np.swapaxes(a, -1, -2) + rng.uniform(1e-3, 1.0) * np.eye(d)
+            b = rng.normal(size=batch + (d,))
+            _same(_solve, _stacked_solve, g, b)
+            # a 1-d b is np.linalg.solve's own one-vector case
+            _same(_solve, np.linalg.solve, g, b.reshape(-1, d)[0])
+            _same(_cholesky, np.linalg.cholesky, g)
+            # not symmetric: both read the lower triangle alone
+            _same(_cholesky, np.linalg.cholesky, g + np.triu(a, 1))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_lapack_helpers_raise_where_np_linalg_raises(batch):
+    g = np.broadcast_to(np.array([[2.0, 0.5], [0.5, 1.0]]), batch + (2, 2)).copy()
+    b = np.ones(batch + (2,))
+    member = (0,) * len(batch)
+    singular, indefinite = g.copy(), g.copy()
+    singular[member] = [[1.0, 2.0], [2.0, 4.0]]
+    indefinite[member] = [[1.0, 2.0], [2.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular, b[..., None])
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(singular, b)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(indefinite)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(indefinite)
+        # a singular G has no Cholesky factor either
+        _same(_cholesky, np.linalg.cholesky, singular)
+        # NaN and inf entries, in the lower and the upper triangle, pass or
+        # raise as in np.linalg (the Cholesky check lets NaN and +inf pass)
+        for value in (np.nan, np.inf, -np.inf):
+            for entry in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                bad = g.copy()
+                bad[member + entry] = value
+                _same(_solve, _stacked_solve, bad, b)
+                _same(_cholesky, np.linalg.cholesky, bad)
+                rhs = b.copy()
+                rhs[member + (entry[0],)] = value
+                _same(_solve, _stacked_solve, g, rhs)
+
+
+def test_lapack_helpers_refuse_complex_input():
+    g = np.array([[2.0, 0.5], [0.5, 1.0]]) + 0j
+    b = np.array([1.0, 1j])
+    # np.linalg would solve in complex arithmetic; the helpers are real only
+    with pytest.raises(TypeError):
+        _solve(g, b)
+    with pytest.raises(TypeError):
+        _solve(g.real, b)
+    with pytest.raises(TypeError):
+        _cholesky(g)
+
+
+def test_every_lapack_call_goes_through_the_two_helpers():
+    # a source scan of src/xmd: np.linalg.solve, np.linalg.cholesky and the
+    # gufunc module they wrap appear in code only inside core._solve and
+    # core._cholesky, so each LAPACK call is written once
+    banned = {"solve", "cholesky", "_umath_linalg"}
+    found = []
+    for path in sorted(pathlib.Path(xmd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skipped = set()
+        for node in tree.body:
+            if (path.name == "core.py" and isinstance(node, ast.FunctionDef)
+                    and node.name in ("_solve", "_cholesky")):
+                skipped |= {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+                linalg = isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                if name == "_umath_linalg" or (linalg and name in banned):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                found += [f"{path.name}:{node.lineno}: import {alias.name}"
+                          for alias in node.names if alias.name in banned]
+            elif isinstance(node, ast.Name) and node.id == "_umath_linalg":
+                found.append(f"{path.name}:{node.lineno}: {node.id}")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
