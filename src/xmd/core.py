@@ -242,19 +242,22 @@ def log_div(gen: Generator, theta, theta_p):
 def metric(gen: Generator, theta) -> np.ndarray:
     """Conformal Hessian metric G = hess phi + lam * (grad phi)(grad phi)^T,
     one ``(d, d)`` matrix per row; raises RegularityError unless every G is
-    positive definite.
+    finite and positive definite.
 
-    The check is one Cholesky factorization (``_cholesky``), whose factor is
-    discarded. The RK4 stages of ``flows`` assemble G by ``_assemble_metric``
-    unchecked and check the four stage metrics of a step in one stacked
-    ``_cholesky``; they solve with G by LU (``_solve``), as
-    ``flows.rhs_primal`` does. A solve through the factor (``cho_solve``)
-    measured no faster at these sizes (n <= 3), and it would round
-    differently, so every pinned output would change."""
+    The check counts the non-finite entries of G, which LAPACK's Cholesky
+    lets pass (NaN entries, +inf on the diagonal), then makes one Cholesky
+    factorization (``_cholesky``), whose factor is discarded. The RK4 stages
+    of ``flows`` assemble G by ``_assemble_metric`` unchecked and check the
+    four stage metrics of a step in one stacked ``_cholesky``; they solve
+    with G by LU (``_solve``), as ``flows.rhs_primal`` does. A solve through
+    the factor (``cho_solve``) measured no faster at these sizes (n <= 3),
+    and it would round differently, so every pinned output would change."""
     theta = _vec(theta)
     if gen.hess is None:
         raise RegularityError(f"generator {gen.name!r} has no Hessian oracle")
     g = _assemble_metric(gen, gen.grad(theta), gen.hess(theta))
+    if np.count_nonzero(~np.isfinite(g)):
+        raise RegularityError(f"metric not finite at theta={theta}")
     try:
         _cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -264,12 +267,14 @@ def metric(gen: Generator, theta) -> np.ndarray:
 
 def _solve(g, b) -> np.ndarray:
     """G^{-1} b over the last axis, by LU: one LAPACK ``gesv`` over the
-    stack of G ``(..., d, d)`` and rows b ``(..., d)``, with the bits of
-    ``np.linalg.solve(g, b[..., None])[..., 0]``; raises LinAlgError if a
-    G is singular. Real input only: complex input raises a TypeError."""
+    stack of G ``(..., d, d)`` and rows b ``(..., d)``, by the one-vector
+    gufunc (``solve1``) that ``np.linalg.solve`` calls for a 1-d b. It gives
+    the bits of ``np.linalg.solve(g, b[..., None])[..., 0]``, and raises
+    LinAlgError if a G is singular. Real input only: complex input raises a
+    TypeError."""
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return np.linalg._umath_linalg.solve(g, b[..., None], signature="dd->d")[..., 0]
+            return np.linalg._umath_linalg.solve1(g, b, signature="dd->d")
     except FloatingPointError:
         raise np.linalg.LinAlgError("Singular matrix") from None
 
@@ -317,7 +322,7 @@ def big_phi_value(gen: Generator, theta):
 
 def big_phi_hess(gen: Generator, theta) -> np.ndarray:
     """hess Phi = exp(lam*phi) * G, one ``(d, d)`` matrix per row; raises
-    RegularityError unless every G is positive definite."""
+    RegularityError unless every G is finite and positive definite."""
     theta = _vec(theta)
     return conformal_weight(gen, theta)[..., None, None] * metric(gen, theta)
 

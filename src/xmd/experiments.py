@@ -303,30 +303,49 @@ def rank_methods(mean_curves: dict) -> list:
 # ---------------------------------------------------------------------------
 # diagnostics suites
 
-# geodesic-check steps each instance at dt = 1e-2, 100 steps to t_end 1. The
+# geodesic-check steps each instance at dt = 2e-2, 50 steps to t_end 1. The
 # exact flows are straight lines, so each error it reports is the integration
 # error plus any fault: a coarser grid can only raise it, never hide a fault,
-# and the suite needs no companion run. At 1e-2 the errors are 2.0e-10 (the
-# 2-d dual_collinearity) and 4.2e-17 (the 1-d instance), against the tolerance
-# 1e-6; at 1e-3 they were 1.8e-14 and 5.6e-17. The metric-sign fault
-# (G = hess phi - lam u u^T) reads 1.8e-2 at either grid.
-GEODESIC_DT = 1e-2
+# and the suite needs no companion run. The grid is the coarsest step of the
+# ladder 1e-2 * 2^k that keeps the 2-d instance's error (its
+# dual_collinearity) at most 1e-2 of the tolerance 1e-6:
+#
+#   dt      2-d max_error   1-d max_error
+#   1e-2    2.0e-10         4.2e-17
+#   2e-2    3.5e-9          4.2e-17
+#   4e-2    6.3e-8          5.6e-17
+#
+# Halving dt from 2e-2 divides the 2-d error by 17.5 (RK4's rate is 16). The
+# metric-sign fault (G = hess phi - lam u u^T) reads 1.8e-2 on every grid.
+GEODESIC_DT = 2e-2
 GEODESIC_TOL = 1e-6
 
-# lyapunov-suite steps each path at dt = 5e-3, 800 steps to t_end 4, with a
-# companion path on every other point of that grid (step 1e-2) for the
-# Richardson estimate of the error in E(t) = L[theta_star : theta_t]. Both
-# step in one RK4 batch (``flows.lyapunov_continuous``): the companion jumps
-# 1e-2, then sits out a step, and keeps the bits of a run of its own. A
-# violations row passes only if the report is monotone, which requires twice
-# the estimate to be under flows.MONOTONE_TOL, so that integration error can
-# neither invent nor hide a rise of E. At 5e-3 the estimates are
-# 1.2e-11 (1-d) and 2.0e-10 (2-d), with no violation, and the least margins of
-# the bound over the gap, 0.065 and 0.123, are those of dt = 1e-3. At dt = 0.2
-# the 2-d estimate is 3e-4, and its row fails. The discrete run of 2000 steps
-# reaches its fixed point at step 45, which returns its input's bits, and stops
-# stepping there (``flows.discrete_lyapunov_run``).
-LYAPUNOV_DT = 5e-3
+# lyapunov-suite steps each path on its own grid, keyed by the label of its
+# Richardson estimate in summary.json, to t_end 4: the 1-d path at dt = 1e-2
+# (400 steps), the 2-d path at 5e-3 (800 steps). A companion path on every
+# other point of that grid (step 2 dt) gives the Richardson estimate of the
+# error in E(t) = L[theta_star : theta_t]. Both step in one RK4 batch
+# (``flows.lyapunov_continuous``): the companion jumps 2 dt, then sits out a
+# step, and keeps the bits of a run of its own. A violations row passes only
+# if the report is monotone, which requires twice the estimate to be under
+# flows.MONOTONE_TOL = 1e-9, so that integration error can neither invent nor
+# hide a rise of E. Each grid is the coarsest step of the ladder 5e-3 * 2^k
+# that meets that budget. Twice the estimate reads (no grid shows a rise):
+#
+#   dt      1-d         2-d         1-d, metric-sign fault
+#   4e-3    9.8e-12     1.6e-10     8.1e-10
+#   5e-3    2.4e-11     3.9e-10     2.0e-9
+#   1e-2    3.9e-10     6.6e-9      3.3e-8
+#   2e-2    6.3e-9      1.1e-7      5.2e-7
+#
+# so both paths sit about 2.5x under the budget, and the metric-sign fault
+# is caught by the 1-d budget with a margin of 33x. The least margins of the
+# bound over the gap, 0.065 (1-d) and 0.123 (2-d), read the same to three
+# digits at dt = 1e-3, 5e-3 and 1e-2. At dt = 0.2 the 2-d estimate is 3e-4,
+# and its row fails. The discrete run of 2000 steps reaches its fixed point
+# at step 45, which returns its input's bits, and stops stepping there
+# (``flows.discrete_lyapunov_run``).
+LYAPUNOV_DT = {"1d": 1e-2, "2d": 5e-3}
 
 # flow-equivalence steps on the grid of ExperimentConfig.dt, 1e-2 by default,
 # 100 steps to the default t_end 1. The exact conformal path and the Hessian
@@ -393,7 +412,7 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
         def continuous(gen, obj, theta0, label):
             """The report of the path from theta0; the Richardson estimate of
             its error in E goes in the summary."""
-            rep = lyapunov_continuous(gen, obj, theta0, 4.0, LYAPUNOV_DT)
+            rep = lyapunov_continuous(gen, obj, theta0, 4.0, LYAPUNOV_DT[label])
             extra[f"richardson_error_{label}"] = rep.richardson_error
             return rep
 

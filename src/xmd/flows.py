@@ -177,7 +177,7 @@ def _dual_logdiv_grad(gen: Generator, pair: DualPair, eta_star) -> np.ndarray:
 
 def rhs_primal(gen: Generator, obj: Objective, theta) -> np.ndarray:
     """-G^{-1}(theta) grad f(theta), one row per row of theta; raises
-    RegularityError unless every G is positive definite."""
+    RegularityError unless every G is finite and positive definite."""
     theta = _vec(theta)
     return -_solve(metric(gen, theta), _vec(obj.grad(theta)))
 

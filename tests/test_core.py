@@ -308,6 +308,19 @@ def test_metric_positive_definite_failure():
         metric(bad, [0.75])  # 1 - 2*theta^2 < 0
 
 
+@pytest.mark.parametrize("call, gen, theta", [
+    (metric, quadratic_generator(-0.4, 2), [np.nan, 0.1]),
+    (big_phi_hess, quadratic_generator(-0.4, 2), [0.2, np.nan]),
+    (metric, log_reciprocal_generator(1.0), [0.0]),
+])
+def test_metric_refuses_a_non_finite_g(call, gen, theta):
+    # LAPACK's Cholesky lets NaN entries and an +inf diagonal pass, so the
+    # positive-definiteness check alone would return this G
+    with np.errstate(all="ignore"):
+        with pytest.raises(RegularityError, match="not finite at theta"):
+            call(gen, theta)
+
+
 # ---------------------------------------------------------------------------
 # the two LAPACK helpers: the gufuncs of np.linalg, without its argument handling
 

@@ -35,14 +35,15 @@ ONLINE_DIGESTS = {
 
 # the same digest of the diagnostics suites, each with its arguments, each
 # recorded once it stepped on its error-budgeted grid: the two fixed-instance
-# suites at their defaults (geodesic-check at dt 1e-2, lyapunov-suite at 5e-3
-# with the Richardson estimates in its summary); flow-equivalence at the
-# benchmark's t_end=0.1 and its default dt 1e-2
+# suites at their defaults (geodesic-check at dt 2e-2, lyapunov-suite at 1e-2
+# for the 1-d path and 5e-3 for the 2-d path, with the Richardson estimates in
+# its summary); flow-equivalence at the benchmark's t_end=0.1 and its default
+# dt 1e-2
 DIAGNOSTICS_DIGESTS = {
     "geodesic-check":
-        ((), "c14c40e2a622435d47a428ced01d9f6b628a676a885573cad1736cefd40c1fde"),
+        ((), "4a56c1f1d4e583368d812901a93f248e5dc185a24f4f8f60f863c56c2335aecb"),
     "lyapunov-suite":
-        ((), "7ca34977546710985db8e53a69330af963f8553ca2e7c750bb95a6cf5f995b8d"),
+        ((), "330069aa54f6d8eb105152d240b94b4c578d01b6fea434723624270d162ba5ac"),
     "flow-equivalence":
         (("--override", "t_end=0.1"),
          "5f2c24183aef62aac52dd03a298999c848c6c48d4d1db148d4f054e442ca1dd9"),
@@ -232,10 +233,11 @@ def test_diagnostics_write_the_rows_the_benchmark_expects(tmp_path, experiment):
 
 
 # RK4 stages per suite at its DIAGNOSTICS_DIGESTS arguments: flow-equivalence
-# steps two 10-step paths, geodesic-check two 2-row batches of 100 steps, and
-# lyapunov-suite two paths of 800 steps, each batched with its companion of
-# 400: 400 steps of the batch and 400 of the path alone
-RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 800, "lyapunov-suite": 6400}
+# steps two 10-step paths, geodesic-check two 2-row batches of 50 steps, and
+# lyapunov-suite a 1-d path of 400 steps and a 2-d path of 800, each batched
+# with its companion of half its steps: 200 steps of the batch and 200 of
+# the path alone (1-d), 400 and 400 (2-d)
+RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 400, "lyapunov-suite": 4800}
 
 
 @pytest.mark.parametrize("experiment", sorted(RK4_STAGES))
@@ -369,7 +371,7 @@ def test_lyapunov_suite_fails_a_path_too_coarse_for_its_error_budget(tmp_path, m
     # at dt = 0.2 neither path shows a rise of E, but the Richardson estimate
     # of E's error (3e-5 and 3e-4) is far over its budget: the grid cannot
     # tell a rise from its own error, so the violations rows fail
-    monkeypatch.setattr(experiments, "LYAPUNOV_DT", 0.2)
+    monkeypatch.setattr(experiments, "LYAPUNOV_DT", {"1d": 0.2, "2d": 0.2})
     assert cli.main(["lyapunov-suite", "--out", str(tmp_path)]) == 1
     assert "lyapunov-suite: FAIL" in capsys.readouterr().out
     out_dir = str(tmp_path / "lyapunov-suite")
@@ -378,6 +380,45 @@ def test_lyapunov_suite_fails_a_path_too_coarse_for_its_error_budget(tmp_path, m
     assert checks["bound_dominates_1d"] == (1.0, True)
     metrics = _summary(out_dir)["metrics"]
     assert 2.0 * metrics["richardson_error_2d"] > 1e4 * flows.MONOTONE_TOL
+
+
+def _geodesic_error(tmp_path, monkeypatch, dt):
+    """The 2-d instance's max_error when geodesic-check steps at dt."""
+    monkeypatch.setattr(experiments, "GEODESIC_DT", dt)
+    out = tmp_path / f"dt={dt}"
+    assert cli.main(["geodesic-check", "--out", str(out)]) == 0
+    checks = _checks(str(out / "geodesic-check"))
+    return max(checks[m][0] for m in ("dual_collinearity", "dual_coefficient_error",
+                                      "primal_collinearity"))
+
+
+def test_geodesic_grid_is_the_coarsest_its_tolerance_certifies(tmp_path, monkeypatch):
+    # the exact flows are straight lines, so the error is integration error:
+    # at GEODESIC_DT it is at most 1e-2 of the tolerance, at twice that grid
+    # it is over that, and halving the grid divides it by about 16, RK4's rate
+    dt = experiments.GEODESIC_DT
+    bound = 1e-2 * experiments.GEODESIC_TOL
+    error = _geodesic_error(tmp_path, monkeypatch, dt)
+    assert 0.0 < error <= bound
+    assert _geodesic_error(tmp_path, monkeypatch, 2.0 * dt) > bound
+    assert 8.0 <= error / _geodesic_error(tmp_path, monkeypatch, dt / 2.0) <= 32.0
+
+
+def test_lyapunov_grids_are_the_coarsest_their_budget_certifies(tmp_path, monkeypatch):
+    # each path meets 2 x richardson_error < MONOTONE_TOL on its grid, and
+    # misses it on twice its grid
+    grids = dict(experiments.LYAPUNOV_DT)
+    estimates = {}
+    for scale in (1.0, 2.0):
+        monkeypatch.setattr(experiments, "LYAPUNOV_DT",
+                            {label: scale * dt for label, dt in grids.items()})
+        out = tmp_path / f"x{scale}"
+        assert cli.main(["lyapunov-suite", "--out", str(out)]) == (0 if scale == 1.0 else 1)
+        metrics = _summary(str(out / "lyapunov-suite"))["metrics"]
+        estimates[scale] = {label: metrics[f"richardson_error_{label}"] for label in grids}
+    for label in grids:
+        assert 2.0 * estimates[1.0][label] < flows.MONOTONE_TOL
+        assert 2.0 * estimates[2.0][label] >= flows.MONOTONE_TOL
 
 
 def _put_fault(monkeypatch, name, fault):
