@@ -18,9 +18,9 @@ import numpy as np
 from . import expfam, simplex
 from .config import ExperimentConfig, delta_schedule
 from .core import GeometryError
-from .flows import (Objective, conformal_smoothness_estimate, discrete_lyapunov_run,
-                    geodesic_flow_check, lyapunov_continuous, quadratic_objective,
-                    time_change_compare)
+from .flows import (Objective, _time_grid, conformal_smoothness_estimate,
+                    discrete_lyapunov_run, geodesic_flow_check, lyapunov_continuous,
+                    quadratic_objective, time_change_compare)
 from .generators import (log_reciprocal_generator, quadratic_generator)
 from .rng import INIT_STREAM, TRUTH_STREAM, substream
 
@@ -303,49 +303,58 @@ def rank_methods(mean_curves: dict) -> list:
 # ---------------------------------------------------------------------------
 # diagnostics suites
 
-# geodesic-check steps each instance at dt = 2e-2, 50 steps to t_end 1. The
-# exact flows are straight lines, so each error it reports is the integration
-# error plus any fault: a coarser grid can only raise it, never hide a fault,
-# and the suite needs no companion run. The grid is the coarsest step of the
-# ladder 1e-2 * 2^k that keeps the 2-d instance's error (its
-# dual_collinearity) at most 1e-2 of the tolerance 1e-6:
+# geodesic-check and lyapunov-suite step on graded grids (``flows._time_grid``)
+# of one stretch: the steps grow geometrically, the last about GRID_STRETCH
+# times the first, fine near t = 0, where the paths move fastest and the RK4
+# error is made, and coarse where they have settled. For an even step count,
+# every other point of a graded grid holds the bits of the grid of half the
+# steps at the same stretch, so each grid below is the coarsest rung of the
+# halving ladder n * 2^k, at this stretch, that its error budget certifies.
+GRID_STRETCH = 8.0
+
+# geodesic-check steps each instance on the graded grid of 24 steps to
+# t_end 1. The exact flows are straight lines, so each error it reports is the
+# integration error plus any fault: a coarser grid can only raise it, never
+# hide a fault, and the suite needs no companion run. The grid keeps the 2-d
+# instance's error (its dual_collinearity) at most 1e-2 of the tolerance 1e-6:
 #
-#   dt      2-d max_error   1-d max_error
-#   1e-2    2.0e-10         4.2e-17
-#   2e-2    3.5e-9          4.2e-17
-#   4e-2    6.3e-8          5.6e-17
+#   steps   2-d max_error   1-d max_error
+#   12      5.0e-8          2.8e-17
+#   24      3.0e-9          5.6e-17
+#   48      1.8e-10         5.6e-17
 #
-# Halving dt from 2e-2 divides the 2-d error by 17.5 (RK4's rate is 16). The
-# metric-sign fault (G = hess phi - lam u u^T) reads 1.8e-2 on every grid.
-GEODESIC_DT = 2e-2
+# Doubling the steps from 24 divides the 2-d error by 16.4 (RK4's rate is 16).
+# The metric-sign fault (G = hess phi - lam u u^T) reads 1.8e-2 on every grid.
+GEODESIC_STEPS = 24
 GEODESIC_TOL = 1e-6
 
-# lyapunov-suite steps each path on its own grid, keyed by the label of its
-# Richardson estimate in summary.json, to t_end 4: the 1-d path at dt = 1e-2
-# (400 steps), the 2-d path at 5e-3 (800 steps). A companion path on every
-# other point of that grid (step 2 dt) gives the Richardson estimate of the
+# lyapunov-suite steps each path on its own graded grid to t_end 4, keyed by
+# the label of its Richardson estimate in summary.json: the 1-d path in 200
+# steps, the 2-d path in 256. A companion path on every other point of that
+# grid, the rung below on the ladder, gives the Richardson estimate of the
 # error in E(t) = L[theta_star : theta_t]. Both step in one RK4 batch
-# (``flows.lyapunov_continuous``): the companion jumps 2 dt, then sits out a
-# step, and keeps the bits of a run of its own. A violations row passes only
-# if the report is monotone, which requires twice the estimate to be under
-# flows.MONOTONE_TOL = 1e-9, so that integration error can neither invent nor
-# hide a rise of E. Each grid is the coarsest step of the ladder 5e-3 * 2^k
-# that meets that budget. Twice the estimate reads (no grid shows a rise):
+# (``flows.lyapunov_continuous``): the companion spans two steps, then sits
+# out a step, and keeps the bits of a run of its own. A violations row passes
+# only if the report is monotone, which requires twice the estimate to be
+# under flows.MONOTONE_TOL = 1e-9, so that integration error can neither
+# invent nor hide a rise of E. Twice the estimate reads (no grid shows a
+# rise):
 #
-#   dt      1-d         2-d         1-d, metric-sign fault
-#   4e-3    9.8e-12     1.6e-10     8.1e-10
-#   5e-3    2.4e-11     3.9e-10     2.0e-9
-#   1e-2    3.9e-10     6.6e-9      3.3e-8
-#   2e-2    6.3e-9      1.1e-7      5.2e-7
+#   1-d steps   1-d        1-d, metric-sign fault   2-d steps   2-d
+#   100         7.0e-9     1.3e-7                   128         6.3e-9
+#   200         4.2e-10    7.8e-9                   256         3.7e-10
+#   400         2.5e-11    4.7e-10                  512         2.3e-11
 #
 # so both paths sit about 2.5x under the budget, and the metric-sign fault
-# is caught by the 1-d budget with a margin of 33x. The least margins of the
-# bound over the gap, 0.065 (1-d) and 0.123 (2-d), read the same to three
-# digits at dt = 1e-3, 5e-3 and 1e-2. At dt = 0.2 the 2-d estimate is 3e-4,
-# and its row fails. The discrete run of 2000 steps reaches its fixed point
-# at step 45, which returns its input's bits, and stops stepping there
-# (``flows.discrete_lyapunov_run``).
-LYAPUNOV_DT = {"1d": 1e-2, "2d": 5e-3}
+# is caught by the 1-d budget with a margin of 7.8x. Against a run 16 times
+# finer on the same stretch the estimate reads 3% over the error of E on both
+# paths. The least margins of the bound over the gap, 0.065 (1-d) and 0.123
+# (2-d), read the same to three digits on these grids and on uniform grids of
+# 400 and 800 steps. On the graded grid of 20 steps twice the 2-d estimate
+# is 1.5e-5, and its row fails. The discrete run of 2000 steps reaches its
+# fixed point at step 45, which returns its input's bits, and stops stepping
+# there (``flows.discrete_lyapunov_run``).
+LYAPUNOV_STEPS = {"1d": 200, "2d": 256}
 
 # flow-equivalence steps on the grid of ExperimentConfig.dt, 1e-2 by default,
 # 100 steps to the default t_end 1. The exact conformal path and the Hessian
@@ -391,16 +400,17 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
                          errors)
 
     elif config.experiment == "geodesic-check":
+        grid = _time_grid(1.0, GEODESIC_STEPS, GRID_STRETCH)
+
         def two_d():
             rep = geodesic_flow_check(quadratic_generator(-0.5, 2), [0.5, -0.3], [-0.8, 0.6],
-                                      t_end=1.0, dt=GEODESIC_DT)
+                                      grid)
             return [(e, e < GEODESIC_TOL) for e in (rep.dual_collinearity,
                                                     rep.dual_coefficient_error,
                                                     rep.primal_collinearity)]
 
         def one_d():
-            rep = geodesic_flow_check(log_reciprocal_generator(1.0), [2.0], [1.0],
-                                      t_end=1.0, dt=GEODESIC_DT)
+            rep = geodesic_flow_check(log_reciprocal_generator(1.0), [2.0], [1.0], grid)
             return [(rep.max_error, rep.max_error < GEODESIC_TOL)]
         checks += _check("geodesic-check", [("dual_collinearity", GEODESIC_TOL),
                                             ("dual_coefficient_error", GEODESIC_TOL),
@@ -412,7 +422,8 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
         def continuous(gen, obj, theta0, label):
             """The report of the path from theta0; the Richardson estimate of
             its error in E goes in the summary."""
-            rep = lyapunov_continuous(gen, obj, theta0, 4.0, LYAPUNOV_DT[label])
+            rep = lyapunov_continuous(gen, obj, theta0,
+                                      _time_grid(4.0, LYAPUNOV_STEPS[label], GRID_STRETCH))
             extra[f"richardson_error_{label}"] = rep.richardson_error
             return rep
 

@@ -35,15 +35,15 @@ ONLINE_DIGESTS = {
 
 # the same digest of the diagnostics suites, each with its arguments, each
 # recorded once it stepped on its error-budgeted grid: the two fixed-instance
-# suites at their defaults (geodesic-check at dt 2e-2, lyapunov-suite at 1e-2
-# for the 1-d path and 5e-3 for the 2-d path, with the Richardson estimates in
-# its summary); flow-equivalence at the benchmark's t_end=0.1 and its default
-# dt 1e-2
+# suites at their defaults, on graded grids of stretch 8 (geodesic-check in 24
+# steps, lyapunov-suite in 200 steps for the 1-d path and 256 for the 2-d
+# path, with the Richardson estimates in its summary); flow-equivalence at the
+# benchmark's t_end=0.1 and its default dt 1e-2
 DIAGNOSTICS_DIGESTS = {
     "geodesic-check":
-        ((), "4a56c1f1d4e583368d812901a93f248e5dc185a24f4f8f60f863c56c2335aecb"),
+        ((), "f7735d769fa6e5025f5d96b3e20059e9ba58a528d3d20cb56fc35ee2e6ec2b4a"),
     "lyapunov-suite":
-        ((), "330069aa54f6d8eb105152d240b94b4c578d01b6fea434723624270d162ba5ac"),
+        ((), "2bd388c747d1d049748c9cf2578b905abb4a551e21878e60147c195c57d9341c"),
     "flow-equivalence":
         (("--override", "t_end=0.1"),
          "5f2c24183aef62aac52dd03a298999c848c6c48d4d1db148d4f054e442ca1dd9"),
@@ -233,11 +233,11 @@ def test_diagnostics_write_the_rows_the_benchmark_expects(tmp_path, experiment):
 
 
 # RK4 stages per suite at its DIAGNOSTICS_DIGESTS arguments: flow-equivalence
-# steps two 10-step paths, geodesic-check two 2-row batches of 50 steps, and
-# lyapunov-suite a 1-d path of 400 steps and a 2-d path of 800, each batched
-# with its companion of half its steps: 200 steps of the batch and 200 of
-# the path alone (1-d), 400 and 400 (2-d)
-RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 400, "lyapunov-suite": 4800}
+# steps two 10-step paths, geodesic-check two 2-row batches of 24 steps, and
+# lyapunov-suite a 1-d path of 200 steps and a 2-d path of 256, each batched
+# with its companion of half its steps: 100 steps of the batch and 100 of
+# the path alone (1-d), 128 and 128 (2-d)
+RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 192, "lyapunov-suite": 1824}
 
 
 @pytest.mark.parametrize("experiment", sorted(RK4_STAGES))
@@ -368,10 +368,11 @@ def test_lyapunov_suite_reports_its_error_estimates_in_budget(tmp_path):
 
 def test_lyapunov_suite_fails_a_path_too_coarse_for_its_error_budget(tmp_path, monkeypatch,
                                                                     capsys):
-    # at dt = 0.2 neither path shows a rise of E, but the Richardson estimate
-    # of E's error (3e-5 and 3e-4) is far over its budget: the grid cannot
-    # tell a rise from its own error, so the violations rows fail
-    monkeypatch.setattr(experiments, "LYAPUNOV_DT", {"1d": 0.2, "2d": 0.2})
+    # on the graded grid of 20 steps neither path shows a rise of E, but the
+    # Richardson estimate of E's error (1.5e-3 and 7.4e-6) is far over its
+    # budget: the grid cannot tell a rise from its own error, so the
+    # violations rows fail
+    monkeypatch.setattr(experiments, "LYAPUNOV_STEPS", {"1d": 20, "2d": 20})
     assert cli.main(["lyapunov-suite", "--out", str(tmp_path)]) == 1
     assert "lyapunov-suite: FAIL" in capsys.readouterr().out
     out_dir = str(tmp_path / "lyapunov-suite")
@@ -382,10 +383,10 @@ def test_lyapunov_suite_fails_a_path_too_coarse_for_its_error_budget(tmp_path, m
     assert 2.0 * metrics["richardson_error_2d"] > 1e4 * flows.MONOTONE_TOL
 
 
-def _geodesic_error(tmp_path, monkeypatch, dt):
-    """The 2-d instance's max_error when geodesic-check steps at dt."""
-    monkeypatch.setattr(experiments, "GEODESIC_DT", dt)
-    out = tmp_path / f"dt={dt}"
+def _geodesic_error(tmp_path, monkeypatch, n_steps):
+    """The 2-d instance's max_error when geodesic-check steps n_steps times."""
+    monkeypatch.setattr(experiments, "GEODESIC_STEPS", n_steps)
+    out = tmp_path / f"n={n_steps}"
     assert cli.main(["geodesic-check", "--out", str(out)]) == 0
     checks = _checks(str(out / "geodesic-check"))
     return max(checks[m][0] for m in ("dual_collinearity", "dual_coefficient_error",
@@ -394,31 +395,44 @@ def _geodesic_error(tmp_path, monkeypatch, dt):
 
 def test_geodesic_grid_is_the_coarsest_its_tolerance_certifies(tmp_path, monkeypatch):
     # the exact flows are straight lines, so the error is integration error:
-    # at GEODESIC_DT it is at most 1e-2 of the tolerance, at twice that grid
-    # it is over that, and halving the grid divides it by about 16, RK4's rate
-    dt = experiments.GEODESIC_DT
+    # at GEODESIC_STEPS it is at most 1e-2 of the tolerance, on the rung below
+    # (half the steps, the same stretch) it is over that, and doubling the
+    # steps divides it by about 16, RK4's rate
+    n = experiments.GEODESIC_STEPS
+    assert n % 2 == 0
     bound = 1e-2 * experiments.GEODESIC_TOL
-    error = _geodesic_error(tmp_path, monkeypatch, dt)
+    error = _geodesic_error(tmp_path, monkeypatch, n)
     assert 0.0 < error <= bound
-    assert _geodesic_error(tmp_path, monkeypatch, 2.0 * dt) > bound
-    assert 8.0 <= error / _geodesic_error(tmp_path, monkeypatch, dt / 2.0) <= 32.0
+    assert _geodesic_error(tmp_path, monkeypatch, n // 2) > bound
+    assert 8.0 <= error / _geodesic_error(tmp_path, monkeypatch, 2 * n) <= 32.0
 
 
 def test_lyapunov_grids_are_the_coarsest_their_budget_certifies(tmp_path, monkeypatch):
     # each path meets 2 x richardson_error < MONOTONE_TOL on its grid, and
-    # misses it on twice its grid
-    grids = dict(experiments.LYAPUNOV_DT)
+    # misses it on the rung below: half the steps, the same stretch
+    grids = dict(experiments.LYAPUNOV_STEPS)
+    assert all(n % 2 == 0 for n in grids.values())
     estimates = {}
-    for scale in (1.0, 2.0):
-        monkeypatch.setattr(experiments, "LYAPUNOV_DT",
-                            {label: scale * dt for label, dt in grids.items()})
-        out = tmp_path / f"x{scale}"
-        assert cli.main(["lyapunov-suite", "--out", str(out)]) == (0 if scale == 1.0 else 1)
+    for div in (1, 2):
+        monkeypatch.setattr(experiments, "LYAPUNOV_STEPS",
+                            {label: n // div for label, n in grids.items()})
+        out = tmp_path / f"n_over_{div}"
+        assert cli.main(["lyapunov-suite", "--out", str(out)]) == (0 if div == 1 else 1)
         metrics = _summary(str(out / "lyapunov-suite"))["metrics"]
-        estimates[scale] = {label: metrics[f"richardson_error_{label}"] for label in grids}
+        estimates[div] = {label: metrics[f"richardson_error_{label}"] for label in grids}
     for label in grids:
-        assert 2.0 * estimates[1.0][label] < flows.MONOTONE_TOL
-        assert 2.0 * estimates[2.0][label] >= flows.MONOTONE_TOL
+        assert 2.0 * estimates[1][label] < flows.MONOTONE_TOL
+        assert 2.0 * estimates[2][label] >= flows.MONOTONE_TOL
+
+
+def test_cli_docstring_states_the_suite_grids():
+    # the usage text names the grids the two fixed-instance suites step on
+    doc = " ".join(cli.__doc__.split())
+    steps = experiments.LYAPUNOV_STEPS
+    assert f"(stretch {experiments.GRID_STRETCH:g})" in doc
+    assert f"geodesic-check in {experiments.GEODESIC_STEPS} steps to t_end 1" in doc
+    assert (f"lyapunov-suite in {steps['1d']} steps (the 1-d path) and {steps['2d']} steps "
+            "(the 2-d path) to t_end 4") in doc
 
 
 def _put_fault(monkeypatch, name, fault):
@@ -506,7 +520,7 @@ def test_lyapunov_suite_fails_a_nan_smoothness_pair_without_a_traceback(tmp_path
 
 
 def test_a_diagnostics_check_that_raises_fails_only_its_own_rows(tmp_path, monkeypatch):
-    def no_path(gen, obj, theta0, t_end, dt):
+    def no_path(gen, obj, theta0, t):
         raise SolverError("no path")
     monkeypatch.setattr(experiments, "lyapunov_continuous", no_path)
     summary, out_dir = run(tmp_path, "lyapunov-suite")
@@ -839,7 +853,7 @@ def test_a_flow_grid_beyond_its_bound_exits_with_status_2(tmp_path, overrides, c
                                                          monkeypatch):
     # round(t_end/dt) steps past MAX_TIME_STEPS used to reach np.linspace,
     # which raised "Maximum allowed size exceeded" or tried to allocate them
-    def no_grid(t_end, dt):
+    def no_grid(*args):
         raise AssertionError("a time grid was built")
     monkeypatch.setattr(flows, "_time_grid", no_grid)
     argv = ["flow-equivalence", "--out", str(tmp_path)]

@@ -122,11 +122,11 @@ for fault, callers in CALLERS.items():
 # caught today: the clock sign by the discrete check (the two forms of the
 # smoothness denominator disagree); the metric sign by geodesic-check's 2-d
 # instance and by lyapunov-suite's error budget (the 1-d Richardson estimate
-# reads 1.6e-8, and twice it exceeds MONOTONE_TOL 33-fold); the dual-velocity
-# sign by geodesic-check's dual coefficient; the inverted online rate by both
-# online runners; the gap taken as f + f*, and the quadratic value shifted to
-# 1/2 |theta + c|^2, by lyapunov-suite's bound_dominates_1d, whose objective
-# has f* = 1 and whose gap must not be negative
+# reads 3.9e-9, and twice it, 7.8e-9, exceeds MONOTONE_TOL 7.8-fold); the
+# dual-velocity sign by geodesic-check's dual coefficient; the inverted online
+# rate by both online runners; the gap taken as f + f*, and the quadratic
+# value shifted to 1/2 |theta + c|^2, by lyapunov-suite's bound_dominates_1d,
+# whose objective has f* = 1 and whose gap must not be negative
 ROWS = [pytest.param(fault, runner, id=f"{fault}-{runner}",
                      marks=[pytest.mark.xfail(reason=BLIND_SPOTS[fault, runner],
                                               raises=AssertionError, strict=True)]

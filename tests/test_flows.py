@@ -12,13 +12,13 @@ from xmd.core import (Domain, DomainError, Generator, GeometryError, RegularityE
                       SolverError, big_phi_bregman, big_phi_hess, conformal_weight,
                       lambda_mirror, log_div, theta_of_zeta, zeta_of)
 from xmd.flows import (MAX_HALVINGS, MONOTONE_TOL, GeodesicReport, Objective, _guarded_step,
-                       _integrate_path, conformal_smoothness_estimate,
+                       _integrate_path, _time_grid, conformal_smoothness_estimate,
                        discrete_lyapunov_run, dual_logdiv_objective,
                        geodesic_flow_check, integrate, integrate_hessian_flow,
                        lyapunov_continuous, quadratic_objective, rhs_dual, rhs_primal,
                        step_adaptive_mirror, step_dual_euler,
                        step_primal_euler, time_change_compare)
-from xmd.experiments import GEODESIC_TOL
+from xmd.experiments import GEODESIC_TOL, GRID_STRETCH, LYAPUNOV_STEPS
 from xmd.generators import (dirichlet_generator, log_reciprocal_generator,
                             quadratic_generator, student_t_generator)
 from oracles import fd_grad, mirror_jacobian, primal_logdiv_objective, table_generators
@@ -342,6 +342,50 @@ def test_integrate_checks_each_step_with_one_stacked_cholesky(monkeypatch):
     assert calls == [(4, 2, 2)] * n_steps
 
 
+@pytest.mark.parametrize("stretch", [1.0, 8.0, 0.3])
+@pytest.mark.parametrize("t_end, n_steps", [(1.0, 24), (4.0, 200), (4.0, 256), (0.1, 10),
+                                            (3.7, 6)])
+def test_time_grid_halves_bit_for_bit(t_end, n_steps, stretch):
+    t = _time_grid(t_end, n_steps, stretch)
+    assert len(t) == n_steps + 1
+    # the steps grow geometrically, by stretch**(1/n_steps) each
+    steps = np.diff(t)
+    assert steps[-1] / steps[0] == pytest.approx(stretch ** ((n_steps - 1) / n_steps))
+    # every other point is the grid of half the steps, to the bit: the
+    # Richardson companion of a path on t steps on the rung below
+    assert t[::2].tobytes() == _time_grid(t_end, n_steps // 2, stretch).tobytes()
+
+
+def test_time_grid_ends_exactly_at_every_step_count():
+    # a*n/n and t_end*x/x need not round back to a and t_end (at stretch 3
+    # and n = 61, or at stretch 1.7 and t_end 0.1), so the grid takes k/n
+    # first and divides by expm1(a) before it scales
+    for stretch in (0.3, 1.7, 3.0, 8.0, 100.0):
+        for t_end in (0.1, 3.7):
+            for n_steps in range(1, 257):
+                t = _time_grid(t_end, n_steps, stretch)
+                assert t[0] == 0.0 and t[-1] == t_end
+                assert np.all(np.diff(t) > 0.0)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1.0, 1e-2), (0.1, 1e-2), (2.0, 0.05), (0.5, 0.1),
+                                       (1.0, 3e-3)])
+def test_integrate_steps_on_the_uniform_grid_of_its_dt(t_end, dt):
+    # stretch 1 is the uniform grid t = 0, dt, ..., n dt, with n = round(t_end/dt)
+    n = round(t_end / dt)
+    expected = np.linspace(0.0, n * dt, n + 1)
+    assert _time_grid(n * dt, n).tobytes() == expected.tobytes()
+    assert integrate(LOG_1D, quadratic_objective([2.0]), [1.0], t_end, dt).t.tobytes() == (
+        expected.tobytes())
+
+
+@pytest.mark.parametrize("n_steps, stretch", [(0, 1.0), (-1, 8.0), (10, 0.0), (10, -8.0),
+                                              (10, math.inf), (10, math.nan)])
+def test_time_grid_refuses_no_steps_and_a_bad_stretch(n_steps, stretch):
+    with pytest.raises(ValueError):
+        _time_grid(1.0, n_steps, stretch)
+
+
 def test_geodesic_flow_check_evaluates_the_hessian_once_per_stage():
     calls = []
 
@@ -350,7 +394,7 @@ def test_geodesic_flow_check_evaluates_the_hessian_once_per_stage():
         return QUAD_2D.hess(t)
 
     gen = dataclasses.replace(QUAD_2D, hess=hess)
-    rep = geodesic_flow_check(gen, [0.5, -0.3], [-0.8, 0.6], t_end=1.0, dt=1e-3)
+    rep = geodesic_flow_check(gen, [0.5, -0.3], [-0.8, 0.6], _time_grid(1.0, 1000))
     assert rep.max_error < GEODESIC_TOL
     # 1,000 steps of the (dual, primal) pair, four stages each: the primal
     # gradient reads the Hessians of the metric
@@ -644,12 +688,12 @@ def test_step_infeasible_reflects_or_halves():
 
 
 def test_geodesic_stationary():
-    rep = geodesic_flow_check(QUAD_2D, [0.4, -0.2], [0.4, -0.2], t_end=0.2, dt=1e-2)
+    rep = geodesic_flow_check(QUAD_2D, [0.4, -0.2], [0.4, -0.2], _time_grid(0.2, 20))
     assert rep.max_error < GEODESIC_TOL
 
 
 def test_geodesic_two_dimensional_instance():
-    rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], t_end=1.0, dt=1e-3)
+    rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], _time_grid(1.0, 1000))
     assert rep.dual_collinearity < 1e-6
     assert rep.dual_coefficient_error < 1e-6
     assert rep.primal_collinearity < 1e-6
@@ -696,7 +740,7 @@ def _recording_paths(monkeypatch):
 
 def test_geodesic_flow_check_fails_a_nan_path(monkeypatch):
     monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path))
-    rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], t_end=0.1, dt=1e-2)
+    rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], _time_grid(0.1, 10))
     assert np.isnan(rep.dual_collinearity)
     assert np.isnan(rep.dual_coefficient_error)
     assert np.isnan(rep.primal_collinearity)
@@ -720,7 +764,7 @@ def test_geodesic_report_keeps_a_nan_error(nan_at):
 def test_lyapunov_continuous_stationary():
     gen = LOG_1D
     obj = quadratic_objective([0.7])
-    report = lyapunov_continuous(gen, obj, [0.7], 1.0, 1e-2)
+    report = lyapunov_continuous(gen, obj, [0.7], _time_grid(1.0, 100))
     assert all(abs(e) < 1e-14 for _, e in report.lyapunov_series)
     assert report.monotone
 
@@ -729,7 +773,7 @@ def test_lyapunov_continuous_decreasing_and_bounded(monkeypatch):
     gen = LOG_1D
     obj = quadratic_objective([2.0])
     calls = _recording_paths(monkeypatch)
-    report = lyapunov_continuous(gen, obj, [1.0], 4.0, 1e-3)
+    report = lyapunov_continuous(gen, obj, [1.0], _time_grid(4.0, 4000))
     ((times, batch),) = calls
     # row 0 of the batch is the path, its state [theta, tau, integral of w*theta]
     path_t, path_tau = times[:, 0], batch[:, 0, 1]
@@ -748,20 +792,20 @@ def test_lyapunov_continuous_decreasing_and_bounded(monkeypatch):
 def test_lyapunov_continuous_fails_a_nan_path(monkeypatch):
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    report = lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2)
+    report = lyapunov_continuous(gen, obj, [1.0], _time_grid(0.5, 50))
     assert report.monotone and report.bound_dominates
     t = report.lyapunov_series[:, 0]
     # the batch's state is [theta, tau, integral of w*theta] per row, and row
     # 0 is the path: a NaN theta at grid point 20
     monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path, (20, 0, 0)))
-    report = lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2)
+    report = lyapunov_continuous(gen, obj, [1.0], _time_grid(0.5, 50))
     # the rises into and out of the NaN state both count
     assert report.violations[:, 0].tolist() == [t[20], t[21]]
     assert np.isnan(report.violations[:, 1]).all()
     assert not report.monotone
     # a NaN integral of w*theta, so a NaN theta_hat, at grid point 30
     monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path, (30, 0, 2)))
-    report = lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2)
+    report = lyapunov_continuous(gen, obj, [1.0], _time_grid(0.5, 50))
     assert report.monotone and not report.bound_dominates
 
 
@@ -769,8 +813,8 @@ def test_lyapunov_continuous_fails_a_grid_over_its_error_budget():
     # at dt = 0.2 the 2-d path shows no rise of E, but its Richardson
     # estimate (3e-4) is far over the budget: the grid cannot tell a rise
     # from its own error
-    report = lyapunov_continuous(QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7], 4.0,
-                                 0.2)
+    report = lyapunov_continuous(QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7],
+                                 _time_grid(4.0, 20))
     assert len(report.violations) == 0
     assert 2.0 * report.richardson_error > 1e4 * MONOTONE_TOL
     assert not report.monotone
@@ -786,46 +830,69 @@ def test_richardson_error_estimates_the_error_in_e(gen, obj, theta0, dt):
     # 40th of its step (whose own error is 40**4 times smaller); the ratio
     # reads 0.88 to 1.11 at these steps, and 0.56 on the 2-d path at dt 0.2,
     # which is not yet in RK4's asymptotic range
-    report = lyapunov_continuous(gen, obj, theta0, 2.0, dt)
+    report = lyapunov_continuous(gen, obj, theta0, _time_grid(2.0, round(2.0 / dt)))
     fine = integrate(gen, obj, theta0, 2.0, dt / 40)
     error = np.max(np.abs(report.lyapunov_series[:, 1]
                           - log_div(gen, obj.theta_star, fine.theta[::40])))
     assert 0.5 < report.richardson_error / error < 2.0
 
 
+@pytest.mark.parametrize("gen, obj, theta0, label", [
+    (LOG_1D, quadratic_objective([2.0]), [1.0], "1d"),
+    (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7], "2d"),
+], ids=["1d", "2d"])
+def test_richardson_error_estimates_the_error_on_the_suite_grid(gen, obj, theta0, label):
+    # on lyapunov-suite's graded grids the companion steps about 2.02 times
+    # the path's step, not 2: the estimate still reads the error of E, within
+    # 3% (1.028 and 1.029), against a run 8 times finer on the same stretch,
+    # whose every 8th point is the suite's grid and whose error is 8**4 times
+    # smaller
+    n = LYAPUNOV_STEPS[label]
+    report = lyapunov_continuous(gen, obj, theta0, _time_grid(4.0, n, GRID_STRETCH))
+    fine = flows._integrate_clocked(gen, obj, theta0, _time_grid(4.0, 8 * n, GRID_STRETCH))
+    assert fine.t[::8].tobytes() == report.lyapunov_series[:, 0].tobytes()
+    error = np.max(np.abs(report.lyapunov_series[:, 1]
+                          - log_div(gen, obj.theta_star, fine.theta[::8])))
+    assert 0.9 < report.richardson_error / error < 1.1
+
+
 def test_richardson_error_keeps_a_nan(monkeypatch):
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    assert np.isfinite(lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2).richardson_error)
+    assert np.isfinite(lyapunov_continuous(gen, obj, [1.0], _time_grid(0.5, 50)).richardson_error)
     # a NaN theta at a grid point the estimate reads, in either row of the
     # batch: the companion's NaN raises no violation, and fails the budget
     for r in (0, 1):
         monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path, (20, r, 0)))
-        report = lyapunov_continuous(gen, obj, [1.0], 0.5, 1e-2)
+        report = lyapunov_continuous(gen, obj, [1.0], _time_grid(0.5, 50))
         assert np.isnan(report.richardson_error)
         assert not report.monotone
 
 
-@pytest.mark.parametrize("gen, obj, theta0, t_end, dt", [
-    (LOG_1D, quadratic_objective([2.0]), [1.0], 4.0, 5e-3),
-    (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7], 4.0, 5e-3),
+@pytest.mark.parametrize("gen, obj, theta0, t", [
+    # lyapunov-suite's two paths on their own graded grids (the 1-d
+    # objective here lacks the suite's offset f* = 1, which no stage reads)
+    (LOG_1D, quadratic_objective([2.0]), [1.0],
+     _time_grid(4.0, LYAPUNOV_STEPS["1d"], GRID_STRETCH)),
+    (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7],
+     _time_grid(4.0, LYAPUNOV_STEPS["2d"], GRID_STRETCH)),
     # an odd step count: the companion holds at the last even grid point
-    (LOG_1D, quadratic_objective([2.0]), [1.0], 0.5, 0.1),
+    (LOG_1D, quadratic_objective([2.0]), [1.0], _time_grid(0.5, 5)),
     # G = 1 - theta^2/10^4 and theta' = -theta/G, nearly x' = -x (see decay):
     # the companion's first step, of 5, leaves the box (-2, 2) and halves,
     # in the batch's row-by-row redo
-    (NEAR_DECAY, quadratic_objective([0.0]), [1.0], 10.0, 2.5),
+    (NEAR_DECAY, quadratic_objective([0.0]), [1.0], _time_grid(10.0, 4)),
 ], ids=["1d-suite", "2d-suite", "odd-steps", "companion-halves"])
-def test_integrate_with_companion_keeps_the_bits_of_two_runs(monkeypatch, gen, obj, theta0,
-                                                            t_end, dt):
-    # the oracle: the fine path and the companion, each run on its own grid;
-    # each batch row holds the whole RK4 state [theta, tau, integral of w*theta]
+def test_integrate_with_companion_keeps_the_bits_of_two_runs(monkeypatch, gen, obj, theta0, t):
+    # the oracle: the fine path and the companion, each run on its own grid,
+    # t and t[::2]; each batch row holds the whole RK4 state
+    # [theta, tau, integral of w*theta]
     calls = _recording_paths(monkeypatch)
-    lyapunov_continuous(gen, obj, theta0, t_end, dt)
-    path = integrate(gen, obj, theta0, t_end, dt)
-    flows._integrate_clocked(gen, obj, theta0, path.t[::2])
-    (times, batch), (t, fine), (t_coarse, coarse) = calls
-    assert times[:, 0].tobytes() == t.tobytes()
+    lyapunov_continuous(gen, obj, theta0, t)
+    flows._integrate_clocked(gen, obj, theta0, t)
+    flows._integrate_clocked(gen, obj, theta0, t[::2])
+    (times, batch), (t_fine, fine), (t_coarse, coarse) = calls
+    assert times[:, 0].tobytes() == t_fine.tobytes()
     assert batch[:, 0].tobytes() == fine.tobytes()
     assert times[::2, 1].tobytes() == t_coarse.tobytes()
     assert batch[::2, 1].tobytes() == coarse.tobytes()
@@ -856,7 +923,7 @@ def test_integrate_with_companion_redoes_a_halved_step_row_by_row(monkeypatch):
         return integrate_path(recorded, feasible, x, times)
 
     monkeypatch.setattr(flows, "_integrate_path", recording)
-    lyapunov_continuous(gen, obj, [1.0], 5.0, 2.5)
+    lyapunov_continuous(gen, obj, [1.0], _time_grid(5.0, 2))
     # the batch try; the fine row's step of 2.5 and the companion's two
     # halves; then the fine row's second step alone, the companion held
     assert rows == [...] * 4 + [0] * 4 + [1] * 12 + [0] * 4
@@ -1037,7 +1104,7 @@ def _report_lists(report):
     (QUAD_2D, quadratic_objective([0.3, -0.2], weight=-1.0), [0.2, -0.1]),
 ], ids=["1d", "2d", "2d-rising"])
 def test_lyapunov_continuous_equals_its_one_state_loop(gen, obj, theta0):
-    report = lyapunov_continuous(gen, obj, theta0, 0.5, 1e-2)
+    report = lyapunov_continuous(gen, obj, theta0, _time_grid(0.5, 50))
     assert _report_lists(report) == _lyapunov_loop(gen, obj,
                                                    integrate(gen, obj, theta0, 0.5, 1e-2))
 
@@ -1120,7 +1187,7 @@ def test_geodesic_flow_check_equals_its_one_state_loop(gen, star, theta0, t_end,
         coeff = max(coeff, float(np.max(np.abs(rhs_dual(gen, dual_obj, pair) - expected))))
     primal = integrate(gen, primal_logdiv_objective(gen, star), theta0, t_end, dt).theta
     pcollin = max(deviation(theta, theta0, star) for theta in primal)
-    rep = geodesic_flow_check(gen, star, theta0, t_end=t_end, dt=dt)
+    rep = geodesic_flow_check(gen, star, theta0, _time_grid(t_end, round(t_end / dt)))
     assert (rep.dual_collinearity, rep.dual_coefficient_error,
             rep.primal_collinearity) == (collin, coeff, pcollin)
 
