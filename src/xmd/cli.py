@@ -8,14 +8,14 @@ XMD_OUT environment variable (the only environment variable consulted).
 
 Of the diagnostics experiments only flow-equivalence reads the dt and t_end
 keys, by default t_end 1 and dt 1e-2 (dt may not exceed t_end, so a t_end
-under 1e-2 needs a smaller dt as well), and steps on that uniform grid;
-geodesic-check and lyapunov-suite run fixed instances on graded grids whose
-steps grow geometrically, the last about 8 times the first (stretch 8):
-geodesic-check in 24 steps to t_end 1, lyapunov-suite in 200 steps (the 1-d
-path) and 256 steps (the 2-d path) to t_end 4. lyapunov-suite steps each
-continuous path with its Richardson companion (the same path on every other
-point of its grid) as the second row of one RK4 batch, and stops its
-discrete run at the first step that returns its input's bits.
+under 1e-2 needs a smaller dt as well), and steps on that uniform grid.
+geodesic-check and lyapunov-suite run fixed instances. geodesic-check checks
+their velocities at 25 points of each segment; lyapunov-suite steps on graded
+grids whose steps grow geometrically, the last about 8 times the first
+(stretch 8): 200 steps (the 1-d path) and 256 steps (the 2-d path) to t_end 4.
+It steps each continuous path with its Richardson companion (the same path on
+every other point of its grid) as the second row of one RK4 batch, and stops
+its discrete run at the first step that returns its input's bits.
 
 The verdict and the metrics are printed after the outputs are written. If
 standard output closes early (``xmd ... | head -1``), the rest of the printout

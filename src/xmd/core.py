@@ -20,7 +20,9 @@ The maps of a point work over the last axis: ``theta`` is one point ``(d,)``
 or a batch ``(..., d)``, one point is a batch of one, and a batch gives, row
 by row, the bits of the one-point calls. ``metric`` and ``big_phi_hess``
 give one ``(d, d)`` matrix per row, ``(..., d, d)``; ``theta_of_zeta`` takes
-one point.
+one point. ``lambda_mirror``, ``log_cost``, ``log_div``, ``big_phi_value``,
+``conformal_weight`` and ``zeta_of`` also take complex points, for the
+complex step of ``_directional``; their domain tests read the real part.
 
 Every LAPACK call of the package goes through two private helpers: ``_solve``
 (LU, ``gesv``) and ``_cholesky`` (``potrf``). Each calls the gufunc that
@@ -67,9 +69,18 @@ class SolverError(GeometryError):
 
 
 def _vec(x) -> np.ndarray:
-    """x as a float64 base-class ndarray with ndim >= 1: x itself when it
-    already is one, else a new array (a 0-d or scalar x becomes shape (1,))."""
-    return np.array(x, dtype=float, copy=None, ndmin=1)
+    """x as a float64, or complex, base-class ndarray with ndim >= 1: x itself
+    when it already is one, else a new array (a 0-d or scalar x becomes shape (1,))."""
+    x = np.array(x, copy=None, ndmin=1)
+    return x if x.dtype.kind == "c" else x.astype(float, copy=False)
+
+
+def _directional(f, x, v):
+    """The derivative of f at x along v, over the last axis, by the complex
+    step Im f(x + i*h*v) / h, h = 1e-20: with no difference to cancel, it is
+    exact to round-off wherever f is analytic and takes complex input."""
+    h = 1e-20
+    return np.imag(f(x + 1j * h * np.asarray(v))) / h
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +188,13 @@ class DualPair:
 def log_cost(x, y, lam: float):
     """Logarithmic pairing cost over the last axis; reduces to -<x, y> in the
     lam -> 0 limit."""
-    ip = np.vecdot(_vec(x), _vec(y))
+    # vecdot conjugates its first argument: conj() undoes that (free if real)
+    ip = np.vecdot(_vec(x).conj(), _vec(y))
     if abs(lam) < BREGMAN_LIMIT:
         return -ip
     arg = lam * ip
-    if np.count_nonzero(1.0 + arg <= LOG_GUARD):
-        raise DomainError(f"log argument 1 + lam*<x,y> = {np.min(1.0 + arg):.3e} <= 0")
+    if np.count_nonzero(1.0 + arg.real <= LOG_GUARD):
+        raise DomainError(f"log argument 1 + lam*<x,y> = {np.min(1.0 + arg.real):.3e} <= 0")
     return -np.log1p(arg) / lam
 
 
@@ -191,12 +203,12 @@ def lambda_mirror(gen: Generator, theta) -> DualPair:
     copy of the mirror map for every generator (grad phi itself at lam = 0)."""
     theta = _vec(theta)
     u = gen.grad(theta)
-    s = 1.0 - gen.lam * np.vecdot(u, theta)
-    if np.count_nonzero(s <= 0.0):
+    s = 1.0 - gen.lam * np.vecdot(u.conj(), theta)
+    if np.count_nonzero(s.real <= 0.0):
         raise RegularityError(
-            f"regularity 1 - lam*<grad,theta> = {np.min(s):.3e} <= 0 at theta={theta}")
+            f"regularity 1 - lam*<grad,theta> = {np.min(s.real):.3e} <= 0 at theta={theta}")
     eta = u / s[..., None]
-    return DualPair(theta, eta, 1.0 + gen.lam * np.vecdot(theta, eta))
+    return DualPair(theta, eta, 1.0 + gen.lam * np.vecdot(theta.conj(), eta))
 
 
 def inverse_mirror(gen: Generator, eta) -> np.ndarray:
@@ -307,8 +319,7 @@ def _assemble_metric(gen: Generator, u, h) -> np.ndarray:
 def conformal_weight(gen: Generator, theta):
     """exp(lam*phi(theta)), the rate of the clock tau that turns the Hessian
     flow of Phi into the conformal flow, so that hess Phi = weight * G; exactly
-    1 at lam = 0. One weight per row of a batch. Complex theta gives a complex
-    weight (complex-step checks)."""
+    1 at lam = 0. One weight per row of a batch."""
     return np.exp(gen.lam * gen.value(theta))
 
 
@@ -339,8 +350,7 @@ def big_phi_bregman(gen: Generator, theta, theta_p):
 
 def zeta_of(gen: Generator, theta) -> np.ndarray:
     """Bregman-dual coordinate zeta = grad Phi(theta) = exp(lam*phi) grad phi,
-    one row per row of a batch. Complex theta gives a complex zeta
-    (complex-step checks)."""
+    one row per row of a batch."""
     theta = np.asarray(theta)
     return conformal_weight(gen, theta)[..., None] * gen.grad(theta)
 

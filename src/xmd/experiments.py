@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,8 @@ from .core import GeometryError
 from .flows import (Objective, _time_grid, conformal_smoothness_estimate,
                     discrete_lyapunov_run, geodesic_flow_check, lyapunov_continuous,
                     quadratic_objective, time_change_compare)
-from .generators import (log_reciprocal_generator, quadratic_generator)
+from .generators import (dirichlet_generator, log_reciprocal_generator, quadratic_generator,
+                         student_t_generator)
 from .rng import INIT_STREAM, TRUTH_STREAM, substream
 
 
@@ -303,7 +304,7 @@ def rank_methods(mean_curves: dict) -> list:
 # ---------------------------------------------------------------------------
 # diagnostics suites
 
-# geodesic-check and lyapunov-suite step on graded grids (``flows._time_grid``)
+# lyapunov-suite steps on graded grids (``flows._time_grid``)
 # of one stretch: the steps grow geometrically, the last about GRID_STRETCH
 # times the first, fine near t = 0, where the paths move fastest and the RK4
 # error is made, and coarse where they have settled. For an even step count,
@@ -312,21 +313,23 @@ def rank_methods(mean_curves: dict) -> list:
 # halving ladder n * 2^k, at this stretch, that its error budget certifies.
 GRID_STRETCH = 8.0
 
-# geodesic-check steps each instance on the graded grid of 24 steps to
-# t_end 1. The exact flows are straight lines, so each error it reports is the
-# integration error plus any fault: a coarser grid can only raise it, never
-# hide a fault, and the suite needs no companion run. The grid keeps the 2-d
-# instance's error (its dual_collinearity) at most 1e-2 of the tolerance 1e-6:
-#
-#   steps   2-d max_error   1-d max_error
-#   12      5.0e-8          2.8e-17
-#   24      3.0e-9          5.6e-17
-#   48      1.8e-10         5.6e-17
-#
-# Doubling the steps from 24 divides the 2-d error by 16.4 (RK4's rate is 16).
-# The metric-sign fault (G = hess phi - lam u u^T) reads 1.8e-2 on every grid.
-GEODESIC_STEPS = 24
-GEODESIC_TOL = 1e-6
+# geodesic-check checks its claims at GEODESIC_POINTS interior points of each
+# segment of 40 instances: two fixed pairs, and each point of every registered
+# generator's grid toward the next. Clean, each value is round-off, at most
+# 3.7e-14; the metric-sign fault reads at least 0.66 on every generator (2.0 in
+# 1-d), G x 1.01 reads 9.9e-3 and the dual-velocity sign at least 0.38.
+GEODESIC_POINTS = 25
+GEODESIC_TOL = 1e-10
+
+
+def _geodesic_check(gen, *pairs):
+    """The geodesic report of the (theta_star, theta0) pairs and of each point
+    of gen's grid toward the next, as one batch."""
+    grid = np.array(gen.grid)
+    return geodesic_flow_check(gen, np.vstack([star for star, _ in pairs] + [grid[1:]]),
+                               np.vstack([start for _, start in pairs] + [grid[:-1]]),
+                               GEODESIC_POINTS)
+
 
 # lyapunov-suite steps each path on its own graded grid to t_end 4, keyed by
 # the label of its Richardson estimate in summary.json: the 1-d path in 200
@@ -400,17 +403,16 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
                          errors)
 
     elif config.experiment == "geodesic-check":
-        grid = _time_grid(1.0, GEODESIC_STEPS, GRID_STRETCH)
-
         def two_d():
-            rep = geodesic_flow_check(quadratic_generator(-0.5, 2), [0.5, -0.3], [-0.8, 0.6],
-                                      grid)
-            return [(e, e < GEODESIC_TOL) for e in (rep.dual_collinearity,
-                                                    rep.dual_coefficient_error,
-                                                    rep.primal_collinearity)]
+            reports = [_geodesic_check(quadratic_generator(-0.5, 2), ([0.5, -0.3], [-0.8, 0.6])),
+                       _geodesic_check(quadratic_generator(0.7, 3)),
+                       _geodesic_check(student_t_generator(3.0)),
+                       _geodesic_check(dirichlet_generator(-0.5, 2))]
+            worst = np.max([astuple(rep) for rep in reports], axis=0)
+            return [(e, e < GEODESIC_TOL) for e in worst.tolist()]
 
         def one_d():
-            rep = geodesic_flow_check(log_reciprocal_generator(1.0), [2.0], [1.0], grid)
+            rep = _geodesic_check(log_reciprocal_generator(1.0), ([2.0], [1.0]))
             return [(rep.max_error, rep.max_error < GEODESIC_TOL)]
         checks += _check("geodesic-check", [("dual_collinearity", GEODESIC_TOL),
                                             ("dual_coefficient_error", GEODESIC_TOL),

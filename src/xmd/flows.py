@@ -13,10 +13,9 @@ The RK4 integrator steps a point ``(dim,)`` or a batch of rows
 ``(batch, dim)``: each stage evaluates the generator, the metric and the
 objective over the last axis, and the four stage metrics of a step are
 checked positive definite in one stacked Cholesky. A batch steps on one
-shared grid or on one grid per row. ``geodesic_flow_check`` steps its dual
-and primal paths as the two rows of one batch, and ``lyapunov_continuous`` a
-path and its Richardson companion, on every other point of the path's grid,
-as the two rows of one batch. Both take their grid: ``_time_grid`` builds a
+shared grid or on one grid per row. ``lyapunov_continuous`` steps a path and
+its Richardson companion, on every other point of the path's grid, as the
+two rows of one batch, on the grid it is given: ``_time_grid`` builds a
 uniform one, as ``integrate`` steps on, or a graded one whose steps grow
 geometrically, fine where a path's integration error is made and coarse
 where it has settled. On a graded grid of an even step count the companion
@@ -39,9 +38,9 @@ import numpy as np
 
 from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
                    RegularityError, SolverError, _assemble_metric, _cholesky,
-                   _invert_rows, _require_inverse, _solve, _vec, big_phi_bregman,
-                   conformal_weight, lambda_mirror, log_div, metric,
-                   theta_of_zeta, zeta_of)
+                   _directional, _invert_rows, _require_inverse, _solve, _vec,
+                   big_phi_bregman, conformal_weight, inverse_mirror, lambda_mirror,
+                   log_div, metric, theta_of_zeta, zeta_of)
 
 MAX_HALVINGS = 20
 MONOTONE_TOL = 1e-9
@@ -214,11 +213,10 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
     or one grid per row of a batch, ``(n, batch)``. Returns the path, one
     point or batch per grid point.
 
-    ``stage(x, rows)`` gives the derivative at x, one row per row, and the
+    ``stage(x)`` gives the derivative at x, one row per row, and the
     metrics G ``(..., d, d)`` it solved with, or None if it solved with
-    none; ``rows`` is ``...`` for the whole state and the row number when
-    one row of a batch steps on its own. The four stage metrics of a step
-    are checked positive definite in one stacked Cholesky, and
+    none. The four stage metrics of a step are checked positive definite in
+    one stacked Cholesky, and
     ``feasible(out)`` tests the end point: a bool for one point, a mask
     over the rows of a batch.
 
@@ -238,11 +236,11 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
     path = np.empty((len(times),) + x0.shape)
     path[0] = x0
 
-    def rk4(x, h, rows):
-        k1, g1 = stage(x, rows)
-        k2, g2 = stage(x + 0.5 * h * k1, rows)
-        k3, g3 = stage(x + 0.5 * h * k2, rows)
-        k4, g4 = stage(x + h * k3, rows)
+    def rk4(x, h):
+        k1, g1 = stage(x)
+        k2, g2 = stage(x + 0.5 * h * k1)
+        k3, g3 = stage(x + 0.5 * h * k2)
+        k4, g4 = stage(x + h * k3)
         out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if g1 is not None:
             _cholesky(np.array((g1, g2, g3, g4)))
@@ -251,29 +249,28 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
             raise DomainError("step left the domain")
         return out
 
-    def advance(x, h, depth, rows):
+    def advance(x, h, depth):
         try:
-            return rk4(x, h, rows)
+            return rk4(x, h)
         except _REJECTED:
             if depth >= MAX_HALVINGS:
                 raise SolverError(f"step size halved {MAX_HALVINGS} times without staying feasible")
-            half = advance(x, 0.5 * h, depth + 1, rows)
-            return advance(half, 0.5 * h, depth + 1, rows)
+            half = advance(x, 0.5 * h, depth + 1)
+            return advance(half, 0.5 * h, depth + 1)
 
     per_row = times.ndim == 2
     for i, h in enumerate(np.diff(times, axis=0).tolist()):
         if x0.ndim == 1:
-            path[i + 1] = advance(path[i], h, 0, ...) if h else path[i]
+            path[i + 1] = advance(path[i], h, 0) if h else path[i]
             continue
         steps = h if per_row else [h] * len(x0)
         if all(steps):
             try:
-                path[i + 1] = rk4(path[i], np.array(steps)[:, None] if per_row else h, ...)
+                path[i + 1] = rk4(path[i], np.array(steps)[:, None] if per_row else h)
                 continue
             except _REJECTED:
                 pass
-        for r, (x, step) in enumerate(zip(path[i], steps)):
-            path[i + 1, r] = advance(x, step, 0, r) if step else x
+        path[i + 1] = [advance(x, step, 0) if step else x for x, step in zip(path[i], steps)]
     return path
 
 
@@ -315,7 +312,7 @@ def _integrate_clocked(gen: Generator, obj: Objective, theta0, times) -> FlowSta
     theta0 = _vec(theta0)
     dim = theta0.shape[-1]
 
-    def stage(x, rows):
+    def stage(x):
         theta = x[..., :dim]
         g = _assemble_metric(gen, gen.grad(theta), gen.hess(theta))
         w = conformal_weight(gen, theta)
@@ -338,7 +335,7 @@ def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndar
     """The Hessian gradient flow of Phi, d theta/ds = -(hess Phi)^{-1} grad f,
     with hess Phi = exp(lam*phi) G, on the grid ``s``; returns the path, one
     row per grid point."""
-    def stage(theta, rows):
+    def stage(theta):
         g = _assemble_metric(gen, gen.grad(theta), gen.hess(theta))
         w = conformal_weight(gen, theta)
         return -_solve(w[..., None, None] * g, obj.grad(theta)), g
@@ -498,60 +495,47 @@ class GeodesicReport:
                              self.primal_collinearity]))
 
 
-def _segment_deviation(x, a, b):
-    """Distance from each row of x to the segment [a, b]."""
-    seg = b - a
-    denom = np.vecdot(seg, seg)
-    if denom == 0.0:
-        return _row_norm(x - a)
-    s = np.clip(np.vecdot(x - a, seg) / denom, 0.0, 1.0)
-    return _row_norm(x - (a + s[..., None] * seg))
+def _ratio(num, den):
+    """num / den, and 0 where both are 0: at a velocity of 0 where it should
+    be 0, and along a segment of no length."""
+    return np.divide(num, den, out=np.zeros_like(num), where=(num != 0.0) | (den != 0.0))
 
 
-def geodesic_flow_check(gen: Generator, theta_star, theta0, t) -> GeodesicReport:
-    """Verify that log-divergence flows run along straight lines: the dual flow
-    in eta with velocity -(pi/pi_star)(eta - eta_star), the primal flow in theta.
-    The two flows integrate theta alone, as the two rows of one RK4 batch on
-    the grid ``t``, uniform or graded (see ``_time_grid``); each error is the
-    largest over the path, NaN if the path holds a NaN.
+def geodesic_flow_check(gen: Generator, theta_star, theta0, n_points: int) -> GeodesicReport:
+    """Verify that log-divergence flows run along straight lines, at n_points
+    interior points of each segment: the claims are pointwise, so nothing is
+    integrated. At the points of [theta0, theta_star], ``primal_collinearity``
+    is the sine |v_perp|/|v| (sqrt(1 - cos^2) cancels) of the angle between
+    theta_star - theta and the velocity v of f = L[theta_star : theta]. At the
+    points of [eta0, eta_star], mapped back by the closed-form inverse,
+    ``dual_collinearity`` is the relative error of d eta/dt, the complex step
+    of the mirror map along the velocity of f = L[theta : theta_star], and
+    ``dual_coefficient_error`` the largest error of ``rhs_dual``, each against
+    -(pi/pi_star)(eta - eta_star).
 
-    The exact flows are straight lines with the exact coefficient, so each
-    error is the integration error plus any fault of the geometry: a coarser
-    grid can only raise it, never hide a fault, and the grid needs no
-    companion run to certify it. The grid may be as coarse as keeps the
-    integration error under the check's tolerance."""
-    theta_star = _vec(theta_star)
-    theta0 = _vec(theta0)
-    eta_star = lambda_mirror(gen, theta_star).eta
-    eta0 = lambda_mirror(gen, theta0).eta
+    theta_star and theta0 are one pair ``(d,)`` or rows of pairs ``(m, d)``,
+    all points one batch. Each error is the worst over the points, NaN if any
+    point gives a NaN; 0/0, at theta0 = theta_star, reads 0."""
+    theta_star = _vec(theta_star)[..., None, :]
+    theta0 = _vec(theta0)[..., None, :]
+    s = (np.arange(1, n_points + 1) / (n_points + 1))[:, None]
+    theta = theta0 + s * (theta_star - theta0)
+    v = -_solve(metric(gen, theta), _primal_logdiv_grad(gen, theta_star, theta, gen.grad(theta),
+                                                        gen.hess(theta)))
+    along = theta_star - theta
+    v_perp = v - _ratio(np.vecdot(v, along), np.vecdot(along, along))[..., None] * along
+    pcollin = _ratio(_row_norm(v_perp), _row_norm(v))
+
     dual = dual_logdiv_objective(gen, theta_star)
-    # row 0 of the batch follows the dual objective, row 1 the primal one
-    grads = (lambda theta, u, h: dual.grad(theta),
-             lambda theta, u, h: _primal_logdiv_grad(gen, theta_star, theta, u, h))
-
-    def stage(theta, rows):
-        u, h = gen.grad(theta), gen.hess(theta)
-        if rows is ...:
-            df = np.array([f(theta[i], u[i], h[i]) for i, f in enumerate(grads)])
-        else:
-            df = grads[rows](theta, u, h)
-        g = _assemble_metric(gen, u, h)
-        return -_solve(g, df), g
-
-    path = _integrate_path(stage, gen.domain.contains, np.stack([theta0, theta0]), t)
-
-    thetas = path[:, 0]
-    pair = lambda_mirror(gen, thetas)
-    collin = np.max(_segment_deviation(pair.eta, eta0, eta_star))
-    measured = _dual_velocity(gen, pair, _dual_logdiv_grad(gen, pair, eta_star))
-    pi_star = 1.0 + gen.lam * np.vecdot(thetas, eta_star)
-    expected = -(pair.pi / pi_star)[:, None] * (pair.eta - eta_star)
-    coeff = np.max(np.abs(measured - expected))
-
-    pcollin = np.max(_segment_deviation(path[:, 1], theta0, theta_star))
-
-    return GeodesicReport(dual_collinearity=float(collin), dual_coefficient_error=float(coeff),
-                          primal_collinearity=float(pcollin))
+    eta0, eta_star = lambda_mirror(gen, np.stack([theta0, theta_star])).eta
+    pair = lambda_mirror(gen, inverse_mirror(gen, eta0 + s * (eta_star - eta0)))
+    pi_star = 1.0 + gen.lam * np.vecdot(pair.theta, eta_star)
+    expected = -(pair.pi / pi_star)[..., None] * (pair.eta - eta_star)
+    measured = _directional(lambda x: lambda_mirror(gen, x).eta, pair.theta,
+                            rhs_primal(gen, dual, pair.theta))
+    collin = _ratio(_row_norm(measured - expected), _row_norm(expected))
+    coeff = np.abs(rhs_dual(gen, dual, pair) - expected)
+    return GeodesicReport(*(float(np.max(e)) for e in (collin, coeff, pcollin)))
 
 
 def lyapunov_continuous(gen: Generator, obj: Objective, theta0, t) -> ConvergenceReport:

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from xmd import expfam, simplex
-from xmd.core import (Domain, DomainError, DualPair, Generator, GeometryError, _vec,
-                      big_phi_hess, inverse_mirror, lambda_mirror, log_cost,
+from xmd.core import (Domain, DomainError, DualPair, Generator, GeometryError, _directional,
+                      _vec, big_phi_hess, inverse_mirror, lambda_mirror, log_cost,
                       log_div, metric)
 from xmd.expfam import LambdaExpFamily, OnlineState, StudentTParams
 from xmd.flows import Objective, _primal_logdiv_grad
@@ -58,15 +58,11 @@ def fd_hess(f: Callable[[np.ndarray], float], x) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def cs_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-20) -> np.ndarray:
-    """Complex-step Jacobian; exact to roundoff for analytic maps."""
-    x = np.asarray(x, dtype=complex)
-    cols = []
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += 1j * h
-        cols.append(np.imag(np.atleast_1d(f(xp))) / h)
-    return np.stack(cols, axis=1)
+def cs_jacobian(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """Complex-step Jacobian, one column per coordinate by the package's
+    complex step; exact to roundoff for analytic maps."""
+    x = _vec(x)
+    return np.stack([np.atleast_1d(_directional(f, x, e)) for e in np.eye(x.size)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,8 @@ def metric_inverse_sm(gen: Generator, pair: DualPair, jac_theta_eta: np.ndarray)
 
 def primal_logdiv_objective(gen: Generator, theta_star) -> Objective:
     """f(theta) = L[theta_star : theta]; its flow follows a primal geodesic.
-    ``geodesic_flow_check`` steps this flow from its gradient alone."""
+    ``geodesic_flow_check`` reads this flow's velocity from its gradient
+    alone."""
     theta_star = _vec(theta_star)
 
     def grad(theta):

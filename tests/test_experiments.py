@@ -33,15 +33,15 @@ ONLINE_DIGESTS = {
     "dirichlet-online": "f8439e692191faf0b2d95ae82dfdb5e24549ab2e93d47c06769a4dfa42059044",
 }
 
-# the same digest of the diagnostics suites, each with its arguments, each
-# recorded once it stepped on its error-budgeted grid: the two fixed-instance
-# suites at their defaults, on graded grids of stretch 8 (geodesic-check in 24
-# steps, lyapunov-suite in 200 steps for the 1-d path and 256 for the 2-d
-# path, with the Richardson estimates in its summary); flow-equivalence at the
-# benchmark's t_end=0.1 and its default dt 1e-2
+# the same digest of the diagnostics suites, each with its arguments:
+# geodesic-check at its default, recorded once it checked its 40 instances at
+# 25 points of each segment; lyapunov-suite at its default, recorded once it
+# stepped on graded grids of stretch 8 (200 steps for the 1-d path and 256 for
+# the 2-d path, with the Richardson estimates in its summary); and
+# flow-equivalence at the benchmark's t_end=0.1 and its default dt 1e-2
 DIAGNOSTICS_DIGESTS = {
     "geodesic-check":
-        ((), "f7735d769fa6e5025f5d96b3e20059e9ba58a528d3d20cb56fc35ee2e6ec2b4a"),
+        ((), "04d42b8767af43a57e0dcb0119f15884926bac20d1691f7687fc25fbcf192ad7"),
     "lyapunov-suite":
         ((), "2bd388c747d1d049748c9cf2578b905abb4a551e21878e60147c195c57d9341c"),
     "flow-equivalence":
@@ -233,11 +233,12 @@ def test_diagnostics_write_the_rows_the_benchmark_expects(tmp_path, experiment):
 
 
 # RK4 stages per suite at its DIAGNOSTICS_DIGESTS arguments: flow-equivalence
-# steps two 10-step paths, geodesic-check two 2-row batches of 24 steps, and
-# lyapunov-suite a 1-d path of 200 steps and a 2-d path of 256, each batched
-# with its companion of half its steps: 100 steps of the batch and 100 of
-# the path alone (1-d), 128 and 128 (2-d)
-RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 192, "lyapunov-suite": 1824}
+# steps two 10-step paths, geodesic-check none (it checks velocities at the
+# points of its segments, through core.metric), and lyapunov-suite a 1-d path
+# of 200 steps and a 2-d path of 256, each batched with its companion of half
+# its steps: 100 steps of the batch and 100 of the path alone (1-d), 128 and
+# 128 (2-d)
+RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 0, "lyapunov-suite": 1824}
 
 
 @pytest.mark.parametrize("experiment", sorted(RK4_STAGES))
@@ -383,30 +384,6 @@ def test_lyapunov_suite_fails_a_path_too_coarse_for_its_error_budget(tmp_path, m
     assert 2.0 * metrics["richardson_error_2d"] > 1e4 * flows.MONOTONE_TOL
 
 
-def _geodesic_error(tmp_path, monkeypatch, n_steps):
-    """The 2-d instance's max_error when geodesic-check steps n_steps times."""
-    monkeypatch.setattr(experiments, "GEODESIC_STEPS", n_steps)
-    out = tmp_path / f"n={n_steps}"
-    assert cli.main(["geodesic-check", "--out", str(out)]) == 0
-    checks = _checks(str(out / "geodesic-check"))
-    return max(checks[m][0] for m in ("dual_collinearity", "dual_coefficient_error",
-                                      "primal_collinearity"))
-
-
-def test_geodesic_grid_is_the_coarsest_its_tolerance_certifies(tmp_path, monkeypatch):
-    # the exact flows are straight lines, so the error is integration error:
-    # at GEODESIC_STEPS it is at most 1e-2 of the tolerance, on the rung below
-    # (half the steps, the same stretch) it is over that, and doubling the
-    # steps divides it by about 16, RK4's rate
-    n = experiments.GEODESIC_STEPS
-    assert n % 2 == 0
-    bound = 1e-2 * experiments.GEODESIC_TOL
-    error = _geodesic_error(tmp_path, monkeypatch, n)
-    assert 0.0 < error <= bound
-    assert _geodesic_error(tmp_path, monkeypatch, n // 2) > bound
-    assert 8.0 <= error / _geodesic_error(tmp_path, monkeypatch, 2 * n) <= 32.0
-
-
 def test_lyapunov_grids_are_the_coarsest_their_budget_certifies(tmp_path, monkeypatch):
     # each path meets 2 x richardson_error < MONOTONE_TOL on its grid, and
     # misses it on the rung below: half the steps, the same stretch
@@ -426,12 +403,13 @@ def test_lyapunov_grids_are_the_coarsest_their_budget_certifies(tmp_path, monkey
 
 
 def test_cli_docstring_states_the_suite_grids():
-    # the usage text names the grids the two fixed-instance suites step on
+    # the usage text names the grids lyapunov-suite steps on, and the points
+    # at which geodesic-check checks its velocities
     doc = " ".join(cli.__doc__.split())
     steps = experiments.LYAPUNOV_STEPS
     assert f"(stretch {experiments.GRID_STRETCH:g})" in doc
-    assert f"geodesic-check in {experiments.GEODESIC_STEPS} steps to t_end 1" in doc
-    assert (f"lyapunov-suite in {steps['1d']} steps (the 1-d path) and {steps['2d']} steps "
+    assert f"at {experiments.GEODESIC_POINTS} points of each segment" in doc
+    assert (f"{steps['1d']} steps (the 1-d path) and {steps['2d']} steps "
             "(the 2-d path) to t_end 4") in doc
 
 
@@ -443,8 +421,8 @@ def _put_fault(monkeypatch, name, fault):
 
 
 def test_geodesic_check_fails_the_metric_sign_fault(tmp_path, monkeypatch, capsys):
-    # G = hess phi - lam u u^T bends the 2-d flows off their straight lines
-    # by about 1e-2 at the coarse grid, as at the fine one
+    # G = hess phi - lam u u^T turns the primal velocity off its segment and
+    # changes the dual velocity, at every point
     _put_fault(monkeypatch, "_assemble_metric",
                lambda gen, u, h: h - gen.lam * (u[..., None] * u[..., None, :]))
     assert cli.main(["geodesic-check", "--out", str(tmp_path)]) == 1
@@ -452,6 +430,10 @@ def test_geodesic_check_fails_the_metric_sign_fault(tmp_path, monkeypatch, capsy
     checks = _checks(str(tmp_path / "geodesic-check"))
     assert not checks["dual_collinearity"][1] and checks["dual_collinearity"][0] > 1e-3
     assert not checks["primal_collinearity"][1] and checks["primal_collinearity"][0] > 1e-3
+    # in one dimension every velocity lies along the segment, and the dual
+    # velocity is off by a factor
+    assert not checks["scalar_instance_max_error"][1]
+    assert checks["scalar_instance_max_error"][0] > 1.0
 
 
 def test_lyapunov_suite_fails_the_clock_sign_fault_without_a_traceback(tmp_path, monkeypatch,
@@ -614,12 +596,9 @@ def test_simplex_compare_steps_every_conformal_row_in_one_call_per_k(tmp_path, m
 
 # the package definitions that no runner enters, each with the reason it stays
 UNREACHED_ALLOWED = {
-    "flows.rhs_primal": "BENCHMARK.json's per-layer metrics name it, and "
-                        "bench/run.py --trace 1 raises KeyError without it",
     "flows.FlowState.__len__": "the flows.integrate hook of bench/spans.py reads len(result)",
     "flows.step_primal_euler": "a runner check of the Euler schemes' order is planned",
     "flows.step_dual_euler": "a runner check of the Euler schemes' order is planned",
-    "flows.rhs_dual": "a runner check of the Euler schemes' order is planned",
     "expfam.log_loss": "a runner check that online_update is the dual Euler step "
                        "on the log loss is planned",
 }

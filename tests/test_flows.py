@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from xmd import flows
 from xmd.core import (Domain, DomainError, Generator, GeometryError, RegularityError,
-                      SolverError, big_phi_bregman, big_phi_hess, conformal_weight,
-                      lambda_mirror, log_div, theta_of_zeta, zeta_of)
+                      SolverError, _directional, big_phi_bregman, big_phi_hess,
+                      conformal_weight, inverse_mirror, lambda_mirror, log_div, metric,
+                      theta_of_zeta, zeta_of)
 from xmd.flows import (MAX_HALVINGS, MONOTONE_TOL, GeodesicReport, Objective, _guarded_step,
                        _integrate_path, _time_grid, conformal_smoothness_estimate,
                        discrete_lyapunov_run, dual_logdiv_objective,
@@ -141,7 +142,7 @@ def test_integrate_clock_and_average_fourth_order_endpoint():
 def as_stage(rhs):
     """A right-hand side of one argument as an RK4 stage with no metric
     to check."""
-    return lambda x, rows: (rhs(x), None)
+    return lambda x: (rhs(x), None)
 
 
 def augmented_rhs(gen, obj):
@@ -386,7 +387,7 @@ def test_time_grid_refuses_no_steps_and_a_bad_stretch(n_steps, stretch):
         _time_grid(1.0, n_steps, stretch)
 
 
-def test_geodesic_flow_check_evaluates_the_hessian_once_per_stage():
+def test_geodesic_flow_check_evaluates_the_hessian_on_whole_segments():
     calls = []
 
     def hess(t):
@@ -394,11 +395,12 @@ def test_geodesic_flow_check_evaluates_the_hessian_once_per_stage():
         return QUAD_2D.hess(t)
 
     gen = dataclasses.replace(QUAD_2D, hess=hess)
-    rep = geodesic_flow_check(gen, [0.5, -0.3], [-0.8, 0.6], _time_grid(1.0, 1000))
+    rep = geodesic_flow_check(gen, [[0.5, -0.3], [0.1, 0.2], [0.0, 0.0]],
+                              [[-0.8, 0.6], [0.3, -0.4], [0.2, 0.1]], 7)
     assert rep.max_error < GEODESIC_TOL
-    # 1,000 steps of the (dual, primal) pair, four stages each: the primal
-    # gradient reads the Hessians of the metric
-    assert calls == [(2, 2)] * 4000
+    # every point of the three pairs at once: the primal gradient and the
+    # metric at the primal points, and the metric at the dual points
+    assert calls == [(3, 7, 2)] * 3
 
 
 def _batch_equals_rows(run, x0):
@@ -688,15 +690,16 @@ def test_step_infeasible_reflects_or_halves():
 
 
 def test_geodesic_stationary():
-    rep = geodesic_flow_check(QUAD_2D, [0.4, -0.2], [0.4, -0.2], _time_grid(0.2, 20))
-    assert rep.max_error < GEODESIC_TOL
+    # at theta0 = theta_star both velocities are exactly 0, and 0/0 reads 0
+    rep = geodesic_flow_check(QUAD_2D, [0.4, -0.2], [0.4, -0.2], 25)
+    assert rep.max_error == 0.0
 
 
 def test_geodesic_two_dimensional_instance():
-    rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], _time_grid(1.0, 1000))
-    assert rep.dual_collinearity < 1e-6
-    assert rep.dual_coefficient_error < 1e-6
-    assert rep.primal_collinearity < 1e-6
+    rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], 25)
+    assert rep.dual_collinearity < GEODESIC_TOL
+    assert rep.dual_coefficient_error < GEODESIC_TOL
+    assert rep.primal_collinearity < GEODESIC_TOL
 
 
 def test_geodesic_coefficient_along_trajectory():
@@ -739,11 +742,15 @@ def _recording_paths(monkeypatch):
 
 
 def test_geodesic_flow_check_fails_a_nan_path(monkeypatch):
-    monkeypatch.setattr(flows, "_integrate_path", _with_nan_row(_integrate_path))
-    rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], _time_grid(0.1, 10))
+    # a NaN velocity at one point of each segment: both velocity rows read
+    # NaN; the dual coefficient reads no solve with G. The complex step
+    # along a NaN divides by a complex NaN, which numpy flags as invalid
+    monkeypatch.setattr(flows, "_solve", _with_nan_row(flows._solve))
+    with np.errstate(invalid="ignore"):
+        rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], 7)
     assert np.isnan(rep.dual_collinearity)
-    assert np.isnan(rep.dual_coefficient_error)
     assert np.isnan(rep.primal_collinearity)
+    assert rep.dual_coefficient_error < GEODESIC_TOL
     assert not rep.max_error < GEODESIC_TOL
 
 
@@ -913,20 +920,21 @@ def test_integrate_with_companion_redoes_a_halved_step_row_by_row(monkeypatch):
     x0 = np.array([1.0, 0.0, 0.0])
     assert not gen.domain.contains(rk4_step(rhs, x0, 5.0)[:1])
     assert gen.domain.contains(rk4_step(rhs, x0, 2.5)[:1])
-    rows = []
+    shapes = []
     integrate_path = flows._integrate_path
 
     def recording(stage, feasible, x, times):
-        def recorded(y, r):
-            rows.append(r)
-            return stage(y, r)
+        def recorded(y):
+            shapes.append(y.shape)
+            return stage(y)
         return integrate_path(recorded, feasible, x, times)
 
     monkeypatch.setattr(flows, "_integrate_path", recording)
     lyapunov_continuous(gen, obj, [1.0], _time_grid(5.0, 2))
-    # the batch try; the fine row's step of 2.5 and the companion's two
-    # halves; then the fine row's second step alone, the companion held
-    assert rows == [...] * 4 + [0] * 4 + [1] * 12 + [0] * 4
+    # the batch try; one row at a time, the fine row's step of 2.5 (4 stages)
+    # and the companion's failed step of 5 and its two halves (12); then the
+    # fine row's second step alone, the companion held (4)
+    assert shapes == [(2, 3)] * 4 + [(3,)] * 20
 
 
 def test_discrete_lyapunov_run_fails_a_nan_iterate(monkeypatch):
@@ -1159,37 +1167,43 @@ def test_discrete_lyapunov_run_at_the_suite_step_equals_its_one_state_loop():
     assert _report_lists(report) == _discrete_lyapunov_loop(gen, obj, delta, 2000)
 
 
-@pytest.mark.parametrize("gen, star, theta0, t_end, dt", [
-    (QUAD_2D, [0.5, -0.3], [-0.8, 0.6], 0.5, 1e-2),
-    (LOG_1D, [2.0], [1.0], 0.5, 1e-2),
-    # one step of 1, which the dual row halves and the primal row does not
-    (QUAD_2D, [-0.4, -0.3], [0.9, 0.8], 1.0, 1.0),
-    # and the other way round
-    (LOG_1D, [2.2], [0.9], 1.0, 1.0),
-], ids=["2d", "1d", "2d-dual-row-halves", "1d-primal-row-halves"])
-def test_geodesic_flow_check_equals_its_one_state_loop(gen, star, theta0, t_end, dt):
-    star, theta0 = np.array(star), np.array(theta0)
-    eta_star = lambda_mirror(gen, star).eta
-    eta0 = lambda_mirror(gen, theta0).eta
+STUDENT_T = student_t_generator(3.0)
+DIRICHLET = dirichlet_generator(-0.5, 2)
 
-    def deviation(x, a, b):
-        seg = b - a
-        s = min(max(float((x - a) @ seg) / float(seg @ seg), 0.0), 1.0)
-        return float(np.linalg.norm(x - (a + s * seg)))
 
-    dual_obj = dual_logdiv_objective(gen, star)
-    collin = coeff = 0.0
-    for theta in integrate(gen, dual_obj, theta0, t_end, dt).theta:
-        pair = lambda_mirror(gen, theta)
-        collin = max(collin, deviation(pair.eta, eta0, eta_star))
-        pi_star = 1.0 + gen.lam * float(theta @ eta_star)
-        expected = -(pair.pi / pi_star) * (pair.eta - eta_star)
-        coeff = max(coeff, float(np.max(np.abs(rhs_dual(gen, dual_obj, pair) - expected))))
-    primal = integrate(gen, primal_logdiv_objective(gen, star), theta0, t_end, dt).theta
-    pcollin = max(deviation(theta, theta0, star) for theta in primal)
-    rep = geodesic_flow_check(gen, star, theta0, _time_grid(t_end, round(t_end / dt)))
+@pytest.mark.parametrize("gen, star, theta0", [
+    (QUAD_2D, [0.5, -0.3], [-0.8, 0.6]),
+    (LOG_1D, [2.0], [1.0]),
+    # the suite's pairs: each grid point toward the next
+    (STUDENT_T, np.array(STUDENT_T.grid[1:]), np.array(STUDENT_T.grid[:-1])),
+    (DIRICHLET, np.array(DIRICHLET.grid[1:]), np.array(DIRICHLET.grid[:-1])),
+], ids=["2d", "1d", "student_t-grid", "dirichlet-grid"])
+def test_geodesic_flow_check_equals_its_one_state_loop(gen, star, theta0):
+    # the batch over every point of every pair keeps the bits of the same
+    # formulas at one point at a time
+    n = 5
+    collin = coeff = pcollin = 0.0
+    for a, b in zip(np.atleast_2d(theta0), np.atleast_2d(star)):
+        eta0, eta_star = lambda_mirror(gen, a).eta, lambda_mirror(gen, b).eta
+        dual = dual_logdiv_objective(gen, b)
+        for k in range(1, n + 1):
+            s = k / (n + 1)
+            theta = a + s * (b - a)
+            v = -np.linalg.solve(metric(gen, theta), primal_logdiv_objective(gen, b).grad(theta))
+            v_perp = v - float(v @ (b - theta)) / float((b - theta) @ (b - theta)) * (b - theta)
+            pcollin = max(pcollin, float(np.linalg.norm(v_perp) / np.linalg.norm(v)))
+            pair = lambda_mirror(gen, inverse_mirror(gen, eta0 + s * (eta_star - eta0)))
+            pi_star = 1.0 + gen.lam * float(pair.theta @ eta_star)
+            expected = -(pair.pi / pi_star) * (pair.eta - eta_star)
+            measured = _directional(lambda x: lambda_mirror(gen, x).eta, pair.theta,
+                                    rhs_primal(gen, dual, pair.theta))
+            collin = max(collin, float(np.linalg.norm(measured - expected)
+                                       / np.linalg.norm(expected)))
+            coeff = max(coeff, float(np.max(np.abs(rhs_dual(gen, dual, pair) - expected))))
+    rep = geodesic_flow_check(gen, star, theta0, n)
     assert (rep.dual_collinearity, rep.dual_coefficient_error,
             rep.primal_collinearity) == (collin, coeff, pcollin)
+    assert rep.max_error < GEODESIC_TOL
 
 
 def test_time_change_compare_equals_its_one_state_loop():
