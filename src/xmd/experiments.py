@@ -322,13 +322,14 @@ GEODESIC_POINTS = 25
 GEODESIC_TOL = 1e-10
 
 
-def _geodesic_check(gen, *pairs):
-    """The geodesic report of the (theta_star, theta0) pairs and of each point
-    of gen's grid toward the next, as one batch."""
+def _geodesic_check(gen, pair=None):
+    """The geodesic report of the (theta_star, theta0) pair, if one is given,
+    and of each point of gen's grid toward the next, as one batch."""
     grid = np.array(gen.grid)
-    return geodesic_flow_check(gen, np.vstack([star for star, _ in pairs] + [grid[1:]]),
-                               np.vstack([start for _, start in pairs] + [grid[:-1]]),
-                               GEODESIC_POINTS)
+    stars, starts = grid[1:], grid[:-1]
+    if pair is not None:
+        stars, starts = np.vstack([pair[0], stars]), np.vstack([pair[1], starts])
+    return geodesic_flow_check(gen, stars, starts, GEODESIC_POINTS)
 
 
 # lyapunov-suite steps each path on its own graded grid to t_end 4, keyed by

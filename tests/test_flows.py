@@ -742,10 +742,12 @@ def _recording_paths(monkeypatch):
 
 
 def test_geodesic_flow_check_fails_a_nan_path(monkeypatch):
-    # a NaN velocity at one point of each segment: both velocity rows read
-    # NaN; the dual coefficient reads no solve with G. The complex step
-    # along a NaN divides by a complex NaN, which numpy flags as invalid
-    monkeypatch.setattr(flows, "_solve", _with_nan_row(flows._solve))
+    # a NaN in one coordinate of the velocity at the middle point of 7, the
+    # other points finite: both velocity rows read NaN, so a NaN among finite
+    # errors is not dropped; the dual coefficient reads no solve with G. The
+    # complex step along a NaN divides by a complex NaN, which numpy flags as
+    # invalid
+    monkeypatch.setattr(flows, "_solve", _with_nan_row(flows._solve, (3, 0)))
     with np.errstate(invalid="ignore"):
         rep = geodesic_flow_check(QUAD_2D, [0.5, -0.3], [-0.8, 0.6], 7)
     assert np.isnan(rep.dual_collinearity)
