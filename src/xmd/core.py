@@ -68,11 +68,15 @@ class SolverError(GeometryError):
     """An iterative inversion failed to converge."""
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def _vec(x) -> np.ndarray:
     """x as a float64, or complex, base-class ndarray with ndim >= 1: x itself
     when it already is one, else a new array (a 0-d or scalar x becomes shape (1,))."""
     x = np.array(x, copy=None, ndmin=1)
-    return x if x.dtype.kind == "c" else x.astype(float, copy=False)
+    # the identity test is the fast path of the float64 arrays of the hot loops
+    return x if x.dtype is _FLOAT64 or x.dtype.kind == "c" else x.astype(float, copy=False)
 
 
 def _directional(f, x, v):
