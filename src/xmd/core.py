@@ -50,6 +50,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 # the least distance by which Domain.reflect puts a point back inside a face
 REFLECT_FLOOR = 1e-12
+_FLOAT64 = np.dtype(float)
 
 
 class GeometryError(Exception):
@@ -66,9 +67,6 @@ class RegularityError(GeometryError):
 
 class SolverError(GeometryError):
     """An iterative inversion failed to converge."""
-
-
-_FLOAT64 = np.dtype(float)
 
 
 def _vec(x) -> np.ndarray:

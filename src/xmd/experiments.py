@@ -325,8 +325,7 @@ GEODESIC_TOL = 1e-10
 def _geodesic_check(gen, pair=None):
     """The geodesic report of the (theta_star, theta0) pair, if one is given,
     and of each point of gen's grid toward the next, as one batch."""
-    grid = np.array(gen.grid)
-    stars, starts = grid[1:], grid[:-1]
+    stars, starts = np.array(gen.grid)[1:], np.array(gen.grid)[:-1]
     if pair is not None:
         stars, starts = np.vstack([pair[0], stars]), np.vstack([pair[1], starts])
     return geodesic_flow_check(gen, stars, starts, GEODESIC_POINTS)
