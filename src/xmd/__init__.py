@@ -1,10 +1,11 @@
 """Conformal mirror descent with logarithmic divergences.
 
 Core geometry (costs, mirror maps, divergences, the conformal Hessian metric),
-gradient flows with three Euler discretizations and convergence diagnostics,
-deformed exponential families with an online natural-gradient estimator, and
-Dirichlet-transport gradient flows on the unit simplex, whose maps take the
-exponent alpha of a diversity generator and are stated in closed form.
+gradient flows with their RK4 integrator, the adaptive mirror step and
+convergence diagnostics, deformed exponential families with an online
+natural-gradient estimator, and Dirichlet-transport gradient flows on the unit
+simplex, whose maps take the exponent alpha of a diversity generator and are
+stated in closed form.
 
 Rule: ``src/xmd`` holds what an experiment runner or the benchmark reaches,
 and checks live in ``tests/``: a function that only a test calls belongs in
@@ -21,13 +22,12 @@ from .flows import (ConvergenceReport, FlowState, Objective,
                     conformal_smoothness_estimate, discrete_lyapunov_run,
                     dual_logdiv_objective, geodesic_flow_check, integrate,
                     lyapunov_continuous, quadratic_objective, rhs_dual, rhs_primal,
-                    step_adaptive_mirror, step_dual_euler, step_primal_euler,
-                    time_change_compare)
+                    step_adaptive_mirror, time_change_compare)
 from .generators import (dirichlet_generator, log_reciprocal_generator,
                          quadratic_generator, student_t_generator)
 from .expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState,
                      StudentTParams, dirichlet_family, dirichlet_perturb_sample,
-                     log_loss, online_update, start_state, student_t_family,
+                     online_update, start_state, student_t_family,
                      student_t_params, student_t_sample)
 from .simplex import (as_simplex, barycenter, dirichlet_cost,
                       directional_derivs, perturb, simplex_flow_rhs, step_conformal,

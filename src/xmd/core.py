@@ -40,8 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 
 # |lam| below this takes the exact lam = 0 branch, kept only where the lambda
-# formula divides by lam (log_cost, big_phi_value, the value of log_loss, the
-# cross-check of conformal_smoothness_estimate) or cancels as lam -> 0
+# formula divides by lam (log_cost, big_phi_value, the cross-check of
+# conformal_smoothness_estimate) or cancels as lam -> 0
 # (flows._primal_logdiv_grad). Every other map has one body for all lam.
 BREGMAN_LIMIT = 1e-12
 # log arguments must exceed this; below it we raise rather than return -inf.
@@ -269,7 +269,14 @@ def metric(gen: Generator, theta) -> np.ndarray:
     theta = _vec(theta)
     if gen.hess is None:
         raise RegularityError(f"generator {gen.name!r} has no Hessian oracle")
-    g = _assemble_metric(gen, gen.grad(theta), gen.hess(theta))
+    return _checked_metric(gen, theta, gen.grad(theta), gen.hess(theta))
+
+
+def _checked_metric(gen: Generator, theta, u, h) -> np.ndarray:
+    """``metric`` at theta from the gradient rows u and the Hessians h of
+    phi there, for a caller that holds them: G by ``_assemble_metric``, and
+    RegularityError unless every G is finite and positive definite."""
+    g = _assemble_metric(gen, u, h)
     if np.count_nonzero(~np.isfinite(g)):
         raise RegularityError(f"metric not finite at theta={theta}")
     try:

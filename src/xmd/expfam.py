@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainError, Generator, _vec, inverse_mirror, lambda_mirror
+from .core import DomainError, Generator, _vec, inverse_mirror
 from .flows import _dual_accept, _guarded_step
 from .generators import dirichlet_generator, student_t_generator, student_t_lambda
 from .simplex import perturb
@@ -31,7 +31,6 @@ class LambdaExpFamily:
     gen: Generator
     statistics: Callable[[np.ndarray], np.ndarray]
     reflect_dual: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = ""
 
     @property
     def lam(self) -> float:
@@ -52,23 +51,6 @@ def start_state(model: LambdaExpFamily, eta0) -> OnlineState:
     eta0 = _vec(eta0)
     with np.errstate(all="ignore"):
         return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0))
-
-
-def log_loss(model: LambdaExpFamily, theta, y) -> tuple[float, np.ndarray]:
-    """Negative log density and its gradient in the natural parameter."""
-    theta = _vec(theta)
-    y = _vec(y)
-    lam = model.lam
-    pair = lambda_mirror(model.gen, theta)
-    if model.gen.is_bregman:
-        value = float(model.gen.value(theta)) - float(theta @ y)
-        return value, pair.eta - y
-    pi_y = 1.0 + lam * float(theta @ y)
-    if pi_y <= 0.0:
-        raise DomainError("observation outside the support of the current parameter")
-    value = float(model.gen.value(theta)) - np.log(pi_y) / lam
-    grad = pair.eta / pair.pi - y / pi_y
-    return value, grad
 
 
 def online_update(model: LambdaExpFamily, state: OnlineState, y,
@@ -169,8 +151,7 @@ def student_t_family(nu: float) -> LambdaExpFamily:
         x = np.asarray(x, dtype=float)
         return np.stack([x, x ** 2], axis=-1)
 
-    return LambdaExpFamily(gen=gen, statistics=statistics, reflect_dual=_student_t_reflect,
-                           name=f"student_t(nu={nu})")
+    return LambdaExpFamily(gen=gen, statistics=statistics, reflect_dual=_student_t_reflect)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +184,4 @@ def dirichlet_perturb_sample(model: DirichletPerturbModel, rng: np.random.Genera
 
 
 def dirichlet_family(lam: float, d: int) -> LambdaExpFamily:
-    gen = dirichlet_generator(lam, d)
-
-    return LambdaExpFamily(gen=gen, statistics=simplex_to_eta,
-                           name=f"dirichlet_perturb(lam={lam}, d={d})")
+    return LambdaExpFamily(gen=dirichlet_generator(lam, d), statistics=simplex_to_eta)

@@ -1,23 +1,21 @@
-"""Gradient flows for the conformal Hessian metric, their Euler discretizations,
-and convergence diagnostics.
+"""Gradient flows for the conformal Hessian metric and convergence diagnostics.
 
 The continuous flow is d theta/dt = -G^{-1}(theta) grad f(theta). Under the
 mirror map it reads d eta/dt = -pi * (I + lam eta theta^T) grad f(theta), and
 in the Bregman-dual coordinate zeta = grad Phi(theta) it collapses to
 d zeta/dt = -exp(lam*phi(theta)) grad f(theta), exposing the flow as a time
 change (with clock tau_t = integral of exp(lam*phi)) of the Hessian flow of
-Phi. Three forward-Euler schemes discretize the same flow in the three
-coordinate systems.
+Phi. ``step_adaptive_mirror`` discretizes it by forward Euler in zeta.
 
 The RK4 integrator steps a point ``(dim,)`` or a batch of rows
 ``(batch, dim)``: each stage evaluates the generator, the metric and the
 objective over the last axis, and the four stage metrics of a step are
-checked positive definite in one stacked Cholesky. A batch steps on one
-shared grid or on one grid per row. ``lyapunov_continuous`` steps a path and
-its Richardson companion, on every other point of the path's grid, as the
-two rows of one batch, on the grid it is given: ``_time_grid`` builds a
-uniform one, as ``integrate`` steps on, or a graded one whose steps grow
-geometrically, fine where a path's integration error is made and coarse
+checked positive definite in one stacked Cholesky. Every integrator takes its
+grid, and a batch steps on one grid per row. ``lyapunov_continuous`` steps a
+path and its Richardson companion, on every other point of the path's grid,
+as the two rows of one batch, on the grid it is given: ``_time_grid`` builds
+a uniform one, as ``flow-equivalence`` steps on, or a graded one whose steps
+grow geometrically, fine where a path's integration error is made and coarse
 where it has settled. On a graded grid of an even step count the companion
 steps on the grid of half the steps at the same stretch.
 
@@ -37,8 +35,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
-                   RegularityError, SolverError, _assemble_metric, _cholesky,
-                   _directional, _invert_rows, _require_inverse, _solve, _vec,
+                   RegularityError, SolverError, _assemble_metric, _checked_metric,
+                   _cholesky, _directional, _invert_rows, _require_inverse, _solve, _vec,
                    big_phi_bregman, conformal_weight, inverse_mirror, lambda_mirror,
                    log_div, metric, theta_of_zeta, zeta_of)
 
@@ -67,10 +65,10 @@ class FlowState:
     ``(n, d)``, the times t ``(n,)``, the clock tau ``(n,)`` and the
     tau-weighted running average theta_hat ``(n, d)``. ``len`` is the number
     of grid points. A batch of paths has a batch axis after the grid axis:
-    theta and theta_hat ``(n, batch, d)``, tau ``(n, batch)``, and t ``(n,)``
-    on a shared grid or ``(n, batch)`` on one grid per row. The dual
-    coordinates are derived where they are read, for the whole path at once:
-    eta by ``lambda_mirror(gen, theta)``, zeta by ``zeta_of(gen, theta)``."""
+    theta and theta_hat ``(n, batch, d)``, and t and tau ``(n, batch)``, one
+    grid per row. The dual coordinates are derived where they are read, for
+    the whole path at once: eta by ``lambda_mirror(gen, theta)``, zeta by
+    ``zeta_of(gen, theta)``."""
 
     theta: np.ndarray
     t: np.ndarray
@@ -208,15 +206,13 @@ _REJECTED = (GeometryError, np.linalg.LinAlgError)
 
 def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
     """Classic 4th-order Runge-Kutta over the grid ``times``, one step per
-    difference, from one point ``x0`` ``(dim,)`` or a batch of rows
-    ``(batch, dim)``. ``times`` is one grid ``(n,)``, shared by every row,
-    or one grid per row of a batch, ``(n, batch)``. Returns the path, one
-    point or batch per grid point.
+    difference, from one point ``x0`` ``(dim,)`` on one grid ``(n,)``, or
+    from a batch of rows ``(batch, dim)`` on one grid per row ``(n, batch)``.
+    Returns the path, one point or batch per grid point.
 
     ``stage(x)`` gives the derivative at x, one row per row, and the
-    metrics G ``(..., d, d)`` it solved with, or None if it solved with
-    none. The four stage metrics of a step are checked positive definite in
-    one stacked Cholesky, and
+    metrics G ``(..., d, d)`` it solved with. The four stage metrics of a
+    step are checked positive definite in one stacked Cholesky, and
     ``feasible(out)`` tests the end point: a bool for one point, a mask
     over the rows of a batch.
 
@@ -242,8 +238,7 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
         k3, g3 = stage(x + 0.5 * h * k2)
         k4, g4 = stage(x + h * k3)
         out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if g1 is not None:
-            _cholesky(np.array((g1, g2, g3, g4)))
+        _cholesky(np.array((g1, g2, g3, g4)))
         ok = feasible(out)
         if not (np.count_nonzero(ok) == ok.size if out.ndim > 1 else ok):
             raise DomainError("step left the domain")
@@ -258,19 +253,17 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
             half = advance(x, 0.5 * h, depth + 1)
             return advance(half, 0.5 * h, depth + 1)
 
-    per_row = times.ndim == 2
     for i, h in enumerate(np.diff(times, axis=0).tolist()):
         if x0.ndim == 1:
             path[i + 1] = advance(path[i], h, 0) if h else path[i]
             continue
-        steps = h if per_row else [h] * len(x0)
-        if all(steps):
+        if all(h):
             try:
-                path[i + 1] = rk4(path[i], np.array(steps)[:, None] if per_row else h)
+                path[i + 1] = rk4(path[i], np.array(h)[:, None])
                 continue
             except _REJECTED:
                 pass
-        path[i + 1] = [advance(x, step, 0) if step else x for x, step in zip(path[i], steps)]
+        path[i + 1] = [advance(x, step, 0) if step else x for x, step in zip(path[i], h)]
     return path
 
 
@@ -291,24 +284,14 @@ def _time_grid(t_end: float, n_steps: int, stretch: float = 1.0) -> np.ndarray:
     return t_end * (np.expm1(a * (np.arange(n_steps + 1) / n_steps)) / np.expm1(a))
 
 
-def integrate(gen: Generator, obj: Objective, theta0, t_end: float, dt: float) -> FlowState:
-    """Integrate the conformal flow together with its clock: the state
-    (theta, tau, integral of w*theta dt) with w = exp(lam*phi(theta)) runs
-    through one RK4 pass, so tau and the tau-weighted average theta_hat are
-    4th-order accurate like theta. Returns the path on the uniform grid
-    t = 0, dt, ..., n_steps*dt, n_steps = round(t_end/dt) >= 1, as one
-    FlowState."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(t_end / dt))
-    return _integrate_clocked(gen, obj, theta0, _time_grid(n_steps * dt, n_steps))
-
-
-def _integrate_clocked(gen: Generator, obj: Objective, theta0, times) -> FlowState:
-    """``integrate`` on the grid ``times``, from one point theta0 ``(dim,)``
-    or from its rows ``(batch, dim)`` as one ``_integrate_path`` batch, on
-    one grid ``(n,)`` or one per row ``(n, batch)``; a batch gives a batch
-    of paths (see FlowState)."""
+def integrate(gen: Generator, obj: Objective, theta0, t) -> FlowState:
+    """Integrate the conformal flow together with its clock on the grid t:
+    the state (theta, tau, integral of w*theta dt) with w = exp(lam*phi(theta))
+    runs through one RK4 pass, so tau and the tau-weighted average theta_hat
+    are 4th-order accurate like theta. From one point theta0 ``(dim,)`` on
+    one grid ``(n,)``, or from its rows ``(batch, dim)`` as one
+    ``_integrate_path`` batch on one grid per row ``(n, batch)``; returns the
+    path, or the batch of paths, as one FlowState."""
     theta0 = _vec(theta0)
     dim = theta0.shape[-1]
 
@@ -323,12 +306,12 @@ def _integrate_clocked(gen: Generator, obj: Objective, theta0, times) -> FlowSta
         return out, g
 
     x0 = np.concatenate([theta0, np.zeros(theta0.shape[:-1] + (dim + 1,))], axis=-1)
-    path = _integrate_path(stage, lambda x: gen.domain.contains(x[..., :dim]), x0, times)
+    path = _integrate_path(stage, lambda x: gen.domain.contains(x[..., :dim]), x0, t)
     thetas, tau = path[..., :dim], path[..., dim]
     # theta_hat = (integral of w*theta dt) / tau, and theta itself where tau = 0
     theta_hat = np.divide(path[..., dim + 1:], tau[..., None], out=thetas.copy(),
                           where=tau[..., None] != 0.0)
-    return FlowState(theta=thetas, t=times, tau=tau, theta_hat=theta_hat)
+    return FlowState(theta=thetas, t=t, tau=tau, theta_hat=theta_hat)
 
 
 def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndarray:
@@ -344,7 +327,7 @@ def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# forward-Euler steps in the three coordinate systems
+# discrete steps
 
 
 def _guarded_step(x, base, direction, delta, accept, finish=None):
@@ -437,31 +420,6 @@ def _dual_accept(gen: Generator, reflect):
     return _reflecting(test, reflect)
 
 
-def step_primal_euler(gen: Generator, obj: Objective, theta_k, delta: float) -> np.ndarray:
-    theta_k = _vec(theta_k)
-    if delta == 0.0:
-        return theta_k.copy()
-    direction = rhs_primal(gen, obj, theta_k)
-    theta, failed = _guarded_step(theta_k, theta_k, direction, delta, _reflect_into(gen.domain))
-    if failed:
-        raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
-    return theta
-
-
-def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float) -> DualPair:
-    """eta step followed by mirror inversion; infeasible eta is reflected
-    across the box faces of the dual domain, and the step halved otherwise."""
-    if delta == 0.0:
-        return pair
-    direction = rhs_dual(gen, obj, pair)
-    x, failed = _guarded_step(np.concatenate([pair.eta, pair.theta]), pair.eta, direction,
-                              delta, _dual_accept(gen, gen.dual_domain.reflect))
-    if failed:
-        raise SolverError("dual step infeasible after halving")
-    eta, theta = np.split(x, 2)
-    return DualPair(theta, eta, 1.0 + gen.lam * np.vecdot(theta, eta))
-
-
 def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) -> np.ndarray:
     """Mirror step on Phi with the conformal factor as a state-dependent
     learning rate: zeta <- zeta - delta * exp(lam*phi) * grad f."""
@@ -520,8 +478,9 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, n_points: int) -> Ge
     theta0 = _vec(theta0)[..., None, :]
     s = (np.arange(1, n_points + 1) / (n_points + 1))[:, None]
     theta = theta0 + s * (theta_star - theta0)
-    v = -_solve(metric(gen, theta), _primal_logdiv_grad(gen, theta_star, theta, gen.grad(theta),
-                                                        gen.hess(theta)))
+    u, h = gen.grad(theta), gen.hess(theta)
+    v = -_solve(_checked_metric(gen, theta, u, h),
+                _primal_logdiv_grad(gen, theta_star, theta, u, h))
     along = theta_star - theta
     v_perp = v - _ratio(np.vecdot(v, along), np.vecdot(along, along))[..., None] * along
     pcollin = _ratio(_row_norm(v_perp), _row_norm(v))
@@ -573,8 +532,7 @@ def lyapunov_continuous(gen: Generator, obj: Objective, theta0, t) -> Convergenc
     # bits of a run over t[::2]
     i = np.arange(len(t))
     coarse = t[::2][np.minimum((i + 1) // 2, (len(t) - 1) // 2)]
-    batch = _integrate_clocked(gen, obj, np.stack([_vec(theta0)] * 2),
-                               np.column_stack((t, coarse)))
+    batch = integrate(gen, obj, np.stack([_vec(theta0)] * 2), np.column_stack((t, coarse)))
     theta, tau = batch.theta[:, 0], batch.tau[:, 0]
     e = log_div(gen, star, theta)
     err = float(np.max(np.abs(e[::2] - log_div(gen, star, batch.theta[::2, 1])))) / 15.0
@@ -652,17 +610,16 @@ def discrete_lyapunov_run(gen: Generator, obj: Objective, theta0, delta: float,
     return _audit(k, e, k, e[:1] / (delta * wsum), obj.value(theta_hat) - f_star)
 
 
-def time_change_compare(gen: Generator, obj: Objective, theta0, t_end: float,
-                        dt: float) -> float:
-    """Sup distance between the conformal flow at times t and the Hessian
+def time_change_compare(gen: Generator, obj: Objective, theta0, t) -> float:
+    """Sup distance between the conformal flow on the grid t and the Hessian
     flow of Phi at its clock tau(t): the time change of the paper, checked
-    on the conformal run's own grid; NaN if either path holds a NaN.
+    at the conformal run's own grid points; NaN if either path holds a NaN.
 
     The exact conformal path and the Hessian path read at its clock
     coincide, so the deviation is the integration error plus any fault of
     the time change: a coarser grid can only raise it, never hide a fault,
     and the grid needs no companion run to certify it. The grid may be as
     coarse as keeps the integration error under the check's tolerance."""
-    conformal = integrate(gen, obj, theta0, t_end, dt)
+    conformal = integrate(gen, obj, theta0, t)
     hess_path = integrate_hessian_flow(gen, obj, theta0, conformal.tau)
     return float(np.max(_row_norm(conformal.theta - hess_path)))

@@ -109,12 +109,13 @@ def transport_map(alpha, p) -> np.ndarray:
     return _normalize_logs((1.0 - _exponent(alpha)) * _log(p))
 
 
-def simplex_flow_rhs(alpha, obj_grad, p, q) -> np.ndarray:
-    """d/dt log q_i along the transport-map image of the gradient flow, at p
-    and q = transport_map(alpha, p):
+def simplex_flow_rhs(alpha, obj_grad, p) -> np.ndarray:
+    """d/dt log q_i along the transport-map image of the gradient flow, at p:
     (-p_i / pi_i(neg p)) * [dd_i f(p) - q_i * sum_j (p_j/p_i)^2 dd_j f(p)],
-    where pi(neg p) is the (-alpha)-powering of p."""
+    where q = transport_map(alpha, p) and pi(neg p) is the (-alpha)-powering
+    of p."""
     p = np.asarray(p, dtype=float)
+    q = transport_map(alpha, p)
     pi_neg = _normalize_logs(-_exponent(alpha) * _log(p))
     dd = directional_derivs(obj_grad, p)
     weighted = np.sum(p ** 2 * dd, axis=-1, keepdims=True)
@@ -155,15 +156,14 @@ def step_conformal(alpha, obj_grad, p, delta: float) -> np.ndarray:
     finite, as when pi(neg p) underflows at a large negative alpha, is
     returned as NaN; the other rows are stepped as without it.
 
-    q and rhs come from ``transport_map`` and ``simplex_flow_rhs``. log q up
-    to a shift per row is (1 - alpha) log p; each try steps it by d * rhs and
-    maps it back by the inverse transport, the 1/(1 - alpha)-powering, with
-    one exp.
+    rhs comes from ``simplex_flow_rhs``. log q up to a shift per row is
+    (1 - alpha) log p; each try steps it by d * rhs and maps it back by the
+    inverse transport, the 1/(1 - alpha)-powering, with one exp.
     """
     a = _exponent(alpha)
     p = np.asarray(p, dtype=float)
     with np.errstate(all="ignore"):
-        rhs = simplex_flow_rhs(a, obj_grad, p, transport_map(a, p))
+        rhs = simplex_flow_rhs(a, obj_grad, p)
     log_p = _log(p)
     dilation = 1.0 / (1.0 - a)
     p_next = _guarded_step(p, (1.0 - a) * log_p, rhs, delta, _descends(obj_grad, log_p),

@@ -3,7 +3,8 @@
 Rule: ``src/xmd`` holds what an experiment runner or the benchmark reaches,
 and checks live in ``tests/``. A helper that only a test calls lives here,
 even when it names an object of the paper (the conjugate, the self-dual
-divergence, the mirror Jacobian, the linear generator); the reach test in
+divergence, the mirror Jacobian, the linear generator, the Euler schemes in
+theta and eta, the log loss); the reach test in
 ``test_experiments.py`` fails on any package function that no runner enters
 and that its allow-list does not name. That also keeps numpy the package's
 only runtime dependency: the quadrature oracle below needs scipy, which is a
@@ -17,11 +18,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from xmd import expfam, simplex
-from xmd.core import (Domain, DomainError, DualPair, Generator, GeometryError, _directional,
-                      _vec, big_phi_hess, inverse_mirror, lambda_mirror, log_cost,
-                      log_div, metric)
+from xmd.core import (Domain, DomainError, DualPair, Generator, GeometryError, SolverError,
+                      _directional, _vec, big_phi_hess, inverse_mirror, lambda_mirror,
+                      log_cost, log_div, metric)
 from xmd.expfam import LambdaExpFamily, OnlineState, StudentTParams
-from xmd.flows import Objective, _primal_logdiv_grad
+from xmd.flows import (MAX_HALVINGS, Objective, _dual_accept, _guarded_step,
+                       _primal_logdiv_grad, _reflect_into, rhs_dual, rhs_primal)
 from xmd.generators import log_reciprocal_generator, quadratic_generator
 from xmd.rng import TRUTH_STREAM, substream
 
@@ -170,6 +172,37 @@ def primal_logdiv_objective(gen: Generator, theta_star) -> Objective:
                      theta_star=theta_star)
 
 
+# ---------------------------------------------------------------------------
+# forward-Euler steps of the conformal flow in theta and in eta
+
+
+def step_primal_euler(gen: Generator, obj: Objective, theta_k, delta: float) -> np.ndarray:
+    """Forward Euler of the conformal flow in theta; an infeasible step is
+    reflected across the box faces of the domain, and halved otherwise."""
+    theta_k = _vec(theta_k)
+    if delta == 0.0:
+        return theta_k.copy()
+    direction = rhs_primal(gen, obj, theta_k)
+    theta, failed = _guarded_step(theta_k, theta_k, direction, delta, _reflect_into(gen.domain))
+    if failed:
+        raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
+    return theta
+
+
+def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float) -> DualPair:
+    """eta step followed by mirror inversion; infeasible eta is reflected
+    across the box faces of the dual domain, and the step halved otherwise."""
+    if delta == 0.0:
+        return pair
+    direction = rhs_dual(gen, obj, pair)
+    x, failed = _guarded_step(np.concatenate([pair.eta, pair.theta]), pair.eta, direction,
+                              delta, _dual_accept(gen, gen.dual_domain.reflect))
+    if failed:
+        raise SolverError("dual step infeasible after halving")
+    eta, theta = np.split(x, 2)
+    return DualPair(theta, eta, 1.0 + gen.lam * np.vecdot(theta, eta))
+
+
 def conjugate_generator(gen: Generator) -> Generator:
     """The conjugate as a generator on the dual domain.
 
@@ -197,12 +230,29 @@ def conjugate_generator(gen: Generator) -> Generator:
 # deformed exponential families
 
 
+def log_loss(model: LambdaExpFamily, theta, y) -> tuple[float, np.ndarray]:
+    """Negative log density and its gradient in the natural parameter."""
+    theta = _vec(theta)
+    y = _vec(y)
+    lam = model.lam
+    pair = lambda_mirror(model.gen, theta)
+    if model.gen.is_bregman:
+        value = float(model.gen.value(theta)) - float(theta @ y)
+        return value, pair.eta - y
+    pi_y = 1.0 + lam * float(theta @ y)
+    if pi_y <= 0.0:
+        raise DomainError("observation outside the support of the current parameter")
+    value = float(model.gen.value(theta)) - np.log(pi_y) / lam
+    grad = pair.eta / pair.pi - y / pi_y
+    return value, grad
+
+
 def natural_gradient_update(model: LambdaExpFamily, state: OnlineState, y,
                             delta: float) -> np.ndarray:
     """Unsimplified natural-gradient step in the dual variable (no projection):
     eta - delta * pi * (I + lam eta theta^T) grad_loss. A cross-check for the
     simplified online update."""
-    _, df = expfam.log_loss(model, state.theta, y)
+    _, df = log_loss(model, state.theta, y)
     lam = model.lam
     if model.gen.is_bregman:
         return state.eta - delta * df

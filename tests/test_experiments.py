@@ -339,7 +339,7 @@ def _clock_fast(gen, obj, theta0, s, hessian_flow=flows.integrate_hessian_flow):
 
 
 def _weight_dropped(gen, obj, theta0, s):
-    return flows._integrate_clocked(gen, obj, theta0, s).theta
+    return flows.integrate(gen, obj, theta0, s).theta
 
 
 @pytest.mark.parametrize("fault", [_clock_fast, _weight_dropped])
@@ -597,10 +597,6 @@ def test_simplex_compare_steps_every_conformal_row_in_one_call_per_k(tmp_path, m
 # the package definitions that no runner enters, each with the reason it stays
 UNREACHED_ALLOWED = {
     "flows.FlowState.__len__": "the flows.integrate hook of bench/spans.py reads len(result)",
-    "flows.step_primal_euler": "a runner check of the Euler schemes' order is planned",
-    "flows.step_dual_euler": "a runner check of the Euler schemes' order is planned",
-    "expfam.log_loss": "a runner check that online_update is the dual Euler step "
-                       "on the log loss is planned",
 }
 
 def _package_definitions():
@@ -835,6 +831,7 @@ def test_a_flow_grid_beyond_its_bound_exits_with_status_2(tmp_path, overrides, c
     def no_grid(*args):
         raise AssertionError("a time grid was built")
     monkeypatch.setattr(flows, "_time_grid", no_grid)
+    monkeypatch.setattr(experiments, "_time_grid", no_grid)
     argv = ["flow-equivalence", "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--override", item]
@@ -878,10 +875,12 @@ def test_cli_survives_a_closed_stdout(tmp_path, overrides, expected):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # every run pays for its imports in start-up time; numpy is the only dependency
+    # every run pays for its imports in start-up time; numpy is the only
+    # dependency, and the test oracles (tests/oracles.py) and the test tools
+    # are never imported back into the package
     src = os.path.dirname(os.path.dirname(xmd.__file__))
-    code = ("import sys, xmd.cli; "
-            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    code = ("import sys, xmd.cli; sys.exit(any(m.split('.')[0] in "
+            "('scipy', 'oracles', 'hypothesis', 'pytest', '_pytest') for m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0
 

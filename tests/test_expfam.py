@@ -9,14 +9,14 @@ from scipy.integrate import quad
 from xmd.core import DomainError, inverse_mirror, lambda_mirror
 from xmd.expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState, StudentTParams,
                         dirichlet_family, dirichlet_perturb_sample, log_distance,
-                        log_loss, online_update, simplex_to_eta, start_state,
+                        online_update, simplex_to_eta, start_state,
                         student_t_family, student_t_params, student_t_sample)
 from xmd.generators import (quadratic_generator, student_t_generator, student_t_inverse_mirror,
                             student_t_lambda, student_t_natural_coords)
 from xmd.rng import substream
 from oracles import (dirichlet_lambda_independence, dirichlet_sampler,
                      escort_expectation_numeric, family_density, fd_grad,
-                     fisher_metric_check, natural_gradient_update,
+                     fisher_metric_check, log_loss, natural_gradient_update,
                      student_t_density, student_t_sampler)
 
 NU = 3.0
@@ -26,8 +26,7 @@ STUDENT_T = student_t_generator(NU)
 
 def identity_family():
     gen = quadratic_generator(0.0, 2)
-    return LambdaExpFamily(gen=gen, statistics=lambda x: np.asarray(x, dtype=float),
-                           name="bregman")
+    return LambdaExpFamily(gen=gen, statistics=lambda x: np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Flow engine: right-hand sides, integration, Euler steps, geodesics, Lyapunov."""
+"""Flow engine: right-hand sides, integration, discrete steps, geodesics, Lyapunov."""
 import dataclasses
 import math
 import re
@@ -17,15 +17,23 @@ from xmd.flows import (MAX_HALVINGS, MONOTONE_TOL, GeodesicReport, Objective, _g
                        discrete_lyapunov_run, dual_logdiv_objective,
                        geodesic_flow_check, integrate, integrate_hessian_flow,
                        lyapunov_continuous, quadratic_objective, rhs_dual, rhs_primal,
-                       step_adaptive_mirror, step_dual_euler,
-                       step_primal_euler, time_change_compare)
-from xmd.experiments import GEODESIC_TOL, GRID_STRETCH, LYAPUNOV_STEPS
+                       step_adaptive_mirror, time_change_compare)
+from xmd.config import ExperimentConfig
+from xmd.experiments import GEODESIC_TOL, GRID_STRETCH, LYAPUNOV_STEPS, run_diagnostics
 from xmd.generators import (dirichlet_generator, log_reciprocal_generator,
                             quadratic_generator, student_t_generator)
-from oracles import fd_grad, mirror_jacobian, primal_logdiv_objective, table_generators
+from oracles import (fd_grad, mirror_jacobian, primal_logdiv_objective, step_dual_euler,
+                     step_primal_euler, table_generators)
 
 QUAD_2D = quadratic_generator(-0.5, 2)
 LOG_1D = log_reciprocal_generator(1.0)
+
+
+def uniform(t_end, dt):
+    """The uniform grid t = 0, dt, ..., n dt with n = round(t_end/dt), on
+    which flow-equivalence steps."""
+    n = round(t_end / dt)
+    return _time_grid(n * dt, n)
 
 
 def test_objective_gradients_match_finite_differences():
@@ -87,7 +95,7 @@ def test_rhs_dual_matches_trajectory_derivative():
     gen = QUAD_2D
     obj = quadratic_objective([0.3, 0.1])
     dt = 1e-3
-    path = integrate(gen, obj, [-0.5, 0.8], 0.2, dt)
+    path = integrate(gen, obj, [-0.5, 0.8], uniform(0.2, dt))
     pairs = lambda_mirror(gen, path.theta)
     fd = (pairs.eta[2:] - pairs.eta[:-2]) / (2 * dt)
     assert np.max(np.abs(fd - rhs_dual(gen, obj, pairs)[1:-1])) < 1e-5
@@ -100,7 +108,7 @@ def test_rhs_dual_matches_trajectory_derivative():
 def test_integrate_stationary():
     gen = LOG_1D
     obj = quadratic_objective([0.5])
-    path = integrate(gen, obj, [0.5], 1.0, 1e-2)
+    path = integrate(gen, obj, [0.5], uniform(1.0, 1e-2))
     assert np.all(np.abs(path.theta[:, 0] - 0.5) < 1e-14)
     assert np.all(path.tau[1:] > path.tau[:-1])
 
@@ -108,7 +116,7 @@ def test_integrate_stationary():
 def test_integrate_monotone_toward_target():
     gen = LOG_1D
     obj = primal_logdiv_objective(gen, [2.0])
-    path = integrate(gen, obj, [1.0], 2.0, 1e-3)
+    path = integrate(gen, obj, [1.0], uniform(2.0, 1e-3))
     gaps = np.abs(path.theta[:, 0] - 2.0)
     assert np.all(gaps[1:] <= gaps[:-1] + 1e-12)
     assert gaps[-1] < gaps[0]
@@ -117,9 +125,9 @@ def test_integrate_monotone_toward_target():
 def test_integrate_fourth_order_endpoint():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    end = {dt: integrate(gen, obj, [0.5], 1.0, dt).theta[-1, 0]
+    end = {dt: integrate(gen, obj, [0.5], uniform(1.0, dt)).theta[-1, 0]
            for dt in (4e-2, 2e-2, 1e-3, 5e-4)}
-    ref = integrate(gen, obj, [0.5], 1.0, 2.5e-4).theta[-1, 0]
+    ref = integrate(gen, obj, [0.5], uniform(1.0, 2.5e-4)).theta[-1, 0]
     e_coarse = abs(end[4e-2] - ref)
     e_mid = abs(end[2e-2] - ref)
     assert 10.0 < e_coarse / e_mid < 24.0
@@ -131,7 +139,7 @@ def test_integrate_clock_and_average_fourth_order_endpoint():
     # tau and the tau-weighted average ride in the RK4 state with theta
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    end = {dt: integrate(gen, obj, [0.5], 1.0, dt) for dt in (4e-2, 2e-2, 2.5e-4)}
+    end = {dt: integrate(gen, obj, [0.5], uniform(1.0, dt)) for dt in (4e-2, 2e-2, 2.5e-4)}
     ref = end[2.5e-4]
     for read in (lambda path: path.tau[-1], lambda path: path.theta_hat[-1, 0]):
         e_coarse = abs(read(end[4e-2]) - read(ref))
@@ -140,9 +148,9 @@ def test_integrate_clock_and_average_fourth_order_endpoint():
 
 
 def as_stage(rhs):
-    """A right-hand side of one argument as an RK4 stage with no metric
-    to check."""
-    return lambda x: (rhs(x), None)
+    """A right-hand side of one argument as an RK4 stage that solved with the
+    metric 1, which the positive-definiteness check of every step passes."""
+    return lambda x: (rhs(x), np.ones((1, 1)))
 
 
 def augmented_rhs(gen, obj):
@@ -165,10 +173,11 @@ def test_integrate_reads_its_states_off_one_rk4_path():
     obj = quadratic_objective([0.3, -0.2])
     theta0 = np.array([-0.6, 0.7])
     times = np.linspace(0.0, 50 * 1e-2, 51)
-    path = _integrate_path(as_stage(augmented_rhs(gen, obj)),
+    rhs = augmented_rhs(gen, obj)
+    path = _integrate_path(lambda x: (rhs(x), metric(gen, x[:2])),
                            lambda x: gen.domain.contains(x[:2]),
                            np.concatenate([theta0, [0.0], np.zeros(2)]), times)
-    flow = integrate(gen, obj, theta0, 0.5, 1e-2)
+    flow = integrate(gen, obj, theta0, uniform(0.5, 1e-2))
     assert len(flow) == len(path)
     assert flow.theta.shape == flow.theta_hat.shape == (len(path), 2)
     for i, (t, x) in enumerate(zip(times, path)):
@@ -256,7 +265,7 @@ def test_integrate_evaluates_the_gradient_four_times_per_step():
 
     n_steps = 50
     path = integrate(LOG_1D, Objective(inner.value, grad, inner.theta_star),
-                     [0.5], n_steps * 1e-2, 1e-2)
+                     [0.5], _time_grid(n_steps * 1e-2, n_steps))
     assert len(path) == n_steps + 1
     assert len(calls) == 4 * n_steps
 
@@ -312,7 +321,7 @@ def test_integrate_halves_a_step_whose_stage_metric_is_not_positive_definite():
     unchecked_end = rk4_step(lambda x: (0.6 - x) / (1.0 - 2.0 * x * x), x0[:1], 1.2)
     assert gen.domain.contains(unchecked_end)
     half = rk4_step(rhs, rk4_step(rhs, x0, 0.6), 0.6)
-    _assert_state(integrate(gen, obj, [0.5], 1.2, 1.2), 1, half)
+    _assert_state(integrate(gen, obj, [0.5], [0.0, 1.2]), 1, half)
 
 
 def test_integrate_halves_a_step_whose_stage_metric_is_singular():
@@ -325,7 +334,7 @@ def test_integrate_halves_a_step_whose_stage_metric_is_singular():
     with pytest.raises(RegularityError):
         rk4_step(rhs, x0, 2.0)
     expected = rk4_halving(rhs, lambda x: gen.domain.contains(x[:1]), x0, 2.0)
-    _assert_state(integrate(gen, obj, [0.5], 2.0, 2.0), 1, expected)
+    _assert_state(integrate(gen, obj, [0.5], [0.0, 2.0]), 1, expected)
 
 
 def test_integrate_checks_each_step_with_one_stacked_cholesky(monkeypatch):
@@ -338,7 +347,8 @@ def test_integrate_checks_each_step_with_one_stacked_cholesky(monkeypatch):
 
     monkeypatch.setattr(flows, "_cholesky", counting)
     n_steps = 50
-    integrate(QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7], n_steps * 1e-2, 1e-2)
+    integrate(QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7],
+              _time_grid(n_steps * 1e-2, n_steps))
     # one call per step, over the four stage metrics
     assert calls == [(4, 2, 2)] * n_steps
 
@@ -371,13 +381,22 @@ def test_time_grid_ends_exactly_at_every_step_count():
 
 @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-2), (0.1, 1e-2), (2.0, 0.05), (0.5, 0.1),
                                        (1.0, 3e-3)])
-def test_integrate_steps_on_the_uniform_grid_of_its_dt(t_end, dt):
-    # stretch 1 is the uniform grid t = 0, dt, ..., n dt, with n = round(t_end/dt)
+def test_integrate_steps_on_the_uniform_grid_of_its_dt(tmp_path, monkeypatch, t_end, dt):
+    # stretch 1 is the uniform grid t = 0, dt, ..., n dt, with n = round(t_end/dt),
+    # and flow-equivalence's conformal run steps on it
     n = round(t_end / dt)
     expected = np.linspace(0.0, n * dt, n + 1)
     assert _time_grid(n * dt, n).tobytes() == expected.tobytes()
-    assert integrate(LOG_1D, quadratic_objective([2.0]), [1.0], t_end, dt).t.tobytes() == (
-        expected.tobytes())
+    grids = []
+
+    def recording(gen, obj, theta0, t):
+        grids.append(t)
+        return integrate(gen, obj, theta0, t)
+
+    monkeypatch.setattr(flows, "integrate", recording)
+    run_diagnostics(ExperimentConfig("flow-equivalence", t_end=t_end, dt=dt).validate(),
+                    str(tmp_path))
+    assert [t.tobytes() for t in grids] == [expected.tobytes()]
 
 
 @pytest.mark.parametrize("n_steps, stretch", [(0, 1.0), (-1, 8.0), (10, 0.0), (10, -8.0),
@@ -398,9 +417,17 @@ def test_geodesic_flow_check_evaluates_the_hessian_on_whole_segments():
     rep = geodesic_flow_check(gen, [[0.5, -0.3], [0.1, 0.2], [0.0, 0.0]],
                               [[-0.8, 0.6], [0.3, -0.4], [0.2, 0.1]], 7)
     assert rep.max_error < GEODESIC_TOL
-    # every point of the three pairs at once: the primal gradient and the
-    # metric at the primal points, and the metric at the dual points
-    assert calls == [(3, 7, 2)] * 3
+    # every point of the three pairs at once: one Hessian at the primal
+    # points, for both the primal gradient and the metric, and the metric at
+    # the dual points
+    assert calls == [(3, 7, 2)] * 2
+
+
+def _on_grid(s, x):
+    """The grid s for one point x ``(dim,)``, and s for each row of a batch x
+    ``(batch, dim)``, one grid per row ``(n, batch)``."""
+    s = np.asarray(s, dtype=float)
+    return s if x.ndim == 1 else np.repeat(s[:, None], len(x), axis=1)
 
 
 def _batch_equals_rows(run, x0):
@@ -422,7 +449,7 @@ def test_integrate_path_halves_the_rows_of_a_batch_on_their_own():
     # the step of 1.2 halves from 0.5 (the check fails) and not from -0.2
     obj = quadratic_objective([0.6])
     s = [0.0, 1.2, 1.5]
-    run = lambda x: integrate_hessian_flow(NARROW_PD, obj, x, s)
+    run = lambda x: integrate_hessian_flow(NARROW_PD, obj, x, _on_grid(s, x))
     halved = []
     for x in (0.5, -0.2):
         try:
@@ -458,7 +485,8 @@ def test_integrate_path_of_a_batch_equals_its_one_row_paths(gen, data):
     # a stage off the domain may take a log of a negative number: the step
     # is rejected either way, so the warning says nothing here
     with np.errstate(all="ignore"):
-        _batch_equals_rows(lambda x: integrate_hessian_flow(gen, obj, x, s), points[1:])
+        _batch_equals_rows(lambda x: integrate_hessian_flow(gen, obj, x, _on_grid(s, x)),
+                           points[1:])
 
 
 def test_zeta_flow_form():
@@ -466,7 +494,7 @@ def test_zeta_flow_form():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
     dt = 1e-3
-    path = integrate(gen, obj, [0.5], 0.5, dt)
+    path = integrate(gen, obj, [0.5], uniform(0.5, dt))
     for i in range(1, len(path) - 1, 25):
         fd = (zeta_of(gen, path.theta[i + 1]) - zeta_of(gen, path.theta[i - 1])) / (2 * dt)
         w = math.exp(gen.lam * float(gen.value(path.theta[i])))
@@ -487,7 +515,7 @@ def test_step_primal_euler_values():
 
 
 def _flow_endpoint(gen, obj, theta0, t):
-    return integrate(gen, obj, theta0, t, t / 64.0).theta[-1]
+    return integrate(gen, obj, theta0, uniform(t, t / 64.0)).theta[-1]
 
 
 @pytest.mark.parametrize("step", [step_primal_euler, step_adaptive_mirror],
@@ -708,7 +736,7 @@ def test_geodesic_coefficient_along_trajectory():
     star = np.array([0.5, -0.3])
     obj = dual_logdiv_objective(gen, star)
     eta_star = lambda_mirror(gen, star).eta
-    path = integrate(gen, obj, [-0.8, 0.6], 0.5, 1e-3)
+    path = integrate(gen, obj, [-0.8, 0.6], uniform(0.5, 1e-3))
     for theta in path.theta[:: len(path) // 5]:
         pair = lambda_mirror(gen, theta)
         vel = rhs_dual(gen, obj, pair)
@@ -840,7 +868,7 @@ def test_richardson_error_estimates_the_error_in_e(gen, obj, theta0, dt):
     # reads 0.88 to 1.11 at these steps, and 0.56 on the 2-d path at dt 0.2,
     # which is not yet in RK4's asymptotic range
     report = lyapunov_continuous(gen, obj, theta0, _time_grid(2.0, round(2.0 / dt)))
-    fine = integrate(gen, obj, theta0, 2.0, dt / 40)
+    fine = integrate(gen, obj, theta0, uniform(2.0, dt / 40))
     error = np.max(np.abs(report.lyapunov_series[:, 1]
                           - log_div(gen, obj.theta_star, fine.theta[::40])))
     assert 0.5 < report.richardson_error / error < 2.0
@@ -858,7 +886,7 @@ def test_richardson_error_estimates_the_error_on_the_suite_grid(gen, obj, theta0
     # smaller
     n = LYAPUNOV_STEPS[label]
     report = lyapunov_continuous(gen, obj, theta0, _time_grid(4.0, n, GRID_STRETCH))
-    fine = flows._integrate_clocked(gen, obj, theta0, _time_grid(4.0, 8 * n, GRID_STRETCH))
+    fine = integrate(gen, obj, theta0, _time_grid(4.0, 8 * n, GRID_STRETCH))
     assert fine.t[::8].tobytes() == report.lyapunov_series[:, 0].tobytes()
     error = np.max(np.abs(report.lyapunov_series[:, 1]
                           - log_div(gen, obj.theta_star, fine.theta[::8])))
@@ -898,8 +926,8 @@ def test_integrate_with_companion_keeps_the_bits_of_two_runs(monkeypatch, gen, o
     # [theta, tau, integral of w*theta]
     calls = _recording_paths(monkeypatch)
     lyapunov_continuous(gen, obj, theta0, t)
-    flows._integrate_clocked(gen, obj, theta0, t)
-    flows._integrate_clocked(gen, obj, theta0, t[::2])
+    integrate(gen, obj, theta0, t)
+    integrate(gen, obj, theta0, t[::2])
     (times, batch), (t_fine, fine), (t_coarse, coarse) = calls
     assert times[:, 0].tobytes() == t_fine.tobytes()
     assert batch[:, 0].tobytes() == fine.tobytes()
@@ -1045,21 +1073,22 @@ def test_discrete_lyapunov_stationary():
 def test_time_change_equivalence_smoke():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    dev = time_change_compare(gen, obj, [0.5], 1.0, 1e-3)
+    dev = time_change_compare(gen, obj, [0.5], uniform(1.0, 1e-3))
     assert dev < 1e-4
 
 
 def test_time_change_compare_keeps_a_nan_deviation(monkeypatch):
     monkeypatch.setattr(flows, "integrate_hessian_flow",
                         _with_nan_row(integrate_hessian_flow))
-    assert math.isnan(time_change_compare(LOG_1D, quadratic_objective([2.0]), [0.5], 0.1, 1e-2))
+    assert math.isnan(time_change_compare(LOG_1D, quadratic_objective([2.0]), [0.5],
+                                          uniform(0.1, 1e-2)))
 
 
 def test_time_change_order_of_accuracy():
     gen = LOG_1D
     obj = quadratic_objective([2.0])
-    coarse = time_change_compare(gen, obj, [0.5], 1.0, 8e-2)
-    fine = time_change_compare(gen, obj, [0.5], 1.0, 4e-2)
+    coarse = time_change_compare(gen, obj, [0.5], uniform(1.0, 8e-2))
+    fine = time_change_compare(gen, obj, [0.5], uniform(1.0, 4e-2))
     assert 8.0 < coarse / fine < 32.0
 
 
@@ -1116,7 +1145,7 @@ def _report_lists(report):
 def test_lyapunov_continuous_equals_its_one_state_loop(gen, obj, theta0):
     report = lyapunov_continuous(gen, obj, theta0, _time_grid(0.5, 50))
     assert _report_lists(report) == _lyapunov_loop(gen, obj,
-                                                   integrate(gen, obj, theta0, 0.5, 1e-2))
+                                                   integrate(gen, obj, theta0, _time_grid(0.5, 50)))
 
 
 def _discrete_lyapunov_loop(gen, obj, delta, k_max):
@@ -1210,7 +1239,7 @@ def test_geodesic_flow_check_equals_its_one_state_loop(gen, star, theta0):
 
 def test_time_change_compare_equals_its_one_state_loop():
     obj = quadratic_objective([2.0])
-    conformal = integrate(LOG_1D, obj, [0.5], 0.5, 1e-2)
+    conformal = integrate(LOG_1D, obj, [0.5], uniform(0.5, 1e-2))
     hess_path = integrate_hessian_flow(LOG_1D, obj, [0.5], conformal.tau.tolist())
     dev = max(float(np.linalg.norm(a - b)) for a, b in zip(conformal.theta, hess_path))
-    assert time_change_compare(LOG_1D, obj, [0.5], 0.5, 1e-2) == dev
+    assert time_change_compare(LOG_1D, obj, [0.5], uniform(0.5, 1e-2)) == dev

@@ -160,8 +160,7 @@ def test_transport_maps():
 
 def test_simplex_flow_rhs_zero_gradient():
     p = np.array([0.3, 0.3, 0.4])
-    q = transport_map(0.4, p)
-    rhs = simplex_flow_rhs(0.4, lambda r: np.zeros(3), p, q)
+    rhs = simplex_flow_rhs(0.4, lambda r: np.zeros(3), p)
     assert np.allclose(rhs, 0.0)
 
 
@@ -172,7 +171,7 @@ def test_simplex_flow_equal_weighted_reduction():
         p = sample_simplex(rng, 4)
         grad = rng.standard_normal(4)
         dd = directional_derivs(lambda r: grad, p)
-        rhs = simplex_flow_rhs(0.0, lambda r: grad, p, p)
+        rhs = simplex_flow_rhs(0.0, lambda r: grad, p)
         n = 4
         for i in range(n):
             for j in range(n):
@@ -213,8 +212,7 @@ def test_step_multiplicative_matches_flow_to_second_order():
         cur = p.copy()
         m = 64
         for _ in range(m):
-            q = transport_map(0.0, cur)
-            rhs = simplex_flow_rhs(0.0, grad, cur, q)
+            rhs = simplex_flow_rhs(0.0, grad, cur)
             cur = as_simplex(cur * np.exp((t / m) * rhs))
         return cur
 
@@ -332,7 +330,7 @@ def _tries_at_minimizer(method, p_star, delta):
         # the conformal step moves log q, (1 - alpha) log p up to a shift,
         # and maps back by the 1/(1 - alpha)-powering
         base, dilation = (1.0 - method) * log_p, 1.0 / (1.0 - method)
-        direction = simplex_flow_rhs(method, grad, p_star, transport_map(method, p_star))
+        direction = simplex_flow_rhs(method, grad, p_star)
     for j in range(MAX_HALVINGS + 1):
         z = base + delta * 0.5 ** j * direction
         if np.array_equal(z, base):
@@ -417,7 +415,7 @@ def test_alpha_column_rejects_only_one_and_above():
         with pytest.raises(ValueError):
             transport_map(alpha, np.array([p, p]))
         with pytest.raises(ValueError):
-            simplex_flow_rhs(alpha, grad, np.array([p, p]), np.array([p, p]))
+            simplex_flow_rhs(alpha, grad, np.array([p, p]))
         with pytest.raises(ValueError):
             step_conformal(alpha, grad, np.array([p, p]), 0.1)
     column = np.array([[0.5], [0.0]])
@@ -443,11 +441,11 @@ def test_alpha_column_rows_equal_their_scalar_generators(data):
     grad = lambda q: dirichlet_cost_grad(q, p_star)
     column = np.array(alphas)[:, None]
     q = transport_map(column, p)
-    rhs = simplex_flow_rhs(column, grad, p, q)
+    rhs = simplex_flow_rhs(column, grad, p)
     stepped = step_conformal(column, grad, p, delta)
     for i, alpha in enumerate(alphas):
         assert np.array_equal(q[i], transport_map(alpha, p[i]))
-        assert np.array_equal(rhs[i], simplex_flow_rhs(alpha, grad, p[i], q[i]))
+        assert np.array_equal(rhs[i], simplex_flow_rhs(alpha, grad, p[i]))
         assert np.array_equal(stepped[i], step_conformal(alpha, grad, p[i], delta),
                               equal_nan=True)
 
@@ -489,15 +487,15 @@ def test_closed_forms_match_the_portfolio_oracles(shape, data):
             gap = np.max(np.abs(closed - oracle), axis=-1)
             assert np.all(gap <= 64 * EPS * np.max(closed, axis=-1))
         q = transport_map(alpha, pp)
-        rhs = simplex_flow_rhs(alpha, grad, pp, q)
+        rhs = simplex_flow_rhs(alpha, grad, pp)
         kappa = neg(pp) / power(-np.asarray(alpha), pp)
         assert np.all(np.abs(rhs - flow_rhs_by_portfolio(alpha, grad, pp, q))
                       <= 64 * EPS * (1.0 + kappa) * np.abs(rhs))
 
 
 def test_a_conformal_try_exponentiates_once(monkeypatch):
-    # log p is taken once by the step and once each by transport_map and by
-    # simplex_flow_rhs for pi(neg p), and two _normalize_logs calls give q and
+    # log p is taken once by the step and twice by simplex_flow_rhs, for q
+    # (transport_map) and for pi(neg p), and two _normalize_logs calls give q and
     # pi(neg p); each try maps its candidates back by one more _normalize_logs,
     # its one exp, and its accept test takes one log: for one row accepted at
     # the first try, for one row that halves, and for both in one batch with an
@@ -549,9 +547,9 @@ def test_a_failing_portfolio_row_is_non_finite_and_leaves_the_others():
     column = np.array([[-200.0], [0.5]])
     grad = lambda q: dirichlet_cost_grad(q, barycenter(20))
     with np.errstate(all="ignore"):
-        rhs = simplex_flow_rhs(column, grad, batch, transport_map(column, batch))
+        rhs = simplex_flow_rhs(column, grad, batch)
     assert not np.isfinite(rhs[0]).all()
-    assert np.array_equal(rhs[1], simplex_flow_rhs(0.5, grad, p, transport_map(0.5, p)))
+    assert np.array_equal(rhs[1], simplex_flow_rhs(0.5, grad, p))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = step_conformal(column, grad, batch, 0.1)
