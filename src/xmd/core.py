@@ -266,16 +266,16 @@ def metric(gen: Generator, theta) -> np.ndarray:
     with G by LU (``_solve``), as ``flows.rhs_primal`` does. A solve through
     the factor (``cho_solve``) measured no faster at these sizes (n <= 3),
     and it would round differently, so every pinned output would change."""
+    return _metric_parts(gen, theta)[0]
+
+
+def _metric_parts(gen: Generator, theta):
+    """``metric`` at theta, with the gradient rows u and the Hessians h of
+    phi it is assembled from, for a caller that reads them too: (G, u, h)."""
     theta = _vec(theta)
     if gen.hess is None:
         raise RegularityError(f"generator {gen.name!r} has no Hessian oracle")
-    return _checked_metric(gen, theta, gen.grad(theta), gen.hess(theta))
-
-
-def _checked_metric(gen: Generator, theta, u, h) -> np.ndarray:
-    """``metric`` at theta from the gradient rows u and the Hessians h of
-    phi there, for a caller that holds them: G by ``_assemble_metric``, and
-    RegularityError unless every G is finite and positive definite."""
+    u, h = gen.grad(theta), gen.hess(theta)
     g = _assemble_metric(gen, u, h)
     if np.count_nonzero(~np.isfinite(g)):
         raise RegularityError(f"metric not finite at theta={theta}")
@@ -283,7 +283,7 @@ def _checked_metric(gen: Generator, theta, u, h) -> np.ndarray:
         _cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"metric not positive definite at theta={theta}") from exc
-    return g
+    return g, u, h
 
 
 def _solve(g, b) -> np.ndarray:

@@ -35,8 +35,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
-                   RegularityError, SolverError, _assemble_metric, _checked_metric,
-                   _cholesky, _directional, _invert_rows, _require_inverse, _solve, _vec,
+                   RegularityError, SolverError, _assemble_metric, _cholesky, _directional,
+                   _invert_rows, _metric_parts, _require_inverse, _solve, _vec,
                    big_phi_bregman, conformal_weight, inverse_mirror, lambda_mirror,
                    log_div, metric, theta_of_zeta, zeta_of)
 
@@ -478,9 +478,8 @@ def geodesic_flow_check(gen: Generator, theta_star, theta0, n_points: int) -> Ge
     theta0 = _vec(theta0)[..., None, :]
     s = (np.arange(1, n_points + 1) / (n_points + 1))[:, None]
     theta = theta0 + s * (theta_star - theta0)
-    u, h = gen.grad(theta), gen.hess(theta)
-    v = -_solve(_checked_metric(gen, theta, u, h),
-                _primal_logdiv_grad(gen, theta_star, theta, u, h))
+    g, u, h = _metric_parts(gen, theta)
+    v = -_solve(g, _primal_logdiv_grad(gen, theta_star, theta, u, h))
     along = theta_star - theta
     v_perp = v - _ratio(np.vecdot(v, along), np.vecdot(along, along))[..., None] * along
     pcollin = _ratio(_row_norm(v_perp), _row_norm(v))
