@@ -77,11 +77,11 @@ class ExperimentConfig:
     # grid, dt 1e-2, gives a deviation of 8.0e-10 at t_end 1 against the
     # tolerance 1e-4 (see experiments.EQUIVALENCE_TOL); a t_end under 1e-2
     # needs a dt set no larger than it. geodesic-check (no grid: see
-    # experiments.GEODESIC_POINTS) and lyapunov-suite (t_end 4, 200 steps for
-    # the 1-d path and 256 for the 2-d path, each with a companion on every
-    # other grid point as the second row of its RK4 batch, on graded grids of
-    # stretch 8, the coarsest its budget certifies: see
-    # experiments.GRID_STRETCH and LYAPUNOV_STEPS) run fixed instances, and
+    # experiments.GEODESIC_POINTS) and lyapunov-suite (t_end 4, 200 steps at
+    # stretch 8 for the 1-d path and 176 at stretch 16 for the 2-d path, each
+    # with a companion on every other grid point as the second row of its RK4
+    # batch, on graded grids, each the coarsest its budget certifies: see
+    # experiments.LYAPUNOV_GRIDS) run fixed instances, and
     # reject any other value of either. flow-equivalence steps on the grid
     # t = 0, dt, ..., round(t_end/dt)*dt, so round(t_end/dt) may be at most
     # MAX_TIME_STEPS: 80 MB of grid, and a path of a few times that

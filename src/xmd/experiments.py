@@ -298,15 +298,6 @@ def rank_methods(mean_curves: dict) -> list:
 # ---------------------------------------------------------------------------
 # diagnostics suites
 
-# lyapunov-suite steps on graded grids (``flows._time_grid``)
-# of one stretch: the steps grow geometrically, the last about GRID_STRETCH
-# times the first, fine near t = 0, where the paths move fastest and the RK4
-# error is made, and coarse where they have settled. For an even step count,
-# every other point of a graded grid holds the bits of the grid of half the
-# steps at the same stretch, so each grid below is the coarsest rung of the
-# halving ladder n * 2^k, at this stretch, that its error budget certifies.
-GRID_STRETCH = 8.0
-
 # geodesic-check checks its claims at GEODESIC_POINTS interior points of each
 # segment of 40 instances: two fixed pairs, and each point of every registered
 # generator's grid toward the next. Clean, each value is round-off, at most
@@ -325,33 +316,49 @@ def _geodesic_check(gen, pair=None):
     return geodesic_flow_check(gen, stars, starts, GEODESIC_POINTS)
 
 
-# lyapunov-suite steps each path on its own graded grid to t_end 4, keyed by
-# the label of its Richardson estimate in summary.json: the 1-d path in 200
-# steps, the 2-d path in 256. A companion path on every other point of that
-# grid, the rung below on the ladder, gives the Richardson estimate of the
-# error in E(t) = L[theta_star : theta_t]. Both step in one RK4 batch
-# (``flows.lyapunov_continuous``): the companion spans two steps, then sits
-# out a step, and keeps the bits of a run of its own. A violations row passes
-# only if the report is monotone, which requires twice the estimate to be
-# under flows.MONOTONE_TOL = 1e-9, so that integration error can neither
+# lyapunov-suite steps each path on its own graded grid (``flows._time_grid``)
+# to t_end 4, keyed by the label of its Richardson estimate in summary.json:
+# LYAPUNOV_GRIDS gives each path's (steps, stretch). The steps of a graded
+# grid grow geometrically, the last about ``stretch`` times the first: fine
+# near t = 0, where the paths move fastest and the RK4 error is made, and
+# coarse where they have settled. A companion path on every other point of
+# that grid gives the Richardson estimate of the error in E(t) =
+# L[theta_star : theta_t]: for an even step count, every other point of a
+# graded grid holds the bits of the grid of half the steps at the same
+# stretch, the rung below on the halving ladder n * 2^k. Both step in one RK4
+# batch (``flows.lyapunov_continuous``): the companion spans two steps, then
+# sits out a step, and keeps the bits of a run of its own. A violations row
+# passes only if the report is monotone, which requires twice the estimate to
+# be under flows.MONOTONE_TOL = 1e-9, so that integration error can neither
 # invent nor hide a rise of E. Twice the estimate reads (no grid shows a
 # rise):
 #
-#   1-d steps   1-d        1-d, metric-sign fault   2-d steps   2-d
-#   100         7.0e-9     1.3e-7                   128         6.3e-9
-#   200         4.2e-10    7.8e-9                   256         3.7e-10
-#   400         2.5e-11    4.7e-10                  512         2.3e-11
+#   1-d, stretch 8                    2-d, stretch 8      2-d, stretch 16
+#   steps  clean    metric-sign fault  steps  clean        steps  clean
+#   100    7.0e-9   1.3e-7             128    6.3e-9       88     6.0e-9
+#   200    4.2e-10  7.8e-9             256    3.7e-10      176    3.6e-10
+#   400    2.5e-11  4.7e-10            512    2.3e-11      352    2.2e-11
 #
-# so both paths sit about 2.5x under the budget, and the metric-sign fault
-# is caught by the 1-d budget with a margin of 7.8x. Against a run 16 times
-# finer on the same stretch the estimate reads 3% over the error of E on both
-# paths. The least margins of the bound over the gap, 0.065 (1-d) and 0.123
-# (2-d), read the same to three digits on these grids and on uniform grids of
-# 400 and 800 steps. On the graded grid of 20 steps twice the 2-d estimate
-# is 1.5e-5, and its row fails. The discrete run of 2000 steps reaches its
-# fixed point at step 45, which returns its input's bits, and stops stepping
-# there (``flows.discrete_lyapunov_run``).
-LYAPUNOV_STEPS = {"1d": 200, "2d": 256}
+# so each grid is the coarsest rung of its ladder that its budget certifies,
+# about 2.4x (1-d) and 2.8x (2-d) under the budget, and the metric-sign fault
+# is caught by the 1-d budget with a margin of 7.8x. Each stretch is the one
+# that certifies its path in the fewest steps. The least step count, a
+# multiple of 8, at which twice the estimate is at most 4e-10 reads:
+#
+#   stretch   8     10    12    16    20    24
+#   1-d       208   200   200   200   200   208
+#   2-d       256   224   200   176   176   184
+#
+# so the 1-d path keeps its 200 steps at stretch 8, and the 2-d path takes 176
+# at stretch 16. Against a run 16 times finer on the same stretch the
+# estimate reads 3% over the error of E on both paths. The least margins of
+# the bound over the gap, 0.065 (1-d) and 0.123 (2-d), read the same to three
+# digits on these grids and on uniform grids of 400 and 800 steps. On the
+# graded grid of 12 steps at stretch 16 twice the 2-d estimate is 2.9e-5, and
+# its row fails. The discrete run of 2000 steps reaches its fixed point at
+# step 45, which returns its input's bits, and stops stepping there
+# (``flows.discrete_lyapunov_run``).
+LYAPUNOV_GRIDS = {"1d": (200, 8.0), "2d": (176, 16.0)}
 
 # flow-equivalence steps on the uniform grid t = 0, dt, ..., n dt with
 # n = round(t_end/dt), ExperimentConfig.dt 1e-2 by default, 100 steps to the
@@ -419,8 +426,7 @@ def run_diagnostics(config: ExperimentConfig, out_dir: str) -> RunSummary:
         def continuous(gen, obj, theta0, label):
             """The report of the path from theta0; the Richardson estimate of
             its error in E goes in the summary."""
-            rep = lyapunov_continuous(gen, obj, theta0,
-                                      _time_grid(4.0, LYAPUNOV_STEPS[label], GRID_STRETCH))
+            rep = lyapunov_continuous(gen, obj, theta0, _time_grid(4.0, *LYAPUNOV_GRIDS[label]))
             extra[f"richardson_error_{label}"] = rep.richardson_error
             return rep
 

@@ -35,15 +35,16 @@ ONLINE_DIGESTS = {
 
 # the same digest of the diagnostics suites, each with its arguments:
 # geodesic-check at its default, recorded once it checked its 40 instances at
-# 25 points of each segment; lyapunov-suite at its default, recorded once it
-# stepped on graded grids of stretch 8 (200 steps for the 1-d path and 256 for
-# the 2-d path, with the Richardson estimates in its summary); and
+# 25 points of each segment; lyapunov-suite at its default, recorded once its
+# 2-d path stepped on the graded grid of 176 steps at stretch 16 (its 1-d path
+# on 200 steps at stretch 8, with the Richardson estimates in its summary;
+# only richardson_error_2d moved from the grid of 256 steps at stretch 8); and
 # flow-equivalence at the benchmark's t_end=0.1 and its default dt 1e-2
 DIAGNOSTICS_DIGESTS = {
     "geodesic-check":
         ((), "04d42b8767af43a57e0dcb0119f15884926bac20d1691f7687fc25fbcf192ad7"),
     "lyapunov-suite":
-        ((), "2bd388c747d1d049748c9cf2578b905abb4a551e21878e60147c195c57d9341c"),
+        ((), "902ec940542a3241894d75de95301d2ffa4e34e83bc41fb4f9df5e77d83d1c82"),
     "flow-equivalence":
         (("--override", "t_end=0.1"),
          "5f2c24183aef62aac52dd03a298999c848c6c48d4d1db148d4f054e442ca1dd9"),
@@ -235,10 +236,10 @@ def test_diagnostics_write_the_rows_the_benchmark_expects(tmp_path, experiment):
 # RK4 stages per suite at its DIAGNOSTICS_DIGESTS arguments: flow-equivalence
 # steps two 10-step paths, geodesic-check none (it checks velocities at the
 # points of its segments, through core.metric), and lyapunov-suite a 1-d path
-# of 200 steps and a 2-d path of 256, each batched with its companion of half
-# its steps: 100 steps of the batch and 100 of the path alone (1-d), 128 and
-# 128 (2-d)
-RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 0, "lyapunov-suite": 1824}
+# of 200 steps and a 2-d path of 176, each batched with its companion of half
+# its steps: 100 steps of the batch and 100 of the path alone (1-d), 88 and
+# 88 (2-d)
+RK4_STAGES = {"flow-equivalence": 80, "geodesic-check": 0, "lyapunov-suite": 1504}
 
 
 @pytest.mark.parametrize("experiment", sorted(RK4_STAGES))
@@ -369,11 +370,11 @@ def test_lyapunov_suite_reports_its_error_estimates_in_budget(tmp_path):
 
 def test_lyapunov_suite_fails_a_path_too_coarse_for_its_error_budget(tmp_path, monkeypatch,
                                                                     capsys):
-    # on the graded grid of 20 steps neither path shows a rise of E, but the
-    # Richardson estimate of E's error (1.5e-3 and 7.4e-6) is far over its
-    # budget: the grid cannot tell a rise from its own error, so the
-    # violations rows fail
-    monkeypatch.setattr(experiments, "LYAPUNOV_STEPS", {"1d": 20, "2d": 20})
+    # on graded grids of 20 steps (1-d, stretch 8) and 12 (2-d, stretch 16)
+    # neither path shows a rise of E, but the Richardson estimate of E's error
+    # (1.5e-3 and 1.4e-5) is far over its budget: the grid cannot tell a rise
+    # from its own error, so the violations rows fail
+    monkeypatch.setattr(experiments, "LYAPUNOV_GRIDS", {"1d": (20, 8.0), "2d": (12, 16.0)})
     assert cli.main(["lyapunov-suite", "--out", str(tmp_path)]) == 1
     assert "lyapunov-suite: FAIL" in capsys.readouterr().out
     out_dir = str(tmp_path / "lyapunov-suite")
@@ -384,15 +385,30 @@ def test_lyapunov_suite_fails_a_path_too_coarse_for_its_error_budget(tmp_path, m
     assert 2.0 * metrics["richardson_error_2d"] > 1e4 * flows.MONOTONE_TOL
 
 
+# twice each path's Richardson estimate on the suite's grids before the 2-d
+# path moved from 256 steps at stretch 8 to 176 at stretch 16: 4.16e-10 (1-d)
+# and 3.709e-10 (2-d), rounded up. The 2-d path now reads 3.55e-10. A later
+# grid may not spend more of the budget MONOTONE_TOL = 1e-9 than these did.
+SUITE_ERROR_CEILINGS = {"1d": 4.2e-10, "2d": 3.71e-10}
+
+
+def test_lyapunov_grids_keep_their_estimates_under_their_ceilings(tmp_path):
+    summary, out_dir = run(tmp_path, "lyapunov-suite")
+    assert summary.passed
+    metrics = _summary(out_dir)["metrics"]
+    for label, ceiling in SUITE_ERROR_CEILINGS.items():
+        assert 2.0 * metrics[f"richardson_error_{label}"] <= ceiling
+
+
 def test_lyapunov_grids_are_the_coarsest_their_budget_certifies(tmp_path, monkeypatch):
     # each path meets 2 x richardson_error < MONOTONE_TOL on its grid, and
     # misses it on the rung below: half the steps, the same stretch
-    grids = dict(experiments.LYAPUNOV_STEPS)
-    assert all(n % 2 == 0 for n in grids.values())
+    grids = dict(experiments.LYAPUNOV_GRIDS)
+    assert all(n % 2 == 0 for n, _ in grids.values())
     estimates = {}
     for div in (1, 2):
-        monkeypatch.setattr(experiments, "LYAPUNOV_STEPS",
-                            {label: n // div for label, n in grids.items()})
+        monkeypatch.setattr(experiments, "LYAPUNOV_GRIDS",
+                            {label: (n // div, stretch) for label, (n, stretch) in grids.items()})
         out = tmp_path / f"n_over_{div}"
         assert cli.main(["lyapunov-suite", "--out", str(out)]) == (0 if div == 1 else 1)
         metrics = _summary(str(out / "lyapunov-suite"))["metrics"]
@@ -406,11 +422,12 @@ def test_cli_docstring_states_the_suite_grids():
     # the usage text names the grids lyapunov-suite steps on, and the points
     # at which geodesic-check checks its velocities
     doc = " ".join(cli.__doc__.split())
-    steps = experiments.LYAPUNOV_STEPS
-    assert f"(stretch {experiments.GRID_STRETCH:g})" in doc
+    (n_1d, stretch_1d), (n_2d, stretch_2d) = (experiments.LYAPUNOV_GRIDS[label]
+                                              for label in ("1d", "2d"))
     assert f"at {experiments.GEODESIC_POINTS} points of each segment" in doc
-    assert (f"{steps['1d']} steps (the 1-d path) and {steps['2d']} steps "
-            "(the 2-d path) to t_end 4") in doc
+    assert "lyapunov-suite steps to t_end 4" in doc
+    assert (f"{n_1d} steps at stretch {stretch_1d:g} (the 1-d path) and {n_2d} steps "
+            f"at stretch {stretch_2d:g} (the 2-d path)") in doc
 
 
 def _put_fault(monkeypatch, name, fault):
@@ -484,9 +501,9 @@ def test_lyapunov_suite_fails_a_nan_smoothness_pair_without_a_traceback(tmp_path
     big_phi_bregman = flows.big_phi_bregman
 
     def nan_at_one_pair(gen, x, y):
-        if np.array_equal(x, [0.5]) and np.array_equal(y, [-0.5]):
-            return np.nan
-        return big_phi_bregman(gen, x, y)
+        # NaN in the batch's row of the pair ([0.5], [-0.5])
+        at_pair = np.all(x == [0.5], axis=-1) & np.all(y == [-0.5], axis=-1)
+        return np.where(at_pair, np.nan, big_phi_bregman(gen, x, y))
 
     monkeypatch.setattr(flows, "big_phi_bregman", nan_at_one_pair)
     assert cli.main(["lyapunov-suite", "--out", str(tmp_path)]) == 1

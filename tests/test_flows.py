@@ -19,7 +19,7 @@ from xmd.flows import (MAX_HALVINGS, MONOTONE_TOL, GeodesicReport, Objective, _g
                        lyapunov_continuous, quadratic_objective, rhs_dual, rhs_primal,
                        step_adaptive_mirror, time_change_compare)
 from xmd.config import ExperimentConfig
-from xmd.experiments import GEODESIC_TOL, GRID_STRETCH, LYAPUNOV_STEPS, run_diagnostics
+from xmd.experiments import GEODESIC_TOL, LYAPUNOV_GRIDS, run_diagnostics
 from xmd.generators import (dirichlet_generator, log_reciprocal_generator,
                             quadratic_generator, student_t_generator)
 from oracles import (fd_grad, mirror_jacobian, primal_logdiv_objective, step_dual_euler,
@@ -253,6 +253,28 @@ def test_integrate_path_raises_after_max_halvings():
         _integrate_path(as_stage(raising), lambda x: True, np.array([1.0]), [0.0, 0.1])
 
 
+@pytest.mark.parametrize("x0, times, want", [
+    # a batch on one shared grid
+    (np.array([[0.5], [0.6]]), np.linspace(0.0, 1.0, 5), "(n, 2), one grid per row"),
+    # one point on one grid per row of a batch of 2
+    (np.array([0.5]), np.tile(np.linspace(0.0, 1.0, 5)[:, None], 2), "(n,)"),
+    # 2 rows on grids for 3
+    (np.array([[0.5], [0.6]]), np.tile(np.linspace(0.0, 1.0, 5)[:, None], 3),
+     "(n, 2), one grid per row"),
+], ids=["batch-on-shared-grid", "point-on-batch-grid", "rows-mismatch"])
+def test_integrate_path_refuses_a_grid_of_the_wrong_shape(x0, times, want):
+    # checked once, before any stage runs: not a TypeError or a broadcast
+    # error from inside a step
+    def stage(x):
+        raise AssertionError("no stage may run")
+
+    message = f"steps on a grid of shape {want}, not {times.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _integrate_path(stage, lambda x: True, x0, times)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_hessian_flow(LOG_1D, quadratic_objective([2.0]), x0, times)
+
+
 def test_integrate_evaluates_the_gradient_four_times_per_step():
     # without halving, each RK4 step calls rhs_primal, and so the objective
     # gradient, once per stage
@@ -353,9 +375,9 @@ def test_integrate_checks_each_step_with_one_stacked_cholesky(monkeypatch):
     assert calls == [(4, 2, 2)] * n_steps
 
 
-@pytest.mark.parametrize("stretch", [1.0, 8.0, 0.3])
+@pytest.mark.parametrize("stretch", [1.0, 8.0, 0.3, 16.0])
 @pytest.mark.parametrize("t_end, n_steps", [(1.0, 24), (4.0, 200), (4.0, 256), (0.1, 10),
-                                            (3.7, 6)])
+                                            (3.7, 6), (4.0, 176)])
 def test_time_grid_halves_bit_for_bit(t_end, n_steps, stretch):
     t = _time_grid(t_end, n_steps, stretch)
     assert len(t) == n_steps + 1
@@ -879,14 +901,14 @@ def test_richardson_error_estimates_the_error_in_e(gen, obj, theta0, dt):
     (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7], "2d"),
 ], ids=["1d", "2d"])
 def test_richardson_error_estimates_the_error_on_the_suite_grid(gen, obj, theta0, label):
-    # on lyapunov-suite's graded grids the companion steps about 2.02 times
-    # the path's step, not 2: the estimate still reads the error of E, within
-    # 3% (1.028 and 1.029), against a run 8 times finer on the same stretch,
-    # whose every 8th point is the suite's grid and whose error is 8**4 times
-    # smaller
-    n = LYAPUNOV_STEPS[label]
-    report = lyapunov_continuous(gen, obj, theta0, _time_grid(4.0, n, GRID_STRETCH))
-    fine = integrate(gen, obj, theta0, _time_grid(4.0, 8 * n, GRID_STRETCH))
+    # on lyapunov-suite's graded grids the companion steps about 2.01 (1-d)
+    # and 2.016 (2-d) times the path's step, not 2: the estimate still reads
+    # the error of E, within 3% (1.028 on both paths), against a run 8 times
+    # finer on the same stretch, whose every 8th point is the suite's grid
+    # and whose error is 8**4 times smaller
+    n, stretch = LYAPUNOV_GRIDS[label]
+    report = lyapunov_continuous(gen, obj, theta0, _time_grid(4.0, n, stretch))
+    fine = integrate(gen, obj, theta0, _time_grid(4.0, 8 * n, stretch))
     assert fine.t[::8].tobytes() == report.lyapunov_series[:, 0].tobytes()
     error = np.max(np.abs(report.lyapunov_series[:, 1]
                           - log_div(gen, obj.theta_star, fine.theta[::8])))
@@ -909,10 +931,9 @@ def test_richardson_error_keeps_a_nan(monkeypatch):
 @pytest.mark.parametrize("gen, obj, theta0, t", [
     # lyapunov-suite's two paths on their own graded grids (the 1-d
     # objective here lacks the suite's offset f* = 1, which no stage reads)
-    (LOG_1D, quadratic_objective([2.0]), [1.0],
-     _time_grid(4.0, LYAPUNOV_STEPS["1d"], GRID_STRETCH)),
+    (LOG_1D, quadratic_objective([2.0]), [1.0], _time_grid(4.0, *LYAPUNOV_GRIDS["1d"])),
     (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7],
-     _time_grid(4.0, LYAPUNOV_STEPS["2d"], GRID_STRETCH)),
+     _time_grid(4.0, *LYAPUNOV_GRIDS["2d"])),
     # an odd step count: the companion holds at the last even grid point
     (LOG_1D, quadratic_objective([2.0]), [1.0], _time_grid(0.5, 5)),
     # G = 1 - theta^2/10^4 and theta' = -theta/G, nearly x' = -x (see decay):
@@ -1022,11 +1043,11 @@ def test_conformal_smoothness_grid_stability():
 
 
 def _nan_at(fn, point):
-    """fn with NaN for its value at the first argument ``point``; the
-    arguments are (x, ...) or (gen, x, ...)."""
+    """fn with NaN for its value at each row of its first argument that is
+    ``point``; the arguments are (x, ...) or (gen, x, ...), a batch of rows."""
     def wrapped(*args):
         x = args[1] if isinstance(args[0], Generator) else args[0]
-        return np.nan if np.array_equal(x, point) else fn(*args)
+        return np.where(np.all(x == np.asarray(point), axis=-1), np.nan, fn(*args))
     return wrapped
 
 
@@ -1043,6 +1064,35 @@ def test_conformal_smoothness_raises_at_the_first_non_finite_pair(monkeypatch, s
         first = "([0.5], [-0.5])"
     with pytest.raises(DomainError, match=re.escape(f"non-finite smoothness ratio at pair {first}")):
         conformal_smoothness_estimate(gen, obj, pairs)
+
+
+def test_conformal_smoothness_raises_the_first_failing_pair_first(monkeypatch):
+    # the pairs are one batch, and yet the first pair in list order that fails
+    # a check raises: here the first pair's two forms disagree (its log
+    # divergence is doubled), and the later pairs from x = 0.5 hold a NaN B_Phi
+    gen, obj, pairs = _suite_discrete_instance()
+    (x, y), first = pairs[0], [-0.5]
+
+    def doubled_at_first(gen, a, b):
+        return np.where(np.all(a == first, axis=-1), 2.0, 1.0) * log_div(gen, a, b)
+
+    monkeypatch.setattr(flows, "big_phi_bregman", _nan_at(big_phi_bregman, [0.5]))
+    monkeypatch.setattr(flows, "log_div", doubled_at_first)
+    with pytest.raises(RegularityError,
+                       match=re.escape(f"smoothness denominators disagree at ({x}, {y}): ")):
+        conformal_smoothness_estimate(gen, obj, pairs)
+    # at lam = 0 the two forms are one, and the cross-check is skipped: a NaN
+    # second form passes
+    monkeypatch.undo()
+    monkeypatch.setattr(flows, "log_div", lambda gen, a, b: np.full(len(a), np.nan))
+    classical = [(np.array([a]), np.array([b])) for a in (-0.4, 0.1) for b in (-0.3, 0.2)]
+    assert conformal_smoothness_estimate(quadratic_generator(0.0), obj,
+                                         classical) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_conformal_smoothness_keeps_the_bits_of_the_suite_estimate():
+    gen, obj, pairs = _suite_discrete_instance()
+    assert conformal_smoothness_estimate(gen, obj, pairs) == 1.0962736943174158
 
 
 def test_discrete_lyapunov_run():
