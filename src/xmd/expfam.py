@@ -86,7 +86,8 @@ def online_update(model: LambdaExpFamily, state: OnlineState, y,
 
 def log_distance(eta, eta_p):
     """Metric on a positive dual domain: Euclidean norm of the coordinatewise
-    log difference; a float for one point, an array for a batch of rows."""
+    log difference over the last axis; a float for one point ``(d,)``, an
+    array of shape ``(...)`` for points of any leading shape ``(..., d)``."""
     diff = np.log(_vec(eta)) - np.log(_vec(eta_p))
     dist = np.sqrt(np.vecdot(diff, diff))
     return dist if dist.ndim else float(dist)

@@ -108,15 +108,19 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
         [np.float64(x) for x in floats],
         ["", 0.5, "", -0.0, "", np.float64(1e22), "", 2],
         range(count),
+        range(1, count + 1),
     ]
-    header = [f"c{i}" for i in range(len(columns))]
-    assert _write_csv(str(tmp_path), "new.csv", header, columns) == "new.csv"
-    with open(tmp_path / "old.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([x if isinstance(x, (str, int)) else repr(float(x)) for x in row])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # and a header-only file, whose columns are all empty
+    empty = [range(0), [], np.array([])]
+    for name, columns in [("new.csv", columns), ("empty.csv", empty)]:
+        header = [f"c{i}" for i in range(len(columns))]
+        assert _write_csv(str(tmp_path), name, header, columns) == name
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow([x if isinstance(x, (str, int)) else repr(float(x)) for x in row])
+        assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +133,16 @@ def test_online_outputs_are_unchanged(tmp_path, experiment):
                        "--override", "n_steps=200"])
     assert status == 0
     assert output_digest(str(tmp_path / experiment)) == ONLINE_DIGESTS[experiment]
+
+
+@pytest.mark.parametrize("block", [1, 7, 128, 1000])
+def test_dirichlet_online_keeps_its_bits_at_any_sample_block(tmp_path, monkeypatch, block):
+    # the statistics and log distances of a block are elementwise or per row,
+    # so the block size, which sets their batch, cannot move a bit
+    monkeypatch.setattr(experiments, "SAMPLE_BLOCK", block)
+    assert cli.main(["dirichlet-online", "--seed", "0", "--out", str(tmp_path),
+                     "--override", "n_steps=200"]) == 0
+    assert output_digest(str(tmp_path / "dirichlet-online")) == ONLINE_DIGESTS["dirichlet-online"]
 
 
 def test_dirichlet_fails_off_the_square_root_rate(tmp_path):
@@ -188,7 +202,8 @@ def test_dirichlet_fails_on_skipped_updates(tmp_path):
 
 
 def test_dirichlet_fails_on_non_finite_distance(tmp_path, monkeypatch):
-    monkeypatch.setattr(expfam, "log_distance", lambda eta, eta_p: np.full(len(eta), np.inf))
+    monkeypatch.setattr(expfam, "log_distance",
+                        lambda eta, eta_p: np.full(np.shape(eta)[:-1], np.inf))
     summary, _ = run(tmp_path, "dirichlet-online", dim=3, n_steps=5, n_traj=2)
     assert not summary.passed
 

@@ -260,6 +260,12 @@ def test_batched_start_state_and_maps_match_rows():
     assert dists.shape == (3,)
     for i, eta in enumerate(etas):
         assert dists[i] == log_distance(np.abs(eta) + 0.5, ref)
+    # a (k, batch, d) block, as dirichlet-online takes its distances per block
+    block = np.abs(np.stack([etas, etas[::-1] * 1.5, etas * -0.25, etas + 2.0])) + 0.5
+    dists = log_distance(block, ref)
+    assert dists.shape == block.shape[:-1]
+    for index in np.ndindex(dists.shape):
+        assert dists[index] == log_distance(block[index], ref)
 
 
 def test_student_t_params_rows_equal_one_point_calls():
