@@ -121,7 +121,8 @@ class Domain:
         if x.ndim == 1:
             return bool(inside) and all(g(x) > 0.0 for g in self.constraints)
         if self.constraints:
-            x = np.where(inside[..., None], x, self.anchor)
+            if np.count_nonzero(inside) != inside.size:
+                x = np.where(inside[..., None], x, self.anchor)
             for g in self.constraints:
                 inside = inside & (g(x) > 0.0)
         return inside
@@ -172,6 +173,18 @@ class Generator:
     def is_bregman(self) -> bool:
         return abs(self.lam) < BREGMAN_LIMIT
 
+    @cached_property
+    def dual_row_domain(self) -> Domain:
+        """The domain of the rows [eta, theta]: the boxes of the dual domain and
+        the domain side by side, each constraint reading its own half, so that
+        one test is dual_domain.contains(eta) & domain.contains(theta)."""
+        dual, dom, d = self.dual_domain, self.domain, self.dual_domain.lower.size
+        return Domain(np.concatenate([dual.lower, dom.lower]),
+                      np.concatenate([dual.upper, dom.upper]),
+                      np.concatenate([dual.anchor, dom.anchor]),
+                      tuple(lambda x, g=g: g(x[..., :d]) for g in dual.constraints)
+                      + tuple(lambda x, g=g: g(x[..., d:]) for g in dom.constraints))
+
 
 @dataclass(frozen=True)
 class DualPair:
@@ -218,23 +231,22 @@ def inverse_mirror(gen: Generator, eta) -> np.ndarray:
     Raises DomainError if a row of eta lies outside the dual domain or inverts
     outside the domain, and RegularityError if no inverse is registered."""
     eta = _vec(eta)
-    theta, ok = _invert_rows(gen, eta)
+    _require_inverse(gen)
+    x, ok = _invert_rows(gen, eta)
     if not np.all(ok):
-        raise DomainError(f"eta={eta[~ok][0]} or its inverse lies outside its domain")
-    return theta
+        raise DomainError(f"eta={eta[~np.asarray(ok)][0]} or its inverse lies outside its domain")
+    return x[..., eta.shape[-1]:]
 
 
 def _invert_rows(gen: Generator, eta):
-    """``inverse_mirror`` with a mask: theta, and the rows of eta in the dual
-    domain whose inverse lies in the domain. The closed form sees the dual
-    anchor in place of each row outside the dual domain."""
-    _require_inverse(gen)
-    dual = gen.dual_domain
-    ok = np.asarray(dual.contains(eta))
-    if np.count_nonzero(ok) != ok.size:
-        eta = np.where(ok[..., None], eta, dual.anchor)
-    theta = _vec(gen.inverse_mirror_closed(eta))
-    return theta, ok & gen.domain.contains(theta)
+    """``inverse_mirror`` with a mask: the rows [eta, theta] of eta and its
+    closed-form inverse, and the rows with eta in the dual domain and theta in
+    the domain, by one test over ``gen.dual_row_domain``. Every row is
+    inverted and tested under np.errstate(all="ignore"): a row outside the
+    dual domain may invert to a non-finite theta, which the test rejects."""
+    with np.errstate(all="ignore"):
+        x = np.concatenate([eta, _vec(gen.inverse_mirror_closed(eta))], axis=-1)
+        return x, gen.dual_row_domain.contains(x)
 
 
 def _require_inverse(gen: Generator) -> None:

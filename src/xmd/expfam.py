@@ -49,8 +49,7 @@ def start_state(model: LambdaExpFamily, eta0) -> OnlineState:
     Raises DomainError if a row of eta0 or its inverse lies outside its
     domain, an inverse that overflows included."""
     eta0 = _vec(eta0)
-    with np.errstate(all="ignore"):
-        return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0))
+    return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0))
 
 
 def online_update(model: LambdaExpFamily, state: OnlineState, y,

@@ -217,11 +217,13 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
     over the rows of a batch.
 
     A step whose check fails, whose stage raises a GeometryError or a
-    LinAlgError (a singular G), or whose end point is infeasible, is halved,
-    and each half steps on its own, up to MAX_HALVINGS deep. A batch step
-    that fails in any row is redone row by row from its start, each row
-    through that one-point recursion, so that every row keeps the bits of
-    its one-point path.
+    LinAlgError (a singular G), or whose end point is infeasible or not
+    finite (a NaN clock included), is halved, and each half steps on its
+    own, up to MAX_HALVINGS deep. The steps run under
+    np.errstate(all="ignore"): these tests reject every non-finite value. A
+    batch step that fails in any row is redone row by row from its start,
+    each row through that one-point recursion, so that every row keeps the
+    bits of its one-point path.
 
     A zero-length step holds its point still, with no stage evaluated. In a
     step where some row's grid holds still, the rows that move step row by
@@ -246,8 +248,9 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
         out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _cholesky(np.array((g1, g2, g3, g4)))
         ok = feasible(out)
-        if not (np.count_nonzero(ok) == ok.size if out.ndim > 1 else ok):
-            raise DomainError("step left the domain")
+        if np.count_nonzero(~np.isfinite(out)) or not (
+                np.count_nonzero(ok) == ok.size if out.ndim > 1 else ok):
+            raise DomainError("step left the domain or reached a state that is not finite")
         return out
 
     def advance(x, h, depth):
@@ -259,17 +262,18 @@ def _integrate_path(stage: Callable, feasible, x0, times) -> np.ndarray:
             half = advance(x, 0.5 * h, depth + 1)
             return advance(half, 0.5 * h, depth + 1)
 
-    for i, h in enumerate(np.diff(times, axis=0).tolist()):
-        if x0.ndim == 1:
-            path[i + 1] = advance(path[i], h, 0) if h else path[i]
-            continue
-        if all(h):
-            try:
-                path[i + 1] = rk4(path[i], np.array(h)[:, None])
+    with np.errstate(all="ignore"):
+        for i, h in enumerate(np.diff(times, axis=0).tolist()):
+            if x0.ndim == 1:
+                path[i + 1] = advance(path[i], h, 0) if h else path[i]
                 continue
-            except _REJECTED:
-                pass
-        path[i + 1] = [advance(x, step, 0) if step else x for x, step in zip(path[i], h)]
+            if all(h):
+                try:
+                    path[i + 1] = rk4(path[i], np.array(h)[:, None])
+                    continue
+                except _REJECTED:
+                    pass
+            path[i + 1] = [advance(x, step, 0) if step else x for x, step in zip(path[i], h)]
     return path
 
 
@@ -353,10 +357,9 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
 
     A GeometryError rejects every pending row of that try. No callable of
     a batch caller raises one, so batch rows stay independent:
-    ``core._invert_rows`` gives the closed-form inverses only rows inside
-    the dual domain, where the Student-t inverse's denominator is negative
-    (e2 > e1**2 forces it). Only one-point steps, such as the Newton solve
-    of ``step_adaptive_mirror``, raise one.
+    ``core._invert_rows`` inverts every row by a closed form that tests
+    nothing, and rejects rows only through its mask. Only one-point steps,
+    such as the Newton solve of ``step_adaptive_mirror``, raise one.
 
     A row that its accept test rejects with z == base in every component
     stops there: the halvings of d are exact, so every later z rounds to the
@@ -417,13 +420,11 @@ def _reflect_into(domain: Domain):
 def _dual_accept(gen: Generator, reflect):
     """Accept test of the steps in the dual coordinate: per row, the first of
     (eta, reflect(eta)) that lies in the dual domain and whose closed-form
-    mirror inverse lies in the domain, taken as the row [eta, theta]. A
-    missing inverse raises here, not in a try that the guarded step rejects."""
+    mirror inverse lies in the domain, taken as the row [eta, theta] and
+    tested once (``core._invert_rows``). A missing inverse raises here, not
+    in a try that the guarded step rejects."""
     _require_inverse(gen)
-    def test(eta):
-        theta, ok = _invert_rows(gen, eta)
-        return np.concatenate([eta, theta], axis=-1), ok
-    return _reflecting(test, reflect)
+    return _reflecting(lambda eta: _invert_rows(gen, eta), reflect)
 
 
 def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) -> np.ndarray:

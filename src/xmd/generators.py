@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import Domain, DomainError, Generator
+from .core import Domain, Generator
 
 
 def log_reciprocal_generator(lam: float) -> Generator:
@@ -100,13 +100,10 @@ def student_t_lambda(nu: float) -> float:
 
 def student_t_inverse_mirror(e, lam: float) -> np.ndarray:
     """Inverse mirror map of the Student-t potential over the last axis: the
-    escort moments (mu, mu^2 + sigma^2) -> natural coordinates; raises
-    DomainError if a row's denominator is not negative (outside the dual
-    domain)."""
+    escort moments (mu, mu^2 + sigma^2) -> natural coordinates. It tests
+    nothing: ``core.inverse_mirror`` rejects a row outside the dual domain."""
     e = np.asarray(e)
     den = 2.0 * (lam + 1.0) * e[..., 0] ** 2 - (lam + 2.0) * e[..., 1]
-    if np.count_nonzero(den.real >= 0.0):
-        raise DomainError(f"eta={e} outside the dual domain (denominator {den})")
     return np.concatenate([(-2.0 * e[..., 0] / den)[..., None], (1.0 / den)[..., None]], axis=-1)
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import xmd
 from xmd.core import (Domain, DomainError, Generator, GeometryError,
-                      RegularityError, _cholesky, _directional, _solve, _vec, big_phi_bregman,
+                      RegularityError, _cholesky, _directional, _invert_rows, _solve, _vec,
+                      big_phi_bregman,
                       big_phi_hess, big_phi_value, conformal_weight, inverse_mirror,
                       lambda_mirror, log_cost, log_div, metric, zeta_of)
 from xmd.expfam import (LambdaExpFamily, OnlineState, online_update, start_state,
@@ -130,6 +131,78 @@ def test_inverse_mirror_outside_dual_domain():
     gen = student_t_generator(3.0)
     with pytest.raises(DomainError):
         inverse_mirror(gen, [2.0, 1.0])  # needs eta2 > eta1^2
+
+
+# every registered family with a closed-form inverse, at both signs of lam
+# where the family has both, and the Student-t at nu below, at and above 1
+INVERTIBLE = ALL_GENERATORS + [student_t_generator(nu) for nu in (0.2, 1.0, 50.0)] + [
+    quadratic_generator(0.7, 3), quadratic_generator(0.0, 2)]
+
+
+def _dual_test_rows(gen):
+    """eta rows for the joined domain test: the mirror images of the grid,
+    random rows at several scales, rows of NaN, +-inf, 0.0 and -0.0 entries,
+    every finite face of the dual box, and the boundary of a dual constraint,
+    each of these last two exactly and one ulp to either side."""
+    rng = np.random.default_rng(29)
+    dual, d = gen.dual_domain, gen.dual_domain.lower.size
+    rows = [np.array([lambda_mirror(gen, theta).eta for theta in gen.grid])]
+    rows += [scale * rng.standard_normal((100, d)) for scale in (1e-300, 1e-6, 1.0, 1e6, 1e300)]
+    rows.append(rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0], size=(100, d)))
+    edges = []
+    for i in range(d):
+        for face in (dual.lower[i], dual.upper[i]):
+            if np.isfinite(face):
+                row = np.tile(dual.anchor, (3, 1))
+                row[:, i] = np.nextafter(face, [-np.inf, face, np.inf])
+                edges.append(row)
+    if gen.name.startswith("student_t"):  # eta2 = eta1^2
+        e1 = np.concatenate([scale * rng.standard_normal(300) for scale in (1e-3, 1.0, 1e3)])
+        edges.append(np.stack([e1, e1 * e1], axis=-1))
+    elif dual.constraints:  # the sphere 1 + 4 lam |eta|^2 = 0 of quadratic(lam < 0)
+        u = rng.standard_normal((300, d))
+        edges.append(u / (np.linalg.norm(u, axis=1, keepdims=True) * 2.0 * np.sqrt(-gen.lam)))
+    for on in edges:
+        rows += [on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("gen", INVERTIBLE, ids=lambda g: g.name)
+def test_one_joined_domain_test_is_the_dual_test_and_the_domain_test(gen):
+    # the mask of the rows [eta, theta] is dual_domain.contains(eta) &
+    # domain.contains(theta), with theta inverted only from the rows in the
+    # dual domain, and theta keeps those bits on the rows it accepts
+    eta = _dual_test_rows(gen)
+    d = eta.shape[1]
+    x, ok = _invert_rows(gen, eta)
+    with np.errstate(all="ignore"):
+        in_dual = gen.dual_domain.contains(eta)
+        theta = gen.inverse_mirror_closed(eta[in_dual])
+        want = in_dual.copy()
+        want[in_dual] = gen.domain.contains(theta)
+    assert ok.dtype == bool and ok.tolist() == want.tolist()
+    assert 0 < np.count_nonzero(ok) < len(ok)
+    assert x[:, :d].tobytes() == eta.tobytes()
+    assert x[ok, d:].tobytes() == theta[want[in_dual]].tobytes()
+    # one point takes the one-point test, with the mask of its row
+    for row, expected in list(zip(eta, ok))[::7]:
+        assert _invert_rows(gen, row)[1] is bool(expected)
+
+
+def test_neither_half_of_the_joined_student_t_test_can_be_dropped():
+    # on the dual boundary eta2 = eta1^2 rounding decides the closed form's
+    # side: at eta1 = 0.3 the dual test rejects a row whose theta lies in the
+    # domain, and one ulp inside it, at eta1 = 1.7, the dual test accepts a
+    # row whose theta lies outside
+    gen = student_t_generator(3.0)
+    for eta, in_dual, theta_in in (([0.3, 0.3 * 0.3], False, True),
+                                   ([1.7, np.nextafter(1.7 * 1.7, np.inf)], True, False)):
+        eta = np.array(eta)
+        assert gen.dual_domain.contains(eta) is in_dual
+        assert gen.domain.contains(gen.inverse_mirror_closed(eta)) is theta_in
+        assert _invert_rows(gen, eta)[1] is False
+        with pytest.raises(DomainError):
+            inverse_mirror(gen, eta)
 
 
 # ---------------------------------------------------------------------------

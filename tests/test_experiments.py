@@ -11,6 +11,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,19 @@ def test_flow_equivalence_default_grid_is_in_rk4_asymptotic_range(tmp_path):
     assert 0.0 < dev <= 1e-4 * experiments.EQUIVALENCE_TOL
     _, (half, _) = _flow_equivalence(tmp_path, f"dt={ExperimentConfig.dt / 2}")
     assert 8.0 < dev / half < 32.0
+
+
+def test_flow_equivalence_fails_a_coarse_grid_by_its_deviation(tmp_path):
+    # at t_end 4 and dt 2 RK4 stages of the conformal path leave the domain,
+    # where the clock is NaN: those steps halve, with no warning, so the run
+    # fails for a finite deviation over its tolerance, not for an error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, (dev, ok) = _flow_equivalence(tmp_path, "t_end=4", "dt=2")
+    assert caught == []
+    assert status == 1 and not ok
+    assert np.isfinite(dev) and dev > experiments.EQUIVALENCE_TOL
+    assert "errors" not in _summary(str(tmp_path / "t_end=4-dt=2" / "flow-equivalence"))["metrics"]
 
 
 def _clock_fast(gen, obj, theta0, s, hessian_flow=flows.integrate_hessian_flow):

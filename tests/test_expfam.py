@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from xmd import core
 from xmd.core import DomainError, inverse_mirror, lambda_mirror
 from xmd.expfam import (DirichletPerturbModel, LambdaExpFamily, OnlineState, StudentTParams,
                         dirichlet_family, dirichlet_perturb_sample, log_distance,
@@ -113,6 +114,25 @@ def test_online_update_equals_natural_gradient_step(build):
         assert np.max(np.abs(state.eta - raw)) < 1e-10
         # round-trip invariant after each accepted update
         assert np.max(np.abs(lambda_mirror(fam.gen, state.theta).eta - state.eta)) < 1e-9
+
+
+def test_an_update_accepted_at_its_first_try_makes_one_domain_test(monkeypatch):
+    # the try tests each row [eta, theta] once, over gen.dual_row_domain: a
+    # second test of eta or theta would show here as a second call
+    fam = student_t_family(NU)
+    eta = np.array([[0.4, 1.2], [-1.0, 2.5], [2.0, 4.5]])
+    state = start_state(fam, eta)
+    contains = core.Domain.contains
+    calls = []
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return contains(self, x)
+
+    monkeypatch.setattr(core.Domain, "contains", counted)
+    out = online_update(fam, state, fam.statistics([0.5, -2.0, 2.5]), 0.2)
+    assert calls == [(3, 4)]
+    assert out.skipped == 0 and np.all(out.eta != state.eta)
 
 
 def test_online_update_reflects_at_student_t_boundary():
@@ -289,14 +309,16 @@ def test_student_t_params_rows_equal_one_point_calls():
 def test_student_t_params_and_inverse_reject_outside_points():
     with pytest.raises(DomainError):
         student_t_params(np.array([[0.0, -1.0], [0.0, 1.0]]), NU)
+    # the closed form tests nothing; inverse_mirror raises through its mask
     with pytest.raises(DomainError):
-        student_t_inverse_mirror([0.0, -1.0], LAM)  # denominator 1.5 > 0
+        inverse_mirror(STUDENT_T, [0.0, -1.0])  # denominator 1.5 > 0
     with pytest.raises(DomainError):
-        student_t_inverse_mirror([[0.0, 1.0], [0.0, -1.0]], LAM)
-    # a denominator of exactly 0 too, in a point, a batch and complex input
+        inverse_mirror(STUDENT_T, [[0.0, 1.0], [0.0, -1.0]])
+    # a denominator of exactly 0 too, in a point, a batch and complex input,
+    # whose complex NaN inverse raises no RuntimeWarning on its way to the mask
     for e in ([0.0, 0.0], [[0.5, 1.0], [0.0, 0.0]], [0.0 + 0j, 0.0]):
         with pytest.raises(DomainError):
-            student_t_inverse_mirror(e, LAM)
+            inverse_mirror(STUDENT_T, e)
 
 
 def test_student_t_inverse_mirror_keeps_shape_and_dtype():

@@ -234,6 +234,45 @@ def test_integrate_path_halves_a_step_whose_rhs_raises():
     assert path[1].tobytes() == half.tobytes()
 
 
+def test_integrate_path_halves_a_step_whose_state_is_not_finite():
+    # x' = -x with a clock c' = log x: the second stage of a step of 2.5 from
+    # x = 1 is at x = -0.25, so the clock ends NaN at a feasible x = 0.65; the
+    # step is halved, with no warning of the log (tier-1 makes it an error)
+    def logged(x):
+        return np.array([-x[0], np.log(x[0])])
+
+    x0 = np.array([1.0, 0.0])
+    feasible = lambda x: bool(x[0] > 0.0)
+    with np.errstate(invalid="ignore"):
+        whole = rk4_step(logged, x0, 2.5)
+    assert feasible(whole) and np.isnan(whole[1])
+    half = rk4_step(logged, rk4_step(logged, x0, 1.25), 1.25)
+    assert np.isfinite(half).all()
+    path = _integrate_path(as_stage(logged), feasible, x0, [0.0, 2.5])
+    assert path[1].tobytes() == half.tobytes()
+
+
+def test_lyapunov_continuous_halves_its_off_domain_stages_without_a_warning(monkeypatch):
+    # on 4 steps of a grid from 0 to 4 at stretch 8 a stage of the -log/2
+    # path lands at theta < 0, where phi's log is NaN: the step halves, with
+    # no RuntimeWarning, and the report fails the grid as too coarse
+    assemble = flows._assemble_metric
+    stages = []
+
+    def counted(*args):
+        stages.append(None)
+        return assemble(*args)
+
+    monkeypatch.setattr(flows, "_assemble_metric", counted)
+    report = lyapunov_continuous(LOG_1D, quadratic_objective([2.0]), [1.0],
+                                 _time_grid(4.0, 4, 8.0))
+    # 4 steps of the path, 2 of them batched with its companion's 2, take
+    # 16 stages when no step halves
+    assert len(stages) > 16
+    assert np.isfinite(report.lyapunov_series).all() and np.isfinite(report.richardson_error)
+    assert not report.monotone
+
+
 def test_integrate_path_raises_after_max_halvings():
     tries = []
 
