@@ -237,7 +237,7 @@ def test_integrate_path_halves_a_step_whose_rhs_raises():
 def test_integrate_path_halves_a_step_whose_state_is_not_finite():
     # x' = -x with a clock c' = log x: the second stage of a step of 2.5 from
     # x = 1 is at x = -0.25, so the clock ends NaN at a feasible x = 0.65; the
-    # step is halved, with no warning of the log (tier-1 makes it an error)
+    # step is halved, with no warning of the log (the suite makes it an error)
     def logged(x):
         return np.array([-x[0], np.log(x[0])])
 
