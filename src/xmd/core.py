@@ -232,7 +232,8 @@ def inverse_mirror(gen: Generator, eta) -> np.ndarray:
     outside the domain, and RegularityError if no inverse is registered."""
     eta = _vec(eta)
     _require_inverse(gen)
-    x, ok = _invert_rows(gen, eta)
+    with np.errstate(all="ignore"):
+        x, ok = _invert_rows(gen, eta)
     if not np.all(ok):
         raise DomainError(f"eta={eta[~np.asarray(ok)][0]} or its inverse lies outside its domain")
     return x[..., eta.shape[-1]:]
@@ -242,11 +243,12 @@ def _invert_rows(gen: Generator, eta):
     """``inverse_mirror`` with a mask: the rows [eta, theta] of eta and its
     closed-form inverse, and the rows with eta in the dual domain and theta in
     the domain, by one test over ``gen.dual_row_domain``. Every row is
-    inverted and tested under np.errstate(all="ignore"): a row outside the
-    dual domain may invert to a non-finite theta, which the test rejects."""
-    with np.errstate(all="ignore"):
-        x = np.concatenate([eta, _vec(gen.inverse_mirror_closed(eta))], axis=-1)
-        return x, gen.dual_row_domain.contains(x)
+    inverted and tested under its caller's error state, which ignores all
+    (``inverse_mirror``, and the guarded step that runs the online
+    estimator's accept test): a row outside the dual domain may invert to a
+    non-finite theta, which the test rejects."""
+    x = np.concatenate([eta, _vec(gen.inverse_mirror_closed(eta))], axis=-1)
+    return x, gen.dual_row_domain.contains(x)
 
 
 def _require_inverse(gen: Generator) -> None:

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainError, Generator, _vec, inverse_mirror
-from .flows import _dual_accept, _guarded_step
+from .core import DomainError, Generator, _invert_rows, _require_inverse, _vec, inverse_mirror
+from .flows import _guarded_step
 from .generators import dirichlet_generator, student_t_generator, student_t_lambda
 from .simplex import perturb
 
@@ -50,6 +50,25 @@ def start_state(model: LambdaExpFamily, eta0) -> OnlineState:
     domain, an inverse that overflows included."""
     eta0 = _vec(eta0)
     return OnlineState(eta=eta0, theta=inverse_mirror(model.gen, eta0))
+
+
+def _dual_accept(gen: Generator, reflect):
+    """Accept test of the steps in the dual coordinate (see
+    ``flows._guarded_step``): per row, the first of (eta, reflect(eta)) that
+    lies in the dual domain and whose closed-form mirror inverse lies in the
+    domain, taken as the row [eta, theta] and tested once
+    (``core._invert_rows``). A missing inverse raises here, not in a try
+    that the guarded step rejects."""
+    _require_inverse(gen)
+
+    def accept(eta):
+        x, ok = _invert_rows(gen, eta)
+        ok = np.asarray(ok)
+        if np.count_nonzero(ok) == ok.size:
+            return x, ok
+        refl_x, refl_ok = _invert_rows(gen, reflect(eta))
+        return np.where((~ok & refl_ok)[..., None], refl_x, x), ok | refl_ok
+    return accept
 
 
 def online_update(model: LambdaExpFamily, state: OnlineState, y,

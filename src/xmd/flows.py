@@ -34,9 +34,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (Domain, DomainError, DualPair, Generator, GeometryError,
+from .core import (DomainError, DualPair, Generator, GeometryError,
                    RegularityError, SolverError, _assemble_metric, _cholesky, _directional,
-                   _invert_rows, _metric_parts, _require_inverse, _solve, _vec,
+                   _metric_parts, _solve, _vec,
                    big_phi_bregman, conformal_weight, inverse_mirror, lambda_mirror,
                    log_div, metric, theta_of_zeta, zeta_of)
 
@@ -128,15 +128,14 @@ def _row_norm(x):
     return np.sqrt(np.vecdot(x, x))
 
 
-def quadratic_objective(center, weight: float = 1.0) -> Objective:
+def quadratic_objective(center) -> Objective:
     center = _vec(center)
 
     def value(t):
         diff = _vec(t) - center
-        return 0.5 * weight * np.vecdot(diff, diff)
+        return 0.5 * np.vecdot(diff, diff)
 
-    return Objective(value=value, grad=lambda t: weight * (_vec(t) - center),
-                     theta_star=center)
+    return Objective(value=value, grad=lambda t: _vec(t) - center, theta_star=center)
 
 
 def _primal_logdiv_grad(gen: Generator, theta_star, theta, u, h) -> np.ndarray:
@@ -340,32 +339,25 @@ def integrate_hessian_flow(gen: Generator, obj: Objective, theta0, s) -> np.ndar
 # discrete steps
 
 
-def _guarded_step(x, base, direction, delta, accept, finish=None):
+def _guarded_step(x, base, direction, delta, accept):
     """Step each row of x by base + d * direction, kept inside its open
     domain: the step-size control of every discrete scheme in the package.
 
     ``x`` is one point ``(dim,)`` or a batch ``(batch, dim)``, and ``base``
     and ``direction`` have one row per row of x. ``delta`` is one step size
     or one per row; each row takes its first accepted candidate at
-    d = delta * 2**-j, j = 0..MAX_HALVINGS. A try forms every row: it maps
-    z = base + d * direction by ``finish(z)``, if given, and ``accept(cand)``
-    gives the rows to take (the candidates, or repairs such as reflections)
+    d = delta * 2**-j, j = 0..MAX_HALVINGS. A try forms every row
+    z = base + d * direction, and ``accept(z)`` maps and tests them: it gives
+    the rows to take (the mapped candidates, or repairs such as reflections)
     and a row mask. Only the pending rows halve d, so a row that was accepted
     or stopped is formed again at its last d on each later try, and that
     result is thrown away. Candidates run under np.errstate(all="ignore"):
     every accept test rejects non-finite rows.
 
-    A GeometryError rejects every pending row of that try. No callable of
-    a batch caller raises one, so batch rows stay independent:
-    ``core._invert_rows`` inverts every row by a closed form that tests
-    nothing, and rejects rows only through its mask. Only one-point steps,
-    such as the Newton solve of ``step_adaptive_mirror``, raise one.
-
     A row that its accept test rejects with z == base in every component
     stops there: the halvings of d are exact, so every later z rounds to the
-    same bits and is rejected too. A row rejected by a GeometryError keeps
-    halving. Returns the rows and the mask of rows never accepted, which
-    keep their value from x.
+    same bits and is rejected too. Returns the rows and the mask of rows
+    never accepted, which keep their value from x.
 
     The masks of pending and stopped rows exist only once the first try
     leaves a row pending: a first try that accepts every row returns its
@@ -375,11 +367,8 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
     pending = None
     with np.errstate(all="ignore"):
         for _ in range(MAX_HALVINGS + 1):
-            try:
-                z = base + d[..., None] * direction
-                cand, ok = accept(finish(z) if finish else z)
-            except GeometryError:
-                cand, ok, z = x, False, None
+            z = base + d[..., None] * direction
+            cand, ok = accept(z)
             if pending is None:
                 if np.count_nonzero(ok) == d.size:  # every row accepted at once
                     return cand, np.zeros(d.shape, dtype=bool)
@@ -388,43 +377,12 @@ def _guarded_step(x, base, direction, delta, accept, finish=None):
             take = pending & ok
             x = np.where(take[..., None], cand, x)
             pending &= ~take
-            if z is not None:
-                absorbed |= pending & (z == base).all(axis=-1)
-                pending &= ~absorbed
+            absorbed |= pending & (z == base).all(axis=-1)
+            pending &= ~absorbed
             if not pending.any():
                 break
             d[pending] *= 0.5
     return x, pending | absorbed
-
-
-def _reflecting(test, reflect):
-    """Accept test that repairs by reflection: per row, the rows of
-    ``test(cand)`` where its mask holds, else those of
-    ``test(reflect(cand))``. ``test`` returns (rows, mask)."""
-    def accept(cand):
-        taken, ok = test(cand)
-        ok = np.asarray(ok)
-        if np.count_nonzero(ok) == ok.size:
-            return taken, ok
-        refl_taken, refl_ok = test(reflect(cand))
-        return np.where((~ok & refl_ok)[..., None], refl_taken, taken), ok | refl_ok
-    return accept
-
-
-def _reflect_into(domain: Domain):
-    """Accept test of the primal steps: the candidate, else its reflection
-    across the violated box faces, if it lies in the domain."""
-    return _reflecting(lambda theta: (theta, domain.contains(theta)), domain.reflect)
-
-
-def _dual_accept(gen: Generator, reflect):
-    """Accept test of the steps in the dual coordinate: per row, the first of
-    (eta, reflect(eta)) that lies in the dual domain and whose closed-form
-    mirror inverse lies in the domain, taken as the row [eta, theta] and
-    tested once (``core._invert_rows``). A missing inverse raises here, not
-    in a try that the guarded step rejects."""
-    _require_inverse(gen)
-    return _reflecting(lambda eta: _invert_rows(gen, eta), reflect)
 
 
 def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) -> np.ndarray:
@@ -436,8 +394,16 @@ def step_adaptive_mirror(gen: Generator, obj: Objective, theta_k, delta: float) 
     zeta_k = zeta_of(gen, theta_k)
     w = conformal_weight(gen, theta_k)
     df = _vec(obj.grad(theta_k))
-    theta, failed = _guarded_step(theta_k, zeta_k, -df, delta * w, _reflect_into(gen.domain),
-                                  lambda zeta: theta_of_zeta(gen, zeta, theta0=theta_k))
+
+    def accept(zeta):
+        # a try at zeta == zeta_k cannot fail: the solve returns theta_k at residual 0
+        try:
+            theta = theta_of_zeta(gen, zeta, theta0=theta_k)
+        except GeometryError:
+            return theta_k, False
+        return theta, gen.domain.contains(theta)
+
+    theta, failed = _guarded_step(theta_k, zeta_k, -df, delta * w, accept)
     if failed:
         raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
     return theta

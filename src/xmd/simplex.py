@@ -122,14 +122,16 @@ def simplex_flow_rhs(alpha, obj_grad, p) -> np.ndarray:
     return (-p / pi_neg) * (dd - q * weighted / p ** 2)
 
 
-def _descends(obj_grad, log_p: np.ndarray):
+def _descends(obj_grad, log_p: np.ndarray, to_p):
     """Accept test of the simplex steps from p (``log_p`` = log p), row by
-    row (see ``flows._guarded_step``): takes a row of p_next if it is finite
-    and strictly positive and the slope of f at it along the log-p segment
-    from p, sum_i p'_i dd_i f(p') log(p'_i/p_i), is nonpositive. p_next sums
-    to one, so an infinite weight would have made some weight NaN, which
-    fails the min test."""
-    def accept(p_next):
+    row (see ``flows._guarded_step``): maps each candidate z to p_next =
+    to_p(z), and takes a row of p_next if it is finite and strictly positive
+    and the slope of f at it along the log-p segment from p,
+    sum_i p'_i dd_i f(p') log(p'_i/p_i), is nonpositive. p_next sums to one,
+    so an infinite weight would have made some weight NaN, which fails the
+    min test."""
+    def accept(z):
+        p_next = to_p(z)
         positive = p_next.min(axis=-1) > 0.0
         dd = directional_derivs(obj_grad, p_next)
         slope = np.sum(p_next * dd * (np.log(p_next) - log_p), axis=-1)
@@ -166,8 +168,9 @@ def step_conformal(alpha, obj_grad, p, delta: float) -> np.ndarray:
         rhs = simplex_flow_rhs(a, obj_grad, p)
     log_p = _log(p)
     dilation = 1.0 / (1.0 - a)
-    p_next = _guarded_step(p, (1.0 - a) * log_p, rhs, delta, _descends(obj_grad, log_p),
-                           lambda log_q: _normalize_logs(dilation * log_q))[0]
+    p_next = _guarded_step(p, (1.0 - a) * log_p, rhs, delta,
+                           _descends(obj_grad, log_p,
+                                     lambda log_q: _normalize_logs(dilation * log_q)))[0]
     return np.where(np.isfinite(rhs).all(axis=-1, keepdims=True), p_next, np.nan)
 
 
@@ -187,8 +190,8 @@ def step_entropic(p_k, obj_grad, delta: float) -> np.ndarray:
     p = np.asarray(p_k, dtype=float)
     log_p = _log(p)
     grads = np.asarray(obj_grad(p), dtype=float)
-    return _guarded_step(p, log_p, -grads, delta, _descends(obj_grad, log_p),
-                         _normalize_logs)[0]
+    return _guarded_step(p, log_p, -grads, delta,
+                         _descends(obj_grad, log_p, _normalize_logs))[0]
 
 
 def sample_simplex(rng: np.random.Generator, n: int, concentration: float = 1.0) -> np.ndarray:

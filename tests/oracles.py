@@ -22,8 +22,8 @@ from xmd.core import (Domain, DomainError, DualPair, Generator, GeometryError, S
                       _directional, _vec, big_phi_hess, inverse_mirror, lambda_mirror,
                       log_cost, log_div, metric)
 from xmd.expfam import LambdaExpFamily, OnlineState, StudentTParams
-from xmd.flows import (MAX_HALVINGS, Objective, _dual_accept, _guarded_step,
-                       _primal_logdiv_grad, _reflect_into, rhs_dual, rhs_primal)
+from xmd.flows import (MAX_HALVINGS, Objective, _guarded_step, _primal_logdiv_grad, rhs_dual,
+                       rhs_primal)
 from xmd.generators import log_reciprocal_generator, quadratic_generator
 from xmd.rng import TRUTH_STREAM, substream
 
@@ -183,7 +183,17 @@ def step_primal_euler(gen: Generator, obj: Objective, theta_k, delta: float) -> 
     if delta == 0.0:
         return theta_k.copy()
     direction = rhs_primal(gen, obj, theta_k)
-    theta, failed = _guarded_step(theta_k, theta_k, direction, delta, _reflect_into(gen.domain))
+
+    def accept(theta):
+        # the candidate, else its reflection, if that lies in the domain
+        ok = np.asarray(gen.domain.contains(theta))
+        if np.count_nonzero(ok) == ok.size:
+            return theta, ok
+        refl = gen.domain.reflect(theta)
+        refl_ok = gen.domain.contains(refl)
+        return np.where((~ok & refl_ok)[..., None], refl, theta), ok | refl_ok
+
+    theta, failed = _guarded_step(theta_k, theta_k, direction, delta, accept)
     if failed:
         raise SolverError(f"step from {theta_k} infeasible after {MAX_HALVINGS} halvings")
     return theta
@@ -196,7 +206,7 @@ def step_dual_euler(gen: Generator, obj: Objective, pair: DualPair, delta: float
         return pair
     direction = rhs_dual(gen, obj, pair)
     x, failed = _guarded_step(np.concatenate([pair.eta, pair.theta]), pair.eta, direction,
-                              delta, _dual_accept(gen, gen.dual_domain.reflect))
+                              delta, expfam._dual_accept(gen, gen.dual_domain.reflect))
     if failed:
         raise SolverError("dual step infeasible after halving")
     eta, theta = np.split(x, 2)

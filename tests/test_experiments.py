@@ -275,10 +275,11 @@ def test_diagnostics_make_their_count_of_rk4_stages(tmp_path, monkeypatch, exper
     assert len(stages) == RK4_STAGES[experiment]
 
 
-# guarded-step tries per caller for each runner at its benchmark size, seed 0:
-# no online update retries; the 50 calls of each simplex step make 28 and 21
-# retries in all; the discrete Lyapunov run steps 45 times, to its fixed point, and
-# each of its steps is accepted at once
+# guarded-step tries per caller for each runner at its benchmark size, seed 0,
+# each try one call of the caller's accept, which maps and tests the rows: no
+# online update retries; the 50 calls of each simplex step make 28 and 21
+# retries in all; the discrete Lyapunov run steps 45 times, to its fixed point,
+# and each of its steps is accepted at once, with no failed Newton solve
 GUARDED_TRIES = {
     "student-t-online": (("--override", "n_steps=1000"), {"online_update": 1000}),
     "dirichlet-online": (("--override", "n_steps=1000"), {"online_update": 1000}),
@@ -291,24 +292,19 @@ GUARDED_TRIES = {
 
 @pytest.mark.parametrize("experiment", sorted(GUARDED_TRIES))
 def test_runners_make_their_count_of_guarded_step_tries(tmp_path, monkeypatch, experiment):
-    # a try maps its candidates by finish, if given, then tests them by
-    # accept, so a try calls finish once, or accept once when there is no
-    # finish; each count goes to the function that called the guarded step
+    # a try maps and tests its candidates by one accept call; each count goes
+    # to the function that called the guarded step
     guarded = flows._guarded_step
     tries = collections.Counter()
 
-    def counted(x, base, direction, delta, accept, finish=None):
+    def counted(x, base, direction, delta, accept):
         caller = sys._getframe(1).f_code.co_name
 
-        def tried(f):
-            def call(*args):
-                tries[caller] += 1
-                return f(*args)
-            return call
+        def tried(z):
+            tries[caller] += 1
+            return accept(z)
 
-        if finish is None:
-            return guarded(x, base, direction, delta, tried(accept))
-        return guarded(x, base, direction, delta, accept, tried(finish))
+        return guarded(x, base, direction, delta, tried)
 
     for module in (flows, simplex, expfam):
         monkeypatch.setattr(module, "_guarded_step", counted)
@@ -643,20 +639,33 @@ def test_simplex_compare_steps_every_conformal_row_in_one_call_per_k(tmp_path, m
 # the package definitions that no runner enters, each with the reason it stays
 UNREACHED_ALLOWED = {
     "flows.FlowState.__len__": "the flows.integrate hook of bench/spans.py reads len(result)",
+    "flows.dual_logdiv_objective.<locals>.<lambda>":
+        "the dual objective's value f; geodesic-check reads only its gradient",
+    "generators.dirichlet_generator.<locals>.<lambda>":
+        "phi of the Dirichlet generator; dirichlet-online reads only its mirror maps",
+    "generators.student_t_generator.<locals>.value":
+        "phi of the Student-t generator; student-t-online reads only its mirror maps",
 }
+
+# the modules whose module-level functions the census enters down to their
+# nested functions and lambdas
+NESTED_CENSUS = ("core", "expfam", "flows", "generators", "simplex")
+# comprehension code objects, which Python 3.12 inlines into their function
+COMPREHENSIONS = ("<listcomp>", "<dictcomp>", "<setcomp>")
+
 
 def _package_definitions():
     """{code: name} of every function defined at module level in a module
     of the package, and of every method, static method and property getter, setter
     or cached property of a class defined there, by its source (so without
-    the methods that dataclasses generate); for ``simplex`` also every nested
-    function and lambda."""
+    the methods that dataclasses generate); for the modules of NESTED_CENSUS
+    also every nested function and lambda, but not the comprehensions."""
     defined = {}
 
     def collect(code, short, nested=False):
         defined[code] = f"{short}.{code.co_qualname}"
         for const in code.co_consts if nested else ():
-            if inspect.iscode(const):
+            if inspect.iscode(const) and const.co_name not in COMPREHENSIONS:
                 collect(const, short, nested)
 
     for short in sorted(info.name for info in pkgutil.iter_modules(xmd.__path__)):
@@ -665,7 +674,7 @@ def _package_definitions():
             if getattr(value, "__module__", None) != module.__name__:
                 continue
             if inspect.isfunction(value):
-                collect(value.__code__, short, nested=short == "simplex")
+                collect(value.__code__, short, nested=short in NESTED_CENSUS)
             elif inspect.isclass(value):
                 for member in vars(value).values():
                     if isinstance(member, (staticmethod, classmethod)):
@@ -686,8 +695,8 @@ def _package_definitions():
 def test_every_package_function_is_entered_by_a_runner(tmp_path):
     # the reach census of src/xmd: the six runners at a few steps, one of
     # them started from --config, enter every function, method and property
-    # the package defines, and every nested function of simplex, except the
-    # allow-list, so nothing in it is reached by tests alone
+    # the package defines, and every nested function of NESTED_CENSUS, except
+    # the allow-list, so nothing in it is reached by tests alone
     defined = _package_definitions()
     config = tmp_path / "flow-equivalence.cfg"
     config.write_text('experiment = "flow-equivalence"\nt_end = 0.1\n')
@@ -710,8 +719,10 @@ def test_every_package_function_is_entered_by_a_runner(tmp_path):
     # three steps are too few for the online claims, which fail with status 1
     assert statuses == [1, 1, 0, 0, 0, 0]
     assert len(defined) > 100
-    assert {"simplex._descends.<locals>.accept", "core.Domain.box", "core.Generator.is_bregman",
-            "flows.ConvergenceReport.monotone", "rng.substream"} <= set(defined.values())
+    assert {"simplex._descends.<locals>.accept", "expfam._dual_accept.<locals>.accept",
+            "flows.step_adaptive_mirror.<locals>.accept", "core.Domain.box",
+            "core.Generator.is_bregman", "flows.ConvergenceReport.monotone",
+            "rng.substream"} <= set(defined.values())
     assert sorted(name for code, name in defined.items()
                   if code not in entered) == sorted(UNREACHED_ALLOWED)
 

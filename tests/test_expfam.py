@@ -161,6 +161,15 @@ def test_online_update_reflects_at_dirichlet_orthant():
     assert np.allclose(out.eta, np.abs(raw))
 
 
+def test_online_update_rejects_an_observation_outside_the_support():
+    # at theta = (-10/3, -10/3), 1 + lam*<theta, y> = -1999 for y = (-1e3, -1e3)
+    fam = dirichlet_family(-0.3, 2)
+    y = np.array([-1e3, -1e3])
+    for eta0 in (np.ones(2), np.ones((3, 2))):
+        with pytest.raises(DomainError, match="outside the support"):
+            online_update(fam, start_state(fam, eta0), y, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # batched online update: (batch, dim) states in lockstep
 

@@ -719,20 +719,28 @@ def test_guarded_step_takes_a_step_size_per_row():
         assert out[i].tobytes() == (base[i] + (delta[i] * 2.0 ** -j) * direction[i]).tobytes()
 
 
-def test_guarded_step_counts_a_geometry_error_as_a_rejection():
-    x = np.array([1.0, 2.0])
-    tried = []
+def test_step_adaptive_mirror_halves_the_step_after_a_failed_solve(monkeypatch):
+    # a solve that raises a GeometryError rejects its try, and the step
+    # halves: here every try further than 0.1 from zeta_k fails, so the step
+    # is the solve at delta * 2**-4
+    gen, obj = QUAD_2D, quadratic_objective([0.3, -0.2])
+    theta = np.array([0.1, 0.2])
+    zeta = zeta_of(gen, theta)
+    direction = -conformal_weight(gen, theta) * obj.grad(theta)
+    solve, tried = flows.theta_of_zeta, []
 
-    def finish(z):
+    def failing(gen, z, theta0):
         tried.append(z.copy())
-        if z[0] - x[0] > 0.1:
-            raise DomainError("step too long")
-        return z
+        if np.max(np.abs(z - zeta)) > 0.1:
+            raise SolverError("step too long")
+        return solve(gen, z, theta0)
 
-    out, failed = _guarded_step(x, x, np.ones(2), 1.0, lambda cand: (cand, True), finish)
-    assert np.array_equal(out, x + 2.0 ** -4)
-    assert not failed
+    delta = 1.0 / np.max(np.abs(direction))
+    monkeypatch.setattr(flows, "theta_of_zeta", failing)
+    out = step_adaptive_mirror(gen, obj, theta, delta)
     assert len(tried) == 5
+    assert tried[-1].tobytes() == (zeta + (delta * 2.0 ** -4) * direction).tobytes()
+    assert out.tobytes() == solve(gen, tried[-1], theta).tobytes()
 
 
 def test_guarded_step_stops_a_rejected_row_whose_step_rounds_away():
@@ -751,20 +759,6 @@ def test_guarded_step_stops_a_rejected_row_whose_step_rounds_away():
     assert len(tried) == MAX_HALVINGS + 1
     assert [np.array_equal(z[0], x[0]) for z in tried] == [False] * 3 + [True] * (MAX_HALVINGS - 2)
     assert failed.all() and np.array_equal(out, x)
-
-
-def test_guarded_step_halves_on_after_a_geometry_error_at_a_rounded_away_step():
-    x = np.ones(2)
-    tried = []
-
-    def finish(z):
-        tried.append(z.copy())
-        raise DomainError("no map here")
-
-    out, failed = _guarded_step(x, x, np.full(2, 1e-30), 1.0,
-                                lambda cand: (cand, True), finish)
-    assert len(tried) == MAX_HALVINGS + 1
-    assert failed and np.array_equal(out, x)
 
 
 def test_step_infeasible_reflects_or_halves():
@@ -1225,11 +1219,17 @@ def _report_lists(report):
                                       report.gap_series, report.violations))
 
 
+def _negated(obj):
+    """-f, with the minimizer of f."""
+    return Objective(value=lambda t: -obj.value(t), grad=lambda t: -obj.grad(t),
+                     theta_star=obj.theta_star)
+
+
 @pytest.mark.parametrize("gen, obj, theta0", [
     (LOG_1D, quadratic_objective([2.0]), [1.0]),
     (QUAD_2D, quadratic_objective([0.3, -0.2]), [-0.6, 0.7]),
-    # a negative weight makes E rise, so the violations are compared too
-    (QUAD_2D, quadratic_objective([0.3, -0.2], weight=-1.0), [0.2, -0.1]),
+    # a negated quadratic makes E rise, so the violations are compared too
+    (QUAD_2D, _negated(quadratic_objective([0.3, -0.2])), [0.2, -0.1]),
 ], ids=["1d", "2d", "2d-rising"])
 def test_lyapunov_continuous_equals_its_one_state_loop(gen, obj, theta0):
     report = lyapunov_continuous(gen, obj, theta0, _time_grid(0.5, 50))
